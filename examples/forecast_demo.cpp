@@ -3,37 +3,78 @@
 // weeks ahead, and show the accuracy plus the validation cushion that
 // provisioning applies.
 //
-// Flags: --config=0 --history_weeks=8
-#include <cstdlib>
+// Flags: --config=0 --history_weeks=8. A bad flag prints usage to stderr
+// and exits 2.
+#include <algorithm>
+#include <cctype>
 #include <iostream>
+#include <string>
 
 #include "common/table.h"
 #include "forecast/forecaster.h"
 #include "trace/scenario.h"
 
 namespace {
-double flag(int argc, char** argv, const std::string& name, double fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return std::strtod(arg.c_str() + prefix.size(), nullptr);
-    }
-  }
-  return fallback;
+
+constexpr std::size_t kMaxHistoryWeeks = 520;
+
+constexpr const char* kUsage =
+    "usage: forecast_demo [--config=N] [--history_weeks=W]\n"
+    "  --config          index into the APAC config universe (default 0)\n"
+    "  --history_weeks   weeks of history to fit, 2..520 (default 8;\n"
+    "                    Holt-Winters needs two weekly seasons)\n";
+
+int usage_error(const std::string& why) {
+  std::cerr << "forecast_demo: " << why << "\n" << kUsage;
+  return 2;
 }
+
+/// Parses a non-negative decimal integer of at most nine digits.
+bool parse_count(const std::string& text, std::size_t& out) {
+  if (text.empty() || text.size() > 9 ||
+      !std::all_of(text.begin(), text.end(),
+                   [](unsigned char c) { return std::isdigit(c); })) {
+    return false;
+  }
+  out = std::stoul(text);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace sb;
-  const auto config_idx = static_cast<std::size_t>(flag(argc, argv, "config", 0));
-  const auto history_weeks =
-      static_cast<std::size_t>(flag(argc, argv, "history_weeks", 8));
+  std::size_t config_idx = 0;
+  std::size_t history_weeks = 8;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const auto eq = arg.find('=');
+    if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
+      return usage_error("bad argument '" + arg + "'");
+    }
+    const std::string key = arg.substr(2, eq - 2);
+    std::size_t value = 0;
+    if (!parse_count(arg.substr(eq + 1), value)) {
+      return usage_error("bad value in '" + arg + "'");
+    }
+    if (key == "config") {
+      config_idx = value;
+    } else if (key == "history_weeks") {
+      history_weeks = value;
+    } else {
+      return usage_error("unknown flag --" + key);
+    }
+  }
+  if (history_weeks < 2 || history_weeks > kMaxHistoryWeeks) {
+    return usage_error("--history_weeks must be in 2..520");
+  }
 
   Scenario scenario = make_apac_scenario();
   const TraceGenerator& trace = *scenario.trace;
-  require(config_idx < trace.universe().configs.size(),
-          "--config out of range");
+  const std::size_t configs = trace.universe().configs.size();
+  if (config_idx >= configs) {
+    return usage_error("--config must be below " + std::to_string(configs));
+  }
   const ConfigUsage& usage = trace.universe().configs[config_idx];
   std::cout << "forecasting config "
             << scenario.registry->get(usage.config).describe(scenario.world())

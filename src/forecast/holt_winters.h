@@ -25,7 +25,10 @@ class HoltWinters {
 
   /// Grid-searches (alpha, beta, gamma) minimizing in-sample one-step SSE
   /// and returns the trained best model. `series` must cover at least two
-  /// full seasons.
+  /// full seasons. All grid points are scored in one pass over the series;
+  /// the result is bit-identical to training each point with train() in
+  /// grid order and keeping the first strict minimum: a tie, or a
+  /// comparison involving a NaN SSE, keeps the earlier point.
   static HoltWinters fit(std::span<const double> series,
                          std::size_t season_length);
 
