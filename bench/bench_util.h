@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "calls/demand.h"
 #include "common/table.h"
@@ -55,6 +56,75 @@ inline std::string arg_string(int argc, char** argv, const std::string& name,
   }
   return fallback;
 }
+
+/// Strict --key=value parsing for benches that reject bad input instead of
+/// aborting: an argument of another shape, a flag the bench never reads
+/// (finish()) and a value outside its range all print the reason and
+/// `usage` to stderr and exit 2. Values parse as arg_double does, so a
+/// valid command line reads exactly the same numbers.
+class Flags {
+ public:
+  Flags(int argc, char** argv, const char* usage) : usage_(usage) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto eq = arg.find('=');
+      if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
+        fail("bad argument '" + arg + "'");
+      }
+      args_.push_back({arg.substr(2, eq - 2), arg.substr(eq + 1), false});
+    }
+  }
+
+  /// A number in [lo, hi]; `fallback` when the flag is absent.
+  double number(const std::string& name, double fallback, double lo,
+                double hi) {
+    const std::string* text = find(name);
+    if (text == nullptr) return fallback;
+    char* end = nullptr;
+    const double value = std::strtod(text->c_str(), &end);
+    if (text->empty() || *end != '\0' || !(value >= lo && value <= hi)) {
+      fail("bad value '--" + name + "=" + *text + "'");
+    }
+    return value;
+  }
+
+  std::string text(const std::string& name, const std::string& fallback) {
+    const std::string* text = find(name);
+    return text == nullptr ? fallback : *text;
+  }
+
+  void finish() const {
+    for (const Arg& a : args_) {
+      if (!a.read) fail("unknown flag --" + a.name);
+    }
+  }
+
+  [[noreturn]] void fail(const std::string& why) const {
+    std::cerr << why << "\n" << usage_;
+    std::exit(2);
+  }
+
+ private:
+  struct Arg {
+    std::string name;
+    std::string value;
+    bool read;
+  };
+
+  /// First occurrence wins, as in arg_double.
+  const std::string* find(const std::string& name) {
+    const std::string* first = nullptr;
+    for (Arg& a : args_) {
+      if (a.name != name) continue;
+      a.read = true;
+      if (first == nullptr) first = &a.value;
+    }
+    return first;
+  }
+
+  const char* usage_;
+  std::vector<Arg> args_;
+};
 
 /// Restricts a demand matrix to its first `top_k` columns (the trace
 /// universe is sorted by base rate, so these are the most popular configs —

@@ -4,18 +4,32 @@
 // Switchboard migrates only 1.53% of calls — the same as Locality-First —
 // while Round-Robin never migrates (and pays for it in latency).
 //
-// Flags: --hours=8 --plan_configs=40
+// Flags: --hours=8 --plan_configs=40 --cushion=1.3. A bad flag prints
+// usage to stderr and exits 2.
 #include <iostream>
 
 #include "bench_util.h"
 #include "core/controller.h"
 #include "sim/simulator.h"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: sec64_migrations [--hours=0.01..168] [--plan_configs=1..100000]\n"
+    "                        [--cushion=1..10]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace sb;
-  const double hours = bench::arg_double(argc, argv, "hours", 8.0);
-  const std::size_t plan_configs =
-      bench::arg_size(argc, argv, "plan_configs", 40);
+  bench::Flags flags(argc, argv, kUsage);
+  const double hours = flags.number("hours", 8.0, 0.01, 168.0);
+  const auto plan_configs =
+      static_cast<std::size_t>(flags.number("plan_configs", 40, 1, 100000));
+  // The §5.2 cushion inflates the planned demand so realized (Poisson) load
+  // rarely exhausts plan slots.
+  const double cushion = flags.number("cushion", 1.3, 1.0, 10.0);
+  flags.finish();
 
   Scenario scenario = make_apac_scenario();
   const LoadModel loads = LoadModel::paper_default();
@@ -23,9 +37,7 @@ int main(int argc, char** argv) {
                         &scenario.latency(), scenario.registry.get(), &loads};
 
   // Build a Switchboard allocation plan for the day, then replay a busy
-  // window against all three allocators. The §5.2 cushion inflates the
-  // planned demand so realized (Poisson) load rarely exhausts plan slots.
-  const double cushion = bench::arg_double(argc, argv, "cushion", 1.3);
+  // window against all three allocators.
   DemandMatrix demand =
       bench::design_day_demand(scenario, 3600.0, plan_configs);
   for (TimeSlot t = 0; t < demand.slot_count(); ++t) {
@@ -33,20 +45,19 @@ int main(int argc, char** argv) {
       demand.set_demand(t, c, demand.demand(t, c) * cushion);
     }
   }
-  ProvisionOptions provision_options;
-  provision_options.include_link_failures = false;
-  SwitchboardProvisioner provisioner(ctx, provision_options);
-  const ProvisionResult provision = provisioner.provision(demand);
-  AllocationPlanner planner(ctx, {});
-  const AllocationPlan plan = planner.plan(demand, provision.capacity, 3600.0);
-
   const double start = kSecondsPerDay;
+  ControllerOptions options;
+  options.provision.include_link_failures = false;
+  options.slot_s = 3600.0;
+  Switchboard controller(ctx, options);
+  controller.provision(demand);
+  controller.build_allocation_plan(demand, start);
+
   const CallRecordDatabase db =
       scenario.trace->generate(start, start + hours * kSecondsPerHour);
 
   Simulator sim(ctx);
-  RealtimeSelector selector(ctx, &plan, {}, start);
-  SwitchboardAllocator sb_alloc(selector);
+  ControllerAllocator sb_alloc(controller);
   LocalityFirstAllocator lf(ctx);
   RoundRobinAllocator rr(ctx);
 
@@ -71,7 +82,7 @@ int main(int argc, char** argv) {
   }
   std::cout << table;
 
-  const RealtimeSelector::Stats stats = selector.stats();
+  const RealtimeSelector::Stats stats = controller.realtime_stats();
   std::cout << "\nSwitchboard selector detail: frozen="
             << stats.calls_frozen << " unplanned=" << stats.unplanned
             << " overflow=" << stats.overflow << "\n";

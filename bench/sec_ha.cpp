@@ -24,23 +24,6 @@
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 
-namespace {
-
-bool logs_equal(const sb::HostingLog& a, const sb::HostingLog& b) {
-  if (a.events.size() != b.events.size()) return false;
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    const sb::HostingEvent& x = a.events[i];
-    const sb::HostingEvent& y = b.events[i];
-    if (x.record != y.record || x.time != y.time || x.kind != y.kind ||
-        x.dc != y.dc || x.server != y.server) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace sb;
   const std::size_t plan_configs =
@@ -122,7 +105,7 @@ int main(int argc, char** argv) {
     const obs::HistogramData lat = readoption.collect();
     const cluster::ClusterStats cs = cl.stats();
     const RealtimeSelector::Stats rs = controller.realtime_stats();
-    const bool identical = logs_equal(baseline_log, log);
+    const bool identical = baseline_log == log;
 
     // Exactly-once accounting across the crash: any imbalance here is a
     // duplicated or lost lifecycle transition.

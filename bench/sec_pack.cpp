@@ -17,31 +17,45 @@
 //
 // Flags: --servers=4 --straggler=0.25 --headroom=1.15 --window_h=4
 //        --rate_scale=1.0 --outage_min=30 --trace-out=trace.json
+// A bad flag prints usage to stderr and exits 2.
 #include <algorithm>
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "bench_util.h"
-#include "core/realtime.h"
+#include "core/controller.h"
 #include "fault/fault_schedule.h"
-#include "fault/health_table.h"
 #include "obs/span.h"
 #include "obs/trace_export.h"
 #include "pack/packer.h"
 #include "sim/allocator.h"
 #include "sim/simulator.h"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: sec_pack [--servers=1..256] [--straggler=0.01..1]\n"
+    "                [--headroom=0.01..100] [--window_h=0.01..168]\n"
+    "                [--rate_scale=0.01..100] [--outage_min=0.01..10080]\n"
+    "                [--trace-out=PATH]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace sb;
-  const std::size_t servers = bench::arg_size(argc, argv, "servers", 4);
-  const double straggler = bench::arg_double(argc, argv, "straggler", 0.25);
-  const double headroom = bench::arg_double(argc, argv, "headroom", 1.15);
+  bench::Flags flags(argc, argv, kUsage);
+  const auto servers =
+      static_cast<std::size_t>(flags.number("servers", 4, 1, 256));
+  const double straggler = flags.number("straggler", 0.25, 0.01, 1.0);
+  const double headroom = flags.number("headroom", 1.15, 0.01, 100.0);
   const double window_s =
-      bench::arg_double(argc, argv, "window_h", 4.0) * kSecondsPerHour;
-  const double rate_scale = bench::arg_double(argc, argv, "rate_scale", 1.0);
+      flags.number("window_h", 4.0, 0.01, 168.0) * kSecondsPerHour;
+  const double rate_scale = flags.number("rate_scale", 1.0, 0.01, 100.0);
   const double outage_s =
-      bench::arg_double(argc, argv, "outage_min", 30.0) * 60.0;
-  const std::string trace_out = bench::arg_string(argc, argv, "trace-out", "");
+      flags.number("outage_min", 30.0, 0.01, 10080.0) * 60.0;
+  const std::string trace_out = flags.text("trace-out", "");
+  flags.finish();
   obs::SpanRecorder::global().set_enabled(!trace_out.empty());
 
   ScenarioParams sp;
@@ -51,18 +65,17 @@ int main(int argc, char** argv) {
   const EvalContext ctx{&scenario.world(), &scenario.topology(),
                         &scenario.latency(), scenario.registry.get(), &loads};
   const std::size_t dc_count = scenario.world().dc_count();
-  const std::size_t link_count = scenario.topology().links().size();
 
   // A weekday daytime window (the plan day starts at kSecondsPerDay).
   const double t0 = kSecondsPerDay + 9.0 * kSecondsPerHour;
   const double t1 = t0 + window_s;
   const CallRecordDatabase db = scenario.trace->generate(t0, t1);
 
-  // --- Fungible baseline: the pre-fleet world, plan-less selector. Must
+  // --- Fungible baseline: the pre-fleet world, plan-less controller. Must
   // run before any server is registered (the world is mutated below).
   Simulator sim(ctx);
-  RealtimeSelector fungible_selector(ctx, nullptr, {});
-  SwitchboardAllocator fungible_alloc(fungible_selector);
+  Switchboard fungible_controller(ctx, {});
+  ControllerAllocator fungible_alloc(fungible_controller);
   const SimReport fungible = sim.run(db, fungible_alloc, 300.0);
 
   // --- Fleet: size each DC's servers from the fungible run's realized
@@ -83,13 +96,11 @@ int main(int argc, char** argv) {
            dc, s == 0 ? small : big});
     }
   }
-  const std::size_t server_count = scenario.world().server_count();
 
   // --- Packed run: same trace, same DC-level policy, fleet beneath it.
   // The first DC's straggler fails mid-window (drain_server tier ladder).
-  fault::HealthTable health(dc_count, link_count, server_count);
-  RealtimeSelector packed_selector(ctx, nullptr, {}, 0.0, &health);
-  SwitchboardAllocator packed_alloc(packed_selector, &health);
+  Switchboard packed_controller(ctx, {});
+  ControllerAllocator packed_alloc(packed_controller);
   fault::FaultSchedule faults;
   faults.fail_server(ServerId(0), t0 + window_s / 2.0, outage_s);
   const SimReport packed = sim.run(db, packed_alloc, 300.0, &faults);
@@ -137,8 +148,8 @@ int main(int argc, char** argv) {
       .cell(fungible.failover_migrations)
       .cell(fungible.mean_acl_ms, 2)
       .cell(std::uint64_t{0});
-  const std::uint64_t overcommit =
-      packed_selector.packer()->overcommit_admits();
+  const pack::ServerPacker& packer = *packed_controller.packer();
+  const std::uint64_t overcommit = packer.overcommit_admits();
   run_table.row()
       .cell("packed")
       .cell(packed.calls)
@@ -152,7 +163,7 @@ int main(int argc, char** argv) {
   std::int64_t leaked_mc = 0;
   std::uint64_t admits = 0;
   std::uint64_t releases = 0;
-  for (const pack::ServerStats& s : packed_selector.packer()->stats()) {
+  for (const pack::ServerStats& s : packer.stats()) {
     leaked_mc += s.admitted_mc - s.released_mc;
     admits += s.admits;
     releases += s.releases;
@@ -162,24 +173,24 @@ int main(int argc, char** argv) {
 
   // --- Defragmentation showcase: freeze a batch at one instant, end
   // alternating calls to shred the free space, then consolidate.
-  fault::HealthTable defrag_health(dc_count, link_count, server_count);
-  RealtimeSelector defrag_selector(ctx, nullptr, {}, 0.0, &defrag_health);
+  Switchboard defrag_controller(ctx, {});
   const std::size_t batch = std::min<std::size_t>(db.size(), 400);
   for (std::size_t i = 0; i < batch; ++i) {
     const CallRecord& rec = db.records()[i];
-    defrag_selector.on_call_start(rec.id, rec.legs.front().location, 0.0);
-    defrag_selector.on_config_frozen(rec.id,
-                                     scenario.registry->get(rec.config), 300.0);
+    defrag_controller.call_started(rec.id, rec.legs.front().location, 0.0);
+    defrag_controller.config_frozen(rec.id,
+                                    scenario.registry->get(rec.config), 300.0);
   }
   for (std::size_t i = 0; i < batch; i += 2) {
-    defrag_selector.on_call_end(db.records()[i].id, 400.0);
+    defrag_controller.call_ended(db.records()[i].id, 400.0);
   }
   double frag_gain = 0.0;
   std::size_t defrag_moves = 0;
   TextTable defrag_table({"DC", "repack moves", "frag before", "frag after"});
   for (std::size_t x = 0; x < dc_count; ++x) {
     const DcId dc(static_cast<std::uint32_t>(x));
-    const pack::DefragResult r = defrag_selector.defragment_dc(dc);
+    const pack::DefragResult r = defrag_controller.defragment_dc(
+        dc, std::numeric_limits<std::size_t>::max());
     defrag_table.row()
         .cell(scenario.world().datacenter(dc).name)
         .cell(static_cast<std::uint64_t>(r.moves.size()))

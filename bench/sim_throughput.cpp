@@ -25,19 +25,6 @@
 
 namespace {
 
-bool logs_equal(const sb::HostingLog& a, const sb::HostingLog& b) {
-  if (a.events.size() != b.events.size()) return false;
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    const sb::HostingEvent& x = a.events[i];
-    const sb::HostingEvent& y = b.events[i];
-    if (x.record != y.record || x.time != y.time || x.kind != y.kind ||
-        x.dc != y.dc || x.server != y.server) {
-      return false;
-    }
-  }
-  return true;
-}
-
 const char* engine_name(sb::Simulator::Engine e) {
   return e == sb::Simulator::Engine::kBatched ? "batched" : "reference";
 }
@@ -108,7 +95,7 @@ int main(int argc, char** argv) {
     ControllerAllocator alloc(controller);
     (void)sim.run(db, alloc, 300.0, nullptr, 60.0, &bat_log);
   }
-  const bool identical = logs_equal(ref_log, bat_log);
+  const bool identical = ref_log == bat_log;
   std::cout << "sequential hosting log: "
             << (identical ? "bit-identical" : "DIVERGED") << "\n\n";
 

@@ -41,148 +41,62 @@ void fail(std::vector<OracleFailure>& out, std::string oracle,
   out.push_back({std::move(oracle), std::move(detail)});
 }
 
-/// Demand horizon: window start through the last call's end, rounded up to
-/// whole provisioning slots so the allocation plan covers every freeze the
-/// simulation will issue (the plan clamps beyond-horizon times anyway; the
-/// rounding just keeps the LP honest about tail demand).
-DemandMatrix build_demand(const Materialized& m, const FuzzCase& c) {
-  double end = c.window_end_s;
-  for (const CallRecord& rec : m.db.records()) {
-    end = std::max(end, rec.start_s + rec.duration_s);
-  }
-  const double slot_s = c.options.slot_s;
-  const double span = std::max(end - c.window_start_s, slot_s);
-  const auto slots = static_cast<std::size_t>(std::ceil(span / slot_s - 1e-9));
-  const double horizon = c.window_start_s + static_cast<double>(slots) * slot_s;
-  return DemandMatrix::from_records(m.db, m.registry.ids(), slot_s,
-                                    c.window_start_s, horizon);
-}
-
-/// The under-forecast a closed-loop case plans from: every cell of the true
-/// demand scaled by one factor. The simulator replays the truth, so the
-/// observation leaves the loop's deviation band and the tick must correct.
-DemandMatrix scaled_demand(const DemandMatrix& d, double scale) {
-  DemandMatrix out = d;
-  for (TimeSlot t = 0; t < d.slot_count(); ++t) {
-    for (std::size_t col = 0; col < d.config_count(); ++col) {
-      out.set_demand(t, col, d.demand(t, col) * scale);
-    }
-  }
-  return out;
-}
-
-ControllerOptions controller_options(const FuzzOptions& o) {
-  ControllerOptions copts;
-  copts.slot_s = o.slot_s;
-  copts.provision.with_backup = o.with_backup;
-  copts.provision.include_link_failures = o.include_link_failures;
-  copts.provision.floor_mode = o.floor_mode == 1
-                                   ? ProvisionOptions::FloorMode::kFromBase
-                                   : ProvisionOptions::FloorMode::kChained;
-  copts.provision.scenario_threads = o.scenario_threads;
-  copts.provision.lp_options.method = static_cast<lp::Method>(o.lp_method);
-  copts.allocation.lp_options.method = static_cast<lp::Method>(o.lp_method);
-  copts.realtime.freeze_delay_s = o.freeze_delay_s;
-  copts.realtime.shard_count = o.shard_count;
-  copts.realtime.chaos_skip_drain_credit = o.chaos_skip_drain_credit;
-  copts.realtime.chaos_skip_server_credit = o.chaos_skip_server_credit;
-  copts.worker_rows = o.workers;
-  return copts;
-}
-
-RealtimeOptions realtime_options(const FuzzOptions& o) {
-  RealtimeOptions ropts;
-  ropts.freeze_delay_s = o.freeze_delay_s;
-  ropts.shard_count = o.shard_count;
-  ropts.chaos_skip_drain_credit = o.chaos_skip_drain_credit;
-  ropts.chaos_skip_server_credit = o.chaos_skip_server_credit;
-  return ropts;
-}
-
-/// One executor instance: either the full controller path (provision ->
-/// plan -> ControllerAllocator) or the plan-less selector path. Every run
-/// (reference, determinism re-run, concurrent differential) constructs a
-/// fresh Exec so no state leaks between runs.
+/// One executor instance: a Switchboard controller driven through
+/// ControllerAllocator, provisioned and planned when the case uses a plan
+/// (optionally under the cluster facade or the closed loop), plan-less
+/// otherwise. Every run (reference, determinism re-run, concurrent
+/// differential) constructs a fresh Exec so no state leaks between runs.
 class Exec {
  public:
   /// `demand` must be non-null iff the case uses a plan. Throws SolveError
   /// when provisioning is infeasible (the caller maps that to a skip).
-  Exec(const Materialized& m, const FuzzCase& c, const DemandMatrix* demand) {
-    if (c.options.use_plan) {
-      require(demand != nullptr, "Exec: plan path needs a demand matrix");
-      sb_ = std::make_unique<Switchboard>(m.ctx(),
-                                          controller_options(c.options));
-      sb_->provision(*demand);
-      sb_->build_allocation_plan(*demand, c.window_start_s);
-      if (c.options.workers > 0) {
-        // Cluster mode: the same Switchboard becomes the media plane under
-        // N controller workers. With workers == 1 and no kills this path is
-        // bit-identical to ControllerAllocator (asserted by cluster_test).
-        cluster::ClusterOptions clopts;
-        clopts.workers = c.options.workers;
-        clopts.lease_ttl_s = c.options.lease_ttl_s;
-        clopts.chaos_skip_wal_freeze = c.options.chaos_skip_wal_freeze;
-        cluster_ = std::make_unique<cluster::ClusterController>(*sb_, clopts);
-        cluster_alloc_ = std::make_unique<cluster::ClusterAllocator>(*cluster_);
-      } else if (c.options.use_loop) {
-        // Closed-loop mode: the AdaptiveController wraps the controller,
-        // observes the replayed demand, and installs corrected plans
-        // mid-run. `demand` here is the (possibly under-scaled) forecast.
-        loop::LoopOptions lopts;
-        lopts.cadence_s = c.options.loop_cadence_s;
-        lopts.deviation_band = c.options.loop_band;
-        lopts.chaos_skip_replan = c.options.chaos_skip_replan;
-        loop_alloc_ = std::make_unique<loop::AdaptiveController>(
-            *sb_, m.ctx(), *demand, c.window_start_s, c.options.slot_s,
-            lopts);
-      } else {
-        controller_alloc_ = std::make_unique<ControllerAllocator>(*sb_);
-      }
-    } else {
-      health_ = std::make_unique<fault::HealthTable>(m.world.dc_count(),
-                                                     m.topology.link_count(),
-                                                     m.world.server_count());
-      selector_ = std::make_unique<RealtimeSelector>(
-          m.ctx(), nullptr, realtime_options(c.options), 0.0, health_.get());
-      selector_alloc_ =
-          std::make_unique<SwitchboardAllocator>(*selector_, health_.get());
+  Exec(const Materialized& m, const FuzzCase& c, const DemandMatrix* demand)
+      : sb_(m.ctx(), controller_options(c.options)) {
+    if (!c.options.use_plan) return;
+    require(demand != nullptr, "Exec: plan path needs a demand matrix");
+    sb_.provision(*demand);
+    sb_.build_allocation_plan(*demand, c.window_start_s);
+    if (c.options.workers > 0) {
+      // Cluster mode: the same Switchboard becomes the media plane under
+      // N controller workers. With workers == 1 and no kills this path is
+      // bit-identical to ControllerAllocator (asserted by cluster_test).
+      cluster::ClusterOptions clopts;
+      clopts.workers = c.options.workers;
+      clopts.lease_ttl_s = c.options.lease_ttl_s;
+      clopts.chaos_skip_wal_freeze = c.options.chaos_skip_wal_freeze;
+      cluster_ = std::make_unique<cluster::ClusterController>(sb_, clopts);
+      cluster_alloc_ = std::make_unique<cluster::ClusterAllocator>(*cluster_);
+    } else if (c.options.use_loop) {
+      // Closed-loop mode: the AdaptiveController wraps the controller,
+      // observes the replayed demand, and installs corrected plans
+      // mid-run. `demand` here is the (possibly under-scaled) forecast.
+      loop::LoopOptions lopts;
+      lopts.cadence_s = c.options.loop_cadence_s;
+      lopts.deviation_band = c.options.loop_band;
+      lopts.chaos_skip_replan = c.options.chaos_skip_replan;
+      loop_alloc_ = std::make_unique<loop::AdaptiveController>(
+          sb_, m.ctx(), *demand, c.window_start_s, c.options.slot_s, lopts);
     }
   }
 
   [[nodiscard]] CallAllocator& allocator() {
     if (cluster_alloc_) return *cluster_alloc_;
     if (loop_alloc_) return *loop_alloc_;
-    return sb_ ? static_cast<CallAllocator&>(*controller_alloc_)
-               : static_cast<CallAllocator&>(*selector_alloc_);
+    return controller_alloc_;
   }
-  [[nodiscard]] RealtimeSelector::Stats stats() const {
-    return sb_ ? sb_->realtime_stats() : selector_->stats();
-  }
-  [[nodiscard]] std::uint64_t held_slots() const {
-    return sb_ ? sb_->held_slots() : selector_->held_slots();
-  }
-  [[nodiscard]] std::size_t active_calls() const {
-    return sb_ ? sb_->active_calls() : selector_->active_calls();
-  }
-  [[nodiscard]] Switchboard* controller() { return sb_.get(); }
+  [[nodiscard]] Switchboard& controller() { return sb_; }
+  [[nodiscard]] const Switchboard& controller() const { return sb_; }
   /// Cluster facade (null outside cluster mode).
   [[nodiscard]] cluster::ClusterController* cluster() { return cluster_.get(); }
   /// Closed-loop controller (null outside loop mode).
   [[nodiscard]] loop::AdaptiveController* loop() { return loop_alloc_.get(); }
-  /// Live packer (null without a fleet). Only meaningful at quiescence.
-  [[nodiscard]] const pack::ServerPacker* packer() const {
-    return sb_ ? sb_->packer() : selector_->packer();
-  }
 
  private:
-  std::unique_ptr<Switchboard> sb_;
-  std::unique_ptr<ControllerAllocator> controller_alloc_;
+  Switchboard sb_;
+  ControllerAllocator controller_alloc_{sb_};
   std::unique_ptr<cluster::ClusterController> cluster_;
   std::unique_ptr<cluster::ClusterAllocator> cluster_alloc_;
   std::unique_ptr<loop::AdaptiveController> loop_alloc_;
-  std::unique_ptr<fault::HealthTable> health_;
-  std::unique_ptr<RealtimeSelector> selector_;
-  std::unique_ptr<SwitchboardAllocator> selector_alloc_;
 };
 
 // ---------------------------------------------------------------------------
@@ -361,15 +275,16 @@ void down_dc_oracle(const Materialized& m, const FuzzCase& c,
 void conservation_oracle(const Exec& exec, const SimReport& rep,
                          std::size_t record_count,
                          std::vector<OracleFailure>& out) {
-  const RealtimeSelector::Stats s = exec.stats();
+  const Switchboard& sb = exec.controller();
+  const RealtimeSelector::Stats s = sb.realtime_stats();
   const auto check = [&](bool ok, const std::string& detail) {
     if (!ok) fail(out, "conservation", detail);
   };
-  check(exec.active_calls() == 0,
-        "selector still tracks " + std::to_string(exec.active_calls()) +
+  check(sb.active_calls() == 0,
+        "selector still tracks " + std::to_string(sb.active_calls()) +
             " calls at quiescence");
-  check(exec.held_slots() == 0,
-        "selector still holds " + std::to_string(exec.held_slots()) +
+  check(sb.held_slots() == 0,
+        "selector still holds " + std::to_string(sb.held_slots()) +
             " plan slots at quiescence");
   check(s.slot_debits == s.slot_credits,
         "slot debits " + std::to_string(s.slot_debits) + " != credits " +
@@ -465,7 +380,7 @@ void loop_replan_oracle(Exec& exec, std::vector<OracleFailure>& out) {
 void server_conservation_oracle(const Exec& exec, const Materialized& m,
                                 const HostingLog& log,
                                 std::vector<OracleFailure>& out) {
-  const pack::ServerPacker* packer = exec.packer();
+  const pack::ServerPacker* packer = exec.controller().packer();
   if (packer == nullptr) return;
   const std::vector<pack::ServerStats> stats = packer->stats();
   const std::vector<ServerTotals> want = recount_server_totals(m, log);
@@ -565,19 +480,6 @@ bool buckets_close(const std::vector<std::vector<double>>& a,
   return true;
 }
 
-bool logs_equal(const HostingLog& a, const HostingLog& b) {
-  if (a.events.size() != b.events.size()) return false;
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    const HostingEvent& x = a.events[i];
-    const HostingEvent& y = b.events[i];
-    if (x.record != y.record || x.time != y.time || x.kind != y.kind ||
-        x.dc != y.dc || x.server != y.server) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// Sparse LU/eta simplex vs the dense-inverse revised simplex on the same
 /// scenario LPs, plus warm-started vs cold scenario solves. Optimal
 /// OBJECTIVES are unique (placements need not be), so that is what is
@@ -637,8 +539,8 @@ void lp_differential_oracle(const Materialized& m, const FuzzCase& c,
 void rebuild_storm_oracle(Exec& exec, const Materialized& m,
                           const FuzzCase& c, const DemandMatrix& demand,
                           std::vector<OracleFailure>& out) {
-  Switchboard* sb = exec.controller();
-  if (sb == nullptr || m.db.size() == 0) return;
+  if (!c.options.use_plan || m.db.size() == 0) return;
+  Switchboard* sb = &exec.controller();
   const SimTime t0 = c.window_end_s + 3600.0;
   const std::size_t dc_count = m.world.dc_count();
   const CallRecord& sample = m.db.records().front();
@@ -709,6 +611,50 @@ void rebuild_storm_oracle(Exec& exec, const Materialized& m,
 }
 
 }  // namespace
+
+// The plan clamps beyond-horizon times anyway; rounding the horizon up to
+// whole slots just keeps the LP honest about tail demand.
+DemandMatrix build_demand(const Materialized& m, const FuzzCase& c) {
+  double end = c.window_end_s;
+  for (const CallRecord& rec : m.db.records()) {
+    end = std::max(end, rec.start_s + rec.duration_s);
+  }
+  const double slot_s = c.options.slot_s;
+  const double span = std::max(end - c.window_start_s, slot_s);
+  const auto slots = static_cast<std::size_t>(std::ceil(span / slot_s - 1e-9));
+  const double horizon = c.window_start_s + static_cast<double>(slots) * slot_s;
+  return DemandMatrix::from_records(m.db, m.registry.ids(), slot_s,
+                                    c.window_start_s, horizon);
+}
+
+DemandMatrix scaled_demand(const DemandMatrix& d, double scale) {
+  DemandMatrix out = d;
+  for (TimeSlot t = 0; t < d.slot_count(); ++t) {
+    for (std::size_t col = 0; col < d.config_count(); ++col) {
+      out.set_demand(t, col, d.demand(t, col) * scale);
+    }
+  }
+  return out;
+}
+
+ControllerOptions controller_options(const FuzzOptions& o) {
+  ControllerOptions copts;
+  copts.slot_s = o.slot_s;
+  copts.provision.with_backup = o.with_backup;
+  copts.provision.include_link_failures = o.include_link_failures;
+  copts.provision.floor_mode = o.floor_mode == 1
+                                   ? ProvisionOptions::FloorMode::kFromBase
+                                   : ProvisionOptions::FloorMode::kChained;
+  copts.provision.scenario_threads = o.scenario_threads;
+  copts.provision.lp_options.method = static_cast<lp::Method>(o.lp_method);
+  copts.allocation.lp_options.method = static_cast<lp::Method>(o.lp_method);
+  copts.realtime.freeze_delay_s = o.freeze_delay_s;
+  copts.realtime.shard_count = o.shard_count;
+  copts.realtime.chaos_skip_drain_credit = o.chaos_skip_drain_credit;
+  copts.realtime.chaos_skip_server_credit = o.chaos_skip_server_credit;
+  copts.worker_rows = o.workers;
+  return copts;
+}
 
 std::vector<std::vector<double>> recount_dc_buckets(
     const Materialized& m, const HostingLog& log, double bucket_s,
@@ -927,7 +873,7 @@ CheckResult run_case(const FuzzCase& c, const CheckOptions& opts) {
     res.failover_moves = rep.failover_migrations;
 
     if (c.options.use_plan) {
-      const ProvisionResult& pr = *ref.controller()->provision_result();
+      const ProvisionResult& pr = *ref.controller().provision_result();
       if (ref.loop() == nullptr) {
         lp_feasibility_oracle(m, *dp, pr, res.failures);
       } else if (ref.loop()->stats().solve_errors == 0) {
@@ -964,7 +910,7 @@ CheckResult run_case(const FuzzCase& c, const CheckOptions& opts) {
           rep2.dropped_calls != rep.dropped_calls ||
           rep2.failover_migrations != rep.failover_migrations ||
           rep2.dc_cores_buckets != rep.dc_cores_buckets ||
-          !logs_equal(log, log2)) {
+          log != log2) {
         fail(res.failures, "determinism",
              "second sequential run diverged from the first");
       }

@@ -31,7 +31,9 @@
 #include <string>
 #include <vector>
 
+#include "calls/demand.h"
 #include "check/fuzz_case.h"
+#include "core/controller.h"
 #include "obs/span.h"
 #include "sim/simulator.h"
 
@@ -79,6 +81,20 @@ struct CheckOptions {
   /// to bound the retained window.
   bool capture_flight = false;
 };
+
+/// The demand a plan case provisions from: the case's records from window
+/// start through the last call's end, rounded up to whole provisioning
+/// slots so the plan covers every freeze the simulation will issue.
+[[nodiscard]] DemandMatrix build_demand(const Materialized& m,
+                                        const FuzzCase& c);
+
+/// `d` with every cell scaled by `scale`: the under-forecast a closed-loop
+/// case plans from. The simulator replays the truth, so the observation
+/// leaves the loop's deviation band and the tick must correct.
+[[nodiscard]] DemandMatrix scaled_demand(const DemandMatrix& d, double scale);
+
+/// The controller configuration every executor run of a case uses.
+[[nodiscard]] ControllerOptions controller_options(const FuzzOptions& o);
 
 /// Executes the case and every applicable oracle. Never throws for scenario
 /// bugs — unexpected sb::Error surfaces as an "exception" failure.

@@ -1,10 +1,54 @@
 #include "core/controller.h"
 
+#include <string>
+
 #include "common/error.h"
 #include "obs/span.h"
 #include "obs/timer.h"
 
 namespace sb {
+
+namespace {
+
+/// The controller the calling thread holds an event batch on (null when it
+/// holds none) — the one batch flag of the realtime event path.
+thread_local const Switchboard* t_event_batch = nullptr;
+
+/// KV key holding a live call's hosting DC.
+std::string dc_key(CallId call) {
+  return "call:" + std::to_string(call.value()) + ":dc";
+}
+
+}  // namespace
+
+/// Per-event bracket. Outside a batch it opens the event's ctl.* span,
+/// starts its latency timer and takes swap_mutex_ shared, in that order;
+/// inside a batch on this controller it does none of them (the batch
+/// already holds the lock and its driver times whole batches).
+class Switchboard::EventScope {
+ public:
+  EventScope(const Switchboard& sb, const char* span_name,
+             obs::Histogram& latency, CallId call, SimTime now)
+      : lock_(sb.swap_mutex_, std::defer_lock) {
+    if (sb.in_event_batch()) return;
+    span_.emplace(span_name, obs::Subsystem::kController, now);
+    span_->attr(obs::AttrKey::kCallId,
+                static_cast<std::int64_t>(call.value()));
+    timer_.emplace(latency);
+    lock_.lock();
+  }
+
+  /// Releases the per-event lock once the selector call is done, so ~ms KV
+  /// round trips overlap freely across threads; span and timer run on.
+  void unlock() {
+    if (lock_.owns_lock()) lock_.unlock();
+  }
+
+ private:
+  std::optional<obs::Span> span_;
+  std::optional<obs::ScopedTimer> timer_;
+  std::shared_lock<std::shared_mutex> lock_;
+};
 
 Switchboard::Metrics::Metrics()
     : calls_started(
@@ -68,6 +112,7 @@ Switchboard::Switchboard(EvalContext ctx, ControllerOptions options)
 const ProvisionResult& Switchboard::provision(const DemandMatrix& demand,
                                               const ScenarioBasisHint* f0_warm,
                                               ScenarioBasisHint* f0_basis_out) {
+  require_no_batch("provision");
   obs::Span span("ctl.provision", obs::Subsystem::kController);
   obs::ScopedTimer timer(metrics_.provision_s);
   SwitchboardProvisioner provisioner(ctx_, options_.provision);
@@ -83,6 +128,7 @@ const AllocationPlan& Switchboard::build_allocation_plan(
     const DemandMatrix& demand, SimTime plan_start_s) {
   require(provision_result_.has_value(),
           "build_allocation_plan: call provision() first");
+  require_no_batch("build_allocation_plan");
   obs::ScopedTimer timer(metrics_.allocation_plan_s);
   obs::Span span("ctl.plan_rebuild", obs::Subsystem::kController,
                  plan_start_s);
@@ -111,6 +157,7 @@ const AllocationPlan& Switchboard::install_plan(const DemandMatrix& demand,
           "install_plan: call provision() first");
   require(plan_.has_value(),
           "install_plan: call build_allocation_plan() first");
+  require_no_batch("install_plan");
   obs::ScopedTimer timer(metrics_.allocation_plan_s);
   obs::Span span("ctl.plan_install", obs::Subsystem::kController, now);
   AllocationPlanner planner(ctx_, options_.allocation);
@@ -128,44 +175,52 @@ const AllocationPlan& Switchboard::install_plan(const DemandMatrix& demand,
   return *plan_;
 }
 
-// Event methods hold swap_mutex_ shared for the selector call only (readers
-// don't contend; the selector stripes its own locks per call shard) and
-// persist to the KV store after releasing it, so ~ms store round trips
-// overlap freely across threads.
+void Switchboard::lock_events_shared() const {
+  if (t_event_batch != nullptr) {
+    throw InvalidArgument("lock_events_shared: event batches do not nest");
+  }
+  swap_mutex_.lock_shared();
+  t_event_batch = this;
+}
+
+void Switchboard::unlock_events_shared() const {
+  if (t_event_batch != this) {
+    throw InvalidArgument(
+        "unlock_events_shared: no event batch open on this controller");
+  }
+  t_event_batch = nullptr;
+  swap_mutex_.unlock_shared();
+}
+
+bool Switchboard::in_event_batch() const { return t_event_batch == this; }
+
+void Switchboard::require_no_batch(const char* what) const {
+  if (in_event_batch()) {
+    throw InvalidArgument(std::string(what) +
+                          ": called inside an event batch on this controller "
+                          "(the swap lock is not recursive)");
+  }
+}
+
 DcId Switchboard::call_started(CallId call, LocationId first_joiner,
                                SimTime now) {
-  obs::Span span("ctl.call_started", obs::Subsystem::kController, now);
-  span.attr(obs::AttrKey::kCallId,
-            static_cast<std::int64_t>(call.value()));
-  obs::ScopedTimer timer(metrics_.start_latency_s);
-  DcId dc;
-  {
-    std::shared_lock lock(swap_mutex_);
-    dc = selector_->on_call_start(call, first_joiner, now);
-  }
-  if (store_) {
-    store_->set("call:" + std::to_string(call.value()) + ":dc",
-                std::to_string(dc.value()));
-  }
+  EventScope scope(*this, "ctl.call_started", metrics_.start_latency_s, call,
+                   now);
+  const DcId dc = selector_->on_call_start(call, first_joiner, now);
+  scope.unlock();
+  if (store_) store_->set(dc_key(call), std::to_string(dc.value()));
   metrics_.calls_started.inc();
   return dc;
 }
 
 FreezeResult Switchboard::config_frozen(CallId call, const CallConfig& config,
                                         SimTime now, ConfigId id_hint) {
-  obs::Span span("ctl.config_frozen", obs::Subsystem::kController, now);
-  span.attr(obs::AttrKey::kCallId,
-            static_cast<std::int64_t>(call.value()));
-  obs::ScopedTimer timer(metrics_.freeze_latency_s);
-  FreezeResult result;
-  {
-    std::shared_lock lock(swap_mutex_);
-    result = selector_->on_config_frozen(call, config, now, id_hint);
-  }
-  if (store_) {
-    store_->set("call:" + std::to_string(call.value()) + ":dc",
-                std::to_string(result.dc.value()));
-  }
+  EventScope scope(*this, "ctl.config_frozen", metrics_.freeze_latency_s, call,
+                   now);
+  const FreezeResult result =
+      selector_->on_config_frozen(call, config, now, id_hint);
+  scope.unlock();
+  if (store_) store_->set(dc_key(call), std::to_string(result.dc.value()));
   metrics_.configs_frozen.inc();
   if (result.migrated) metrics_.migrations.inc();
   if (!result.planned) metrics_.unplanned.inc();
@@ -173,73 +228,16 @@ FreezeResult Switchboard::config_frozen(CallId call, const CallConfig& config,
 }
 
 void Switchboard::call_ended(CallId call, SimTime now) {
-  obs::Span span("ctl.call_ended", obs::Subsystem::kController, now);
-  span.attr(obs::AttrKey::kCallId,
-            static_cast<std::int64_t>(call.value()));
-  obs::ScopedTimer timer(metrics_.end_latency_s);
-  {
-    std::shared_lock lock(swap_mutex_);
-    selector_->on_call_end(call, now);
-  }
-  if (store_) {
-    store_->erase("call:" + std::to_string(call.value()) + ":dc");
-  }
-  metrics_.calls_ended.inc();
-}
-
-// Batched variants: the caller already holds swap_mutex_ shared (via
-// lock_events_shared), so these go straight to the selector. Counters stay
-// identical to the unlocked path; the per-event span + latency histogram are
-// the only instrumentation skipped (batched drivers time whole batches).
-DcId Switchboard::call_started_locked(CallId call, LocationId first_joiner,
-                                      SimTime now) {
-  const DcId dc = selector_->on_call_start(call, first_joiner, now);
-  if (store_) {
-    store_->set("call:" + std::to_string(call.value()) + ":dc",
-                std::to_string(dc.value()));
-  }
-  metrics_.calls_started.inc();
-  return dc;
-}
-
-FreezeResult Switchboard::config_frozen_locked(CallId call,
-                                               const CallConfig& config,
-                                               SimTime now, ConfigId id_hint) {
-  const FreezeResult result =
-      selector_->on_config_frozen(call, config, now, id_hint);
-  if (store_) {
-    store_->set("call:" + std::to_string(call.value()) + ":dc",
-                std::to_string(result.dc.value()));
-  }
-  metrics_.configs_frozen.inc();
-  if (result.migrated) metrics_.migrations.inc();
-  if (!result.planned) metrics_.unplanned.inc();
-  return result;
-}
-
-void Switchboard::call_ended_locked(CallId call, SimTime now) {
+  EventScope scope(*this, "ctl.call_ended", metrics_.end_latency_s, call, now);
   selector_->on_call_end(call, now);
-  if (store_) {
-    store_->erase("call:" + std::to_string(call.value()) + ":dc");
-  }
+  scope.unlock();
+  if (store_) store_->erase(dc_key(call));
   metrics_.calls_ended.inc();
 }
 
-fault::FailoverOutcome Switchboard::dc_failed(DcId dc, SimTime now) {
-  require(dc.valid() && dc.value() < ctx_.world->dc_count(),
-          "dc_failed: bad dc");
-  obs::Span span("ctl.dc_failed", obs::Subsystem::kController, now);
-  span.attr(obs::AttrKey::kDc, static_cast<std::int64_t>(dc.value()));
-  obs::ScopedTimer timer(metrics_.drain_s);
-  metrics_.dc_failures.inc();
-  {
-    std::lock_guard flock(fault_mutex_);
-    dc_fail_time_[dc.value()] = now;
-  }
-  // Mark down BEFORE draining: from this point the selector's lock-free
-  // health check steers new calls away, so the drain converges (nothing
-  // keeps landing on the failed DC behind it).
-  health_->set_dc(dc, false);
+template <typename Drain>
+fault::FailoverOutcome Switchboard::drain_and_record(obs::Span& span,
+                                                     Drain&& drain) {
   // Backup budgets are the provisioned serving+backup cores per surviving
   // DC (§5.3's failure-scenario capacities). No provision yet -> no budget
   // (the drain then never capacity-drops).
@@ -255,17 +253,13 @@ fault::FailoverOutcome Switchboard::dc_failed(DcId dc, SimTime now) {
             cap.dc_total_cores(DcId(static_cast<std::uint32_t>(x))));
       }
     }
-    outcome =
-        selector_->drain_dc(dc, now, budget, options_.failover.drain_batch);
+    outcome = drain(budget);
   }
   if (store_) {
     for (const fault::FailoverMove& m : outcome.moved) {
-      store_->set("call:" + std::to_string(m.call.value()) + ":dc",
-                  std::to_string(m.to.value()));
+      store_->set(dc_key(m.call), std::to_string(m.to.value()));
     }
-    for (CallId c : outcome.dropped) {
-      store_->erase("call:" + std::to_string(c.value()) + ":dc");
-    }
+    for (CallId c : outcome.dropped) store_->erase(dc_key(c));
   }
   metrics_.failover_migrations.inc(outcome.moved.size());
   metrics_.dropped_calls.inc(outcome.dropped.size());
@@ -274,6 +268,27 @@ fault::FailoverOutcome Switchboard::dc_failed(DcId dc, SimTime now) {
   span.attr(obs::AttrKey::kDropped,
             static_cast<std::int64_t>(outcome.dropped.size()));
   return outcome;
+}
+
+fault::FailoverOutcome Switchboard::dc_failed(DcId dc, SimTime now) {
+  require(dc.valid() && dc.value() < ctx_.world->dc_count(),
+          "dc_failed: bad dc");
+  require_no_batch("dc_failed");
+  obs::Span span("ctl.dc_failed", obs::Subsystem::kController, now);
+  span.attr(obs::AttrKey::kDc, static_cast<std::int64_t>(dc.value()));
+  obs::ScopedTimer timer(metrics_.drain_s);
+  metrics_.dc_failures.inc();
+  {
+    std::lock_guard flock(fault_mutex_);
+    dc_fail_time_[dc.value()] = now;
+  }
+  // Mark down BEFORE draining: from this point the selector's lock-free
+  // health check steers new calls away, so the drain converges (nothing
+  // keeps landing on the failed DC behind it).
+  health_->set_dc(dc, false);
+  return drain_and_record(span, [&](const std::vector<double>& budget) {
+    return selector_->drain_dc(dc, now, budget, options_.failover.drain_batch);
+  });
 }
 
 void Switchboard::dc_recovered(DcId dc, SimTime now) {
@@ -310,6 +325,7 @@ fault::FailoverOutcome Switchboard::server_failed(ServerId server,
                                                   SimTime now) {
   require(server.valid() && server.value() < ctx_.world->server_count(),
           "server_failed: bad server");
+  require_no_batch("server_failed");
   obs::Span span("ctl.server_failed", obs::Subsystem::kController, now);
   span.attr(obs::AttrKey::kServer,
             static_cast<std::int64_t>(server.value()));
@@ -319,37 +335,10 @@ fault::FailoverOutcome Switchboard::server_failed(ServerId server,
   // consults the same health table, so no new admit lands on this server
   // behind the drain.
   health_->set_server(server, false);
-  std::vector<double> budget;
-  fault::FailoverOutcome outcome;
-  {
-    std::shared_lock lock(swap_mutex_);
-    if (provision_result_.has_value()) {
-      const CapacityPlan& cap = provision_result_->capacity;
-      budget.reserve(ctx_.world->dc_count());
-      for (std::size_t x = 0; x < ctx_.world->dc_count(); ++x) {
-        budget.push_back(
-            cap.dc_total_cores(DcId(static_cast<std::uint32_t>(x))));
-      }
-    }
-    outcome = selector_->drain_server(server, now, budget,
-                                      options_.failover.drain_batch);
-  }
-  if (store_) {
-    for (const fault::FailoverMove& m : outcome.moved) {
-      store_->set("call:" + std::to_string(m.call.value()) + ":dc",
-                  std::to_string(m.to.value()));
-    }
-    for (CallId c : outcome.dropped) {
-      store_->erase("call:" + std::to_string(c.value()) + ":dc");
-    }
-  }
-  metrics_.failover_migrations.inc(outcome.moved.size());
-  metrics_.dropped_calls.inc(outcome.dropped.size());
-  span.attr(obs::AttrKey::kMoved,
-            static_cast<std::int64_t>(outcome.moved.size()));
-  span.attr(obs::AttrKey::kDropped,
-            static_cast<std::int64_t>(outcome.dropped.size()));
-  return outcome;
+  return drain_and_record(span, [&](const std::vector<double>& budget) {
+    return selector_->drain_server(server, now, budget,
+                                   options_.failover.drain_batch);
+  });
 }
 
 void Switchboard::server_recovered(ServerId server, SimTime now) {
@@ -364,55 +353,67 @@ void Switchboard::server_recovered(ServerId server, SimTime now) {
 
 pack::DefragResult Switchboard::defragment_dc(DcId dc,
                                               std::size_t max_moves) {
+  require_no_batch("defragment_dc");
   pack::DefragResult result;
   {
     std::shared_lock lock(swap_mutex_);
     result = selector_->defragment_dc(dc, max_moves);
   }
-  if (store_) {
-    // Defrag never changes a call's DC, so call:*:dc entries are already
-    // correct; nothing to rewrite.
-  }
+  // Defrag never changes a call's DC, so the call:*:dc store entries stay
+  // correct as they are.
   metrics_.defrag_moves.inc(result.moves.size());
   return result;
 }
 
 RealtimeSelector::Stats Switchboard::realtime_stats() const {
+  require_no_batch("realtime_stats");
   std::shared_lock lock(swap_mutex_);
   return selector_->stats();
 }
 
 std::optional<RealtimeSelector::CallSnapshot> Switchboard::snapshot_call(
     CallId call) const {
+  require_no_batch("snapshot_call");
   std::shared_lock lock(swap_mutex_);
   return selector_->snapshot_call(call);
 }
 
 std::size_t Switchboard::drop_shards(std::size_t shard_begin,
                                      std::size_t shard_end) {
+  require_no_batch("drop_shards");
   std::shared_lock lock(swap_mutex_);
   return selector_->drop_shards(shard_begin, shard_end);
 }
 
 void Switchboard::adopt_call(CallId call,
                              const RealtimeSelector::CallSnapshot& snap) {
+  require_no_batch("adopt_call");
   std::shared_lock lock(swap_mutex_);
   selector_->adopt_call(call, snap);
 }
 
 std::size_t Switchboard::realtime_shard_count() const {
+  require_no_batch("realtime_shard_count");
   std::shared_lock lock(swap_mutex_);
   return selector_->shard_count();
 }
 
 std::uint64_t Switchboard::held_slots() const {
+  require_no_batch("held_slots");
   std::shared_lock lock(swap_mutex_);
   return selector_->held_slots();
 }
 
 std::size_t Switchboard::active_calls() const {
+  require_no_batch("active_calls");
   std::shared_lock lock(swap_mutex_);
   return selector_->active_calls();
+}
+
+const pack::ServerPacker* Switchboard::packer() const {
+  require_no_batch("packer");
+  std::shared_lock lock(swap_mutex_);
+  return selector_->packer();
 }
 
 }  // namespace sb

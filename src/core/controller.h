@@ -21,6 +21,10 @@
 
 namespace sb {
 
+namespace obs {
+class Span;
+}  // namespace obs
+
 struct FailoverOptions {
   /// Calls re-homed per shard-lock acquisition while draining a failed DC
   /// (bounds how long one drain batch can block signaling events that hash
@@ -95,7 +99,8 @@ class Switchboard {
     return plan_epoch_.load(std::memory_order_acquire);
   }
 
-  /// Realtime events (§5.4). call_started returns the initial DC.
+  /// Realtime events (§5.4). call_started returns the initial DC. Each
+  /// event is one body: selector call, KV write, sb.realtime.* counters.
   DcId call_started(CallId call, LocationId first_joiner, SimTime now);
   /// `id_hint`, when valid, must be the registry id for `config`; drivers
   /// that already hold the interned id (the simulator's replay engines)
@@ -104,24 +109,24 @@ class Switchboard {
                              SimTime now, ConfigId id_hint = ConfigId());
   void call_ended(CallId call, SimTime now);
 
-  // --- Batched event API (high-throughput drivers) ---
+  // --- Event batches (high-throughput drivers) ---
   //
-  // The per-event methods above take swap_mutex_ shared once per event; at
-  // simulator replay rates that RMW pair on one contended cache line is the
-  // dominant per-event cost. A batched driver brackets a run of events with
-  // lock_events_shared()/unlock_events_shared() and issues the *_locked
-  // variants in between — same selector calls, same KV writes, same
-  // counters, but one shared-lock acquisition per batch and no per-event
-  // controller span/latency-histogram instrumentation (the driver records
-  // batch-granular timing instead). Rules: the caller must not invoke
-  // fault/plan methods (or the unlocked event methods) while it holds the
-  // batch lock, and must release it before parking at any barrier.
-  void lock_events_shared() const { swap_mutex_.lock_shared(); }
-  void unlock_events_shared() const { swap_mutex_.unlock_shared(); }
-  DcId call_started_locked(CallId call, LocationId first_joiner, SimTime now);
-  FreezeResult config_frozen_locked(CallId call, const CallConfig& config,
-                                    SimTime now, ConfigId id_hint = ConfigId());
-  void call_ended_locked(CallId call, SimTime now);
+  // Outside a batch an event takes swap_mutex_ shared for its selector
+  // call only (the KV write follows unlocked), opens a ctl.* span and
+  // records its sb.realtime.*_latency_s histogram. At simulator replay
+  // rates that per-event lock RMW on one contended cache line dominates,
+  // so a batched driver brackets a run of events with lock_events_shared()
+  // and unlock_events_shared(): one shared acquisition per batch, and the
+  // thread is marked as batching on this controller, so its events here
+  // skip the lock, span and histogram (the driver times whole batches).
+  // Batches do not nest; close one before parking at any barrier. On a
+  // batching thread every other method that takes swap_mutex_ (provision,
+  // plan builds and installs, drains, defrag, the read passthroughs)
+  // throws InvalidArgument instead of self-deadlocking.
+  void lock_events_shared() const;
+  void unlock_events_shared() const;
+  /// True while the calling thread holds an event batch on this controller.
+  [[nodiscard]] bool in_event_batch() const;
 
   /// Fault events (DESIGN.md "Failure model & runtime failover"). dc_failed
   /// marks the DC down in the health table (so no new call lands there) and
@@ -192,16 +197,24 @@ class Switchboard {
   /// Live packer of the current selector, or null without a fleet. The
   /// pointer is invalidated by the next plan rebuild — snapshot stats, do
   /// not hold it across build_allocation_plan().
-  [[nodiscard]] const pack::ServerPacker* packer() const {
-    std::shared_lock lock(swap_mutex_);
-    return selector_->packer();
-  }
+  [[nodiscard]] const pack::ServerPacker* packer() const;
 
   /// Attaches a state store; subsequent realtime events persist call state
   /// (writes happen outside the selector lock so they overlap).
   void attach_store(KvStore* store) { store_ = store; }
 
  private:
+  class EventScope;
+
+  /// Throws InvalidArgument when the calling thread holds an event batch on
+  /// this controller: `what` would take swap_mutex_ a second time.
+  void require_no_batch(const char* what) const;
+  /// The shared tail of dc_failed/server_failed: runs `drain` under the
+  /// shared swap lock with the provisioned per-DC budgets, then rewrites
+  /// the KV state of moved/dropped calls and counts the outcome.
+  template <typename Drain>
+  fault::FailoverOutcome drain_and_record(obs::Span& span, Drain&& drain);
+
   /// sb.realtime.* / sb.provisioner.* handles, resolved once at controller
   /// construction so the concurrent event path never does a name lookup.
   struct Metrics {

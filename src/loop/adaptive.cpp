@@ -20,8 +20,8 @@ AdaptiveController::AdaptiveController(Switchboard& sb, EvalContext ctx,
                                        SimTime plan_start_s, double slot_s,
                                        LoopOptions options,
                                        obs::TimeSeriesRecorder* recorder)
-    : sb_(&sb),
-      inner_(sb),
+    : ControllerAllocator(sb),
+      sb_(&sb),
       ctx_(ctx),
       plan_start_s_(plan_start_s),
       slot_s_(slot_s),
@@ -52,28 +52,17 @@ AdaptiveController::AdaptiveController(Switchboard& sb, EvalContext ctx,
   }
 }
 
-int& AdaptiveController::batch_depth() {
-  thread_local int depth = 0;
-  return depth;
-}
-
-void AdaptiveController::batch_begin() {
-  ++batch_depth();
-  inner_.batch_begin();
-}
-
 void AdaptiveController::batch_end(SimTime now) {
-  inner_.batch_end(now);
-  --batch_depth();
-  // The inner allocator just released the shared plan lock, so a tick here
-  // can take the exclusive lock without deadlocking against ourselves.
+  ControllerAllocator::batch_end(now);
+  // The batch (and its shared plan lock) is closed, so a tick here can take
+  // the exclusive lock without deadlocking against ourselves.
   maybe_tick(now);
 }
 
 DcId AdaptiveController::on_call_start(CallId call, LocationId first_joiner,
                                        SimTime now) {
-  const DcId dc = inner_.on_call_start(call, first_joiner, now);
-  if (batch_depth() == 0) maybe_tick(now);
+  const DcId dc = ControllerAllocator::on_call_start(call, first_joiner, now);
+  if (!sb_->in_event_batch()) maybe_tick(now);
   return dc;
 }
 
@@ -86,45 +75,31 @@ FreezeResult AdaptiveController::on_config_frozen(CallId call,
 FreezeResult AdaptiveController::on_config_frozen(CallId call, ConfigId id,
                                                   const CallConfig& config,
                                                   SimTime now) {
-  const FreezeResult result = inner_.on_config_frozen(call, id, config, now);
+  const FreezeResult result =
+      ControllerAllocator::on_config_frozen(call, id, config, now);
   track_freeze(call, id);
-  if (batch_depth() == 0) maybe_tick(now);
+  if (!sb_->in_event_batch()) maybe_tick(now);
   return result;
 }
 
 void AdaptiveController::on_call_end(CallId call, SimTime now) {
-  inner_.on_call_end(call, now);
+  ControllerAllocator::on_call_end(call, now);
   untrack(call);
-  if (batch_depth() == 0) maybe_tick(now);
+  if (!sb_->in_event_batch()) maybe_tick(now);
 }
 
 fault::FailoverOutcome AdaptiveController::on_dc_failed(DcId dc, SimTime now) {
-  fault::FailoverOutcome outcome = inner_.on_dc_failed(dc, now);
+  fault::FailoverOutcome outcome = ControllerAllocator::on_dc_failed(dc, now);
   untrack_outcome(outcome);
   return outcome;
-}
-
-void AdaptiveController::on_dc_recovered(DcId dc, SimTime now) {
-  inner_.on_dc_recovered(dc, now);
-}
-
-void AdaptiveController::on_link_failed(LinkId link, SimTime now) {
-  inner_.on_link_failed(link, now);
-}
-
-void AdaptiveController::on_link_recovered(LinkId link, SimTime now) {
-  inner_.on_link_recovered(link, now);
 }
 
 fault::FailoverOutcome AdaptiveController::on_server_failed(ServerId server,
                                                             SimTime now) {
-  fault::FailoverOutcome outcome = inner_.on_server_failed(server, now);
+  fault::FailoverOutcome outcome =
+      ControllerAllocator::on_server_failed(server, now);
   untrack_outcome(outcome);
   return outcome;
-}
-
-void AdaptiveController::on_server_recovered(ServerId server, SimTime now) {
-  inner_.on_server_recovered(server, now);
 }
 
 LoopStats AdaptiveController::stats() const {

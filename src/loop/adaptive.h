@@ -57,16 +57,15 @@ struct LoopStats {
   std::uint64_t solve_errors = 0;  ///< triggers whose re-provision LP failed
 };
 
-/// CallAllocator decorator over a Switchboard: delegates every event (and
-/// the batch brackets) to a ControllerAllocator, maintains observed
-/// per-config concurrency, and runs the control tick at cadence points.
-/// The tick never runs while the ticking thread holds the batch shared
-/// lock: in batched replay it fires from batch_end() after the inner
-/// allocator released the lock, in unbatched replay directly after the
-/// delegated event returns — so install_plan's exclusive acquisition can
-/// always drain the readers. Thread-safe under the same contract as the
-/// Switchboard realtime API.
-class AdaptiveController : public CallAllocator {
+/// A ControllerAllocator over a Switchboard that also maintains observed
+/// per-config concurrency and runs the control tick at cadence points.
+/// The tick never runs while the ticking thread holds an event batch (it
+/// asks the Switchboard, which owns the batch flag): in batched replay it
+/// fires from batch_end() after the batch is closed, in unbatched replay
+/// directly after the controller event returns — so install_plan's
+/// exclusive acquisition can always drain the readers.
+/// Thread-safe under the same contract as the Switchboard realtime API.
+class AdaptiveController : public ControllerAllocator {
  public:
   /// `sb` must have provision() + build_allocation_plan() already run from
   /// `forecast` (the open-loop plan the trace starts under); `plan_start_s`
@@ -76,7 +75,6 @@ class AdaptiveController : public CallAllocator {
                      SimTime plan_start_s, double slot_s, LoopOptions options,
                      obs::TimeSeriesRecorder* recorder = nullptr);
 
-  void batch_begin() override;
   void batch_end(SimTime now) override;
   DcId on_call_start(CallId call, LocationId first_joiner,
                      SimTime now) override;
@@ -87,12 +85,8 @@ class AdaptiveController : public CallAllocator {
                                 SimTime now) override;
   void on_call_end(CallId call, SimTime now) override;
   fault::FailoverOutcome on_dc_failed(DcId dc, SimTime now) override;
-  void on_dc_recovered(DcId dc, SimTime now) override;
-  void on_link_failed(LinkId link, SimTime now) override;
-  void on_link_recovered(LinkId link, SimTime now) override;
   fault::FailoverOutcome on_server_failed(ServerId server,
                                           SimTime now) override;
-  void on_server_recovered(ServerId server, SimTime now) override;
   [[nodiscard]] std::string name() const override {
     return "switchboard-loop";
   }
@@ -112,9 +106,6 @@ class AdaptiveController : public CallAllocator {
     std::unordered_map<CallId, std::uint32_t> col_of_call;
   };
 
-  /// Per-thread batch nesting depth (same pattern as ControllerAllocator).
-  static int& batch_depth();
-
   void maybe_tick(SimTime now);
   void tick(SimTime now);
   [[nodiscard]] TimeSlot slot_of(SimTime now) const;
@@ -124,7 +115,6 @@ class AdaptiveController : public CallAllocator {
   void untrack_outcome(const fault::FailoverOutcome& outcome);
 
   Switchboard* sb_;
-  ControllerAllocator inner_;
   EvalContext ctx_;
   SimTime plan_start_s_;
   double slot_s_;

@@ -213,12 +213,10 @@ Solution solve(const Model& model, const SolveOptions& options) {
   if (method == Method::kSparse && warm_ptr == nullptr &&
       options.decompose != DecomposePolicy::kOff &&
       (options.decompose == DecomposePolicy::kForce ||
-       sf.rows.size() >= options.decompose_min_rows)) {
+       sf.rows.size() >= kDecomposeMinRows)) {
     plan = detect_blocks(sf);
     const std::size_t min_blocks =
-        options.decompose == DecomposePolicy::kForce
-            ? 2
-            : options.decompose_min_blocks;
+        options.decompose == DecomposePolicy::kForce ? 2 : kDecomposeMinBlocks;
     decomposed = plan.usable(min_blocks);
   }
 

@@ -23,8 +23,8 @@ enum class Method {
 /// Whether kAuto may route a cold large solve through the block-angular
 /// decomposition (lp/block_decompose.h).
 enum class DecomposePolicy {
-  kAuto,   ///< decompose when cold, >= decompose_min_rows rows, and
-           ///< detect_blocks finds >= decompose_min_blocks blocks
+  kAuto,   ///< decompose when cold, >= kDecomposeMinRows rows, and
+           ///< detect_blocks finds >= kDecomposeMinBlocks blocks
   kOff,    ///< never decompose
   kForce,  ///< decompose whenever detection finds >= 2 blocks (testing)
 };
@@ -34,6 +34,13 @@ enum class DecomposePolicy {
 /// with bench/micro_lp.cpp — the crossover sits well under 100 rows because
 /// the sparse engine prices and factorizes only nonzeros).
 inline constexpr std::size_t kAutoSparseRowCutoff = 32;
+
+/// DecomposePolicy::kAuto thresholds: at least this many standard-form rows
+/// (below it the monolithic sparse solve wins outright) ...
+inline constexpr std::size_t kDecomposeMinRows = 512;
+/// ... and at least this many detected blocks, so the clean-up solve has
+/// meaningfully smaller work than the original LP.
+inline constexpr std::size_t kDecomposeMinBlocks = 4;
 
 /// The dense tableau materializes an m x (n + m) tableau and the legacy
 /// revised simplex a dense m x m inverse; both are quadratic-plus in the row
@@ -69,12 +76,6 @@ struct SolveOptions : SimplexOptions {
   bool dual_resolve = false;
   /// Cold-solve decomposition policy; see DecomposePolicy.
   DecomposePolicy decompose = DecomposePolicy::kAuto;
-  /// kAuto decomposition requires at least this many standard-form rows —
-  /// below it the monolithic sparse solve wins outright.
-  std::size_t decompose_min_rows = 512;
-  /// ... and at least this many detected blocks, so the clean-up solve has
-  /// meaningfully smaller work than the original LP.
-  std::size_t decompose_min_blocks = 4;
   /// Thread-pool size for parallel subproblem solves; <= 1 solves them
   /// sequentially. Subproblems are independent and stitched in block order,
   /// so the result is bit-identical at any thread count.

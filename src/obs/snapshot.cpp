@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <ostream>
-#include <sstream>
 
 #include "common/csv.h"
 #include "common/error.h"
+#include "obs/json_text.h"
 
 namespace sb::obs {
 
 namespace {
+
+using detail::format_number;
+using detail::json_escape;
 
 template <typename Sample>
 const Sample* find_by_name(const std::vector<Sample>& samples,
@@ -18,24 +21,6 @@ const Sample* find_by_name(const std::vector<Sample>& samples,
       samples.begin(), samples.end(),
       [name](const Sample& sample) { return sample.name == name; });
   return it == samples.end() ? nullptr : &*it;
-}
-
-/// Shortest round-trippable formatting (JSON has no fixed precision).
-std::string format_number(double value) {
-  std::ostringstream os;
-  os.precision(12);
-  os << value;
-  return os.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace

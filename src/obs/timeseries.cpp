@@ -2,9 +2,9 @@
 
 #include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "common/csv.h"
+#include "obs/json_text.h"
 #include "obs/snapshot.h"
 
 namespace sb::obs {
@@ -13,22 +13,8 @@ namespace {
 
 constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 
-std::string format_number(double value) {
-  std::ostringstream os;
-  os.precision(12);
-  os << value;
-  return os.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
+using detail::format_number;
+using detail::json_escape;
 
 }  // namespace
 

@@ -7,20 +7,13 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/json_text.h"
+
 namespace sb::obs {
 
 namespace {
 
-/// Span names are literals and attr names come from to_string(), so the only
-/// escaping JSON needs is defensive quoting of quotes/backslashes.
-std::string json_escape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out.push_back('\\');
-    out.push_back(*s);
-  }
-  return out;
-}
+using detail::json_escape;
 
 std::string format_us(std::int64_t ns) {
   // Microseconds with ns precision; Chrome's "ts" field is fractional-us.

@@ -1,18 +1,21 @@
-// The allocator interface the discrete-event simulator drives, with
-// adapters for Switchboard's realtime selector and the RR/LF baselines.
-// All three see the same event stream (call start -> config freeze -> call
-// end), which is how §6.4's migration comparison is measured. Fault events
-// (DC/link down/up from a fault::FaultSchedule) flow through the optional
-// on_* fault hooks; schemes that ignore them simply keep placing calls on
-// dead DCs.
+// The allocator interface the discrete-event simulator drives, with the
+// adapter for the Switchboard controller and the RR/LF baselines. All
+// three see the same event stream (call start -> config freeze -> call
+// end), which is how §6.4's migration comparison is measured. Switchboard
+// runs with or without an allocation plan: a controller that never ran
+// provision() serves every call from its plan-less closest-DC selector.
+// Fault events (DC/link/server down/up from a fault::FaultSchedule) flow
+// through the optional on_* fault hooks; schemes that ignore them simply
+// keep placing calls on dead DCs.
 #pragma once
 
-#include <memory>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "core/controller.h"
 #include "core/realtime.h"
 #include "fault/failover.h"
-#include "fault/health_table.h"
 
 namespace sb {
 
@@ -21,9 +24,9 @@ namespace sb {
 /// Thread safety: Simulator::run drives an allocator from one thread;
 /// Simulator::run_concurrent issues events for *different* calls from many
 /// threads at once (same-call events keep single-thread affinity via shard
-/// partitioning). Only internally synchronized implementations — the
-/// lock-striped RealtimeSelector and the Switchboard controller — may be
-/// driven concurrently; the RR/LF baselines are single-threaded only.
+/// partitioning). Only the internally synchronized ControllerAllocator
+/// (over the lock-striped realtime selector) may be driven concurrently;
+/// the RR/LF baselines are single-threaded only.
 /// Fault hooks are invoked with every driver thread quiesced (the
 /// simulator's fault barrier), so they never race call events.
 class CallAllocator {
@@ -33,12 +36,12 @@ class CallAllocator {
   /// Batch brackets from the batched simulator engine: a replay thread
   /// surrounds each run of call events with batch_begin()/batch_end(now),
   /// where `now` is the time of the batch's last event. Defaults are no-ops
-  /// (baselines, bare selector). The Switchboard adapters use them to
-  /// amortize the controller's plan-swap shared lock over the whole batch,
-  /// and the closed-loop AdaptiveController runs its re-plan tick in
-  /// batch_end — after the shared lock is released, so the install's
-  /// exclusive acquisition cannot deadlock against the caller. The
-  /// simulator guarantees a batch never spans a fault barrier.
+  /// (baselines). ControllerAllocator maps them onto the controller's
+  /// event batch, amortizing its plan-swap shared lock over the whole
+  /// batch, and the closed-loop AdaptiveController runs its re-plan tick in
+  /// batch_end — after the batch is closed, so the install's exclusive
+  /// acquisition cannot deadlock against the caller. The simulator
+  /// guarantees a batch never spans a fault barrier.
   virtual void batch_begin() {}
   virtual void batch_end(SimTime /*now*/) {}
 
@@ -94,120 +97,37 @@ class CallAllocator {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Adapter over Switchboard's RealtimeSelector (plan-driven behaviour).
-/// Optionally owns fault plumbing: when `health` is the table the selector
-/// was constructed against, DC/link faults flip it and dc failures drain
-/// through the selector with `budget_cores` as the per-DC backup budget.
-class SwitchboardAllocator : public CallAllocator {
- public:
-  /// Borrows the selector (and health table, if any); both must outlive
-  /// the allocator.
-  explicit SwitchboardAllocator(RealtimeSelector& selector,
-                                fault::HealthTable* health = nullptr,
-                                std::vector<double> budget_cores = {})
-      : selector_(&selector),
-        health_(health),
-        budget_cores_(std::move(budget_cores)) {}
-
-  DcId on_call_start(CallId call, LocationId first_joiner,
-                     SimTime now) override {
-    return selector_->on_call_start(call, first_joiner, now);
-  }
-  FreezeResult on_config_frozen(CallId call, const CallConfig& config,
-                                SimTime now) override {
-    return selector_->on_config_frozen(call, config, now);
-  }
-  FreezeResult on_config_frozen(CallId call, ConfigId id,
-                                const CallConfig& config,
-                                SimTime now) override {
-    return selector_->on_config_frozen(call, config, now, id);
-  }
-  void on_call_end(CallId call, SimTime now) override {
-    selector_->on_call_end(call, now);
-  }
-  fault::FailoverOutcome on_dc_failed(DcId dc, SimTime now) override {
-    if (health_ != nullptr) health_->set_dc(dc, false);
-    return selector_->drain_dc(dc, now, budget_cores_);
-  }
-  void on_dc_recovered(DcId dc, SimTime /*now*/) override {
-    if (health_ != nullptr) health_->set_dc(dc, true);
-  }
-  void on_link_failed(LinkId link, SimTime /*now*/) override {
-    if (health_ != nullptr) health_->set_link(link, false);
-  }
-  void on_link_recovered(LinkId link, SimTime /*now*/) override {
-    if (health_ != nullptr) health_->set_link(link, true);
-  }
-  fault::FailoverOutcome on_server_failed(ServerId server,
-                                          SimTime now) override {
-    if (selector_->packer() == nullptr) return {};
-    if (health_ != nullptr) health_->set_server(server, false);
-    return selector_->drain_server(server, now, budget_cores_);
-  }
-  void on_server_recovered(ServerId server, SimTime /*now*/) override {
-    if (health_ != nullptr && health_->server_count() > 0) {
-      health_->set_server(server, true);
-    }
-  }
-  [[nodiscard]] std::string name() const override { return "switchboard"; }
-
- private:
-  RealtimeSelector* selector_;
-  fault::HealthTable* health_;
-  std::vector<double> budget_cores_;
-};
-
-/// Adapter over the full Switchboard controller (selector + KV persistence
-/// + health table + provisioned backup budgets). The controller computes
-/// failover budgets from its own provision result, so this is the
-/// end-to-end configuration the §5.3 failover bench drives.
+/// Adapter over the Switchboard controller (selector + KV persistence +
+/// health table + provisioned backup budgets). Forwards every hook 1:1;
+/// the batch brackets open and close a controller event batch, inside
+/// which the controller's own event methods skip their per-event lock.
+/// The controller computes failover budgets from its own provision result
+/// (none before provision(): drains then never capacity-drop), so this is
+/// the end-to-end configuration the §5.3 failover bench drives.
 class ControllerAllocator : public CallAllocator {
  public:
   /// Borrows the controller; it must outlive the allocator.
   explicit ControllerAllocator(Switchboard& controller)
       : controller_(&controller) {}
 
-  /// Batch amortization: holds the controller's plan-swap shared lock for
-  /// the whole batch and routes events through the *_locked variants —
-  /// one lock RMW pair per batch instead of per event. The in-batch flag is
-  /// thread-local (each replay thread brackets its own batches; the lock
-  /// itself is shared-mode, so threads overlap freely).
-  void batch_begin() override {
-    controller_->lock_events_shared();
-    ++batch_depth();
-  }
+  void batch_begin() override { controller_->lock_events_shared(); }
   void batch_end(SimTime /*now*/) override {
-    --batch_depth();
     controller_->unlock_events_shared();
   }
-
   DcId on_call_start(CallId call, LocationId first_joiner,
                      SimTime now) override {
-    if (batch_depth() > 0) {
-      return controller_->call_started_locked(call, first_joiner, now);
-    }
     return controller_->call_started(call, first_joiner, now);
   }
   FreezeResult on_config_frozen(CallId call, const CallConfig& config,
                                 SimTime now) override {
-    if (batch_depth() > 0) {
-      return controller_->config_frozen_locked(call, config, now);
-    }
     return controller_->config_frozen(call, config, now);
   }
   FreezeResult on_config_frozen(CallId call, ConfigId id,
                                 const CallConfig& config,
                                 SimTime now) override {
-    if (batch_depth() > 0) {
-      return controller_->config_frozen_locked(call, config, now, id);
-    }
     return controller_->config_frozen(call, config, now, id);
   }
   void on_call_end(CallId call, SimTime now) override {
-    if (batch_depth() > 0) {
-      controller_->call_ended_locked(call, now);
-      return;
-    }
     controller_->call_ended(call, now);
   }
   fault::FailoverOutcome on_dc_failed(DcId dc, SimTime now) override {
@@ -232,14 +152,6 @@ class ControllerAllocator : public CallAllocator {
   [[nodiscard]] std::string name() const override { return "switchboard"; }
 
  private:
-  /// Per-thread batch nesting depth. Function-local so the header stays
-  /// ODR-clean; one replay thread never interleaves two allocators' batches
-  /// (the simulator brackets each batch on the thread that replays it).
-  static int& batch_depth() {
-    thread_local int depth = 0;
-    return depth;
-  }
-
   Switchboard* controller_;
 };
 

@@ -95,6 +95,8 @@ struct HostingEvent {
   /// Hosting media server after the event (kMove/kPack; invalid without a
   /// fleet or before the call's freeze).
   ServerId server;
+
+  friend bool operator==(const HostingEvent&, const HostingEvent&) = default;
 };
 
 /// Opt-in capture of every hosting decision a run made. The sb_check oracle
@@ -102,6 +104,8 @@ struct HostingEvent {
 /// independently of the UsageTracker (see check/oracles.h).
 struct HostingLog {
   std::vector<HostingEvent> events;
+
+  friend bool operator==(const HostingLog&, const HostingLog&) = default;
 };
 
 class Simulator {
@@ -155,8 +159,8 @@ class Simulator {
   /// and replays each partition on the shared thread pool. Every call's
   /// events land in exactly one partition, so each call keeps single-thread
   /// affinity and strict per-call event order (which also keeps per-call KV
-  /// writes last-writer-wins). Requires a thread-safe allocator (the sharded
-  /// RealtimeSelector / Switchboard; NOT the RR/LF baselines).
+  /// writes last-writer-wins). Requires a thread-safe allocator
+  /// (ControllerAllocator over the Switchboard; NOT the RR/LF baselines).
   ///
   /// Count and per-call fields (calls, frozen, migrations, mean_acl_ms,
   /// first_joiner_majority_fraction) are exact sums over partitions.

@@ -18,8 +18,7 @@
 #include "check/oracles.h"
 #include "check/shrink.h"
 #include "common/error.h"
-#include "core/realtime.h"
-#include "fault/health_table.h"
+#include "core/controller.h"
 #include "lp/solver.h"
 #include "sim/allocator.h"
 #include "sim/simulator.h"
@@ -263,14 +262,11 @@ TEST(RecountTest, MatchesTrackerAndDetectsTampering) {
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
     FuzzCase c = fuzzer.generate(seed);
     if (c.calls.empty() || c.world.dcs.size() < 2) continue;
-    c.options.use_plan = false;  // drive the plain selector path directly
+    c.options.use_plan = false;  // drive the plan-less controller directly
     c.options.rebuild_storm = false;
     const auto m = c.materialize();
-    fault::HealthTable health(m->world.dc_count(), m->topology.link_count());
-    RealtimeOptions ropts;
-    ropts.freeze_delay_s = c.options.freeze_delay_s;
-    RealtimeSelector selector(m->ctx(), nullptr, ropts, 0.0, &health);
-    SwitchboardAllocator alloc(selector, &health);
+    Switchboard controller(m->ctx(), controller_options(c.options));
+    ControllerAllocator alloc(controller);
     const Simulator sim(m->ctx());
     HostingLog log;
     const SimReport rep =

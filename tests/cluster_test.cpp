@@ -22,6 +22,7 @@
 #include "sim/simulator.h"
 #include "trace/diurnal.h"
 #include "trace/scenario.h"
+#include "two_dc_world.h"
 
 namespace sb {
 namespace {
@@ -31,6 +32,7 @@ using cluster::ClusterOptions;
 using cluster::ClusterStats;
 using cluster::ShardMap;
 using cluster::WorkerStatus;
+using test::TwoDcWorld;
 
 TEST(ShardMapTest, ContiguousBalancedPartition) {
   const ShardMap map(8, 3, 1);
@@ -98,35 +100,6 @@ TEST(WalCodecTest, RoundTripsSnapshotsExactly) {
   EXPECT_EQ(cluster::call_from_wal_key(cluster::wal_key(5, CallId(42))),
             CallId(42));
 }
-
-/// Two locations, two DCs, everything latency-feasible (mirrors the
-/// failover test worlds).
-struct TwoDcWorld {
-  World world;
-  Topology topology;
-  LatencyMatrix latency;
-  CallConfigRegistry registry;
-  LoadModel loads{{1.0, 1.5, 3.0}, {1.0, 15.0, 35.0}};
-
-  TwoDcWorld() : world(make_world()), topology(world), latency(2, 2) {
-    topology.add_link(LocationId(0), LocationId(1), 15.0, 10.0);
-    topology.compute_paths();
-    latency = LatencyMatrix::from_topology(world, topology, 8.0);
-  }
-
-  static World make_world() {
-    World w;
-    w.add_location({"A", 0.0, 0.0, 0.0, 1.0, "R"});
-    w.add_location({"B", 0.0, 8.0, 1.0, 1.0, "R"});
-    w.add_datacenter({"DC-A", LocationId(0), 1.0});
-    w.add_datacenter({"DC-B", LocationId(1), 1.0});
-    return w;
-  }
-
-  [[nodiscard]] EvalContext ctx() {
-    return EvalContext{&world, &topology, &latency, &registry, &loads};
-  }
-};
 
 ControllerOptions small_controller_options(std::size_t workers) {
   ControllerOptions copts;
@@ -421,19 +394,6 @@ TEST_F(ClusterFacadeTest, EpochMirrorsKvStoreUnderCas) {
 // Whole-simulation properties on a realistic trace.
 // ---------------------------------------------------------------------------
 
-bool logs_equal(const HostingLog& a, const HostingLog& b) {
-  if (a.events.size() != b.events.size()) return false;
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    const HostingEvent& x = a.events[i];
-    const HostingEvent& y = b.events[i];
-    if (x.record != y.record || x.time != y.time || x.kind != y.kind ||
-        x.dc != y.dc || x.server != y.server) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void expect_reports_equal(const SimReport& a, const SimReport& b) {
   EXPECT_EQ(a.calls, b.calls);
   EXPECT_EQ(a.frozen, b.frozen);
@@ -474,7 +434,7 @@ TEST(ClusterSimTest, WorkersOneSimulationIsBitIdenticalToPreClusterPath) {
       sim.run(db, cl_alloc, 300.0, &faults, 60.0, &cl_log);
 
   expect_reports_equal(plain_rep, cl_rep);
-  EXPECT_TRUE(logs_equal(plain_log, cl_log));
+  EXPECT_TRUE(plain_log == cl_log);
   EXPECT_EQ(cl.wal_size(), 0u);
   EXPECT_EQ(cl.epoch(), 1u);
 }
@@ -530,7 +490,7 @@ TEST(ClusterSimTest, WorkerKillStormIsInvisibleToTheMediaPlane) {
       run_with(&kills, &stormy, sb_b, cl_b, storm_log);
 
   expect_reports_equal(quiet_rep, storm_rep);
-  EXPECT_TRUE(logs_equal(quiet_log, storm_log));
+  EXPECT_TRUE(quiet_log == storm_log);
   EXPECT_EQ(storm_rep.dropped_calls, quiet_rep.dropped_calls);
 
   // Zero duplicate or lost lifecycle transitions across the crashes: the

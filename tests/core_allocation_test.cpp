@@ -5,37 +5,12 @@
 #include "core/allocation_plan.h"
 #include "core/provisioner.h"
 #include "core/realtime.h"
+#include "two_dc_world.h"
 
 namespace sb {
 namespace {
 
-/// Two locations, two DCs, cheap world where everything is latency-feasible.
-struct TwoDcWorld {
-  World world;
-  Topology topology;
-  LatencyMatrix latency;
-  CallConfigRegistry registry;
-  LoadModel loads{{1.0, 1.5, 3.0}, {1.0, 15.0, 35.0}};
-
-  TwoDcWorld() : world(make_world()), topology(world), latency(2, 2) {
-    topology.add_link(LocationId(0), LocationId(1), 15.0, 10.0);
-    topology.compute_paths();
-    latency = LatencyMatrix::from_topology(world, topology, 8.0);
-  }
-
-  static World make_world() {
-    World w;
-    w.add_location({"A", 0.0, 0.0, 0.0, 1.0, "R"});
-    w.add_location({"B", 0.0, 8.0, 1.0, 1.0, "R"});
-    w.add_datacenter({"DC-A", LocationId(0), 1.0});
-    w.add_datacenter({"DC-B", LocationId(1), 1.0});
-    return w;
-  }
-
-  [[nodiscard]] EvalContext ctx() {
-    return EvalContext{&world, &topology, &latency, &registry, &loads};
-  }
-};
+using test::TwoDcWorld;
 
 TEST(AllocationPlanTest, SlotMappingClampsAtHorizon) {
   AllocationPlan plan(4, 1, 1, 1800.0);

@@ -15,37 +15,12 @@
 #include "fault/fault_schedule.h"
 #include "sim/simulator.h"
 #include "trace/scenario.h"
+#include "two_dc_world.h"
 
 namespace sb {
 namespace {
 
-/// Two locations, two DCs, cheap world where everything is latency-feasible.
-struct TwoDcWorld {
-  World world;
-  Topology topology;
-  LatencyMatrix latency;
-  CallConfigRegistry registry;
-  LoadModel loads{{1.0, 1.5, 3.0}, {1.0, 15.0, 35.0}};
-
-  TwoDcWorld() : world(make_world()), topology(world), latency(2, 2) {
-    topology.add_link(LocationId(0), LocationId(1), 15.0, 10.0);
-    topology.compute_paths();
-    latency = LatencyMatrix::from_topology(world, topology, 8.0);
-  }
-
-  static World make_world() {
-    World w;
-    w.add_location({"A", 0.0, 0.0, 0.0, 1.0, "R"});
-    w.add_location({"B", 0.0, 8.0, 1.0, 1.0, "R"});
-    w.add_datacenter({"DC-A", LocationId(0), 1.0});
-    w.add_datacenter({"DC-B", LocationId(1), 1.0});
-    return w;
-  }
-
-  [[nodiscard]] EvalContext ctx() {
-    return EvalContext{&world, &topology, &latency, &registry, &loads};
-  }
-};
+using test::TwoDcWorld;
 
 class FailoverTest : public ::testing::Test {
  protected:
@@ -320,12 +295,11 @@ TEST(FaultSimulationTest, ScheduledOutageDrainsAndRecoversDeterministically) {
   Simulator sim(ctx);
   SimReport reports[2];
   for (int i = 0; i < 2; ++i) {
-    fault::HealthTable health(scenario.world().dc_count(),
-                              scenario.topology().link_count());
-    RealtimeSelector selector(ctx, nullptr, {}, 0.0, &health);
-    SwitchboardAllocator alloc(selector, &health);
+    Switchboard controller(ctx, {});
+    ControllerAllocator alloc(controller);
     reports[i] = sim.run(db, alloc, 300.0, &faults);
-    EXPECT_TRUE(health.all_up());  // outage recovered inside the window
+    // Outage recovered inside the window.
+    EXPECT_TRUE(controller.health().all_up());
   }
   EXPECT_GT(reports[0].failover_migrations, 0u);
   EXPECT_EQ(reports[0].dropped_calls, 0u);
@@ -367,17 +341,13 @@ TEST(FaultSimulationTest, ConcurrentDriverMatchesSequentialUnderFaults) {
                  0.2 * kSecondsPerHour);
 
   Simulator sim(ctx);
-  fault::HealthTable seq_health(scenario.world().dc_count(),
-                                scenario.topology().link_count());
-  RealtimeSelector seq_selector(ctx, nullptr, {}, 0.0, &seq_health);
-  SwitchboardAllocator seq_alloc(seq_selector, &seq_health);
+  Switchboard seq_controller(ctx, {});
+  ControllerAllocator seq_alloc(seq_controller);
   const SimReport seq = sim.run(db, seq_alloc, 300.0, &faults);
 
   for (std::size_t threads : {std::size_t{2}, std::size_t{5}}) {
-    fault::HealthTable health(scenario.world().dc_count(),
-                              scenario.topology().link_count());
-    RealtimeSelector selector(ctx, nullptr, {}, 0.0, &health);
-    SwitchboardAllocator alloc(selector, &health);
+    Switchboard controller(ctx, {});
+    ControllerAllocator alloc(controller);
     const SimReport conc =
         sim.run_concurrent(db, alloc, 300.0, threads, &faults);
     EXPECT_EQ(conc.calls, seq.calls) << threads;

@@ -141,27 +141,6 @@ TEST_F(PipelineFixture, AllocationPlanRestoresLfLatencyWithBackup) {
   EXPECT_LE(plan.mean_acl_ms, provision.mean_acl_ms + 1e-6);
 }
 
-/// Drives a Switchboard controller through the simulator's allocator hooks.
-class ControllerAllocator final : public CallAllocator {
- public:
-  explicit ControllerAllocator(Switchboard& controller)
-      : controller_(&controller) {}
-  DcId on_call_start(CallId call, LocationId first, SimTime now) override {
-    return controller_->call_started(call, first, now);
-  }
-  FreezeResult on_config_frozen(CallId call, const CallConfig& config,
-                                SimTime now) override {
-    return controller_->config_frozen(call, config, now);
-  }
-  void on_call_end(CallId call, SimTime now) override {
-    controller_->call_ended(call, now);
-  }
-  [[nodiscard]] std::string name() const override { return "controller"; }
-
- private:
-  Switchboard* controller_;
-};
-
 TEST_F(PipelineFixture, ControllerEndToEndWithSimulator) {
   ControllerOptions options;
   options.provision.include_link_failures = false;
@@ -176,8 +155,11 @@ TEST_F(PipelineFixture, ControllerEndToEndWithSimulator) {
       scenario_->trace->generate(start, start + 4.0 * kSecondsPerHour);
 
   const obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
+  // The reference engine sends every event unbatched, so each one records
+  // its latency histogram sample.
   ControllerAllocator allocator(controller);
   Simulator sim(*ctx_);
+  sim.set_engine(Simulator::Engine::kReference);
   const SimReport report = sim.run(db, allocator);
   EXPECT_EQ(report.calls, db.size());
 
@@ -208,6 +190,78 @@ TEST_F(PipelineFixture, ControllerEndToEndWithSimulator) {
 #endif
 }
 
+TEST_F(PipelineFixture, BatchedAndUnbatchedEventsShareOneBody) {
+  // One controller, adapter and KV store replay the same window twice: the
+  // reference engine sends every event on its own, the batched engine
+  // brackets runs of events in controller event batches. Both go through
+  // the same event bodies, so hosting decisions, sb.realtime.* counters
+  // and store writes match; only the per-event latency histograms, which a
+  // batched event skips, tell the runs apart.
+  ControllerOptions options;
+  options.provision.include_link_failures = false;
+  options.slot_s = 3600.0;
+  Switchboard controller(*ctx_, options);
+  controller.provision(*demand_);
+  controller.build_allocation_plan(*demand_, kSecondsPerDay);
+  KvStoreOptions store_options;
+  store_options.inject_latency = false;
+  KvStore store(store_options);
+  controller.attach_store(&store);
+  ControllerAllocator allocator(controller);
+
+  const double start = kSecondsPerDay + 3.0 * kSecondsPerHour;
+  const CallRecordDatabase db =
+      scenario_->trace->generate(start, start + kSecondsPerHour);
+  struct Run {
+    HostingLog log;
+    obs::MetricsSnapshot delta;
+  };
+  const auto replay = [&](Simulator::Engine engine) {
+    Run run;
+    Simulator sim(*ctx_);
+    sim.set_engine(engine);
+    const obs::MetricsSnapshot before =
+        obs::MetricsRegistry::global().snapshot();
+    const SimReport report =
+        sim.run(db, allocator, 300.0, nullptr, 60.0, &run.log);
+    run.delta = obs::snapshot_diff(before,
+                                   obs::MetricsRegistry::global().snapshot());
+    EXPECT_EQ(report.calls, db.size());
+    EXPECT_EQ(store.size(), 0u);  // every call's key erased at its end
+    EXPECT_EQ(controller.active_calls(), 0u);
+    EXPECT_EQ(controller.held_slots(), 0u);
+    return run;
+  };
+  const Run unbatched = replay(Simulator::Engine::kReference);
+  const Run batched = replay(Simulator::Engine::kBatched);
+
+  EXPECT_TRUE(unbatched.log == batched.log);
+
+#ifdef SB_METRICS_ENABLED
+  std::size_t realtime_counters = 0;
+  for (const obs::CounterSample& c : unbatched.delta.counters) {
+    if (c.name.rfind("sb.realtime.", 0) != 0) continue;
+    ++realtime_counters;
+    EXPECT_EQ(batched.delta.counter_value(c.name), c.value) << c.name;
+  }
+  EXPECT_GE(realtime_counters, 5u);
+  const auto timed = [](const obs::MetricsSnapshot& delta, const char* name) {
+    const obs::HistogramSample* h = delta.find_histogram(name);
+    return h == nullptr ? std::uint64_t{0} : h->data.count;
+  };
+  const std::pair<const char*, const char*> events[] = {
+      {"sb.realtime.calls_started", "sb.realtime.start_latency_s"},
+      {"sb.realtime.configs_frozen", "sb.realtime.freeze_latency_s"},
+      {"sb.realtime.calls_ended", "sb.realtime.end_latency_s"}};
+  for (const auto& [counter, histogram] : events) {
+    const std::uint64_t count = unbatched.delta.counter_value(counter);
+    EXPECT_GT(count, 0u) << counter;
+    EXPECT_EQ(timed(unbatched.delta, histogram), count) << histogram;
+    EXPECT_EQ(timed(batched.delta, histogram), 0u) << histogram;
+  }
+#endif
+}
+
 TEST_F(PipelineFixture, MetricsSnapshotExportsAllSubsystems) {
 #ifndef SB_METRICS_ENABLED
   GTEST_SKIP() << "built with SB_METRICS=OFF";
@@ -232,6 +286,7 @@ TEST_F(PipelineFixture, MetricsSnapshotExportsAllSubsystems) {
       scenario_->trace->generate(start, start + 1.0 * kSecondsPerHour);
   ControllerAllocator allocator(controller);
   Simulator sim(*ctx_);
+  sim.set_engine(Simulator::Engine::kReference);
   sim.run(db, allocator);
 
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();

@@ -24,10 +24,12 @@
 namespace sb {
 namespace {
 
+using check::build_demand;
 using check::FuzzCase;
 using check::FuzzCall;
 using check::Materialized;
 using check::ScenarioFuzzer;
+using check::scaled_demand;
 
 constexpr double kWindowS = 3600.0;
 constexpr double kSessionS = 450.0;
@@ -83,30 +85,6 @@ FuzzCase steady_case() {
   return c;
 }
 
-/// Same horizon rule as the fuzz executor.
-DemandMatrix build_demand(const Materialized& m, const FuzzCase& c) {
-  double end = c.window_end_s;
-  for (const CallRecord& rec : m.db.records()) {
-    end = std::max(end, rec.start_s + rec.duration_s);
-  }
-  const double slot_s = c.options.slot_s;
-  const double span = std::max(end - c.window_start_s, slot_s);
-  const auto slots = static_cast<std::size_t>(std::ceil(span / slot_s - 1e-9));
-  const double horizon = c.window_start_s + static_cast<double>(slots) * slot_s;
-  return DemandMatrix::from_records(m.db, m.registry.ids(), slot_s,
-                                    c.window_start_s, horizon);
-}
-
-DemandMatrix scaled(const DemandMatrix& d, double scale) {
-  DemandMatrix out = d;
-  for (TimeSlot t = 0; t < d.slot_count(); ++t) {
-    for (std::size_t col = 0; col < d.config_count(); ++col) {
-      out.set_demand(t, col, d.demand(t, col) * scale);
-    }
-  }
-  return out;
-}
-
 /// Plan-from-forecast, replay-the-truth harness around AdaptiveController.
 struct LoopHarness {
   std::unique_ptr<Materialized> m;
@@ -121,7 +99,7 @@ struct LoopHarness {
               obs::TimeSeriesRecorder* recorder = nullptr)
       : m(c.materialize()), truth(build_demand(*m, c)) {
     const DemandMatrix forecast =
-        forecast_scale == 1.0 ? truth : scaled(truth, forecast_scale);
+        forecast_scale == 1.0 ? truth : scaled_demand(truth, forecast_scale);
     ControllerOptions copts;
     copts.slot_s = c.options.slot_s;
     copts.realtime.freeze_delay_s = c.options.freeze_delay_s;

@@ -11,12 +11,14 @@
 #include <sstream>
 #include <vector>
 
+#include "check/json.h"
 #include "common/csv.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
 #include "obs/timer.h"
 #include "obs/timeseries.h"
+#include "obs/trace_export.h"
 
 namespace sb::obs {
 namespace {
@@ -399,6 +401,37 @@ TEST(ObsSnapshotTest, CsvAndJsonExportRoundTrip) {
   EXPECT_NE(text.find("\"histograms\""), std::string::npos);
   EXPECT_NE(text.find("\"test.export.counter\": 7"), std::string::npos);
   EXPECT_NE(text.find("\"p99\""), std::string::npos);
+}
+
+// Every obs JSON writer escapes names the way check/json does: a quote, a
+// backslash, a newline and a raw control byte all survive a parse.
+TEST(ObsJsonTest, WritersEscapeEveryNameTheyEmit) {
+  const std::string name = "odd\"name\\with\nnewline\x01" "end";
+  MetricsRegistry registry;
+  registry.counter(name).inc(3);
+
+  std::ostringstream snapshot_json;
+  registry.snapshot().write_json(snapshot_json);
+  const check::Json snap = check::Json::parse(snapshot_json.str());
+  EXPECT_EQ(snap.get("counters").get(name).as_u64(), 3u);
+
+  TimeSeriesRecorder recorder(&registry, {.period_s = 60.0});
+  recorder.sample(0.0);
+  std::ostringstream series_json;
+  recorder.write_json(series_json);
+  const check::Json series = check::Json::parse(series_json.str());
+  EXPECT_EQ(series.get("series").get("counter:" + name).as_array().size(),
+            1u);
+
+  SpanData span;
+  span.name = name.c_str();
+  span.wall_end_ns = 1000;
+  std::ostringstream trace_json;
+  write_chrome_trace(trace_json, {span});
+  const check::Json trace = check::Json::parse(trace_json.str());
+  const check::Json::Array& events = trace.get("traceEvents").as_array();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events.front().get("name").as_string(), name);
 }
 
 #else  // !SB_METRICS_ENABLED

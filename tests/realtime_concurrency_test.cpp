@@ -2,7 +2,9 @@
 // "Threading model"): edge paths of the slot accounting (overflow, unplanned
 // configs, end-before-freeze) and a multi-threaded stress test asserting the
 // atomic quota table stays exactly conserved (debits == credits + active
-// held slots) under contention. Runs under TSan in CI (label: realtime).
+// held slots) under contention, plus the controller's event batches (a
+// batch covers one controller only; swap-lock methods fail fast inside
+// one). Runs under TSan in CI (label: realtime).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,37 +15,13 @@
 #include "common/error.h"
 #include "core/controller.h"
 #include "core/realtime.h"
+#include "obs/metrics.h"
+#include "two_dc_world.h"
 
 namespace sb {
 namespace {
 
-/// Two locations, two DCs, cheap world where everything is latency-feasible.
-struct TwoDcWorld {
-  World world;
-  Topology topology;
-  LatencyMatrix latency;
-  CallConfigRegistry registry;
-  LoadModel loads{{1.0, 1.5, 3.0}, {1.0, 15.0, 35.0}};
-
-  TwoDcWorld() : world(make_world()), topology(world), latency(2, 2) {
-    topology.add_link(LocationId(0), LocationId(1), 15.0, 10.0);
-    topology.compute_paths();
-    latency = LatencyMatrix::from_topology(world, topology, 8.0);
-  }
-
-  static World make_world() {
-    World w;
-    w.add_location({"A", 0.0, 0.0, 0.0, 1.0, "R"});
-    w.add_location({"B", 0.0, 8.0, 1.0, 1.0, "R"});
-    w.add_datacenter({"DC-A", LocationId(0), 1.0});
-    w.add_datacenter({"DC-B", LocationId(1), 1.0});
-    return w;
-  }
-
-  [[nodiscard]] EvalContext ctx() {
-    return EvalContext{&world, &topology, &latency, &registry, &loads};
-  }
-};
+using test::TwoDcWorld;
 
 class RealtimeConcurrencyTest : public ::testing::Test {
  protected:
@@ -238,6 +216,90 @@ TEST_F(RealtimeConcurrencyTest, PlanRebuildDuringEventsIsRaceFree) {
   controller.call_ended(last, 400.0);
   // Only events since the last rebuild are counted on the fresh selector.
   EXPECT_GE(controller.realtime_stats().calls_started, 1u);
+}
+
+TEST_F(RealtimeConcurrencyTest, BatchOnOneControllerLeavesAnotherLocked) {
+  // The batch flag names its controller: while this thread batches on A,
+  // its events on B still take B's swap lock (and record their latency),
+  // so the plan installs another thread keeps landing on B cannot race
+  // them. TSan flags the race if B's events skip the lock.
+  ControllerOptions options;
+  options.provision.include_link_failures = false;
+  options.provision.with_backup = false;
+  DemandMatrix demand = make_demand_matrix({config_id_}, 1);
+  demand.set_demand(0, 0, 8.0);
+  Switchboard a(world_.ctx(), options);
+  Switchboard b(world_.ctx(), options);
+  b.provision(demand);
+  b.build_allocation_plan(demand, 0.0);
+
+  std::jthread installer([&](const std::stop_token& stop) {
+    while (!stop.stop_requested()) b.install_plan(demand, 0.0, 0.0);
+  });
+  obs::Histogram& start_latency =
+      obs::MetricsRegistry::global().histogram("sb.realtime.start_latency_s");
+  const std::uint64_t timed_before = start_latency.collect().count;
+  constexpr std::uint32_t kCalls = 200;
+  a.lock_events_shared();
+  EXPECT_TRUE(a.in_event_batch());
+  EXPECT_FALSE(b.in_event_batch());
+  for (std::uint32_t i = 0; i < kCalls; ++i) {
+    const CallId call(i);
+    a.call_started(call, LocationId(i % 2), 0.0);
+    b.call_started(call, LocationId(i % 2), 0.0);
+    b.config_frozen(call, config_, 300.0);
+    b.call_ended(call, 400.0);
+    a.call_ended(call, 400.0);
+  }
+  a.unlock_events_shared();
+  installer.request_stop();
+  installer.join();
+
+  EXPECT_FALSE(a.in_event_batch());
+  EXPECT_EQ(b.active_calls(), 0u);
+  EXPECT_EQ(b.held_slots(), 0u);
+  EXPECT_EQ(b.realtime_stats().calls_frozen, kCalls);
+#ifdef SB_METRICS_ENABLED
+  // B's starts are timed one by one; A's batched starts are not.
+  EXPECT_EQ(start_latency.collect().count - timed_before, kCalls);
+#else
+  (void)timed_before;
+#endif
+}
+
+TEST_F(RealtimeConcurrencyTest, SwapLockMethodsThrowInsideOwnBatch) {
+  // std::shared_mutex is not recursive: a thread that holds an event batch
+  // and then takes the swap lock again on the same controller could
+  // deadlock. Every such method fails fast instead, and works again once
+  // the batch is closed.
+  ControllerOptions options;
+  options.provision.include_link_failures = false;
+  options.provision.with_backup = false;
+  DemandMatrix demand = make_demand_matrix({config_id_}, 1);
+  demand.set_demand(0, 0, 8.0);
+  Switchboard controller(world_.ctx(), options);
+  controller.provision(demand);
+  controller.build_allocation_plan(demand, 0.0);
+
+  controller.lock_events_shared();
+  controller.call_started(CallId(1), LocationId(0), 0.0);
+  EXPECT_TRUE(controller.config_frozen(CallId(1), config_, 300.0).planned);
+  EXPECT_THROW(controller.install_plan(demand, 0.0, 300.0), InvalidArgument);
+  EXPECT_THROW(controller.build_allocation_plan(demand, 0.0),
+               InvalidArgument);
+  EXPECT_THROW(controller.provision(demand), InvalidArgument);
+  EXPECT_THROW(controller.dc_failed(DcId(0), 300.0), InvalidArgument);
+  EXPECT_THROW(controller.defragment_dc(DcId(0)), InvalidArgument);
+  EXPECT_THROW((void)controller.held_slots(), InvalidArgument);
+  EXPECT_THROW((void)controller.realtime_stats(), InvalidArgument);
+  EXPECT_THROW(controller.lock_events_shared(), InvalidArgument);
+  controller.call_ended(CallId(1), 400.0);
+  controller.unlock_events_shared();
+
+  EXPECT_NO_THROW(controller.install_plan(demand, 0.0, 400.0));
+  EXPECT_TRUE(controller.health().all_up());  // the refused drain never ran
+  EXPECT_EQ(controller.held_slots(), 0u);
+  EXPECT_EQ(controller.realtime_stats().calls_started, 1u);
 }
 
 }  // namespace

@@ -16,10 +16,9 @@
 
 #include "check/fuzz_case.h"
 #include "check/fuzzer.h"
+#include "check/oracles.h"
 #include "common/error.h"
 #include "core/controller.h"
-#include "fault/health_table.h"
-#include "lp/solver.h"
 #include "obs/metrics.h"
 #include "sim/allocator.h"
 #include "sim/simulator.h"
@@ -27,74 +26,27 @@
 namespace sb {
 namespace {
 
+using check::build_demand;
 using check::FuzzCase;
 using check::Materialized;
 using check::ScenarioFuzzer;
 
 constexpr std::size_t kSeeds = 32;
 
-/// Same horizon rule as the fuzz executor: window start through the last
-/// call end, rounded up to whole provisioning slots.
-DemandMatrix build_demand(const Materialized& m, const FuzzCase& c) {
-  double end = c.window_end_s;
-  for (const CallRecord& rec : m.db.records()) {
-    end = std::max(end, rec.start_s + rec.duration_s);
-  }
-  const double slot_s = c.options.slot_s;
-  const double span = std::max(end - c.window_start_s, slot_s);
-  const auto slots = static_cast<std::size_t>(std::ceil(span / slot_s - 1e-9));
-  const double horizon = c.window_start_s + static_cast<double>(slots) * slot_s;
-  return DemandMatrix::from_records(m.db, m.registry.ids(), slot_s,
-                                    c.window_start_s, horizon);
-}
-
-/// One allocator stack per run (fresh state, like the fuzz executor): the
-/// plan-driven controller path when the case carries a plan, the plan-less
-/// closest-DC selector otherwise.
+/// One controller per run (fresh state, like the fuzz executor). A case
+/// with a plan provisions and builds one; a plan-less case leaves the
+/// controller on its closest-DC selector.
 struct Harness {
-  std::unique_ptr<Switchboard> sb;
-  std::unique_ptr<ControllerAllocator> ctrl;
-  std::unique_ptr<fault::HealthTable> health;
-  std::unique_ptr<RealtimeSelector> selector;
-  std::unique_ptr<SwitchboardAllocator> plain;
+  Switchboard sb;
+  ControllerAllocator alloc{sb};
 
   Harness(const Materialized& m, const FuzzCase& c,
-          const DemandMatrix* demand) {
+          const DemandMatrix* demand)
+      : sb(m.ctx(), check::controller_options(c.options)) {
     if (c.options.use_plan) {
-      ControllerOptions copts;
-      copts.slot_s = c.options.slot_s;
-      copts.provision.with_backup = c.options.with_backup;
-      copts.provision.include_link_failures = c.options.include_link_failures;
-      copts.provision.floor_mode =
-          c.options.floor_mode == 1 ? ProvisionOptions::FloorMode::kFromBase
-                                    : ProvisionOptions::FloorMode::kChained;
-      copts.provision.scenario_threads = c.options.scenario_threads;
-      copts.provision.lp_options.method =
-          static_cast<lp::Method>(c.options.lp_method);
-      copts.allocation.lp_options.method =
-          static_cast<lp::Method>(c.options.lp_method);
-      copts.realtime.freeze_delay_s = c.options.freeze_delay_s;
-      copts.realtime.shard_count = c.options.shard_count;
-      sb = std::make_unique<Switchboard>(m.ctx(), copts);
-      sb->provision(*demand);
-      sb->build_allocation_plan(*demand, c.window_start_s);
-      ctrl = std::make_unique<ControllerAllocator>(*sb);
-    } else {
-      RealtimeOptions ropts;
-      ropts.freeze_delay_s = c.options.freeze_delay_s;
-      ropts.shard_count = c.options.shard_count;
-      health = std::make_unique<fault::HealthTable>(m.world.dc_count(),
-                                                    m.topology.link_count(),
-                                                    m.world.server_count());
-      selector = std::make_unique<RealtimeSelector>(m.ctx(), nullptr, ropts,
-                                                    0.0, health.get());
-      plain = std::make_unique<SwitchboardAllocator>(*selector, health.get());
+      sb.provision(*demand);
+      sb.build_allocation_plan(*demand, c.window_start_s);
     }
-  }
-
-  [[nodiscard]] CallAllocator& allocator() {
-    return ctrl ? static_cast<CallAllocator&>(*ctrl)
-                : static_cast<CallAllocator&>(*plain);
   }
 };
 
@@ -162,10 +114,10 @@ RunResult run_engine(const Materialized& m, const FuzzCase& c,
   const MetricState before = MetricState::read(dc_count);
   RunResult r;
   if (threads <= 1) {
-    r.rep = sim.run(m.db, h.allocator(), c.options.freeze_delay_s, faults,
+    r.rep = sim.run(m.db, h.alloc, c.options.freeze_delay_s, faults,
                     c.options.bucket_s, &r.log);
   } else {
-    r.rep = sim.run_concurrent(m.db, h.allocator(), c.options.freeze_delay_s,
+    r.rep = sim.run_concurrent(m.db, h.alloc, c.options.freeze_delay_s,
                                threads, faults, c.options.bucket_s, &r.log);
   }
   const MetricState after = MetricState::read(dc_count);
@@ -202,10 +154,7 @@ void expect_logs_identical(const HostingLog& a, const HostingLog& b,
                            const std::string& what) {
   ASSERT_EQ(a.events.size(), b.events.size()) << what;
   for (std::size_t i = 0; i < a.events.size(); ++i) {
-    const HostingEvent& x = a.events[i];
-    const HostingEvent& y = b.events[i];
-    ASSERT_TRUE(x.record == y.record && x.time == y.time &&
-                x.kind == y.kind && x.dc == y.dc && x.server == y.server)
+    ASSERT_TRUE(a.events[i] == b.events[i])
         << what << ": hosting event " << i << " diverged";
   }
 }

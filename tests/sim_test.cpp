@@ -83,11 +83,11 @@ TEST_F(SimFixture, FirstJoinerMajorityMatchesTraceTarget) {
 }
 
 TEST_F(SimFixture, SwitchboardWithoutPlanBehavesLikeLocalityFirst) {
-  // With no allocation plan the realtime selector assigns closest-DC and
+  // With no allocation plan the controller's selector assigns closest-DC and
   // re-homes unplanned configs to their min-ACL DC, i.e. LF behaviour.
   Simulator sim(*ctx_);
-  RealtimeSelector selector(*ctx_, nullptr, {});
-  SwitchboardAllocator sb_alloc(selector);
+  Switchboard controller(*ctx_, {});
+  ControllerAllocator sb_alloc(controller);
   LocalityFirstAllocator lf(*ctx_);
   const SimReport sb_report = sim.run(*db_, sb_alloc);
   const SimReport lf_report = sim.run(*db_, lf);
@@ -112,7 +112,7 @@ TEST_F(SimFixture, UsagePeaksScaleWithLoadModel) {
 }
 
 TEST_F(SimFixture, ConcurrentDriverMatchesSequentialCounters) {
-  // The no-plan realtime selector decides per call from immutable data
+  // The plan-less controller decides per call from immutable data
   // (closest DC, min-ACL DC), so its decisions are independent of event
   // interleaving: the sharded driver must reproduce the sequential count
   // and per-call metrics exactly. Concurrent per-DC peaks are time-aligned
@@ -120,13 +120,13 @@ TEST_F(SimFixture, ConcurrentDriverMatchesSequentialCounters) {
   // peaks, and the bucket series itself (an exact snapshot sum across
   // partitions of identical decisions) must match the sequential one.
   Simulator sim(*ctx_);
-  RealtimeSelector seq_selector(*ctx_, nullptr, {});
-  SwitchboardAllocator seq_alloc(seq_selector);
+  Switchboard seq_controller(*ctx_, {});
+  ControllerAllocator seq_alloc(seq_controller);
   const SimReport seq = sim.run(*db_, seq_alloc);
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    RealtimeSelector selector(*ctx_, nullptr, {});
-    SwitchboardAllocator alloc(selector);
+    Switchboard controller(*ctx_, {});
+    ControllerAllocator alloc(controller);
     const SimReport conc = sim.run_concurrent(*db_, alloc, 300.0, threads);
     EXPECT_EQ(conc.calls, seq.calls) << threads;
     EXPECT_EQ(conc.frozen, seq.frozen) << threads;
@@ -156,11 +156,11 @@ TEST_F(SimFixture, ConcurrentDriverSingleThreadIsBitIdentical) {
   // One partition replays in exactly run()'s event order, so even the
   // floating-point accumulations must match bit for bit.
   Simulator sim(*ctx_);
-  RealtimeSelector seq_selector(*ctx_, nullptr, {});
-  SwitchboardAllocator seq_alloc(seq_selector);
+  Switchboard seq_controller(*ctx_, {});
+  ControllerAllocator seq_alloc(seq_controller);
   const SimReport seq = sim.run(*db_, seq_alloc);
-  RealtimeSelector selector(*ctx_, nullptr, {});
-  SwitchboardAllocator alloc(selector);
+  Switchboard controller(*ctx_, {});
+  ControllerAllocator alloc(controller);
   const SimReport conc = sim.run_concurrent(*db_, alloc, 300.0, 1);
   EXPECT_EQ(conc.calls, seq.calls);
   EXPECT_EQ(conc.migrations, seq.migrations);
