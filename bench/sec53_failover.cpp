@@ -11,7 +11,8 @@
 // Flags: --plan_configs=40 --cushion=1.3 --outage_h=1.0 --pad_h=0.5
 //        --trace-out=trace.json (Chrome trace-event span dump: every drain
 //        walks nested under its ctl.dc_failed span — load in Perfetto to see
-//        the per-call re-homing tiers during the outage)
+//        the per-call re-homing tiers during the outage). A bad flag prints
+//        usage to stderr and exits 2.
 #include <iostream>
 #include <vector>
 
@@ -23,16 +24,26 @@
 #include "obs/trace_export.h"
 #include "sim/simulator.h"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: sec53_failover [--plan_configs=1..100000] [--cushion=1..10]\n"
+    "                      [--outage_h=0.01..24] [--pad_h=0..24]\n"
+    "                      [--trace-out=trace.json]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace sb;
-  const std::size_t plan_configs =
-      bench::arg_size(argc, argv, "plan_configs", 40);
-  const double cushion = bench::arg_double(argc, argv, "cushion", 1.3);
+  bench::Flags flags(argc, argv, kUsage);
+  const auto plan_configs =
+      static_cast<std::size_t>(flags.number("plan_configs", 40, 1, 100000));
+  const double cushion = flags.number("cushion", 1.3, 1.0, 10.0);
   const double outage_s =
-      bench::arg_double(argc, argv, "outage_h", 1.0) * kSecondsPerHour;
-  const double pad_s =
-      bench::arg_double(argc, argv, "pad_h", 0.5) * kSecondsPerHour;
-  const std::string trace_out = bench::arg_string(argc, argv, "trace-out", "");
+      flags.number("outage_h", 1.0, 0.01, 24.0) * kSecondsPerHour;
+  const double pad_s = flags.number("pad_h", 0.5, 0.0, 24.0) * kSecondsPerHour;
+  const std::string trace_out = flags.text("trace-out", "");
+  flags.finish();
   // No trace requested -> don't pay for span recording at all.
   obs::SpanRecorder::global().set_enabled(!trace_out.empty());
 

@@ -12,7 +12,8 @@
 // The absolute numbers depend on the (synthetic) workload and cost model;
 // the orderings and rough factors are what this bench validates.
 //
-// Flags: --slot_s=7200 --configs=24 --rate_scale=1 --link_failures=1
+// Flags: --slot_s=7200 --configs=24 --rate_scale=1 --link_failures=1. A
+// bad flag prints usage to stderr and exits 2.
 #include <iostream>
 
 #include "baselines/locality_first.h"
@@ -23,6 +24,11 @@
 
 namespace sb {
 namespace {
+
+constexpr const char* kUsage =
+    "usage: table3_provisioning [--slot_s=60..86400] [--configs=1..100000]\n"
+    "                           [--rate_scale=0.01..100] "
+    "[--link_failures=0..1]\n";
 
 struct SchemeRow {
   std::string name;
@@ -59,11 +65,14 @@ void print_block(const std::string& title, const std::vector<SchemeRow>& rows) {
 }  // namespace
 
 int run(int argc, char** argv) {
-  const double slot_s = bench::arg_double(argc, argv, "slot_s", 7200.0);
-  const std::size_t configs = bench::arg_size(argc, argv, "configs", 24);
-  const double rate_scale = bench::arg_double(argc, argv, "rate_scale", 1.0);
+  bench::Flags flags(argc, argv, kUsage);
+  const double slot_s = flags.number("slot_s", 7200.0, 60.0, 86400.0);
+  const auto configs =
+      static_cast<std::size_t>(flags.number("configs", 24, 1, 100000));
+  const double rate_scale = flags.number("rate_scale", 1.0, 0.01, 100.0);
   const bool link_failures =
-      bench::arg_double(argc, argv, "link_failures", 1.0) != 0.0;
+      flags.number("link_failures", 1.0, 0.0, 1.0) != 0.0;
+  flags.finish();
 
   std::cout << "Table 3: provisioning comparison (RR / LF / SB)\n"
             << "workload: APAC design day, slot=" << slot_s / 3600.0

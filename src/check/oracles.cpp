@@ -481,7 +481,10 @@ bool buckets_close(const std::vector<std::vector<double>>& a,
 }
 
 /// Sparse LU/eta simplex vs the dense-inverse revised simplex on the same
-/// scenario LPs, plus warm-started vs cold scenario solves. Optimal
+/// scenario LPs, plus warm-started vs cold solves: F0 at a per-config
+/// perturbed demand from the unperturbed F0 basis (the re-provision warm
+/// start provision() takes), and a DC failure from F0's basis (a foreign
+/// hint, which exercises the warm start's padding path). Optimal
 /// OBJECTIVES are unique (placements need not be), so that is what is
 /// compared. Only run on small shapes — the dense engine is O(rows^2)
 /// memory. Scenario infeasibility here is a skip, not a failure.
@@ -510,6 +513,24 @@ void lp_differential_oracle(const Materialized& m, const FuzzCase& c,
       std::ostringstream os;
       os << "F0 objective sparse " << f0_sparse.lp_objective << " != revised "
          << f0_revised.lp_objective;
+      fail(out, "lp-differential", os.str());
+      return;
+    }
+    DemandMatrix corrected = demand;
+    for (TimeSlot t = 0; t < corrected.slot_count(); ++t) {
+      for (std::size_t c = 0; c < corrected.config_count(); ++c) {
+        const double factor = 0.8 + 0.1 * static_cast<double>(c % 5);
+        corrected.set_demand(t, c, corrected.demand(t, c) * factor);
+      }
+    }
+    const ScenarioOutcome f0_warm = sparse.solve_scenario(
+        corrected, FailureScenario::none(), nullptr, nullptr, &basis);
+    const ScenarioOutcome f0_cold =
+        sparse.solve_scenario(corrected, FailureScenario::none());
+    if (!close(f0_warm.lp_objective, f0_cold.lp_objective, kLpTol)) {
+      std::ostringstream os;
+      os << "perturbed-F0 objective warm " << f0_warm.lp_objective
+         << " != cold " << f0_cold.lp_objective;
       fail(out, "lp-differential", os.str());
       return;
     }

@@ -237,22 +237,25 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
   }
 
   lp::SolveOptions lp_options = options_.lp_options;
-  if (!warm || warm->empty()) {
-    // Cold solve (the F0 base scenario): the scenario fan-out pool is idle
-    // while it runs, so the block decomposition may use those threads for
-    // its subproblem solves instead.
-    if (lp_options.decompose_threads <= 1) {
-      lp_options.decompose_threads = options_.scenario_threads;
-    }
+  // A scenario solved alone leaves the fan-out pool idle, so a cold solve's
+  // block decomposition may use those threads for its subproblem solves
+  // (a warm solve never decomposes). provision() hands solves that run ON
+  // the pool a provisioner with scenario_threads = 1, so they never nest a
+  // pool.
+  if (lp_options.decompose_threads <= 1) {
+    lp_options.decompose_threads = options_.scenario_threads;
   }
   if (warm && !warm->empty()) {
     // NOTE: dual_resolve is deliberately NOT set here. The dual simplex
     // pays off when a re-solve perturbs bounds or rhs under an unchanged
     // column set (lp_warm_start_test measures it beating the primal
-    // there), but a failure scenario REMOVES the failed DC's placement
-    // columns: the mapped hint is primal-near-feasible and dual-far, and
-    // routing it to the dual simplex measured ~2.4x the warm primal's
-    // iterations on the provisioner_parallel_test fixture.
+    // there), but a hint carried across scenarios meets a model whose
+    // failed DC's placement columns are gone: the mapped hint is
+    // primal-near-feasible and dual-far, and routing it to the dual simplex
+    // measured ~2.4x the warm primal's iterations on the
+    // provisioner_parallel_test fixture. provision() itself only warm-starts
+    // F0 from F0, where the column set is unchanged but the demand rhs of
+    // every completeness row moves.
     //
     // Translate the semantic hint into this model's column order. Columns
     // the hint doesn't know (or an undersized hint vector) default to
@@ -553,11 +556,14 @@ ProvisionResult SwitchboardProvisioner::provision(
   CapacityPlan combined = CapacityPlan::zeros(world, topo);
   CapacityPlan serving = combined;
 
-  // F0 first, always sequentially: it defines `serving`, the base placement,
-  // and the basis hint every failure scenario warm-starts from (failure LPs
-  // are the F0 LP minus one DC's or link's columns, so its optimal basis is
-  // usually a few pivots from theirs).
-  ScenarioBasisHint f0_basis;
+  // F0 first, always sequentially: it defines `serving` and the base
+  // placement. Only F0 warm-starts, and only from its own previous basis
+  // (`f0_warm`, a re-provision). Every failure scenario solves cold, so
+  // above kDecomposeMinRows it goes through the block decomposition: a cold
+  // provision of the APAC design day then takes 3.4x fewer simplex
+  // iterations (9x with link failures) than with every failure scenario
+  // warm-started from F0's basis. solve_scenario reads `warm` before it
+  // writes `basis_out`, so the two may alias.
   {
     PlacementMatrix placement(demand.slot_count(), demand.config_count(),
                               world.dc_count());
@@ -565,14 +571,13 @@ ProvisionResult SwitchboardProvisioner::provision(
     f0_span.attr(obs::AttrKey::kScenario, 0);
     ScenarioOutcome outcome = solve_scenario(demand, scenarios.front(),
                                              &placement, nullptr, f0_warm,
-                                             &f0_basis);
+                                             f0_basis_out);
     f0_span.finish();
     serving = outcome.required;
     combined = outcome.required;
     result.base_placement = std::move(placement);
     result.scenarios.push_back(std::move(outcome));
   }
-  if (f0_basis_out != nullptr) *f0_basis_out = f0_basis;
 
   const bool chained =
       options_.capacity_reuse &&
@@ -586,7 +591,7 @@ ProvisionResult SwitchboardProvisioner::provision(
       obs::Span s("prov.scenario", obs::Subsystem::kProvisioner);
       s.attr(obs::AttrKey::kScenario, static_cast<std::int64_t>(f));
       ScenarioOutcome outcome =
-          solve_scenario(demand, scenarios[f], nullptr, floors, &f0_basis);
+          solve_scenario(demand, scenarios[f], nullptr, floors);
       s.finish();
       combined = max_capacity(combined, outcome.required);
       result.scenarios.push_back(std::move(outcome));
@@ -597,6 +602,11 @@ ProvisionResult SwitchboardProvisioner::provision(
     // thread pool. Results are combined in enumeration order, making the
     // plan bit-identical whatever the thread count.
     const CapacityPlan* floors = options_.capacity_reuse ? &serving : nullptr;
+    // Solves that share the fan-out pool decompose sequentially instead of
+    // each borrowing scenario_threads for a nested pool.
+    ProvisionOptions pooled_options = options_;
+    pooled_options.scenario_threads = 1;
+    const SwitchboardProvisioner pooled(ctx_, pooled_options);
     // Fan-out spans run on pool threads where no span is open; parent them
     // explicitly under this provision() span so the trace stays nested.
     const std::uint64_t fan_parent = obs::SpanRecorder::current_span();
@@ -604,7 +614,7 @@ ProvisionResult SwitchboardProvisioner::provision(
       obs::Span s("prov.scenario", obs::Subsystem::kProvisioner,
                   obs::kNoSimTime, fan_parent);
       s.attr(obs::AttrKey::kScenario, static_cast<std::int64_t>(f));
-      return solve_scenario(demand, scenarios[f], nullptr, floors, &f0_basis);
+      return pooled.solve_scenario(demand, scenarios[f], nullptr, floors);
     };
     std::vector<ScenarioOutcome> outcomes;
     outcomes.reserve(scenarios.size() - 1);

@@ -66,14 +66,14 @@ struct ProvisionOptions {
   /// Failure-scenario solve parallelism. >1 fans the per-scenario LPs over
   /// a ThreadPool when the scenarios are independent (floor_mode ==
   /// kFromBase, or capacity_reuse off); chained floors are inherently
-  /// sequential and ignore this. 0 means hardware concurrency. The cold F0
-  /// solve also borrows this as its lp::SolveOptions::decompose_threads
-  /// (unless one was set explicitly) — the fan-out pool is idle while F0
-  /// runs, so the block decomposition can use the same budget.
+  /// sequential and ignore this. 0 means hardware concurrency. A cold solve
+  /// that runs alone (F0, and every chained scenario) also borrows this as
+  /// its lp::SolveOptions::decompose_threads (unless one was set
+  /// explicitly), since the fan-out pool is idle meanwhile; scenario solves
+  /// running ON the fan-out pool decompose sequentially.
   std::size_t scenario_threads = 1;
-  /// Base LP engine knobs. Warm scenario re-solves additionally set
-  /// dual_resolve: they start primal infeasible but nearly dual feasible,
-  /// the dual simplex's preferred start.
+  /// Base LP engine knobs. The provisioner never sets dual_resolve: its one
+  /// warm start (F0 from its own previous basis) keeps the primal engine.
   lp::SolveOptions lp_options;
 };
 
@@ -81,7 +81,10 @@ struct ProvisionOptions {
 /// DC, NP per link, S per (slot, config, DC) — rather than LP column index,
 /// so a structurally different scenario (a failed DC drops its CP column
 /// and candidate placements) can still warm-start from it. Produced and
-/// consumed by SwitchboardProvisioner::solve_scenario.
+/// consumed by SwitchboardProvisioner::solve_scenario. provision() uses it
+/// for F0 only: a re-provision re-solves F0 from the previous F0 basis,
+/// while every failure scenario solves cold (through the block
+/// decomposition on large shapes, which beats a hint carried over from F0).
 struct ScenarioBasisHint {
   std::vector<lp::VarStatus> cp;  ///< per DC id
   std::vector<lp::VarStatus> np;  ///< per link id
@@ -134,8 +137,10 @@ class SwitchboardProvisioner {
   /// previous provision's final basis — the closed-loop re-provision path,
   /// where successive demand matrices differ only in magnitude, re-solves in
   /// ~0 iterations from it. `f0_basis_out` (optional) receives this
-  /// provision's F0 basis for the next warm round. Both are ignored by the
-  /// joint_scenarios path (one fused LP, no per-scenario basis).
+  /// provision's F0 basis for the next warm round; it may point at the same
+  /// hint as `f0_warm`. Failure scenarios always solve cold. Both are
+  /// ignored by the joint_scenarios path (one fused LP, no per-scenario
+  /// basis).
   [[nodiscard]] ProvisionResult provision(
       const DemandMatrix& demand, const ScenarioBasisHint* f0_warm = nullptr,
       ScenarioBasisHint* f0_basis_out = nullptr) const;

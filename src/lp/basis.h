@@ -9,7 +9,7 @@
 // load() performs basis repair: columns the factorization rejects as
 // dependent are reported back and replaced by the caller (typically with
 // logical columns for the unpivoted rows) — this is what makes crash-starts
-// from a foreign basis (warm starts across failure-scenario models) safe.
+// from a foreign basis (a hint from a model whose column set differs) safe.
 #pragma once
 
 #include <cstddef>

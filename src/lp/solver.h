@@ -59,8 +59,10 @@ struct SolveOptions : SimplexOptions {
   /// Optional warm start for the sparse engine: one status per model
   /// variable, as returned in Solution::basis by a previous solve of a
   /// structurally similar model (same variables, perturbed rows/bounds —
-  /// e.g. successive failure scenarios). Ignored by the dense engines;
-  /// a mismatched size falls back to a cold start.
+  /// e.g. the provisioner's F0 LP re-solved at corrected demand). Ignored
+  /// by the dense engines; a mismatched size falls back to a cold start.
+  /// A hint also keeps kAuto off the block decomposition, so on large
+  /// models it pays only when the hint is a few pivots from the optimum.
   std::vector<VarStatus> warm_start;
   /// Optional companion to `warm_start`: one status per model constraint,
   /// as returned in Solution::row_basis. Supplying it preserves which rows

@@ -1,0 +1,108 @@
+// Provisioning iteration tripwires (ctest label lp_perf, run in both
+// compiler CI jobs and under TSan). A cold provision() solves F0 and every
+// failure scenario cold, so on the APAC design day each scenario LP goes
+// through the block decomposition. These tests pin the summed simplex
+// iterations of one cold provision() under thresholds with headroom, far
+// below what the same LPs take warm-started from F0's basis, and check that
+// cold decomposed scenario solves running concurrently on the kFromBase
+// fan-out pool reproduce the sequential plan bit for bit (under TSan, a
+// data-race check on that pool).
+#include <gtest/gtest.h>
+
+#include <algorithm>
+
+#include "core/provisioner.h"
+#include "trace/scenario.h"
+
+namespace sb {
+namespace {
+
+/// APAC preset with scenario seed 1, top 30 configs of the expected demand
+/// over one design day in 3600 s slots (24 x 30 x 5 DCs).
+struct ApacDesignDay {
+  Scenario scenario = make_apac_scenario({.seed = 1});
+  LoadModel loads = LoadModel::paper_default();
+  DemandMatrix demand = top_configs(
+      scenario.trace->expected_demand(3600.0, kSecondsPerDay,
+                                      2 * kSecondsPerDay),
+      30);
+
+  static DemandMatrix top_configs(const DemandMatrix& full, std::size_t k) {
+    std::vector<ConfigId> top;
+    for (std::size_t c = 0; c < std::min(k, full.config_count()); ++c) {
+      top.push_back(full.config_at(c));
+    }
+    DemandMatrix out = make_demand_matrix(top, full.slot_count());
+    for (TimeSlot t = 0; t < full.slot_count(); ++t) {
+      for (std::size_t c = 0; c < top.size(); ++c) {
+        out.set_demand(t, c, full.demand(t, c));
+      }
+    }
+    return out;
+  }
+
+  [[nodiscard]] EvalContext ctx() const {
+    return {&scenario.world(), &scenario.topology(), &scenario.latency(),
+            scenario.registry.get(), &loads};
+  }
+};
+
+std::size_t total_iterations(const ProvisionResult& result) {
+  std::size_t total = 0;
+  for (const ScenarioOutcome& s : result.scenarios) total += s.lp_iterations;
+  return total;
+}
+
+// F0 plus the five single-DC failures. 1,693 iterations when written; the
+// same provision with failure scenarios warm-started from F0 took 5,831.
+TEST(ProvisionPerfSmoke, DcFailureProvisionIterationsStayBounded) {
+  const ApacDesignDay day;
+  ProvisionOptions options;
+  options.include_link_failures = false;
+  const ProvisionResult result =
+      SwitchboardProvisioner(day.ctx(), options).provision(day.demand);
+  EXPECT_EQ(result.scenarios.size(), 1 + day.scenario.world().dc_count());
+  EXPECT_LT(total_iterations(result), 2600u);
+}
+
+// Adds every single-WAN-link failure. 3,239 iterations when written; warm
+// from F0 it took 29,161.
+TEST(ProvisionPerfSmoke, LinkFailureProvisionIterationsStayBounded) {
+  const ApacDesignDay day;
+  const ProvisionResult result =
+      SwitchboardProvisioner(day.ctx(), ProvisionOptions{})
+          .provision(day.demand);
+  EXPECT_GT(result.scenarios.size(), 1 + day.scenario.world().dc_count());
+  EXPECT_LT(total_iterations(result), 5000u);
+}
+
+TEST(ProvisionPerfSmoke, FromBaseFanOutBitIdenticalToSequential) {
+  const ApacDesignDay day;
+  ProvisionOptions options;
+  options.include_link_failures = false;
+  options.floor_mode = ProvisionOptions::FloorMode::kFromBase;
+  options.scenario_threads = 1;
+  const ProvisionResult seq =
+      SwitchboardProvisioner(day.ctx(), options).provision(day.demand);
+  options.scenario_threads = 4;
+  const ProvisionResult par =
+      SwitchboardProvisioner(day.ctx(), options).provision(day.demand);
+
+  ASSERT_EQ(seq.scenarios.size(), par.scenarios.size());
+  for (std::size_t f = 0; f < seq.scenarios.size(); ++f) {
+    const ScenarioOutcome& a = seq.scenarios[f];
+    const ScenarioOutcome& b = par.scenarios[f];
+    EXPECT_EQ(a.scenario.name, b.scenario.name);
+    EXPECT_EQ(a.lp_objective, b.lp_objective) << a.scenario.name;
+    EXPECT_EQ(a.lp_iterations, b.lp_iterations) << a.scenario.name;
+    EXPECT_EQ(a.required.dc_serving_cores, b.required.dc_serving_cores)
+        << a.scenario.name;
+    EXPECT_EQ(a.required.link_gbps, b.required.link_gbps) << a.scenario.name;
+  }
+  EXPECT_EQ(seq.capacity.dc_serving_cores, par.capacity.dc_serving_cores);
+  EXPECT_EQ(seq.capacity.dc_backup_cores, par.capacity.dc_backup_cores);
+  EXPECT_EQ(seq.capacity.link_gbps, par.capacity.link_gbps);
+}
+
+}  // namespace
+}  // namespace sb

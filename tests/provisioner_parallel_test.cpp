@@ -1,12 +1,16 @@
 // Parallel scenario fan-out: with ProvisionOptions::floor_mode == kFromBase
 // the failure-scenario LPs are order-independent, so a multi-threaded
 // provision() must produce a CapacityPlan BIT-IDENTICAL to the sequential
-// run — same per-DC cores, same per-link gbps, same scenario order — and
-// the warm-started scenario solves must not change the plan either.
+// run — same per-DC cores, same per-link gbps, same scenario order. The
+// file also pins provision()'s start rule: failure scenarios solve cold,
+// and only F0 warm-starts, from its own previous basis on a re-provision.
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "core/provisioner.h"
 #include "geo/world_presets.h"
+#include "obs/metrics.h"
 #include "trace/config_sampler.h"
 #include "trace/trace_gen.h"
 
@@ -134,11 +138,15 @@ TEST(ParallelProvisionTest, NoReuseAblationMatchesAcrossThreads) {
   expect_identical_plans(seq, par);
 }
 
-// The point of carrying the F0 basis into the failure scenarios: summed
-// over every failure scenario, warm-started LPs must take FEWER simplex
-// iterations than cold ones while landing on the same optimum. (The hint's
-// row statuses matter here — a structural-only hint loses the slack/tight
-// row pattern and is measurably worse than cold.)
+// solve_scenario's semantic hint mapping across scenarios: an F0 basis
+// mapped onto each failure scenario's smaller column and row sets must land
+// on the same optimum and, summed over every failure scenario, take FEWER
+// simplex iterations than cold on this small shape (every LP here is below
+// kDecomposeMinRows, so both sides run the monolithic primal engine). The
+// hint's row statuses matter — a structural-only hint loses the slack/tight
+// row pattern and is measurably worse than cold. provision() itself does
+// not carry F0's basis into failure scenarios: on large shapes the cold
+// block decomposition beats it (see OnlyAReprovisionedF0WarmStarts).
 TEST(ParallelProvisionTest, WarmStartedScenarioSolvesUseFewerIterations) {
   const Fixture fix(4242);
   ProvisionOptions options;
@@ -168,12 +176,12 @@ TEST(ParallelProvisionTest, WarmStartedScenarioSolvesUseFewerIterations) {
   EXPECT_LT(warm_total, cold_total);
 }
 
-// The warm-started chained path (the default) must still produce a plan
-// whose every scenario requirement the combined capacity dominates — the
-// basis hint may change the LP's pivot path but never its optimum.
+// The chained path (the default), with every failure scenario solved cold
+// on the running combined plan as its floor, must produce a plan whose
+// every scenario requirement the combined capacity dominates.
 TEST(ParallelProvisionTest, ChainedModeStillCoversEveryScenario) {
   const Fixture fix(31337);
-  ProvisionOptions options;  // defaults: kChained, warm-started, sequential
+  ProvisionOptions options;  // defaults: kChained, cold scenarios, sequential
   SwitchboardProvisioner provisioner(fix.ctx(), options);
   const ProvisionResult result = provisioner.provision(fix.demand);
   ASSERT_FALSE(result.scenarios.empty());
@@ -191,6 +199,47 @@ TEST(ParallelProvisionTest, ChainedModeStillCoversEveryScenario) {
           << outcome.scenario.name;
     }
   }
+}
+
+// provision()'s start rule. A cold provision warm-starts nothing; a
+// re-provision given its own F0 basis warm-starts exactly one LP (F0), and
+// that warm F0 lands on the optimum a cold F0 solve of the same demand
+// finds.
+TEST(ParallelProvisionTest, OnlyAReprovisionedF0WarmStarts) {
+  const Fixture fix(4242);
+  const SwitchboardProvisioner prov(fix.ctx(), ProvisionOptions{});
+#ifdef SB_METRICS_ENABLED
+  const obs::Counter& warm_starts =
+      obs::MetricsRegistry::global().counter("sb.lp.warm_starts");
+  const std::uint64_t before_cold = warm_starts.value();
+#endif
+  ScenarioBasisHint basis;
+  const ProvisionResult cold = prov.provision(fix.demand, nullptr, &basis);
+  ASSERT_GT(cold.scenarios.size(), 1u);
+  ASSERT_FALSE(basis.empty());
+#ifdef SB_METRICS_ENABLED
+  EXPECT_EQ(warm_starts.value() - before_cold, 0u);
+#endif
+
+  // A per-config correction, as the closed loop computes one.
+  DemandMatrix corrected = fix.demand;
+  for (TimeSlot t = 0; t < corrected.slot_count(); ++t) {
+    for (std::size_t c = 0; c < corrected.config_count(); ++c) {
+      const double factor = 0.8 + 0.1 * static_cast<double>(c % 5);
+      corrected.set_demand(t, c, corrected.demand(t, c) * factor);
+    }
+  }
+#ifdef SB_METRICS_ENABLED
+  const std::uint64_t before_warm = warm_starts.value();
+#endif
+  const ProvisionResult warm = prov.provision(corrected, &basis, &basis);
+#ifdef SB_METRICS_ENABLED
+  EXPECT_EQ(warm_starts.value() - before_warm, 1u);
+#endif
+  const ScenarioOutcome f0_cold =
+      prov.solve_scenario(corrected, FailureScenario::none());
+  EXPECT_NEAR(warm.scenarios.front().lp_objective, f0_cold.lp_objective,
+              1e-9 * std::max(1.0, std::abs(f0_cold.lp_objective)));
 }
 
 }  // namespace
