@@ -8,7 +8,8 @@
 //      to the historical placement's per-DC/per-link peaks, scaled for
 //      growth, with no ability to re-shift calls (§4.4's contrast).
 //
-// Flags: --slot_s=10800 --configs=14 --growth=1.3
+// Flags: --slot_s=10800 --configs=14 --growth=1.3. A bad flag prints usage
+// to stderr and exits 2.
 #include <iostream>
 
 #include "baselines/locality_first.h"
@@ -18,6 +19,12 @@
 
 namespace sb {
 namespace {
+
+/// --slot_s stops at the trace's 1800 s bucket: finer slots only multiply
+/// the joint scenario LP (100 s slots run for minutes).
+constexpr const char* kUsage =
+    "usage: ablation_ideas [--slot_s=1800..86400] [--configs=1..100000]\n"
+    "                      [--growth=0..100]\n";
 
 struct Row {
   std::string variant;
@@ -29,9 +36,12 @@ struct Row {
 }  // namespace
 
 int run(int argc, char** argv) {
-  const double slot_s = bench::arg_double(argc, argv, "slot_s", 10800.0);
-  const std::size_t configs = bench::arg_size(argc, argv, "configs", 14);
-  const double growth = bench::arg_double(argc, argv, "growth", 1.3);
+  bench::Flags flags(argc, argv, kUsage);
+  const double slot_s = flags.number("slot_s", 10800.0, 1800.0, 86400.0);
+  const auto configs =
+      static_cast<std::size_t>(flags.number("configs", 14, 1, 100000));
+  const double growth = flags.number("growth", 1.3, 0.0, 100.0);
+  flags.finish();
 
   Scenario scenario = make_apac_scenario();
   const LoadModel loads = LoadModel::paper_default();

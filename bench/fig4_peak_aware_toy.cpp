@@ -4,13 +4,18 @@
 // (b) the default (additive, Eq 1-2) backup plan inflates every DC to 160
 // cores (480 total); (c) the peak-aware plan re-purposes off-peak serving
 // cores as backup and needs no extra capacity at all (320 total).
+//
+// Takes no flags: any argument prints usage to stderr and exits 2.
 #include <iostream>
 
+#include "bench_util.h"
 #include "common/table.h"
 #include "core/provisioner.h"
 
 namespace sb {
 namespace {
+
+constexpr const char* kUsage = "usage: fig4_peak_aware_toy (takes no flags)\n";
 
 struct ToyWorld {
   World world;
@@ -45,7 +50,8 @@ struct ToyWorld {
 
 }  // namespace
 
-int run() {
+int run(int argc, char** argv) {
+  bench::Flags(argc, argv, kUsage).finish();
   ToyWorld w;
   std::vector<ConfigId> configs;
   for (std::uint32_t u = 0; u < 3; ++u) {
@@ -117,4 +123,4 @@ int run() {
 
 }  // namespace sb
 
-int main() { return sb::run(); }
+int main(int argc, char** argv) { return sb::run(argc, argv); }

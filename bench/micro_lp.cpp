@@ -1,18 +1,17 @@
 // google-benchmark microbenchmarks for the LP solvers: dense tableau vs
-// legacy dense-inverse revised simplex vs the sparse LU/eta engine vs the
-// block-angular decomposition, across random instances and
-// provisioning-LP-shaped instances (sparse columns, capacity peaks) from
-// the real Switchboard scale of 168 half-hour slots x 40 configs x 12 DCs
-// up to the planet-scale 720 x 100 x 50 cold solve. Decomposed variants
-// additionally report per-phase timings (detect / subproblems / clean-up)
-// from the sb.lp.decompose_*_s registry histograms.
+// the sparse LU/eta engine vs the block-angular decomposition, across
+// random instances and provisioning-LP-shaped instances (sparse columns,
+// capacity peaks) from the real Switchboard scale of 168 half-hour slots x
+// 40 configs x 12 DCs up to the planet-scale 720 x 100 x 50 cold solve.
+// Decomposed variants additionally report per-phase timings (detect /
+// subproblems / clean-up) from the sb.lp.decompose_*_s registry histograms.
 //
 // Besides google-benchmark's own wall-time mean, each benchmark reports
 // p50/p99 solve latency and iterations-per-solve sourced from the sb::obs
 // registry (lp::solve times itself into sb.lp.solve_s), by diffing registry
 // snapshots around the timed loop. Provisioning benches additionally emit
 // `{"bench": ...}` JSON lines (see bench_util.h) so BENCH_lp.json can track
-// the dense-vs-revised-vs-sparse trajectory across sessions:
+// the dense-vs-sparse trajectory over time:
 //
 //   ./bench/micro_lp --benchmark_min_time=1x | grep '^{"bench"'
 #include <benchmark/benchmark.h>
@@ -98,10 +97,11 @@ Model make_provisioning_lp(std::size_t slots, std::size_t configs,
   return m;
 }
 
-/// Provisioning-bench variant ids (4th Args element).
+/// Provisioning-bench variant ids. The id is the 4th Args element and so
+/// part of each benchmark's name, which filters (micro_lp_smoke) select
+/// on: keep the values stable.
 enum ProvVariant : int {
   kVarDense = 0,
-  kVarRevised = 1,
   kVarSparse = 2,     ///< monolithic sparse engine (decomposition off)
   kVarDecompose = 3,  ///< sparse engine, DecomposePolicy::kForce
 };
@@ -110,8 +110,6 @@ const char* variant_name(int variant) {
   switch (variant) {
     case kVarDense:
       return "dense";
-    case kVarRevised:
-      return "revised";
     case kVarDecompose:
       return "decomposed";
     default:
@@ -138,22 +136,6 @@ void BM_DenseSimplexRandom(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseSimplexRandom)->Args({20, 15})->Args({60, 40})->Args({120, 80});
 
-void BM_RevisedSimplexRandom(benchmark::State& state) {
-  const Model m = make_random_lp(static_cast<std::size_t>(state.range(0)),
-                                 static_cast<std::size_t>(state.range(1)), 7);
-  SolveOptions options;
-  options.method = Method::kRevised;
-  const obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solve(m, options));
-  }
-  report_registry_latencies(state, before);
-}
-BENCHMARK(BM_RevisedSimplexRandom)
-    ->Args({20, 15})
-    ->Args({60, 40})
-    ->Args({120, 80});
-
 void BM_SparseSimplexRandom(benchmark::State& state) {
   const Model m = make_random_lp(static_cast<std::size_t>(state.range(0)),
                                  static_cast<std::size_t>(state.range(1)), 7);
@@ -170,8 +152,8 @@ BENCHMARK(BM_SparseSimplexRandom)
     ->Args({60, 40})
     ->Args({120, 80});
 
-/// Args: {slots, configs, dcs, ProvVariant}. The dense engines are
-/// registered only at the shapes their quadratic memory can stomach; the
+/// Args: {slots, configs, dcs, ProvVariant}. The dense tableau is
+/// registered only at the shapes its quadratic memory can stomach; the
 /// monolithic sparse engine goes up to the paper-scale 168x40x12 and the
 /// decomposed variant to the planet-scale 720x100x50.
 void BM_ProvisioningShapedLp(benchmark::State& state) {
@@ -184,9 +166,6 @@ void BM_ProvisioningShapedLp(benchmark::State& state) {
   switch (variant) {
     case kVarDense:
       options.method = Method::kDense;
-      break;
-    case kVarRevised:
-      options.method = Method::kRevised;
       break;
     case kVarDecompose:
       options.method = Method::kSparse;
@@ -264,9 +243,6 @@ void BM_ProvisioningShapedLp(benchmark::State& state) {
 BENCHMARK(BM_ProvisioningShapedLp)
     ->Args({6, 10, 5, kVarDense})
     ->Args({12, 16, 5, kVarDense})
-    ->Args({6, 10, 5, kVarRevised})
-    ->Args({12, 16, 5, kVarRevised})
-    ->Args({42, 24, 8, kVarRevised})
     ->Args({6, 10, 5, kVarSparse})
     ->Args({12, 16, 5, kVarSparse})
     ->Args({42, 24, 8, kVarSparse})

@@ -5,8 +5,11 @@
 // everywhere, within +/-13% overall, with SB's without-backup WAN the one
 // under-provisioned (+) entry).
 //
-// Flags: --history_weeks=8 --slot_s=7200 --configs=20 --link_failures=1
+// Flags: --history_weeks=8 --slot_s=7200 --configs=20 --link_failures=1. A
+// bad flag prints usage to stderr and exits 2.
+#include <cmath>
 #include <iostream>
+#include <string>
 
 #include "baselines/locality_first.h"
 #include "baselines/round_robin.h"
@@ -16,6 +19,13 @@
 
 namespace sb {
 namespace {
+
+constexpr const char* kUsage =
+    "usage: table4_forecast_gap [--history_weeks=2..520] "
+    "[--slot_s=1800..86400]\n"
+    "                           [--configs=1..212] [--link_failures=0..1]\n"
+    "  --slot_s is a multiple of the 1800 s trace bucket; --configs counts\n"
+    "  from the top of the 212-config APAC universe\n";
 
 struct Resources {
   double cores = 0.0;
@@ -29,15 +39,28 @@ double gap_pct(double truth, double forecast) {
 }  // namespace
 
 int run(int argc, char** argv) {
-  const std::size_t history_weeks =
-      bench::arg_size(argc, argv, "history_weeks", 8);
-  const double slot_s = bench::arg_double(argc, argv, "slot_s", 7200.0);
-  const std::size_t config_count = bench::arg_size(argc, argv, "configs", 20);
+  bench::Flags flags(argc, argv, kUsage);
+  const auto history_weeks =
+      static_cast<std::size_t>(flags.number("history_weeks", 8, 2, 520));
+  const double slot_s = flags.number("slot_s", 7200.0, 1800.0, 86400.0);
+  const auto config_count =
+      static_cast<std::size_t>(flags.number("configs", 20, 1, 100000));
   const bool link_failures =
-      bench::arg_double(argc, argv, "link_failures", 1.0) != 0.0;
+      flags.number("link_failures", 1.0, 0.0, 1.0) != 0.0;
+  flags.finish();
 
   Scenario scenario = make_apac_scenario();
   const TraceGenerator& trace = *scenario.trace;
+  const double bucket_s = trace.params().bucket_s;
+  if (std::fmod(slot_s, bucket_s) != 0.0) {
+    flags.fail("--slot_s must be a multiple of the " +
+               format_double(bucket_s, 0) + " s trace bucket");
+  }
+  if (config_count > trace.universe().configs.size()) {
+    flags.fail("--configs exceeds the " +
+               std::to_string(trace.universe().configs.size()) +
+               "-config universe");
+  }
   const LoadModel loads = LoadModel::paper_default();
   const EvalContext ctx{&scenario.world(), &scenario.topology(),
                         &scenario.latency(), scenario.registry.get(), &loads};
@@ -45,7 +68,6 @@ int run(int argc, char** argv) {
   // Forecast each top config's arrivals one week past the history, then
   // carve out the same design day (the horizon week's Tuesday) from both
   // the forecast and the ground-truth processes.
-  const double bucket_s = trace.params().bucket_s;
   const auto season = static_cast<std::size_t>(kSecondsPerWeek / bucket_s);
   const double history_end = history_weeks * kSecondsPerWeek;
   const double horizon_end = history_end + kSecondsPerWeek;

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "lp/solver.h"
 
 namespace sb::check {
 
@@ -191,7 +192,13 @@ FuzzOptions options_from_json(const Json& j) {
   o.floor_mode = static_cast<int>(j.get("floor_mode").as_i64());
   o.scenario_threads =
       static_cast<std::size_t>(j.get("scenario_threads").as_u64());
-  o.lp_method = static_cast<int>(j.get("lp_method").as_i64());
+  const std::int64_t lp_method = j.get("lp_method").as_i64();
+  require(lp_method == static_cast<int>(lp::Method::kAuto) ||
+              lp_method == static_cast<int>(lp::Method::kDense) ||
+              lp_method == static_cast<int>(lp::Method::kSparse) ||
+              lp_method == static_cast<int>(lp::Method::kDual),
+          "FuzzOptions: bad lp_method");
+  o.lp_method = static_cast<int>(lp_method);
   o.rebuild_storm = j.get_or("rebuild_storm", false);
   o.chaos_skip_drain_credit = j.get_or("chaos_skip_drain_credit", false);
   o.chaos_skip_server_credit = j.get_or("chaos_skip_server_credit", false);

@@ -480,14 +480,14 @@ bool buckets_close(const std::vector<std::vector<double>>& a,
   return true;
 }
 
-/// Sparse LU/eta simplex vs the dense-inverse revised simplex on the same
+/// Sparse LU/eta simplex vs the dense reference tableau on the same
 /// scenario LPs, plus warm-started vs cold solves: F0 at a per-config
 /// perturbed demand from the unperturbed F0 basis (the re-provision warm
 /// start provision() takes), and a DC failure from F0's basis (a foreign
 /// hint, which exercises the warm start's padding path). Optimal
 /// OBJECTIVES are unique (placements need not be), so that is what is
-/// compared. Only run on small shapes — the dense engine is O(rows^2)
-/// memory. Scenario infeasibility here is a skip, not a failure.
+/// compared. Only run on small shapes — the tableau is O(rows * (rows +
+/// cols)) memory. Scenario infeasibility here is a skip, not a failure.
 void lp_differential_oracle(const Materialized& m, const FuzzCase& c,
                             const DemandMatrix& demand,
                             std::vector<OracleFailure>& out) {
@@ -500,19 +500,19 @@ void lp_differential_oracle(const Materialized& m, const FuzzCase& c,
   po.scenario_threads = 1;
   po.lp_options.method = lp::Method::kSparse;
   const SwitchboardProvisioner sparse(m.ctx(), po);
-  po.lp_options.method = lp::Method::kRevised;
-  const SwitchboardProvisioner revised(m.ctx(), po);
+  po.lp_options.method = lp::Method::kDense;
+  const SwitchboardProvisioner dense(m.ctx(), po);
 
   try {
     ScenarioBasisHint basis;
     const ScenarioOutcome f0_sparse = sparse.solve_scenario(
         demand, FailureScenario::none(), nullptr, nullptr, nullptr, &basis);
-    const ScenarioOutcome f0_revised =
-        revised.solve_scenario(demand, FailureScenario::none());
-    if (!close(f0_sparse.lp_objective, f0_revised.lp_objective, kLpTol)) {
+    const ScenarioOutcome f0_dense =
+        dense.solve_scenario(demand, FailureScenario::none());
+    if (!close(f0_sparse.lp_objective, f0_dense.lp_objective, kLpTol)) {
       std::ostringstream os;
-      os << "F0 objective sparse " << f0_sparse.lp_objective << " != revised "
-         << f0_revised.lp_objective;
+      os << "F0 objective sparse " << f0_sparse.lp_objective << " != dense "
+         << f0_dense.lp_objective;
       fail(out, "lp-differential", os.str());
       return;
     }

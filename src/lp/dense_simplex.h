@@ -12,7 +12,7 @@
 
 namespace sb::lp {
 
-/// Tuning knobs shared by both simplex implementations.
+/// Tuning knobs shared by the simplex engines.
 struct SimplexOptions {
   std::size_t max_iterations = 200000;
   /// Reduced-cost optimality tolerance.
@@ -41,7 +41,7 @@ struct SfSolution {
   std::size_t iterations = 0;
   /// Final status per standard-form column — var_count() structurals
   /// followed by one logical per row (sparse engine only; empty for the
-  /// dense engines). Feed back via solve_sparse(..., warm) to warm-start;
+  /// dense tableau). Feed back via solve_sparse(..., warm) to warm-start;
   /// the engine also accepts a structurals-only prefix.
   std::vector<VarStatus> statuses;
 };

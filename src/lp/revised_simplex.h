@@ -1,11 +1,11 @@
 // Production LP engine: bounded-variable two-phase revised simplex over a
 // sparse LU/eta basis (lp/lu_factor.h, lp/basis.h).
 //
-// What makes it scale where the legacy engines (lp/dense_simplex.h,
-// lp/dense_inverse_simplex.h) do not:
+// What makes it scale where the dense reference tableau
+// (lp/dense_simplex.h) does not:
 //  - the basis is a sparse LU factorization with Markowitz-style pivot
 //    ordering, updated between periodic refactorizations by product-form
-//    etas — O(nnz) per pivot instead of the dense inverse's O(m^2);
+//    etas — O(nnz) per pivot instead of the tableau's O(m * (n + m));
 //  - finite upper bounds live in the variable state (at-lower / at-upper /
 //    basic), so the row count is independent of how many variables are
 //    bounded (standard form built with BoundPolicy::kInline);

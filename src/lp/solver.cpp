@@ -4,7 +4,6 @@
 
 #include "common/error.h"
 #include "lp/block_decompose.h"
-#include "lp/dense_inverse_simplex.h"
 #include "lp/dual_simplex.h"
 #include "lp/presolve.h"
 #include "lp/revised_simplex.h"
@@ -42,7 +41,6 @@ struct SolveMetrics {
   obs::Histogram& eta_nnz;
   obs::Histogram& solve_s;
   obs::Histogram& solve_dense_s;
-  obs::Histogram& solve_revised_s;
   obs::Histogram& solve_sparse_s;
   obs::Histogram& solve_dual_s;
   obs::Histogram& decompose_detect_s;
@@ -75,7 +73,6 @@ struct SolveMetrics {
           r.histogram("sb.lp.eta_nnz"),
           r.histogram("sb.lp.solve_s"),
           r.histogram("sb.lp.solve_dense_s"),
-          r.histogram("sb.lp.solve_revised_s"),
           r.histogram("sb.lp.solve_sparse_s"),
           r.histogram("sb.lp.solve_dual_s"),
           r.histogram("sb.lp.decompose_detect_s"),
@@ -91,8 +88,6 @@ obs::Histogram& method_timer_for(SolveMetrics& metrics, Method method) {
   switch (method) {
     case Method::kDense:
       return metrics.solve_dense_s;
-    case Method::kRevised:
-      return metrics.solve_revised_s;
     case Method::kDual:
       return metrics.solve_dual_s;
     default:
@@ -167,12 +162,6 @@ Solution solve(const Model& model, const SolveOptions& options) {
         " standard-form rows (got " + std::to_string(sf.rows.size()) +
         "); use Method::kSparse or kAuto");
   }
-  if (method == Method::kRevised && sf.rows.size() > kDenseInverseRowLimit) {
-    throw InvalidArgument(
-        "lp: dense-inverse revised simplex is limited to " +
-        std::to_string(kDenseInverseRowLimit) + " standard-form rows (got " +
-        std::to_string(sf.rows.size()) + "); use Method::kSparse or kAuto");
-  }
 
   // Map the warm-start statuses (model variable space) onto the reduced
   // model's structural variables. Variables presolve fixed simply drop out.
@@ -228,9 +217,6 @@ Solution solve(const Model& model, const SolveOptions& options) {
     switch (method) {
       case Method::kDense:
         raw = solve_dense(sf, options);
-        break;
-      case Method::kRevised:
-        raw = solve_dense_inverse(sf, options);
         break;
       case Method::kDual: {
         DualSolveStats dual_stats;

@@ -11,13 +11,16 @@
 
 namespace sb::lp {
 
+/// Values are explicit because fuzz repro files store them
+/// (FuzzOptions::lp_method). 2 is retired: old repro files may hold it, and
+/// the repro loader must keep rejecting it rather than replay it under
+/// another engine.
 enum class Method {
-  kAuto,     ///< routing table below: dense / sparse / dual / decomposed
-  kDense,    ///< force the dense tableau (reference implementation)
-  kRevised,  ///< force the legacy dense-inverse revised simplex
-  kSparse,   ///< force the sparse LU/eta bounded-variable engine
-  kDual,     ///< force the dual simplex (lp/dual_simplex.h); falls back to
-             ///< the primal sparse engine when it cannot finish
+  kAuto = 0,    ///< routing table below: dense / sparse / dual / decomposed
+  kDense = 1,   ///< force the dense tableau (reference implementation)
+  kSparse = 3,  ///< force the sparse LU/eta bounded-variable engine
+  kDual = 4,    ///< force the dual simplex (lp/dual_simplex.h); falls back to
+                ///< the primal sparse engine when it cannot finish
 };
 
 /// Whether kAuto may route a cold large solve through the block-angular
@@ -42,14 +45,12 @@ inline constexpr std::size_t kDecomposeMinRows = 512;
 /// meaningfully smaller work than the original LP.
 inline constexpr std::size_t kDecomposeMinBlocks = 4;
 
-/// The dense tableau materializes an m x (n + m) tableau and the legacy
-/// revised simplex a dense m x m inverse; both are quadratic-plus in the row
-/// count. Forcing them beyond these limits throws InvalidArgument instead of
-/// silently burning memory and time — use Method::kSparse (or kAuto) for
-/// large instances. Limits count standard-form rows, which for these
-/// engines include one row per finite upper bound.
+/// The dense tableau materializes an m x (n + m) tableau, quadratic-plus in
+/// the row count. Forcing it beyond this limit throws InvalidArgument
+/// instead of silently burning memory and time — use Method::kSparse (or
+/// kAuto) for large instances. The limit counts standard-form rows, which
+/// for this engine include one row per finite upper bound.
 inline constexpr std::size_t kDenseRowLimit = 2000;
-inline constexpr std::size_t kDenseInverseRowLimit = 8000;
 
 struct SolveOptions : SimplexOptions {
   Method method = Method::kAuto;
@@ -60,7 +61,7 @@ struct SolveOptions : SimplexOptions {
   /// variable, as returned in Solution::basis by a previous solve of a
   /// structurally similar model (same variables, perturbed rows/bounds —
   /// e.g. the provisioner's F0 LP re-solved at corrected demand). Ignored
-  /// by the dense engines; a mismatched size falls back to a cold start.
+  /// by the dense tableau; a mismatched size falls back to a cold start.
   /// A hint also keeps kAuto off the block decomposition, so on large
   /// models it pays only when the hint is a few pivots from the optimum.
   std::vector<VarStatus> warm_start;
@@ -86,8 +87,8 @@ struct SolveOptions : SimplexOptions {
 
 /// Solves `model` (minimization). The returned Solution's `values` cover all
 /// model variables, including fixed ones. Throws InvalidArgument for models
-/// with non-finite lower bounds or when a dense method is forced beyond its
-/// row limit; solver failures are reported via Solution::status, not
+/// with non-finite lower bounds or when the dense tableau is forced beyond
+/// its row limit; solver failures are reported via Solution::status, not
 /// exceptions.
 Solution solve(const Model& model, const SolveOptions& options = {});
 

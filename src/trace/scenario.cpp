@@ -29,8 +29,4 @@ Scenario make_apac_scenario(const ScenarioParams& params) {
   return make_scenario(make_apac_world(), params);
 }
 
-Scenario make_global_scenario(const ScenarioParams& params) {
-  return make_scenario(make_global_world(), params);
-}
-
 }  // namespace sb

@@ -34,7 +34,4 @@ struct ScenarioParams {
 /// universe homed across its countries.
 Scenario make_apac_scenario(const ScenarioParams& params = {});
 
-/// Three-region world for cross-region experiments.
-Scenario make_global_scenario(const ScenarioParams& params = {});
-
 }  // namespace sb

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/fuzz_case.h"
@@ -75,6 +76,25 @@ TEST(FuzzerTest, CaseSurvivesJsonRoundTrip) {
   EXPECT_EQ(ma->world.dc_count(), mb->world.dc_count());
   EXPECT_EQ(ma->db.size(), mb->db.size());
   EXPECT_EQ(ma->faults.size(), mb->faults.size());
+}
+
+// Repro files store lp::Method as a raw integer, so those integers are
+// pinned: 0 and 3 still mean kAuto and kSparse after a round trip, and the
+// retired 2 or any unknown value is rejected instead of replaying under
+// another engine.
+TEST(FuzzerTest, ReproLpMethodIsPinnedAndRangeChecked) {
+  FuzzCase c = ScenarioFuzzer().generate(3);
+  for (const auto& [stored, method] :
+       {std::pair{0, lp::Method::kAuto}, std::pair{3, lp::Method::kSparse}}) {
+    c.options.lp_method = stored;
+    const FuzzCase back = FuzzCase::from_json(Json::parse(c.to_json().dump()));
+    EXPECT_EQ(static_cast<lp::Method>(back.options.lp_method), method);
+  }
+  for (const int stored : {2, 99}) {
+    Json j = c.to_json();
+    j["options"]["lp_method"] = stored;
+    EXPECT_THROW((void)FuzzCase::from_json(j), InvalidArgument) << stored;
+  }
 }
 
 TEST(RunCaseTest, FuzzedSeedsPassAllOracles) {

@@ -1,7 +1,7 @@
 // Property tests for the LP solvers: on randomized feasible instances, the
-// dense tableau, the legacy revised simplex, and the sparse LU/eta engine
-// must agree on the optimal objective and every answer must pass the
-// independent feasibility validator.
+// dense tableau, the dual simplex, and the sparse LU/eta engine must agree
+// on the optimal objective and every answer must pass the independent
+// feasibility validator.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -53,26 +53,28 @@ Model make_random_feasible_lp(const RandomLpSpec& spec) {
 class RandomLpAgreementTest
     : public ::testing::TestWithParam<RandomLpSpec> {};
 
+// "Revised" names both revised-simplex engines checked against the
+// tableau: the dual simplex and the primal sparse engine.
 TEST_P(RandomLpAgreementTest, DenseAndRevisedAgreeAndValidate) {
   const Model m = make_random_feasible_lp(GetParam());
 
   SolveOptions dense_opt;
   dense_opt.method = Method::kDense;
-  SolveOptions revised_opt;
-  revised_opt.method = Method::kRevised;
+  SolveOptions dual_opt;
+  dual_opt.method = Method::kDual;
   SolveOptions sparse_opt;
   sparse_opt.method = Method::kSparse;
 
   const Solution dense = solve(m, dense_opt);
-  const Solution revised = solve(m, revised_opt);
+  const Solution dual = solve(m, dual_opt);
   const Solution sparse = solve(m, sparse_opt);
 
   ASSERT_EQ(dense.status, SolveStatus::kOptimal);
-  ASSERT_EQ(revised.status, SolveStatus::kOptimal);
+  ASSERT_EQ(dual.status, SolveStatus::kOptimal);
   ASSERT_EQ(sparse.status, SolveStatus::kOptimal);
 
   const double scale = std::max({1.0, std::abs(dense.objective)});
-  EXPECT_NEAR(dense.objective, revised.objective, 1e-5 * scale)
+  EXPECT_NEAR(dense.objective, dual.objective, 1e-5 * scale)
       << "seed=" << GetParam().seed;
   EXPECT_NEAR(dense.objective, sparse.objective, 1e-5 * scale)
       << "seed=" << GetParam().seed;
@@ -80,9 +82,9 @@ TEST_P(RandomLpAgreementTest, DenseAndRevisedAgreeAndValidate) {
   const ValidationReport dr = validate_solution(m, dense.values, 1e-5);
   EXPECT_TRUE(dr.feasible) << "dense violated " << dr.worst << " by "
                            << dr.max_violation;
-  const ValidationReport rr = validate_solution(m, revised.values, 1e-5);
-  EXPECT_TRUE(rr.feasible) << "revised violated " << rr.worst << " by "
-                           << rr.max_violation;
+  const ValidationReport ar = validate_solution(m, dual.values, 1e-5);
+  EXPECT_TRUE(ar.feasible) << "dual violated " << ar.worst << " by "
+                           << ar.max_violation;
   const ValidationReport sr = validate_solution(m, sparse.values, 1e-5);
   EXPECT_TRUE(sr.feasible) << "sparse violated " << sr.worst << " by "
                            << sr.max_violation;
@@ -110,8 +112,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RandomLpAgreementTest,
                                   std::to_string(s.rows);
                          });
 
-/// Infeasible-by-construction instances must be reported as such by both
-/// methods (never "optimal" with a violated answer).
+/// Infeasible-by-construction instances must be reported as such by every
+/// engine (never "optimal" with a violated answer).
 class RandomInfeasibleTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomInfeasibleTest, BothMethodsReportInfeasible) {
@@ -128,7 +130,7 @@ TEST_P(RandomInfeasibleTest, BothMethodsReportInfeasible) {
   for (std::size_t i = 0; i < vars; ++i) {
     m.add_constraint({{static_cast<int>(i), 1.0}}, Sense::kLe, 1.0);
   }
-  for (Method method : {Method::kDense, Method::kRevised, Method::kSparse}) {
+  for (Method method : {Method::kDense, Method::kDual, Method::kSparse}) {
     SolveOptions opt;
     opt.method = method;
     EXPECT_EQ(solve(m, opt).status, SolveStatus::kInfeasible);

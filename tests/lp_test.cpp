@@ -1,5 +1,6 @@
 // Unit tests for the LP toolkit: model building, standard-form conversion,
-// and both simplex implementations on problems with known optima.
+// and the dense, dual and sparse simplex engines on problems with known
+// optima.
 #include <gtest/gtest.h>
 
 #include "lp/solver.h"
@@ -153,14 +154,14 @@ TEST_P(SimplexMethodTest, TransportationProblem) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, SimplexMethodTest,
-                         ::testing::Values(Method::kDense, Method::kRevised,
+                         ::testing::Values(Method::kDense, Method::kDual,
                                            Method::kSparse),
                          [](const auto& info) {
                            switch (info.param) {
                              case Method::kDense:
                                return "Dense";
-                             case Method::kRevised:
-                               return "Revised";
+                             case Method::kDual:
+                               return "Dual";
                              default:
                                return "Sparse";
                            }
