@@ -1,16 +1,23 @@
 // google-benchmark microbenchmarks for the realtime path: MP selector
-// assign/freeze/end cycles (single-threaded and contended multi-threaded)
+// assign/freeze/end cycles (single-threaded and contended multi-threaded),
+// the server packer's admit+release over fleets of 16..4096 servers per DC,
 // and KV-store operations (without injected latency, to measure the
 // data-structure cost itself). Alongside the usual console table, results
 // are emitted as `{"bench": ...}` JSON lines (see bench_util.h).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <map>
+#include <memory>
+#include <random>
 
 #include "bench_util.h"
 #include "core/realtime.h"
+#include "fault/health_table.h"
 #include "geo/world_presets.h"
 #include "kvstore/kvstore.h"
+#include "obs/span.h"
+#include "pack/packer.h"
 
 namespace sb {
 namespace {
@@ -97,6 +104,75 @@ BENCHMARK_REGISTER_F(SelectorContended, Cycle)
     ->Threads(1)
     ->Threads(4)
     ->Threads(8);
+
+/// An APAC world with a uniform fleet of 16-core servers, each held just
+/// under 50% full, and a health table sized for the fleet as Switchboard
+/// sizes it.
+struct PackFleet {
+  GeoModel geo = make_apac_world();
+  std::unique_ptr<fault::HealthTable> health;
+  std::unique_ptr<pack::ServerPacker> packer;
+  std::vector<double> sizes;  ///< 0.1..1.0-core footprints, fixed seed
+
+  explicit PackFleet(std::size_t servers_per_dc) {
+    add_uniform_fleet(geo.world, servers_per_dc, 16.0);
+    health = std::make_unique<fault::HealthTable>(geo.world.dc_count(),
+                                                  geo.topology.link_count(),
+                                                  geo.world.server_count());
+    packer = std::make_unique<pack::ServerPacker>(geo.world,
+                                                  pack::PackOptions{},
+                                                  health.get());
+    std::mt19937 rng(1);
+    std::uniform_real_distribution<double> footprint(0.1, 1.0);
+    sizes.resize(1024);
+    for (double& size : sizes) size = footprint(rng);
+    std::size_t next = 0;
+    for (ServerId sid : geo.world.server_ids()) {
+      while (packer->server_cores_used(sid) + sizes[next % sizes.size()] <=
+             8.0) {
+        packer->try_admit_to(sid, sizes[next++ % sizes.size()]);
+      }
+    }
+  }
+};
+
+/// One fleet per size, built on first use and shared by every run of that
+/// size: an admit plus its release leaves the occupancy exactly as it was,
+/// and World::add_server's duplicate-name check makes registering 20k
+/// servers quadratic.
+PackFleet& pack_fleet(std::size_t servers_per_dc) {
+  static std::map<std::size_t, std::unique_ptr<PackFleet>> fleets;
+  std::unique_ptr<PackFleet>& fleet = fleets[servers_per_dc];
+  if (fleet == nullptr) fleet = std::make_unique<PackFleet>(servers_per_dc);
+  return *fleet;
+}
+
+// One packer admit plus one release of 0.1..1.0 cores, rotating over the
+// DCs, so the best-fit scan over a DC's `servers_per_dc` servers is the
+// whole cost. With the second argument set one server is down, so the scan
+// checks every server's health. Spans are off, as in an untraced replay.
+void BM_PackAdmitRelease(benchmark::State& state) {
+  PackFleet& fleet = pack_fleet(static_cast<std::size_t>(state.range(0)));
+  fleet.health->set_server(ServerId(0), state.range(1) == 0);
+  obs::SpanRecorder& spans = obs::SpanRecorder::global();
+  const bool spans_were_enabled = spans.enabled();
+  spans.set_enabled(false);
+  const std::vector<DcId> dcs = fleet.geo.world.dc_ids();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const double cores = fleet.sizes[i % fleet.sizes.size()];
+    const ServerId sid = fleet.packer->admit(dcs[i % dcs.size()], cores);
+    benchmark::DoNotOptimize(sid);
+    fleet.packer->release(sid, cores);
+    ++i;
+  }
+  spans.set_enabled(spans_were_enabled);
+  fleet.health->set_server(ServerId(0), true);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+// Args: servers per DC, servers down (0 or 1).
+BENCHMARK(BM_PackAdmitRelease)
+    ->ArgsProduct({{16, 64, 256, 1024, 4096}, {0, 1}});
 
 void BM_ClosestDcLookup(benchmark::State& state) {
   Fixture f;

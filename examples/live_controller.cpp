@@ -35,11 +35,14 @@
 //        --lease-ttl=120           worker lease TTL in sim seconds
 //        --trace-out=trace.json    Chrome trace-event span dump (Perfetto)
 //        --metrics-out=metrics.json  final MetricsRegistry snapshot
-#include <cstdlib>
+// A bad flag (unknown, not a number, out of range, or naming an unknown
+// DC, server or worker) prints usage to stderr and exits 2.
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <memory>
 
+#include "bench_util.h"
 #include "cluster/allocator.h"
 #include "cluster/controller.h"
 #include "common/table.h"
@@ -54,48 +57,56 @@
 
 namespace {
 
-double flag(int argc, char** argv, const std::string& name, double fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return std::strtod(arg.c_str() + prefix.size(), nullptr);
-    }
-  }
-  return fallback;
-}
+constexpr const char* kUsage =
+    "usage: live_controller [--hours=0.01..168] [--configs=1..100000]\n"
+    "         [--fail-dc=NAME] [--fail-at=0..168] [--recover-after=0.01..168]\n"
+    "         [--servers-per-dc=0..4096] [--server-cores=0.01..4096]\n"
+    "         [--fail-server=<DC>-ms<i>] [--workers=0..16]\n"
+    "         [--kill-worker=-1..workers-1] [--kill-at=0..168]\n"
+    "         [--restart-after=0.01..168] [--lease-ttl=0.01..86400]\n"
+    "         [--trace-out=PATH] [--metrics-out=PATH]\n";
 
-std::string string_flag(int argc, char** argv, const std::string& name,
-                        const std::string& fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
+/// A whole number in [lo, hi]; counts and ids reject fractions.
+double whole_number(sb::bench::Flags& flags, const std::string& name,
+                    double fallback, double lo, double hi) {
+  const double value = flags.number(name, fallback, lo, hi);
+  if (value != std::floor(value)) {
+    flags.fail("bad value '--" + name + "': not a whole number");
   }
-  return fallback;
+  return value;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace sb;
-  const double hours = flag(argc, argv, "hours", 4.0);
-  const auto configs = static_cast<std::size_t>(flag(argc, argv, "configs", 30));
-  const std::string fail_dc_name = string_flag(argc, argv, "fail-dc", "");
-  const double fail_at_h = flag(argc, argv, "fail-at", 1.0);
-  const double recover_after_h = flag(argc, argv, "recover-after", 1.0);
-  const auto servers_per_dc =
-      static_cast<std::size_t>(flag(argc, argv, "servers-per-dc", 0));
-  const double server_cores = flag(argc, argv, "server-cores", 2.0);
-  const std::string fail_server_name =
-      string_flag(argc, argv, "fail-server", "");
-  const auto workers = static_cast<std::size_t>(flag(argc, argv, "workers", 0));
-  const int kill_worker = static_cast<int>(flag(argc, argv, "kill-worker", -1));
-  const double kill_at_h = flag(argc, argv, "kill-at", 1.0);
-  const double restart_after_h = flag(argc, argv, "restart-after", 0.5);
-  const double lease_ttl_s = flag(argc, argv, "lease-ttl", 120.0);
-  const std::string trace_out = string_flag(argc, argv, "trace-out", "");
-  const std::string metrics_out = string_flag(argc, argv, "metrics-out", "");
+  bench::Flags flags(argc, argv, kUsage);
+  const double hours = flags.number("hours", 4.0, 0.01, 168.0);
+  const auto configs =
+      static_cast<std::size_t>(whole_number(flags, "configs", 30, 1, 100000));
+  const std::string fail_dc_name = flags.text("fail-dc", "");
+  const double fail_at_h = flags.number("fail-at", 1.0, 0.0, 168.0);
+  const double recover_after_h =
+      flags.number("recover-after", 1.0, 0.01, 168.0);
+  const auto servers_per_dc = static_cast<std::size_t>(
+      whole_number(flags, "servers-per-dc", 0, 0, 4096));
+  const double server_cores = flags.number("server-cores", 2.0, 0.01, 4096.0);
+  const std::string fail_server_name = flags.text("fail-server", "");
+  const auto workers =
+      static_cast<std::size_t>(whole_number(flags, "workers", 0, 0, 16));
+  const int kill_worker =
+      static_cast<int>(whole_number(flags, "kill-worker", -1, -1, 15));
+  const double kill_at_h = flags.number("kill-at", 1.0, 0.0, 168.0);
+  const double restart_after_h =
+      flags.number("restart-after", 0.5, 0.01, 168.0);
+  const double lease_ttl_s = flags.number("lease-ttl", 120.0, 0.01, 86400.0);
+  const std::string trace_out = flags.text("trace-out", "");
+  const std::string metrics_out = flags.text("metrics-out", "");
+  flags.finish();
+  if (kill_worker >= 0 && static_cast<std::size_t>(kill_worker) >= workers) {
+    flags.fail("--kill-worker=" + std::to_string(kill_worker) +
+               " needs --workers=N with N > " + std::to_string(kill_worker));
+  }
   // No trace requested -> don't pay for span recording at all.
   obs::SpanRecorder::global().set_enabled(!trace_out.empty());
 
@@ -114,9 +125,8 @@ int main(int argc, char** argv) {
   if (!fail_server_name.empty()) {
     const auto found = world.find_server(fail_server_name);
     if (!found) {
-      std::cerr << "unknown --fail-server '" << fail_server_name
-                << "' (use --servers-per-dc=N; names are <DC>-ms<i>)\n";
-      return 1;
+      flags.fail("unknown --fail-server '" + fail_server_name +
+                 "' (use --servers-per-dc=N; names are <DC>-ms<i>)");
     }
     fail_server = *found;
   }
@@ -127,12 +137,9 @@ int main(int argc, char** argv) {
       if (world.datacenter(dc).name == fail_dc_name) fail_dc = dc;
     }
     if (!fail_dc.valid()) {
-      std::cerr << "unknown --fail-dc '" << fail_dc_name << "'; DCs:";
-      for (DcId dc : world.dc_ids()) {
-        std::cerr << ' ' << world.datacenter(dc).name;
-      }
-      std::cerr << '\n';
-      return 1;
+      std::string why = "unknown --fail-dc '" + fail_dc_name + "'; DCs:";
+      for (DcId dc : world.dc_ids()) why += ' ' + world.datacenter(dc).name;
+      flags.fail(why);
     }
   }
 
@@ -149,13 +156,6 @@ int main(int argc, char** argv) {
     for (std::size_t c = 0; c < top.size(); ++c) {
       demand.set_demand(t, c, full.demand(t, c) * 1.3);
     }
-  }
-
-  if (kill_worker >= 0 &&
-      (workers == 0 || static_cast<std::size_t>(kill_worker) >= workers)) {
-    std::cerr << "--kill-worker=" << kill_worker
-              << " needs --workers=N with N > " << kill_worker << "\n";
-    return 1;
   }
 
   ControllerOptions options;

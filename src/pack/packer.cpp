@@ -24,6 +24,7 @@ ServerPacker::ServerPacker(const World& world, PackOptions options,
   require(server_count_ > 0, "ServerPacker: world has no servers");
   require(health_ == nullptr || health_->server_count() == server_count_,
           "ServerPacker: health table does not cover the fleet");
+  used_mc_ = std::make_unique<std::atomic<std::int64_t>[]>(server_count_);
   slots_ = std::make_unique<Slot[]>(server_count_);
   capacity_mc_.reserve(server_count_);
   for (const MediaServer& server : world.servers()) {
@@ -33,15 +34,15 @@ ServerPacker::ServerPacker(const World& world, PackOptions options,
 
 bool ServerPacker::try_claim(ServerId server, std::int64_t need_mc,
                              std::uint32_t* retries) {
-  Slot& slot = slots_[server.value()];
+  std::atomic<std::int64_t>& used_mc = used_mc_[server.value()];
   const std::int64_t cap = capacity_mc_[server.value()];
-  std::int64_t used = slot.used_mc.load(std::memory_order_relaxed);
+  std::int64_t used = used_mc.load(std::memory_order_relaxed);
   for (std::uint32_t attempt = 0; attempt < options_.max_cas_retries;
        ++attempt) {
     if (used + need_mc > cap) return false;
-    if (slot.used_mc.compare_exchange_weak(used, used + need_mc,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_relaxed)) {
+    if (used_mc.compare_exchange_weak(used, used + need_mc,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_relaxed)) {
       return true;
     }
     if (retries != nullptr) ++*retries;
@@ -67,12 +68,15 @@ ServerId ServerPacker::admit_bounded(DcId dc, double cores, ServerId exclude,
   // Rescan until a claim lands or no candidate fits. Each failed claim means
   // another thread took the residual we saw, so progress is global.
   for (;;) {
+    // all_up() means no DC, link or server is down, so skipping the
+    // per-server health read is exact; otherwise check every candidate.
+    const bool check_health = health_ != nullptr && !health_->all_up();
     ServerId best;
     std::int64_t best_score = std::numeric_limits<std::int64_t>::max();
     for (ServerId sid : fleet) {
-      if (sid == exclude || !server_ok(sid)) continue;
+      if (sid == exclude || (check_health && !server_ok(sid))) continue;
       const std::int64_t used =
-          slots_[sid.value()].used_mc.load(std::memory_order_relaxed);
+          used_mc_[sid.value()].load(std::memory_order_relaxed);
       const std::int64_t residual = capacity_mc_[sid.value()] - used - need_mc;
       if (residual < 0) continue;
       // Best fit: minimum residual after placement; waking an empty server
@@ -101,7 +105,7 @@ ServerId ServerPacker::admit_overflow(DcId dc, double cores, ServerId exclude,
     if (sid == exclude) continue;
     if (up_only && !server_ok(sid)) continue;
     const double used = static_cast<double>(
-        slots_[sid.value()].used_mc.load(std::memory_order_relaxed));
+        used_mc_[sid.value()].load(std::memory_order_relaxed));
     const double cap = static_cast<double>(capacity_mc_[sid.value()]);
     const double ratio = cap > 0.0 ? used / cap : used;
     if (ratio < best_ratio) {
@@ -111,7 +115,7 @@ ServerId ServerPacker::admit_overflow(DcId dc, double cores, ServerId exclude,
   }
   if (!chosen.valid()) return chosen;
   const std::int64_t need_mc = to_millicores(cores);
-  slots_[chosen.value()].used_mc.fetch_add(need_mc, std::memory_order_acq_rel);
+  used_mc_[chosen.value()].fetch_add(need_mc, std::memory_order_acq_rel);
   record_admit(chosen, need_mc);
   overcommit_admits_.fetch_add(1, std::memory_order_relaxed);
   overcommit_metric_.inc();
@@ -152,27 +156,31 @@ void ServerPacker::release(ServerId server, double cores) {
   require(server.valid() && server.value() < server_count_,
           "release: bad server id");
   const std::int64_t need_mc = to_millicores(cores);
+  used_mc_[server.value()].fetch_sub(need_mc, std::memory_order_acq_rel);
   Slot& slot = slots_[server.value()];
-  slot.used_mc.fetch_sub(need_mc, std::memory_order_acq_rel);
   slot.releases.fetch_add(1, std::memory_order_relaxed);
   slot.released_mc.fetch_add(need_mc, std::memory_order_relaxed);
   releases_metric_.inc();
 }
 
 double ServerPacker::server_cores_used(ServerId server) const {
+  require(server.valid() && server.value() < server_count_,
+          "server_cores_used: bad server id");
   return static_cast<double>(
-             slots_[server.value()].used_mc.load(std::memory_order_acquire)) /
+             used_mc_[server.value()].load(std::memory_order_acquire)) /
          1000.0;
 }
 
 double ServerPacker::server_capacity(ServerId server) const {
+  require(server.valid() && server.value() < server_count_,
+          "server_capacity: bad server id");
   return static_cast<double>(capacity_mc_[server.value()]) / 1000.0;
 }
 
 double ServerPacker::dc_cores_used(DcId dc) const {
   std::int64_t total = 0;
   for (ServerId sid : world_->servers_in_dc(dc)) {
-    total += slots_[sid.value()].used_mc.load(std::memory_order_acquire);
+    total += used_mc_[sid.value()].load(std::memory_order_acquire);
   }
   return static_cast<double>(total) / 1000.0;
 }
@@ -183,7 +191,7 @@ double ServerPacker::fragmentation(DcId dc) const {
   for (ServerId sid : world_->servers_in_dc(dc)) {
     if (!server_ok(sid)) continue;
     const std::int64_t used =
-        slots_[sid.value()].used_mc.load(std::memory_order_acquire);
+        used_mc_[sid.value()].load(std::memory_order_acquire);
     const std::int64_t free_mc =
         std::max<std::int64_t>(0, capacity_mc_[sid.value()] - used);
     total_free += free_mc;
@@ -203,9 +211,9 @@ std::vector<ServerStats> ServerPacker::stats() const {
         .server = sid,
         .dc = world_->server(sid).dc,
         .capacity_cores = static_cast<double>(capacity_mc_[i]) / 1000.0,
-        .used_cores = static_cast<double>(
-                          slot.used_mc.load(std::memory_order_acquire)) /
-                      1000.0,
+        .used_cores =
+            static_cast<double>(used_mc_[i].load(std::memory_order_acquire)) /
+            1000.0,
         .admits = slot.admits.load(std::memory_order_relaxed),
         .releases = slot.releases.load(std::memory_order_relaxed),
         .admitted_mc = slot.admitted_mc.load(std::memory_order_relaxed),

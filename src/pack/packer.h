@@ -1,7 +1,7 @@
 // Intra-DC server packing (the Tetris direction, PAPERS.md arXiv
 // 2508.00426): beneath the DC-granular realtime selector, calls are
 // bin-packed onto the DC's fleet of media servers. The packer owns one
-// atomic millicore occupancy counter per server, so admits and releases
+// atomic millicore occupancy word per server, so admits and releases
 // compose with the selector's lock-striped shards without any new lock —
 // the accounting contract mirrors the plan-slot quota table:
 //
@@ -19,9 +19,12 @@
 //    to_millicores(), so per-server conservation is checkable by exact
 //    integer comparison (sb_check's per-server recount oracle).
 //
-// Cumulative per-server admit/release totals are kept alongside the live
-// occupancy; at quiescence occupancy == admitted - released == 0, which is
-// the invariant the oracle recounts from the HostingLog.
+// The occupancy words are dense (eight servers per cache line, indexed by
+// ServerId), so the best-fit scan over a fleet of consecutive ids streams
+// through memory. Cumulative per-server admit/release totals live apart in
+// padded slots: they are written once per admit or release and read only
+// by stats(). At quiescence occupancy == admitted - released == 0, which
+// is the invariant the oracle recounts from the HostingLog.
 #pragma once
 
 #include <atomic>
@@ -114,6 +117,7 @@ class ServerPacker {
   /// Returns the cores a prior admit claimed on `server`.
   void release(ServerId server, double cores);
 
+  /// Both throw InvalidArgument on an invalid or out-of-range id.
   [[nodiscard]] double server_cores_used(ServerId server) const;
   [[nodiscard]] double server_capacity(ServerId server) const;
   /// Sum of server occupancies in `dc` (weakly consistent under load).
@@ -138,8 +142,9 @@ class ServerPacker {
   [[nodiscard]] std::vector<ServerStats> stats() const;
 
  private:
+  /// Cumulative totals of one server, padded so concurrent admits on
+  /// neighbouring servers never share a line.
   struct alignas(64) Slot {
-    std::atomic<std::int64_t> used_mc{0};
     std::atomic<std::uint64_t> admits{0};
     std::atomic<std::uint64_t> releases{0};
     std::atomic<std::int64_t> admitted_mc{0};
@@ -159,6 +164,7 @@ class ServerPacker {
   PackOptions options_;
   const fault::HealthTable* health_;
   std::size_t server_count_;
+  std::unique_ptr<std::atomic<std::int64_t>[]> used_mc_;  ///< per server
   std::unique_ptr<Slot[]> slots_;
   std::vector<std::int64_t> capacity_mc_;  ///< per server, immutable
   std::atomic<std::uint64_t> overcommit_admits_{0};
