@@ -3,6 +3,7 @@
 // the same scenario defaults (see EXPERIMENTS.md).
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -84,6 +85,16 @@ class Flags {
     const double value = std::strtod(text->c_str(), &end);
     if (text->empty() || *end != '\0' || !(value >= lo && value <= hi)) {
       fail("bad value '--" + name + "=" + *text + "'");
+    }
+    return value;
+  }
+
+  /// A whole number in [lo, hi]: counts and ids reject fractions.
+  double whole(const std::string& name, double fallback, double lo,
+               double hi) {
+    const double value = number(name, fallback, lo, hi);
+    if (value != std::floor(value)) {
+      fail("bad value '--" + name + "': not a whole number");
     }
     return value;
   }

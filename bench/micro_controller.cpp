@@ -1,17 +1,22 @@
-// google-benchmark microbenchmarks for the realtime path: MP selector
+// google-benchmark microbenchmarks for the controller: MP selector
 // assign/freeze/end cycles (single-threaded and contended multi-threaded),
 // the server packer's admit+release over fleets of 16..4096 servers per DC,
-// and KV-store operations (without injected latency, to measure the
-// data-structure cost itself). Alongside the usual console table, results
-// are emitted as `{"bench": ...}` JSON lines (see bench_util.h).
+// KV-store operations (without injected latency, to measure the
+// data-structure cost itself), and the closed loop's re-provision (cold
+// versus warm through the previous provision's hint). Alongside the usual
+// console table, results are emitted as `{"bench": ...}` JSON lines (see
+// bench_util.h).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <random>
 
 #include "bench_util.h"
+#include "core/provisioner.h"
 #include "core/realtime.h"
 #include "fault/health_table.h"
 #include "geo/world_presets.h"
@@ -219,6 +224,87 @@ void BM_AclComputation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AclComputation);
+
+/// provision_perf_smoke_test's fixture: the APAC preset (scenario seed 1),
+/// top 30 configs of one design day in 3600 s slots, provisioned for F0
+/// plus the five single-DC failures as the closed loop does.
+struct ReprovisionDay {
+  Scenario scenario = make_apac_scenario({.seed = 1});
+  LoadModel loads = LoadModel::paper_default();
+  DemandMatrix demand = bench::design_day_demand(scenario, 3600.0, 30);
+
+  [[nodiscard]] EvalContext ctx() const {
+    return {&scenario.world(), &scenario.topology(), &scenario.latency(),
+            scenario.registry.get(), &loads};
+  }
+};
+
+enum class Reprovision { kCold, kUniform, kPerConfig };
+
+/// The demand a variant provisions: the design day itself (cold), the
+/// loop's uniform x1.15 correction, or per-config factors 0.8..1.2.
+DemandMatrix reprovision_demand(const DemandMatrix& day, Reprovision variant) {
+  DemandMatrix out = day;
+  for (TimeSlot t = 0; t < out.slot_count(); ++t) {
+    for (std::size_t c = 0; c < out.config_count(); ++c) {
+      const double factor =
+          variant == Reprovision::kUniform ? 1.15
+          : variant == Reprovision::kPerConfig
+              ? 0.8 + 0.1 * static_cast<double>(c % 5)
+              : 1.0;
+      out.set_demand(t, c, out.demand(t, c) * factor);
+    }
+  }
+  return out;
+}
+
+// One provision per iteration. The cold row solves every scenario from
+// scratch; the warm rows re-provision through a fresh copy of the cold
+// run's hint (copied untimed), so each re-solves the six retained models
+// at new right-hand sides. Counters: wall ms and summed LP iterations per
+// provision. Spans are off, as in an untraced run.
+void BM_Reprovision(benchmark::State& state, Reprovision variant) {
+  static const ReprovisionDay day;
+  ProvisionOptions options;
+  options.include_link_failures = false;
+  const SwitchboardProvisioner prov(day.ctx(), options);
+  const DemandMatrix demand = reprovision_demand(day.demand, variant);
+  obs::SpanRecorder& spans = obs::SpanRecorder::global();
+  const bool spans_were_enabled = spans.enabled();
+  spans.set_enabled(false);
+  ScenarioBasisHint cold;
+  (void)prov.provision(day.demand, nullptr, &cold);
+  ScenarioBasisHint hint;
+  std::size_t lp_iterations = 0;
+  double provision_s = 0.0;
+  for (auto _ : state) {
+    if (variant != Reprovision::kCold) {
+      state.PauseTiming();
+      hint = cold;
+      state.ResumeTiming();
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    const ProvisionResult result =
+        variant == Reprovision::kCold ? prov.provision(demand)
+                                      : prov.provision(demand, &hint, &hint);
+    provision_s += std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+    benchmark::DoNotOptimize(result);
+    for (const ScenarioOutcome& s : result.scenarios) {
+      lp_iterations += s.lp_iterations;
+    }
+  }
+  spans.set_enabled(spans_were_enabled);
+  const auto provisions = static_cast<double>(
+      std::max<benchmark::IterationCount>(state.iterations(), 1));
+  state.counters["ms/provision"] = provision_s * 1e3 / provisions;
+  state.counters["iters/provision"] =
+      static_cast<double>(lp_iterations) / provisions;
+}
+BENCHMARK_CAPTURE(BM_Reprovision, cold, Reprovision::kCold);
+BENCHMARK_CAPTURE(BM_Reprovision, uniform_115, Reprovision::kUniform);
+BENCHMARK_CAPTURE(BM_Reprovision, per_config, Reprovision::kPerConfig);
 
 /// ConsoleReporter that also emits one bench_util JSON line per run
 /// (`micro_controller` bench, metric `<name>.ns_per_op`), so the

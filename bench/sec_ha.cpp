@@ -11,6 +11,8 @@
 //
 // Flags: --plan_configs=30 --cushion=1.3 --workers=4
 //        --window_h=2 --kill_at_h=1 --outage_h=0.5 --lease_ttl=120
+// A bad flag (unknown, not a number, out of range, a fractional count, or a
+// kill outside the window) prints usage to stderr and exits 2.
 #include <cstdint>
 #include <iostream>
 #include <memory>
@@ -24,19 +26,38 @@
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 
+namespace {
+
+// Workers own contiguous ranges of the selector's 16 call shards, so at
+// most 16; at least 1, since with none there is nothing to kill.
+constexpr const char* kUsage =
+    "usage: sec_ha [--plan_configs=1..100000] [--cushion=1..10]\n"
+    "              [--workers=1..16] [--window_h=0.01..24]\n"
+    "              [--kill_at_h=0..window_h) [--outage_h=0.01..24]\n"
+    "              [--lease_ttl=0.01..86400]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace sb;
-  const std::size_t plan_configs =
-      bench::arg_size(argc, argv, "plan_configs", 30);
-  const double cushion = bench::arg_double(argc, argv, "cushion", 1.3);
-  const auto workers = bench::arg_size(argc, argv, "workers", 4);
-  const double window_s =
-      bench::arg_double(argc, argv, "window_h", 2.0) * kSecondsPerHour;
-  const double kill_at_s =
-      bench::arg_double(argc, argv, "kill_at_h", 1.0) * kSecondsPerHour;
+  bench::Flags flags(argc, argv, kUsage);
+  const auto plan_configs =
+      static_cast<std::size_t>(flags.whole("plan_configs", 30, 1, 100000));
+  const double cushion = flags.number("cushion", 1.3, 1.0, 10.0);
+  const auto workers =
+      static_cast<std::size_t>(flags.whole("workers", 4, 1, 16));
+  const double window_h = flags.number("window_h", 2.0, 0.01, 24.0);
+  const double kill_at_h = flags.number("kill_at_h", 1.0, 0.0, 24.0);
   const double outage_s =
-      bench::arg_double(argc, argv, "outage_h", 0.5) * kSecondsPerHour;
-  const double lease_ttl_s = bench::arg_double(argc, argv, "lease_ttl", 120.0);
+      flags.number("outage_h", 0.5, 0.01, 24.0) * kSecondsPerHour;
+  const double lease_ttl_s = flags.number("lease_ttl", 120.0, 0.01, 86400.0);
+  flags.finish();
+  if (kill_at_h >= window_h) {
+    flags.fail("bad value '--kill_at_h': the kill must land inside the "
+               "--window_h window");
+  }
+  const double window_s = window_h * kSecondsPerHour;
+  const double kill_at_s = kill_at_h * kSecondsPerHour;
 
   Scenario scenario = make_apac_scenario();
   const LoadModel loads = LoadModel::paper_default();

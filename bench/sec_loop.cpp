@@ -9,7 +9,9 @@
 // serving+backup budgets. The bench fails (exit 1) unless the open loop
 // drops calls and the closed loop drops strictly fewer.
 //
-// Flags: --amplify=60 --peak=4.0 --cadence_s=300 --band=0.3
+// Flags: --amplify=60 --peak=4.0 --cadence_s=300 --band=0.3. A bad flag
+// (unknown, not a number, or out of range) prints usage to stderr and
+// exits 2.
 #include <cstddef>
 #include <iostream>
 #include <string>
@@ -26,12 +28,22 @@
 #include "obs/timeseries.h"
 #include "sim/simulator.h"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: sec_loop [--amplify=0.01..1000] [--peak=0.01..100]\n"
+    "                [--cadence_s=1..86400] [--band=0..10]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace sb;
-  const double amplify = bench::arg_double(argc, argv, "amplify", 60.0);
-  const double peak = bench::arg_double(argc, argv, "peak", 4.0);
-  const double cadence_s = bench::arg_double(argc, argv, "cadence_s", 300.0);
-  const double band = bench::arg_double(argc, argv, "band", 0.3);
+  bench::Flags flags(argc, argv, kUsage);
+  const double amplify = flags.number("amplify", 60.0, 0.01, 1000.0);
+  const double peak = flags.number("peak", 4.0, 0.01, 100.0);
+  const double cadence_s = flags.number("cadence_s", 300.0, 1.0, 86400.0);
+  const double band = flags.number("band", 0.3, 0.0, 10.0);
+  flags.finish();
   obs::SpanRecorder::global().set_enabled(false);
 
   Scenario scenario = make_apac_scenario();

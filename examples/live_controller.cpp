@@ -37,7 +37,6 @@
 //        --metrics-out=metrics.json  final MetricsRegistry snapshot
 // A bad flag (unknown, not a number, out of range, or naming an unknown
 // DC, server or worker) prints usage to stderr and exits 2.
-#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -66,16 +65,6 @@ constexpr const char* kUsage =
     "         [--restart-after=0.01..168] [--lease-ttl=0.01..86400]\n"
     "         [--trace-out=PATH] [--metrics-out=PATH]\n";
 
-/// A whole number in [lo, hi]; counts and ids reject fractions.
-double whole_number(sb::bench::Flags& flags, const std::string& name,
-                    double fallback, double lo, double hi) {
-  const double value = flags.number(name, fallback, lo, hi);
-  if (value != std::floor(value)) {
-    flags.fail("bad value '--" + name + "': not a whole number");
-  }
-  return value;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -83,19 +72,19 @@ int main(int argc, char** argv) {
   bench::Flags flags(argc, argv, kUsage);
   const double hours = flags.number("hours", 4.0, 0.01, 168.0);
   const auto configs =
-      static_cast<std::size_t>(whole_number(flags, "configs", 30, 1, 100000));
+      static_cast<std::size_t>(flags.whole("configs", 30, 1, 100000));
   const std::string fail_dc_name = flags.text("fail-dc", "");
   const double fail_at_h = flags.number("fail-at", 1.0, 0.0, 168.0);
   const double recover_after_h =
       flags.number("recover-after", 1.0, 0.01, 168.0);
   const auto servers_per_dc = static_cast<std::size_t>(
-      whole_number(flags, "servers-per-dc", 0, 0, 4096));
+      flags.whole("servers-per-dc", 0, 0, 4096));
   const double server_cores = flags.number("server-cores", 2.0, 0.01, 4096.0);
   const std::string fail_server_name = flags.text("fail-server", "");
   const auto workers =
-      static_cast<std::size_t>(whole_number(flags, "workers", 0, 0, 16));
+      static_cast<std::size_t>(flags.whole("workers", 0, 0, 16));
   const int kill_worker =
-      static_cast<int>(whole_number(flags, "kill-worker", -1, -1, 15));
+      static_cast<int>(flags.whole("kill-worker", -1, -1, 15));
   const double kill_at_h = flags.number("kill-at", 1.0, 0.0, 168.0);
   const double restart_after_h =
       flags.number("restart-after", 0.5, 0.01, 168.0);

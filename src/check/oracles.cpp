@@ -480,21 +480,38 @@ bool buckets_close(const std::vector<std::vector<double>>& a,
   return true;
 }
 
-/// Sparse LU/eta simplex vs the dense reference tableau on the same
-/// scenario LPs, plus warm-started vs cold solves: F0 at a per-config
-/// perturbed demand from the unperturbed F0 basis (the re-provision warm
-/// start provision() takes), and a DC failure from F0's basis (a foreign
-/// hint, which exercises the warm start's padding path). Optimal
-/// OBJECTIVES are unique (placements need not be), so that is what is
-/// compared. Only run on small shapes — the tableau is O(rows * (rows +
-/// cols)) memory. Scenario infeasibility here is a skip, not a failure.
-void lp_differential_oracle(const Materialized& m, const FuzzCase& c,
-                            const DemandMatrix& demand,
-                            std::vector<OracleFailure>& out) {
+/// The LP oracles run only on small shapes: the dense tableau is O(rows *
+/// (rows + cols)) memory.
+bool small_lp(const Materialized& m, const DemandMatrix& demand) {
   const std::size_t rows_est =
       demand.slot_count() * (m.world.dc_count() + m.topology.link_count() +
                              demand.config_count());
-  if (rows_est == 0 || rows_est > 2000) return;
+  return rows_est > 0 && rows_est <= 2000;
+}
+
+/// A per-config demand correction, as the closed loop computes one.
+DemandMatrix perturbed_demand(const DemandMatrix& demand) {
+  DemandMatrix corrected = demand;
+  for (TimeSlot t = 0; t < corrected.slot_count(); ++t) {
+    for (std::size_t c = 0; c < corrected.config_count(); ++c) {
+      const double factor = 0.8 + 0.1 * static_cast<double>(c % 5);
+      corrected.set_demand(t, c, corrected.demand(t, c) * factor);
+    }
+  }
+  return corrected;
+}
+
+/// Sparse LU/eta simplex vs the dense reference tableau on the same
+/// scenario LPs, plus warm-started vs cold solves: F0 at a per-config
+/// perturbed demand from the unperturbed F0 state (F0 re-solving its own
+/// retained model), and a DC failure from F0's state (a foreign hint, which
+/// must not reuse F0's model and exercises the warm start's padding path).
+/// Optimal OBJECTIVES are unique (placements need not be), so that is what
+/// is compared. Scenario infeasibility here is a skip, not a failure.
+void lp_differential_oracle(const Materialized& m, const FuzzCase& c,
+                            const DemandMatrix& demand,
+                            std::vector<OracleFailure>& out) {
+  if (!small_lp(m, demand)) return;
 
   ProvisionOptions po = controller_options(c.options).provision;
   po.scenario_threads = 1;
@@ -504,7 +521,7 @@ void lp_differential_oracle(const Materialized& m, const FuzzCase& c,
   const SwitchboardProvisioner dense(m.ctx(), po);
 
   try {
-    ScenarioBasisHint basis;
+    ScenarioWarmStart basis;
     const ScenarioOutcome f0_sparse = sparse.solve_scenario(
         demand, FailureScenario::none(), nullptr, nullptr, nullptr, &basis);
     const ScenarioOutcome f0_dense =
@@ -516,13 +533,7 @@ void lp_differential_oracle(const Materialized& m, const FuzzCase& c,
       fail(out, "lp-differential", os.str());
       return;
     }
-    DemandMatrix corrected = demand;
-    for (TimeSlot t = 0; t < corrected.slot_count(); ++t) {
-      for (std::size_t c = 0; c < corrected.config_count(); ++c) {
-        const double factor = 0.8 + 0.1 * static_cast<double>(c % 5);
-        corrected.set_demand(t, c, corrected.demand(t, c) * factor);
-      }
-    }
+    const DemandMatrix corrected = perturbed_demand(demand);
     const ScenarioOutcome f0_warm = sparse.solve_scenario(
         corrected, FailureScenario::none(), nullptr, nullptr, &basis);
     const ScenarioOutcome f0_cold =
@@ -548,6 +559,76 @@ void lp_differential_oracle(const Materialized& m, const FuzzCase& c,
   } catch (const SolveError&) {
     // A failure scenario with no feasible placement is a property of the
     // random world, not a solver bug.
+  }
+}
+
+/// Re-provisions `demand` through `hint` (input and output) and checks every
+/// scenario's objective against a cold solve_scenario of that scenario at
+/// the floors the warm run gave it: the combined plan of the scenarios
+/// before it under chained floors, F0's requirement under kFromBase.
+/// Comparing at equal floors stays exact when an earlier scenario has
+/// alternate optima. Returns false after recording a failure.
+bool reprovision_agrees(const SwitchboardProvisioner& prov,
+                        const ProvisionOptions& po, const DemandMatrix& demand,
+                        ScenarioBasisHint& hint, const char* what,
+                        std::vector<OracleFailure>& out) {
+  const ProvisionResult warm = prov.provision(demand, &hint, &hint);
+  const bool chained =
+      po.floor_mode == ProvisionOptions::FloorMode::kChained;
+  CapacityPlan combined = warm.scenarios.front().required;
+  for (std::size_t f = 0; f < warm.scenarios.size(); ++f) {
+    const ScenarioOutcome& got = warm.scenarios[f];
+    const CapacityPlan* floors = nullptr;
+    if (f > 0 && po.capacity_reuse) {
+      floors = chained ? &combined : &warm.scenarios.front().required;
+    }
+    const ScenarioOutcome cold =
+        prov.solve_scenario(demand, got.scenario, nullptr, floors);
+    if (!close(got.lp_objective, cold.lp_objective, kLpTol)) {
+      std::ostringstream os;
+      os << what << " re-provision: " << got.scenario.name
+         << " objective incremental " << got.lp_objective
+         << " != from scratch " << cold.lp_objective;
+      fail(out, "reprovision", os.str());
+      return false;
+    }
+    combined = max_capacity(combined, got.required);
+  }
+  return true;
+}
+
+/// Incremental vs from-scratch re-provisioning. A cold provision writes
+/// every scenario's model and basis into a hint; a re-provision through it
+/// at the per-config perturbed demand re-solves each retained model with
+/// rewritten right-hand sides (the dual simplex under kAuto). One more
+/// re-provision after zeroing one (slot, config) cell changes the demand
+/// pattern, so every scenario rebuilds and warm-starts semantically.
+void reprovision_oracle(const Materialized& m, const FuzzCase& c,
+                        const DemandMatrix& demand,
+                        std::vector<OracleFailure>& out) {
+  if (!small_lp(m, demand)) return;
+  const ProvisionOptions po = controller_options(c.options).provision;
+  const SwitchboardProvisioner prov(m.ctx(), po);
+  try {
+    ScenarioBasisHint hint;
+    (void)prov.provision(demand, nullptr, &hint);
+    DemandMatrix corrected = perturbed_demand(demand);
+    if (!reprovision_agrees(prov, po, corrected, hint, "perturbed", out)) {
+      return;
+    }
+    for (std::size_t i = 0;
+         i < corrected.slot_count() * corrected.config_count(); ++i) {
+      const auto t = static_cast<TimeSlot>(i / corrected.config_count());
+      const std::size_t col = i % corrected.config_count();
+      if (corrected.demand(t, col) > 0.0) {
+        corrected.set_demand(t, col, 0.0);
+        (void)reprovision_agrees(prov, po, corrected, hint, "zeroed-cell",
+                                 out);
+        return;
+      }
+    }
+  } catch (const SolveError&) {
+    // As above: an infeasible scenario is the world's, not the solver's.
   }
 }
 
@@ -993,6 +1074,9 @@ CheckResult run_case(const FuzzCase& c, const CheckOptions& opts) {
     if (opts.run_lp_differential && c.options.use_plan &&
         res.failures.empty()) {
       lp_differential_oracle(m, c, *demand, res.failures);
+      if (res.failures.empty()) {
+        reprovision_oracle(m, c, *demand, res.failures);
+      }
     }
 
     if (opts.run_rebuild_storm && c.options.rebuild_storm &&

@@ -20,8 +20,12 @@
 //   - seq-vs-concurrent: run_concurrent agrees on counts (and, without plan
 //     quotas, on the bucket series); its own hosting log passes the
 //     exactly-once/recount/conservation oracles;
-//   - lp-differential: sparse vs dense-inverse provisioning and warm vs
+//   - lp-differential: sparse vs dense-tableau provisioning and warm vs
 //     cold scenario solves agree on objectives (small shapes only);
+//   - reprovision: a re-provision through a previous provision's hint
+//     (retained models re-solved at new rhs, or rebuilt after a demand
+//     pattern change) matches a cold solve of every scenario at the same
+//     floors (small shapes only);
 //   - rebuild-storm: concurrent plan rebuilds + fault edges + signaling
 //     churn leave the facade usable and a fresh clean cycle conserved.
 // Provisioning that is infeasible BY CONSTRUCTION (a failure scenario with

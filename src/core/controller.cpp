@@ -110,13 +110,13 @@ Switchboard::Switchboard(EvalContext ctx, ControllerOptions options)
 }
 
 const ProvisionResult& Switchboard::provision(const DemandMatrix& demand,
-                                              const ScenarioBasisHint* f0_warm,
-                                              ScenarioBasisHint* f0_basis_out) {
+                                              const ScenarioBasisHint* warm,
+                                              ScenarioBasisHint* basis_out) {
   require_no_batch("provision");
   obs::Span span("ctl.provision", obs::Subsystem::kController);
   obs::ScopedTimer timer(metrics_.provision_s);
   SwitchboardProvisioner provisioner(ctx_, options_.provision);
-  ProvisionResult result = provisioner.provision(demand, f0_warm, f0_basis_out);
+  ProvisionResult result = provisioner.provision(demand, warm, basis_out);
   // Publish under the exclusive lock so a caller overlapping realtime
   // events never mutates state a reader could be observing.
   std::unique_lock lock(swap_mutex_);

@@ -62,12 +62,13 @@ class Switchboard {
   Switchboard(EvalContext ctx, ControllerOptions options);
 
   /// Runs MP capacity provisioning (§5.3); stores and returns the result.
-  /// `f0_warm` / `f0_basis_out` (optional) thread a ScenarioBasisHint
-  /// through the F0 solve so the closed-loop re-provision path warm-starts
-  /// from the previous round (see SwitchboardProvisioner::provision).
+  /// `warm` / `basis_out` (optional) thread a ScenarioBasisHint through
+  /// every scenario solve, so the closed-loop re-provision path re-solves
+  /// each scenario from the previous round's model and basis; they may be
+  /// the same hint (see SwitchboardProvisioner::provision).
   const ProvisionResult& provision(const DemandMatrix& demand,
-                                   const ScenarioBasisHint* f0_warm = nullptr,
-                                   ScenarioBasisHint* f0_basis_out = nullptr);
+                                   const ScenarioBasisHint* warm = nullptr,
+                                   ScenarioBasisHint* basis_out = nullptr);
 
   /// Builds the daily allocation plan (Eq 10) from the last provision()
   /// capacities, and resets the realtime selector to consume it.

@@ -58,6 +58,7 @@ struct EvalContext {
   const LatencyMatrix* latency = nullptr;
   const CallConfigRegistry* registry = nullptr;
   const LoadModel* loads = nullptr;
+  friend bool operator==(const EvalContext&, const EvalContext&) = default;
 };
 
 /// Computes per-slot core and link usage of a placement. A call of config c

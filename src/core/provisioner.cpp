@@ -103,35 +103,61 @@ SwitchboardProvisioner::SwitchboardProvisioner(EvalContext ctx,
           "SwitchboardProvisioner: ACL threshold");
 }
 
-ScenarioOutcome SwitchboardProvisioner::solve_scenario(
-    const DemandMatrix& demand, const FailureScenario& scenario,
-    PlacementMatrix* placement_out, const CapacityPlan* floors,
-    const ScenarioBasisHint* warm, ScenarioBasisHint* basis_out) const {
-  static obs::Counter& scenarios_solved =
-      obs::MetricsRegistry::global().counter("sb.provisioner.scenarios_solved");
-  static obs::Histogram& scenario_solve_s =
-      obs::MetricsRegistry::global().histogram(
-          "sb.provisioner.scenario_solve_s");
-  scenarios_solved.inc();
-  obs::ScopedTimer timer(scenario_solve_s);
-  const World& world = *ctx_.world;
-  const Topology& topo = *ctx_.topology;
+namespace {
+
+ScenarioLp::Key scenario_key(const DemandMatrix& demand,
+                             const FailureScenario& scenario,
+                             const CapacityPlan* floors,
+                             const EvalContext& ctx,
+                             const ProvisionOptions& options) {
+  ScenarioLp::Key key;
+  key.ctx = ctx;
+  key.type = scenario.type;
+  key.dc = scenario.dc;
+  key.link = scenario.link;
+  key.configs = demand.configs();
+  key.slots = demand.slot_count();
+  key.positive.resize(demand.slot_count() * demand.config_count());
+  for (TimeSlot t = 0; t < demand.slot_count(); ++t) {
+    for (std::size_t c = 0; c < demand.config_count(); ++c) {
+      key.positive[static_cast<std::size_t>(t) * demand.config_count() + c] =
+          demand.demand(t, c) > 0.0;
+    }
+  }
+  key.floored = floors != nullptr;
+  key.joint_network = options.joint_network;
+  key.acl_threshold_ms = options.acl_threshold_ms;
+  key.acl_epsilon = options.acl_epsilon;
+  return key;
+}
+
+/// Free capacity a DC's / link's capacity row starts from (its rhs).
+double dc_floor(const CapacityPlan* floors, std::size_t x) {
+  return floors ? floors->dc_serving_cores[x] + floors->dc_backup_cores[x]
+                : 0.0;
+}
+double link_floor(const CapacityPlan* floors, std::size_t l) {
+  return floors ? floors->link_gbps[l] : 0.0;
+}
+
+/// Builds the scenario LP (Eq 3-9) for `key`, which scenario_key made from
+/// the same arguments.
+ScenarioLp build_scenario_lp(ScenarioLp::Key key, const DemandMatrix& demand,
+                             const FailureScenario& scenario,
+                             const CapacityPlan* floors,
+                             const EvalContext& ctx,
+                             const ProvisionOptions& options) {
+  const World& world = *ctx.world;
+  const Topology& topo = *ctx.topology;
   const std::size_t slots = demand.slot_count();
   const std::size_t config_count = demand.config_count();
 
   const std::vector<ConfigPlan> plans =
-      build_config_plans(demand, scenario, ctx_, options_.acl_threshold_ms);
+      build_config_plans(demand, scenario, ctx, options.acl_threshold_ms);
 
-  lp::Model model;
-
-  // Semantic key per LP column — (kind, flat index) — so a basis can be
-  // carried between scenarios whose column sets differ. 'c' = CP per DC,
-  // 'n' = NP per link, 's' = S per (slot, config, DC).
-  std::vector<std::pair<char, std::size_t>> var_keys;
-  // Same idea per constraint row — 'C' = DC capacity per (slot, DC), 'L' =
-  // link capacity per (slot, link), 'E' = completeness per (slot, config) —
-  // so the slack/tight row pattern warm-starts along with the columns.
-  std::vector<std::pair<char, std::size_t>> row_keys;
+  ScenarioLp lp;
+  lp.key = std::move(key);
+  lp::Model& model = lp.model;
 
   // Peak variables. CP_x only for DCs that are candidates somewhere; NP_l
   // only for links some (config, DC) pair uses.
@@ -144,15 +170,15 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
         cp_var[dc.value()] = model.add_variable(
             0.0, lp::kInf, world.datacenter(dc).core_cost,
             "CP_" + world.datacenter(dc).name);
-        var_keys.emplace_back('c', dc.value());
+        lp.var_keys.emplace_back('c', dc.value());
       }
-      if (options_.joint_network) {
+      if (options.joint_network) {
         for (const auto& [l, _] : plans[c].profiles[k].link_gbps_per_call) {
           if (np_var[l.value()] < 0) {
             np_var[l.value()] = model.add_variable(
                 0.0, lp::kInf, topo.link(l).cost_per_gbps,
                 "NP_" + topo.link(l).name);
-            var_keys.emplace_back('n', l.value());
+            lp.var_keys.emplace_back('n', l.value());
           }
         }
       }
@@ -172,8 +198,8 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
       for (std::size_t k = 0; k < plans[c].candidates.size(); ++k) {
         vars.push_back(model.add_variable(
             0.0, lp::kInf,
-            options_.acl_epsilon * plans[c].profiles[k].acl_ms, ""));
-        var_keys.emplace_back(
+            options.acl_epsilon * plans[c].profiles[k].acl_ms, ""));
+        lp.var_keys.emplace_back(
             's', (static_cast<std::size_t>(t) * config_count + c) *
                          world.dc_count() +
                      plans[c].candidates[k].value());
@@ -192,7 +218,7 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
         const DcId dc = plans[c].candidates[k];
         const HostingProfile& profile = plans[c].profiles[k];
         dc_rows[dc.value()].push_back({vars[k], profile.cores_per_call});
-        if (options_.joint_network) {
+        if (options.joint_network) {
           for (const auto& [l, gbps] : profile.link_gbps_per_call) {
             link_rows[l.value()].push_back({vars[k], gbps});
           }
@@ -205,18 +231,16 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
       if (dc_rows[x].empty()) continue;
       dc_rows[x].push_back({cp_var[x], -1.0});
       model.add_constraint(std::move(dc_rows[x]), lp::Sense::kLe,
-                           floors ? floors->dc_serving_cores[x] +
-                                        floors->dc_backup_cores[x]
-                                  : 0.0);
-      row_keys.emplace_back(
+                           dc_floor(floors, x));
+      lp.row_keys.emplace_back(
           'C', static_cast<std::size_t>(t) * world.dc_count() + x);
     }
     for (std::size_t l = 0; l < topo.link_count(); ++l) {
       if (link_rows[l].empty()) continue;
       link_rows[l].push_back({np_var[l], -1.0});
       model.add_constraint(std::move(link_rows[l]), lp::Sense::kLe,
-                           floors ? floors->link_gbps[l] : 0.0);
-      row_keys.emplace_back(
+                           link_floor(floors, l));
+      lp.row_keys.emplace_back(
           'L', static_cast<std::size_t>(t) * topo.link_count() + l);
     }
   }
@@ -231,9 +255,73 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
       for (int v : vars) terms.push_back({v, 1.0});
       model.add_constraint(std::move(terms), lp::Sense::kEq,
                            demand.demand(t, c));
-      row_keys.emplace_back('E',
-                            static_cast<std::size_t>(t) * config_count + c);
+      lp.row_keys.emplace_back('E',
+                               static_cast<std::size_t>(t) * config_count + c);
     }
+  }
+  return lp;
+}
+
+/// Points a retained model at new demand and floors: the same rhs a fresh
+/// build_scenario_lp would write, so the model is then identical to one.
+void rewrite_rhs(ScenarioLp& lp, const DemandMatrix& demand,
+                 const CapacityPlan* floors, const World& world,
+                 const Topology& topo) {
+  for (std::size_t r = 0; r < lp.row_keys.size(); ++r) {
+    const auto& [kind, idx] = lp.row_keys[r];
+    const int row = static_cast<int>(r);
+    if (kind == 'C') {
+      lp.model.set_rhs(row, dc_floor(floors, idx % world.dc_count()));
+    } else if (kind == 'L') {
+      lp.model.set_rhs(row, link_floor(floors, idx % topo.link_count()));
+    } else {
+      lp.model.set_rhs(row,
+                       demand.demand(static_cast<TimeSlot>(
+                                         idx / demand.config_count()),
+                                     idx % demand.config_count()));
+    }
+  }
+}
+
+/// Moves the model out of a warm state that is about to be overwritten.
+ScenarioLp take(std::optional<ScenarioLp>& slot) {
+  ScenarioLp lp = std::move(*slot);
+  slot.reset();
+  return lp;
+}
+
+}  // namespace
+
+ScenarioOutcome SwitchboardProvisioner::solve_scenario(
+    const DemandMatrix& demand, const FailureScenario& scenario,
+    PlacementMatrix* placement_out, const CapacityPlan* floors,
+    const ScenarioWarmStart* warm, ScenarioWarmStart* basis_out) const {
+  static obs::Counter& scenarios_solved =
+      obs::MetricsRegistry::global().counter("sb.provisioner.scenarios_solved");
+  static obs::Histogram& scenario_solve_s =
+      obs::MetricsRegistry::global().histogram(
+          "sb.provisioner.scenario_solve_s");
+  scenarios_solved.inc();
+  obs::ScopedTimer timer(scenario_solve_s);
+  const World& world = *ctx_.world;
+  const Topology& topo = *ctx_.topology;
+  const std::size_t slots = demand.slot_count();
+  const std::size_t config_count = demand.config_count();
+
+  // Reuse the warm state's model only when it is this scenario's at an
+  // unchanged structure: then the model differs from a fresh build in its
+  // rhs alone. A warm state aliased by basis_out hands its model over; a
+  // const one is copied.
+  ScenarioLp::Key key = scenario_key(demand, scenario, floors, ctx_, options_);
+  const bool reuse =
+      warm != nullptr && warm->lp.has_value() && warm->lp->key == key;
+  ScenarioLp lp;
+  if (reuse) {
+    lp = basis_out == warm ? take(basis_out->lp) : *warm->lp;
+    rewrite_rhs(lp, demand, floors, world, topo);
+  } else {
+    lp = build_scenario_lp(std::move(key), demand, scenario, floors, ctx_,
+                           options_);
   }
 
   lp::SolveOptions lp_options = options_.lp_options;
@@ -246,68 +334,58 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
     lp_options.decompose_threads = options_.scenario_threads;
   }
   if (warm && !warm->empty()) {
-    // NOTE: dual_resolve is deliberately NOT set here. The dual simplex
-    // pays off when a re-solve perturbs bounds or rhs under an unchanged
-    // column set (lp_warm_start_test measures it beating the primal
-    // there), but a hint carried across scenarios meets a model whose
-    // failed DC's placement columns are gone: the mapped hint is
-    // primal-near-feasible and dual-far, and routing it to the dual simplex
-    // measured ~2.4x the warm primal's iterations on the
-    // provisioner_parallel_test fixture. provision() itself only warm-starts
-    // F0 from F0, where the column set is unchanged but the demand rhs of
-    // every completeness row moves.
-    //
+    // On its own retained model the basis is still optimal for the costs
+    // and only primal infeasible where the rhs moved: the dual simplex's
+    // start. A basis mapped onto a rebuilt model keeps the primal: a hint
+    // carried across scenarios meets a model whose failed DC's placement
+    // columns are gone, so it is primal-near-feasible and dual-far, and
+    // routing it to the dual simplex measured ~2.4x the warm primal's
+    // iterations on the provisioner_parallel_test fixture.
+    if (reuse) lp_options.dual_resolve = true;
     // Translate the semantic hint into this model's column order. Columns
     // the hint doesn't know (or an undersized hint vector) default to
     // at-lower, which is also the cold-start state.
-    lp_options.warm_start.assign(var_keys.size(), lp::VarStatus::kAtLower);
-    for (std::size_t j = 0; j < var_keys.size(); ++j) {
-      const auto& [kind, idx] = var_keys[j];
+    lp_options.warm_start.assign(lp.var_keys.size(), lp::VarStatus::kAtLower);
+    for (std::size_t j = 0; j < lp.var_keys.size(); ++j) {
+      const auto& [kind, idx] = lp.var_keys[j];
       const std::vector<lp::VarStatus>* bank =
           kind == 'c' ? &warm->cp : kind == 'n' ? &warm->np : &warm->s;
       if (idx < bank->size()) lp_options.warm_start[j] = (*bank)[idx];
     }
     // Rows the hint doesn't know default to kBasic (slack basic), which is
     // exactly the cold-start state of a fresh row.
-    lp_options.warm_start_rows.assign(row_keys.size(), lp::VarStatus::kBasic);
-    for (std::size_t r = 0; r < row_keys.size(); ++r) {
-      const auto& [kind, idx] = row_keys[r];
+    lp_options.warm_start_rows.assign(lp.row_keys.size(),
+                                      lp::VarStatus::kBasic);
+    for (std::size_t r = 0; r < lp.row_keys.size(); ++r) {
+      const auto& [kind, idx] = lp.row_keys[r];
       const std::vector<lp::VarStatus>* bank =
           kind == 'C' ? &warm->row_dc
                       : kind == 'L' ? &warm->row_link : &warm->row_cfg;
       if (idx < bank->size()) lp_options.warm_start_rows[r] = (*bank)[idx];
     }
   }
-  const lp::Solution solution = lp::solve(model, lp_options);
+  const lp::Solution solution = lp::solve(lp.model, lp_options);
   if (!solution.optimal()) {
     throw SolveError("provisioning LP for scenario " + scenario.name +
                      " returned " + lp::to_string(solution.status));
   }
-  if (basis_out && solution.basis.size() == var_keys.size()) {
-    basis_out->cp.assign(world.dc_count(), lp::VarStatus::kAtLower);
-    basis_out->np.assign(topo.link_count(), lp::VarStatus::kAtLower);
-    basis_out->s.assign(slots * config_count * world.dc_count(),
-                        lp::VarStatus::kAtLower);
-    for (std::size_t j = 0; j < var_keys.size(); ++j) {
-      const auto& [kind, idx] = var_keys[j];
-      std::vector<lp::VarStatus>& bank =
-          kind == 'c' ? basis_out->cp : kind == 'n' ? basis_out->np
-                                                    : basis_out->s;
-      bank[idx] = solution.basis[j];
-    }
-    if (solution.row_basis.size() == row_keys.size()) {
-      basis_out->row_dc.assign(slots * world.dc_count(), lp::VarStatus::kBasic);
-      basis_out->row_link.assign(slots * topo.link_count(),
-                                 lp::VarStatus::kBasic);
-      basis_out->row_cfg.assign(slots * config_count, lp::VarStatus::kBasic);
-      for (std::size_t r = 0; r < row_keys.size(); ++r) {
-        const auto& [kind, idx] = row_keys[r];
-        std::vector<lp::VarStatus>& bank =
-            kind == 'C' ? basis_out->row_dc
-                        : kind == 'L' ? basis_out->row_link
-                                      : basis_out->row_cfg;
-        bank[idx] = solution.row_basis[r];
-      }
+
+  std::vector<int> cp_var(world.dc_count(), -1);
+  std::vector<int> np_var(topo.link_count(), -1);
+  PlacementMatrix placement(slots, config_count, world.dc_count());
+  for (std::size_t j = 0; j < lp.var_keys.size(); ++j) {
+    const auto& [kind, idx] = lp.var_keys[j];
+    if (kind == 'c') {
+      cp_var[idx] = static_cast<int>(j);
+    } else if (kind == 'n') {
+      np_var[idx] = static_cast<int>(j);
+    } else {
+      const std::size_t tc = idx / world.dc_count();
+      placement.set_calls(static_cast<TimeSlot>(tc / config_count),
+                          tc % config_count,
+                          DcId(static_cast<std::uint32_t>(
+                              idx % world.dc_count())),
+                          solution.values[j]);
     }
   }
 
@@ -317,29 +395,14 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
   outcome.lp_iterations = solution.iterations;
   outcome.required = CapacityPlan::zeros(world, topo);
   for (std::size_t x = 0; x < world.dc_count(); ++x) {
-    const double floor = floors ? floors->dc_serving_cores[x] +
-                                      floors->dc_backup_cores[x]
-                                : 0.0;
     const double extra = cp_var[x] >= 0 ? solution.values[cp_var[x]] : 0.0;
-    outcome.required.dc_serving_cores[x] = floor + extra;
-  }
-
-  PlacementMatrix placement(slots, config_count, world.dc_count());
-  for (TimeSlot t = 0; t < slots; ++t) {
-    for (std::size_t c = 0; c < config_count; ++c) {
-      const auto& vars = s_var[static_cast<std::size_t>(t) * config_count + c];
-      for (std::size_t k = 0; k < vars.size(); ++k) {
-        placement.set_calls(t, c, plans[c].candidates[k],
-                            solution.values[vars[k]]);
-      }
-    }
+    outcome.required.dc_serving_cores[x] = dc_floor(floors, x) + extra;
   }
 
   if (options_.joint_network) {
     for (std::size_t l = 0; l < topo.link_count(); ++l) {
-      const double floor = floors ? floors->link_gbps[l] : 0.0;
       const double extra = np_var[l] >= 0 ? solution.values[np_var[l]] : 0.0;
-      outcome.required.link_gbps[l] = floor + extra;
+      outcome.required.link_gbps[l] = link_floor(floors, l) + extra;
     }
   } else {
     // §4.3 ablation: network follows from the compute-optimal placement.
@@ -351,6 +414,39 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
             std::max(outcome.required.link_gbps[l], floors->link_gbps[l]);
       }
     }
+  }
+
+  if (basis_out) {
+    // A fresh state replaces the old one whole (its banks left empty when
+    // the engine reports no basis, as the dense tableau does), so no status
+    // outlives the model it belongs to.
+    ScenarioWarmStart out;
+    if (solution.basis.size() == lp.var_keys.size()) {
+      out.cp.assign(world.dc_count(), lp::VarStatus::kAtLower);
+      out.np.assign(topo.link_count(), lp::VarStatus::kAtLower);
+      out.s.assign(slots * config_count * world.dc_count(),
+                   lp::VarStatus::kAtLower);
+      for (std::size_t j = 0; j < lp.var_keys.size(); ++j) {
+        const auto& [kind, idx] = lp.var_keys[j];
+        std::vector<lp::VarStatus>& bank =
+            kind == 'c' ? out.cp : kind == 'n' ? out.np : out.s;
+        bank[idx] = solution.basis[j];
+      }
+      if (solution.row_basis.size() == lp.row_keys.size()) {
+        out.row_dc.assign(slots * world.dc_count(), lp::VarStatus::kBasic);
+        out.row_link.assign(slots * topo.link_count(), lp::VarStatus::kBasic);
+        out.row_cfg.assign(slots * config_count, lp::VarStatus::kBasic);
+        for (std::size_t r = 0; r < lp.row_keys.size(); ++r) {
+          const auto& [kind, idx] = lp.row_keys[r];
+          std::vector<lp::VarStatus>& bank =
+              kind == 'C' ? out.row_dc
+                          : kind == 'L' ? out.row_link : out.row_cfg;
+          bank[idx] = solution.row_basis[r];
+        }
+      }
+    }
+    out.lp = std::move(lp);
+    *basis_out = std::move(out);
   }
 
   if (placement_out) *placement_out = std::move(placement);
@@ -524,8 +620,8 @@ ProvisionResult SwitchboardProvisioner::provision_joint(
 }
 
 ProvisionResult SwitchboardProvisioner::provision(
-    const DemandMatrix& demand, const ScenarioBasisHint* f0_warm,
-    ScenarioBasisHint* f0_basis_out) const {
+    const DemandMatrix& demand, const ScenarioBasisHint* warm,
+    ScenarioBasisHint* basis_out) const {
   obs::Span span("prov.provision", obs::Subsystem::kProvisioner);
   const World& world = *ctx_.world;
   const Topology& topo = *ctx_.topology;
@@ -546,6 +642,29 @@ ProvisionResult SwitchboardProvisioner::provision(
     scenarios.push_back(FailureScenario::none());
   }
 
+  // Per-scenario warm state. Scenario f starts from warm_of(f) and leaves
+  // its new state in out_of(f); each solve touches only its own entry, so
+  // the fan-out below needs no locking. When the caller passes one hint as
+  // both, its entries are taken over and every retained model is re-solved
+  // in place; otherwise a reused model is copied out of `warm`.
+  std::vector<ScenarioWarmStart> next;
+  const std::vector<ScenarioWarmStart>* prior =
+      warm != nullptr ? &warm->scenarios : nullptr;
+  if (basis_out != nullptr) {
+    if (basis_out == warm) {
+      next = std::move(basis_out->scenarios);
+      prior = &next;
+    }
+    basis_out->scenarios.clear();
+    next.resize(scenarios.size());
+  }
+  const auto warm_of = [&](std::size_t f) -> const ScenarioWarmStart* {
+    return prior != nullptr && f < prior->size() ? &(*prior)[f] : nullptr;
+  };
+  const auto out_of = [&](std::size_t f) -> ScenarioWarmStart* {
+    return basis_out != nullptr ? &next[f] : nullptr;
+  };
+
   ProvisionResult result{CapacityPlan::zeros(world, topo),
                          PlacementMatrix(demand.slot_count(),
                                          demand.config_count(),
@@ -557,21 +676,19 @@ ProvisionResult SwitchboardProvisioner::provision(
   CapacityPlan serving = combined;
 
   // F0 first, always sequentially: it defines `serving` and the base
-  // placement. Only F0 warm-starts, and only from its own previous basis
-  // (`f0_warm`, a re-provision). Every failure scenario solves cold, so
-  // above kDecomposeMinRows it goes through the block decomposition: a cold
-  // provision of the APAC design day then takes 3.4x fewer simplex
-  // iterations (9x with link failures) than with every failure scenario
-  // warm-started from F0's basis. solve_scenario reads `warm` before it
-  // writes `basis_out`, so the two may alias.
+  // placement. Without a hint every scenario solves cold, so above
+  // kDecomposeMinRows a failure scenario goes through the block
+  // decomposition: a cold provision of the APAC design day then takes 3.4x
+  // fewer simplex iterations (9x with link failures) than with every
+  // failure scenario warm-started from F0's basis. A re-provision re-solves
+  // each scenario from its own previous state instead.
   {
     PlacementMatrix placement(demand.slot_count(), demand.config_count(),
                               world.dc_count());
     obs::Span f0_span("prov.scenario", obs::Subsystem::kProvisioner);
     f0_span.attr(obs::AttrKey::kScenario, 0);
-    ScenarioOutcome outcome = solve_scenario(demand, scenarios.front(),
-                                             &placement, nullptr, f0_warm,
-                                             f0_basis_out);
+    ScenarioOutcome outcome = solve_scenario(
+        demand, scenarios.front(), &placement, nullptr, warm_of(0), out_of(0));
     f0_span.finish();
     serving = outcome.required;
     combined = outcome.required;
@@ -590,8 +707,8 @@ ProvisionResult SwitchboardProvisioner::provision(
       const CapacityPlan* floors = options_.capacity_reuse ? &combined : nullptr;
       obs::Span s("prov.scenario", obs::Subsystem::kProvisioner);
       s.attr(obs::AttrKey::kScenario, static_cast<std::int64_t>(f));
-      ScenarioOutcome outcome =
-          solve_scenario(demand, scenarios[f], nullptr, floors);
+      ScenarioOutcome outcome = solve_scenario(
+          demand, scenarios[f], nullptr, floors, warm_of(f), out_of(f));
       s.finish();
       combined = max_capacity(combined, outcome.required);
       result.scenarios.push_back(std::move(outcome));
@@ -614,7 +731,8 @@ ProvisionResult SwitchboardProvisioner::provision(
       obs::Span s("prov.scenario", obs::Subsystem::kProvisioner,
                   obs::kNoSimTime, fan_parent);
       s.attr(obs::AttrKey::kScenario, static_cast<std::int64_t>(f));
-      return pooled.solve_scenario(demand, scenarios[f], nullptr, floors);
+      return pooled.solve_scenario(demand, scenarios[f], nullptr, floors,
+                                   warm_of(f), out_of(f));
     };
     std::vector<ScenarioOutcome> outcomes;
     outcomes.reserve(scenarios.size() - 1);
@@ -684,6 +802,7 @@ ProvisionResult SwitchboardProvisioner::provision(
 
   result.mean_acl_ms = mean_acl_ms(result.base_placement, demand, ctx_);
   result.server_budget_cores = split_server_budgets(world, result.capacity);
+  if (basis_out != nullptr) basis_out->scenarios = std::move(next);
   return result;
 }
 

@@ -11,6 +11,10 @@
 //    demand matrix, not resource usage logs (§4.4).
 #pragma once
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "calls/demand.h"
 #include "core/capacity_plan.h"
 #include "core/failure.h"
@@ -72,20 +76,62 @@ struct ProvisionOptions {
   /// explicitly), since the fan-out pool is idle meanwhile; scenario solves
   /// running ON the fan-out pool decompose sequentially.
   std::size_t scenario_threads = 1;
-  /// Base LP engine knobs. The provisioner never sets dual_resolve: its one
-  /// warm start (F0 from its own previous basis) keeps the primal engine.
+  /// Base LP engine knobs. solve_scenario adds dual_resolve on its own
+  /// when it re-solves a retained model (see ScenarioLp); every other solve
+  /// takes these as given.
   lp::SolveOptions lp_options;
 };
 
-/// Final basis of one scenario solve keyed by SEMANTIC identity — CP per
-/// DC, NP per link, S per (slot, config, DC) — rather than LP column index,
-/// so a structurally different scenario (a failed DC drops its CP column
-/// and candidate placements) can still warm-start from it. Produced and
-/// consumed by SwitchboardProvisioner::solve_scenario. provision() uses it
-/// for F0 only: a re-provision re-solves F0 from the previous F0 basis,
-/// while every failure scenario solves cold (through the block
-/// decomposition on large shapes, which beats a hint carried over from F0).
-struct ScenarioBasisHint {
+/// One scenario LP as solve_scenario built it, retained in a
+/// ScenarioWarmStart so a later solve of the same scenario at new right-hand
+/// sides skips the build: it rewrites the completeness rows to the new
+/// demand and the capacity rows to the new floors (lp::Model::set_rhs) and
+/// re-solves from the retained basis through the dual simplex.
+struct ScenarioLp {
+  /// Reuse key: everything that shapes the model. A retained model is
+  /// reused only when the new solve's key is equal; otherwise it is rebuilt.
+  struct Key {
+    EvalContext ctx;
+    FailureScenario::Type type = FailureScenario::Type::kNone;
+    DcId dc;      ///< the failed DC of a kDc scenario
+    LinkId link;  ///< the failed link of a kLink scenario
+    std::vector<ConfigId> configs;  ///< demand columns
+    std::size_t slots = 0;
+    /// demand(t, c) > 0 at t * configs + c: S columns and completeness rows
+    /// exist only there.
+    std::vector<bool> positive;
+    bool floored = false;  ///< capacity rows carry floors
+    bool joint_network = true;
+    double acl_threshold_ms = 0.0;
+    double acl_epsilon = 0.0;
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+  Key key;
+  lp::Model model;
+  /// Semantic key per LP column, (kind, flat index): 'c' = CP per DC, 'n' =
+  /// NP per link, 's' = S per (slot, config, DC) at (t * configs + c) *
+  /// dc_count + dc.
+  std::vector<std::pair<char, std::size_t>> var_keys;
+  /// Semantic key per constraint row: 'C' = DC capacity per (slot, DC) at
+  /// t * dc_count + dc, 'L' = link capacity per (slot, link) at t *
+  /// link_count + link, 'E' = completeness per (slot, config) at t *
+  /// configs + c. These are the rows whose rhs a re-solve rewrites.
+  std::vector<std::pair<char, std::size_t>> row_keys;
+};
+
+/// Warm state of one scenario solve: its final basis keyed by SEMANTIC
+/// identity — CP per DC, NP per link, S per (slot, config, DC) — rather than
+/// LP column index, so a structurally different scenario (a failed DC drops
+/// its CP column and candidate placements) can still warm-start from it,
+/// plus the LP it was solved on. Produced and consumed by
+/// SwitchboardProvisioner::solve_scenario:
+///  - the same scenario at the same structure (equal ScenarioLp::Key) reuses
+///    the retained model and re-solves through the dual simplex: only
+///    right-hand sides moved, so the old basis stays dual feasible;
+///  - anything else (another scenario's state, a changed demand pattern)
+///    builds a fresh model and maps the basis onto it for the primal engine.
+/// A copy owns its own model; copies never share mutable state.
+struct ScenarioWarmStart {
   std::vector<lp::VarStatus> cp;  ///< per DC id
   std::vector<lp::VarStatus> np;  ///< per link id
   std::vector<lp::VarStatus> s;   ///< (t * configs + c) * dc_count + dc id
@@ -96,9 +142,23 @@ struct ScenarioBasisHint {
   std::vector<lp::VarStatus> row_dc;    ///< t * dc_count + dc id
   std::vector<lp::VarStatus> row_link;  ///< t * link_count + link id
   std::vector<lp::VarStatus> row_cfg;   ///< t * config_count + config
+  /// The model this basis is optimal for; empty before the first solve.
+  std::optional<ScenarioLp> lp;
   [[nodiscard]] bool empty() const {
     return cp.empty() && np.empty() && s.empty();
   }
+};
+
+/// provision()'s warm state: one ScenarioWarmStart per scenario, in
+/// enumeration order (F0 first, then every failure scenario). A provision
+/// given a hint seeds scenario f from entry f; one given an output hint
+/// writes every scenario's new state there. The closed loop threads one
+/// hint through every replan, so each replan re-solves every scenario from
+/// its own retained model and basis. A hint belongs to the provisioner
+/// context that produced it; a copy is independent of the original.
+struct ScenarioBasisHint {
+  std::vector<ScenarioWarmStart> scenarios;
+  [[nodiscard]] bool empty() const { return scenarios.empty(); }
 };
 
 /// Capacity requirement determined by one failure scenario's LP.
@@ -133,30 +193,34 @@ class SwitchboardProvisioner {
   SwitchboardProvisioner(EvalContext ctx, ProvisionOptions options);
 
   /// Provisions capacity for the given demand. Throws SolveError if any
-  /// scenario LP fails. `f0_warm` (optional) seeds the F0 solve from a
-  /// previous provision's final basis — the closed-loop re-provision path,
-  /// where successive demand matrices differ only in magnitude, re-solves in
-  /// ~0 iterations from it. `f0_basis_out` (optional) receives this
-  /// provision's F0 basis for the next warm round; it may point at the same
-  /// hint as `f0_warm`. Failure scenarios always solve cold. Both are
-  /// ignored by the joint_scenarios path (one fused LP, no per-scenario
-  /// basis).
+  /// scenario LP fails. `warm` (optional) seeds every scenario from a
+  /// previous provision's per-scenario state — the closed-loop re-provision
+  /// path, where successive demand matrices differ only in magnitude, so
+  /// each scenario re-solves its retained model in ~0 dual iterations.
+  /// Without it every scenario solves cold (through the block
+  /// decomposition above lp::kDecomposeMinRows). `basis_out` (optional)
+  /// receives this provision's state for the next round; it may point at
+  /// the same hint as `warm`, which then re-solves the retained models in
+  /// place, and is left empty if a scenario LP throws. Both are ignored by
+  /// the joint_scenarios path (one fused LP, no per-scenario basis).
   [[nodiscard]] ProvisionResult provision(
-      const DemandMatrix& demand, const ScenarioBasisHint* f0_warm = nullptr,
-      ScenarioBasisHint* f0_basis_out = nullptr) const;
+      const DemandMatrix& demand, const ScenarioBasisHint* warm = nullptr,
+      ScenarioBasisHint* basis_out = nullptr) const;
 
   /// Solves a single scenario's LP; exposed for tests and the Fig 4 bench.
   /// With `floors` set, capacity up to the floor is free and the LP prices
   /// only the increment; the returned requirement then includes the floor.
-  /// `warm` (if non-empty) seeds the sparse engine's starting basis from a
-  /// previous structurally-similar solve; `basis_out` (if non-null)
-  /// receives this solve's final basis keyed semantically for reuse.
+  /// `warm` (if non-empty) seeds the starting basis: from its retained model
+  /// when that is this scenario's at an unchanged structure, else mapped
+  /// semantically onto a fresh build (see ScenarioWarmStart). `basis_out`
+  /// (if non-null) receives this solve's final basis and model; it may
+  /// point at `warm`.
   [[nodiscard]] ScenarioOutcome solve_scenario(
       const DemandMatrix& demand, const FailureScenario& scenario,
       PlacementMatrix* placement_out = nullptr,
       const CapacityPlan* floors = nullptr,
-      const ScenarioBasisHint* warm = nullptr,
-      ScenarioBasisHint* basis_out = nullptr) const;
+      const ScenarioWarmStart* warm = nullptr,
+      ScenarioWarmStart* basis_out = nullptr) const;
 
  private:
   /// The exact Eq 3+7/8 LP over F0 and all DC-failure scenarios (shared

@@ -210,9 +210,7 @@ void AdaptiveController::tick(SimTime now) {
 
   DemandMatrix corrected = corrected_demand(slot);
   try {
-    sb_->provision(corrected, have_warm_ ? &warm_basis_ : nullptr,
-                   &warm_basis_);
-    have_warm_ = true;
+    sb_->provision(corrected, &warm_basis_, &warm_basis_);
     sb_->install_plan(corrected, plan_start_s_, now);
   } catch (const SolveError&) {
     // A corrected demand the scenario LPs cannot serve (capacity ceiling):

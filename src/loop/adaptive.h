@@ -131,9 +131,11 @@ class AdaptiveController : public ControllerAllocator {
 
   mutable std::mutex tick_mutex_;
   std::atomic<double> next_due_;
-  /// Warm-start basis chained across replans (guarded by tick_mutex_).
+  /// Every scenario's retained LP and basis, passed to provision() as both
+  /// its input and its output hint, so each replan re-solves the previous
+  /// replan's models in place (guarded by tick_mutex_). Empty until the
+  /// first replan, which therefore provisions cold.
   ScenarioBasisHint warm_basis_;
-  bool have_warm_ = false;
 
   std::atomic<std::uint64_t> ticks_{0};
   std::atomic<std::uint64_t> triggers_{0};

@@ -34,6 +34,13 @@ int Model::add_constraint(std::vector<Term> terms, Sense sense, double rhs,
   return static_cast<int>(rows_.size() - 1);
 }
 
+void Model::set_rhs(int c, double rhs) {
+  require(c >= 0 && c < static_cast<int>(rows_.size()),
+          "set_rhs: constraint index out of range");
+  require(std::isfinite(rhs), "set_rhs: non-finite rhs");
+  rows_[c].rhs = rhs;
+}
+
 const Variable& Model::variable(int v) const {
   require(v >= 0 && v < static_cast<int>(vars_.size()),
           "variable: index out of range");

@@ -54,6 +54,11 @@ class Model {
   int add_constraint(std::vector<Term> terms, Sense sense, double rhs,
                      std::string name = "");
 
+  /// Replaces row `c`'s right-hand side in place, leaving its terms and
+  /// sense alone: the re-solve path, where only demand and capacity floors
+  /// moved. A bad index or a non-finite value throws.
+  void set_rhs(int c, double rhs);
+
   [[nodiscard]] std::size_t variable_count() const { return vars_.size(); }
   [[nodiscard]] std::size_t constraint_count() const { return rows_.size(); }
   [[nodiscard]] const Variable& variable(int v) const;

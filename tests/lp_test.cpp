@@ -195,6 +195,21 @@ TEST(ModelTest, MergesDuplicateTermsAndValidates) {
   EXPECT_THROW(m.add_variable(-kInf, 0.0, 1.0), InvalidArgument);
 }
 
+TEST(ModelTest, SetRhsRewritesOnlyTheRhsAndChecksItsArguments) {
+  Model m;
+  const int x = m.add_variable(0.0, kInf, 1.0);
+  const int row = m.add_constraint({{x, 2.0}}, Sense::kGe, 4.0);
+  m.set_rhs(row, 10.0);
+  EXPECT_DOUBLE_EQ(m.constraint(row).rhs, 10.0);
+  EXPECT_EQ(m.constraint(row).sense, Sense::kGe);
+  EXPECT_EQ(m.constraint(row).terms.size(), 1u);
+  EXPECT_NEAR(solve(m).objective, 5.0, 1e-12);
+  EXPECT_THROW(m.set_rhs(1, 0.0), InvalidArgument);
+  EXPECT_THROW(m.set_rhs(-1, 0.0), InvalidArgument);
+  EXPECT_THROW(m.set_rhs(row, kInf), InvalidArgument);
+  EXPECT_DOUBLE_EQ(m.constraint(row).rhs, 10.0);
+}
+
 TEST(ValidateSolutionTest, FlagsViolations) {
   Model m;
   const int x = m.add_variable(0.0, 10.0, 1.0, "x");

@@ -1,12 +1,13 @@
 // Provisioning iteration tripwires (ctest label lp_perf, run in both
 // compiler CI jobs and under TSan). A cold provision() solves F0 and every
 // failure scenario cold, so on the APAC design day each scenario LP goes
-// through the block decomposition. These tests pin the summed simplex
-// iterations of one cold provision() under thresholds with headroom, far
-// below what the same LPs take warm-started from F0's basis, and check that
-// cold decomposed scenario solves running concurrently on the kFromBase
-// fan-out pool reproduce the sequential plan bit for bit (under TSan, a
-// data-race check on that pool).
+// through the block decomposition. A re-provision through the cold run's
+// hint re-solves every scenario's retained model through the dual simplex.
+// These tests pin the summed simplex iterations of both under thresholds
+// with headroom, far below what the same LPs take warm-started from F0's
+// basis, and check that scenario solves running concurrently on the
+// kFromBase fan-out pool, cold and re-provisioned, reproduce the sequential
+// plan bit for bit (under TSan, a data-race check on that pool).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,6 +54,46 @@ std::size_t total_iterations(const ProvisionResult& result) {
   return total;
 }
 
+/// `demand` with column c scaled by factor(c).
+template <typename Factor>
+DemandMatrix scaled(const DemandMatrix& demand, Factor factor) {
+  DemandMatrix out = demand;
+  for (TimeSlot t = 0; t < out.slot_count(); ++t) {
+    for (std::size_t c = 0; c < out.config_count(); ++c) {
+      out.set_demand(t, c, out.demand(t, c) * factor(c));
+    }
+  }
+  return out;
+}
+
+/// The closed loop's uniform correction and a per-config one.
+DemandMatrix uniform_115(const DemandMatrix& demand) {
+  return scaled(demand, [](std::size_t) { return 1.15; });
+}
+DemandMatrix per_config(const DemandMatrix& demand) {
+  return scaled(demand, [](std::size_t c) {
+    return 0.8 + 0.1 * static_cast<double>(c % 5);
+  });
+}
+
+void expect_bit_identical(const ProvisionResult& seq,
+                          const ProvisionResult& par) {
+  ASSERT_EQ(seq.scenarios.size(), par.scenarios.size());
+  for (std::size_t f = 0; f < seq.scenarios.size(); ++f) {
+    const ScenarioOutcome& a = seq.scenarios[f];
+    const ScenarioOutcome& b = par.scenarios[f];
+    EXPECT_EQ(a.scenario.name, b.scenario.name);
+    EXPECT_EQ(a.lp_objective, b.lp_objective) << a.scenario.name;
+    EXPECT_EQ(a.lp_iterations, b.lp_iterations) << a.scenario.name;
+    EXPECT_EQ(a.required.dc_serving_cores, b.required.dc_serving_cores)
+        << a.scenario.name;
+    EXPECT_EQ(a.required.link_gbps, b.required.link_gbps) << a.scenario.name;
+  }
+  EXPECT_EQ(seq.capacity.dc_serving_cores, par.capacity.dc_serving_cores);
+  EXPECT_EQ(seq.capacity.dc_backup_cores, par.capacity.dc_backup_cores);
+  EXPECT_EQ(seq.capacity.link_gbps, par.capacity.link_gbps);
+}
+
 // F0 plus the five single-DC failures. 1,693 iterations when written; the
 // same provision with failure scenarios warm-started from F0 took 5,831.
 TEST(ProvisionPerfSmoke, DcFailureProvisionIterationsStayBounded) {
@@ -87,21 +128,57 @@ TEST(ProvisionPerfSmoke, FromBaseFanOutBitIdenticalToSequential) {
   options.scenario_threads = 4;
   const ProvisionResult par =
       SwitchboardProvisioner(day.ctx(), options).provision(day.demand);
+  expect_bit_identical(seq, par);
+}
 
-  ASSERT_EQ(seq.scenarios.size(), par.scenarios.size());
-  for (std::size_t f = 0; f < seq.scenarios.size(); ++f) {
-    const ScenarioOutcome& a = seq.scenarios[f];
-    const ScenarioOutcome& b = par.scenarios[f];
-    EXPECT_EQ(a.scenario.name, b.scenario.name);
-    EXPECT_EQ(a.lp_objective, b.lp_objective) << a.scenario.name;
-    EXPECT_EQ(a.lp_iterations, b.lp_iterations) << a.scenario.name;
-    EXPECT_EQ(a.required.dc_serving_cores, b.required.dc_serving_cores)
-        << a.scenario.name;
-    EXPECT_EQ(a.required.link_gbps, b.required.link_gbps) << a.scenario.name;
-  }
-  EXPECT_EQ(seq.capacity.dc_serving_cores, par.capacity.dc_serving_cores);
-  EXPECT_EQ(seq.capacity.dc_backup_cores, par.capacity.dc_backup_cores);
-  EXPECT_EQ(seq.capacity.link_gbps, par.capacity.link_gbps);
+// A warm re-provision at perfbench's uniform x1.15 replan, F0 plus the five
+// DC failures: every scenario re-solved its retained model in 0 iterations
+// when written (a cold provision takes 1,693).
+TEST(ProvisionPerfSmoke, UniformReprovisionIterationsStayBounded) {
+  const ApacDesignDay day;
+  ProvisionOptions options;
+  options.include_link_failures = false;
+  const SwitchboardProvisioner prov(day.ctx(), options);
+  ScenarioBasisHint hint;
+  (void)prov.provision(day.demand, nullptr, &hint);
+  const ProvisionResult warm =
+      prov.provision(uniform_115(day.demand), &hint, &hint);
+  EXPECT_EQ(warm.scenarios.size(), 1 + day.scenario.world().dc_count());
+  EXPECT_LT(total_iterations(warm), 50u);
+}
+
+// The same at the oracle's per-config factors (0.8 to 1.2): 152 iterations
+// when written, 87 of them F0's.
+TEST(ProvisionPerfSmoke, PerConfigReprovisionIterationsStayBounded) {
+  const ApacDesignDay day;
+  ProvisionOptions options;
+  options.include_link_failures = false;
+  const SwitchboardProvisioner prov(day.ctx(), options);
+  ScenarioBasisHint hint;
+  (void)prov.provision(day.demand, nullptr, &hint);
+  const ProvisionResult warm =
+      prov.provision(per_config(day.demand), &hint, &hint);
+  EXPECT_EQ(warm.scenarios.size(), 1 + day.scenario.world().dc_count());
+  EXPECT_LT(total_iterations(warm), 400u);
+}
+
+// Re-provisioned scenario solves on the kFromBase fan-out pool read and
+// write only their own hint entries: four threads reproduce one thread's
+// re-provision bit for bit.
+TEST(ProvisionPerfSmoke, FromBaseReprovisionBitIdenticalToSequential) {
+  const ApacDesignDay day;
+  ProvisionOptions options;
+  options.include_link_failures = false;
+  options.floor_mode = ProvisionOptions::FloorMode::kFromBase;
+  const DemandMatrix corrected = per_config(day.demand);
+  const auto reprovision = [&](std::size_t threads) {
+    options.scenario_threads = threads;
+    const SwitchboardProvisioner prov(day.ctx(), options);
+    ScenarioBasisHint hint;
+    (void)prov.provision(day.demand, nullptr, &hint);
+    return prov.provision(corrected, &hint, &hint);
+  };
+  expect_bit_identical(reprovision(1), reprovision(4));
 }
 
 }  // namespace

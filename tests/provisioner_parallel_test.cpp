@@ -2,11 +2,15 @@
 // the failure-scenario LPs are order-independent, so a multi-threaded
 // provision() must produce a CapacityPlan BIT-IDENTICAL to the sequential
 // run — same per-DC cores, same per-link gbps, same scenario order. The
-// file also pins provision()'s start rule: failure scenarios solve cold,
-// and only F0 warm-starts, from its own previous basis on a re-provision.
+// file also pins provision()'s start rule: a cold provision solves every
+// scenario cold, and a re-provision re-solves every scenario from its own
+// retained model and basis (rebuilding the model when the demand pattern
+// changed), landing on the optimum a cold solve at the same floors finds.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <thread>
 
 #include "core/provisioner.h"
 #include "geo/world_presets.h"
@@ -144,15 +148,16 @@ TEST(ParallelProvisionTest, NoReuseAblationMatchesAcrossThreads) {
 // simplex iterations than cold on this small shape (every LP here is below
 // kDecomposeMinRows, so both sides run the monolithic primal engine). The
 // hint's row statuses matter — a structural-only hint loses the slack/tight
-// row pattern and is measurably worse than cold. provision() itself does
-// not carry F0's basis into failure scenarios: on large shapes the cold
-// block decomposition beats it (see OnlyAReprovisionedF0WarmStarts).
+// row pattern and is measurably worse than cold. F0's state is a foreign
+// hint here, so each failure scenario rebuilds its own model and keeps the
+// primal engine. provision() itself never carries F0's basis into failure
+// scenarios: on large shapes the cold block decomposition beats it.
 TEST(ParallelProvisionTest, WarmStartedScenarioSolvesUseFewerIterations) {
   const Fixture fix(4242);
   ProvisionOptions options;
   SwitchboardProvisioner prov(fix.ctx(), options);
 
-  ScenarioBasisHint f0;
+  ScenarioWarmStart f0;
   const ScenarioOutcome base = prov.solve_scenario(
       fix.demand, FailureScenario::none(), nullptr, nullptr, nullptr, &f0);
   ASSERT_FALSE(f0.empty());
@@ -201,11 +206,42 @@ TEST(ParallelProvisionTest, ChainedModeStillCoversEveryScenario) {
   }
 }
 
-// provision()'s start rule. A cold provision warm-starts nothing; a
-// re-provision given its own F0 basis warm-starts exactly one LP (F0), and
-// that warm F0 lands on the optimum a cold F0 solve of the same demand
-// finds.
-TEST(ParallelProvisionTest, OnlyAReprovisionedF0WarmStarts) {
+/// A per-config correction, as the closed loop computes one.
+DemandMatrix corrected_demand(const DemandMatrix& demand) {
+  DemandMatrix corrected = demand;
+  for (TimeSlot t = 0; t < corrected.slot_count(); ++t) {
+    for (std::size_t c = 0; c < corrected.config_count(); ++c) {
+      const double factor = 0.8 + 0.1 * static_cast<double>(c % 5);
+      corrected.set_demand(t, c, corrected.demand(t, c) * factor);
+    }
+  }
+  return corrected;
+}
+
+/// Every scenario of `warm` reaches the objective a cold solve_scenario of
+/// that scenario finds at the same floors: the combined plan of the
+/// scenarios before it (the default chained floors).
+void expect_cold_objectives(const SwitchboardProvisioner& prov,
+                            const DemandMatrix& demand,
+                            const ProvisionResult& warm) {
+  CapacityPlan combined = warm.scenarios.front().required;
+  for (std::size_t f = 0; f < warm.scenarios.size(); ++f) {
+    const ScenarioOutcome& got = warm.scenarios[f];
+    const ScenarioOutcome cold = prov.solve_scenario(
+        demand, got.scenario, nullptr, f == 0 ? nullptr : &combined);
+    EXPECT_NEAR(got.lp_objective, cold.lp_objective,
+                1e-9 * std::max(1.0, std::abs(cold.lp_objective)))
+        << got.scenario.name;
+    combined = max_capacity(combined, got.required);
+  }
+}
+
+// provision()'s start rule. A cold provision warm-starts nothing and leaves
+// one retained state per scenario in its output hint; a re-provision
+// through that hint warm-starts exactly one LP per scenario (F0, every DC
+// failure and every link failure), each on the optimum a cold solve at the
+// same floors finds.
+TEST(ParallelProvisionTest, ReprovisionWarmStartsEveryScenarioFromItsOwnState) {
   const Fixture fix(4242);
   const SwitchboardProvisioner prov(fix.ctx(), ProvisionOptions{});
 #ifdef SB_METRICS_ENABLED
@@ -215,31 +251,92 @@ TEST(ParallelProvisionTest, OnlyAReprovisionedF0WarmStarts) {
 #endif
   ScenarioBasisHint basis;
   const ProvisionResult cold = prov.provision(fix.demand, nullptr, &basis);
-  ASSERT_GT(cold.scenarios.size(), 1u);
-  ASSERT_FALSE(basis.empty());
+  ASSERT_EQ(cold.scenarios.size(), 19u);
+  ASSERT_EQ(basis.scenarios.size(), cold.scenarios.size());
+  for (const ScenarioWarmStart& state : basis.scenarios) {
+    EXPECT_FALSE(state.empty());
+    EXPECT_TRUE(state.lp.has_value());
+  }
 #ifdef SB_METRICS_ENABLED
   EXPECT_EQ(warm_starts.value() - before_cold, 0u);
 #endif
 
-  // A per-config correction, as the closed loop computes one.
-  DemandMatrix corrected = fix.demand;
-  for (TimeSlot t = 0; t < corrected.slot_count(); ++t) {
-    for (std::size_t c = 0; c < corrected.config_count(); ++c) {
-      const double factor = 0.8 + 0.1 * static_cast<double>(c % 5);
-      corrected.set_demand(t, c, corrected.demand(t, c) * factor);
-    }
-  }
+  const DemandMatrix corrected = corrected_demand(fix.demand);
 #ifdef SB_METRICS_ENABLED
   const std::uint64_t before_warm = warm_starts.value();
 #endif
   const ProvisionResult warm = prov.provision(corrected, &basis, &basis);
 #ifdef SB_METRICS_ENABLED
-  EXPECT_EQ(warm_starts.value() - before_warm, 1u);
+  EXPECT_EQ(warm_starts.value() - before_warm, cold.scenarios.size());
 #endif
-  const ScenarioOutcome f0_cold =
-      prov.solve_scenario(corrected, FailureScenario::none());
-  EXPECT_NEAR(warm.scenarios.front().lp_objective, f0_cold.lp_objective,
-              1e-9 * std::max(1.0, std::abs(f0_cold.lp_objective)));
+  ASSERT_EQ(warm.scenarios.size(), cold.scenarios.size());
+  expect_cold_objectives(prov, corrected, warm);
+}
+
+/// The demand each completeness row of `state`'s retained model holds.
+void expect_model_demand(const ScenarioWarmStart& state,
+                         const DemandMatrix& demand) {
+  ASSERT_TRUE(state.lp.has_value());
+  const ScenarioLp& lp = *state.lp;
+  for (std::size_t r = 0; r < lp.row_keys.size(); ++r) {
+    const auto& [kind, idx] = lp.row_keys[r];
+    if (kind != 'E') continue;
+    EXPECT_EQ(lp.model.constraint(static_cast<int>(r)).rhs,
+              demand.demand(static_cast<TimeSlot>(idx / demand.config_count()),
+                            idx % demand.config_count()));
+  }
+}
+
+// Copies of a hint own their models: two provisions running at once, each
+// re-solving its own copy of one hint in place at a different demand, both
+// get the cold result, and each copy's models end up at its own demand.
+TEST(ParallelProvisionTest, CopiedHintsReprovisionIndependently) {
+  const Fixture fix(4242);
+  const SwitchboardProvisioner prov(fix.ctx(), ProvisionOptions{});
+  ScenarioBasisHint basis;
+  (void)prov.provision(fix.demand, nullptr, &basis);
+  ScenarioBasisHint copy = basis;
+
+  const DemandMatrix corrected = corrected_demand(fix.demand);
+  DemandMatrix scaled = fix.demand;
+  for (TimeSlot t = 0; t < scaled.slot_count(); ++t) {
+    for (std::size_t c = 0; c < scaled.config_count(); ++c) {
+      scaled.set_demand(t, c, scaled.demand(t, c) * 1.15);
+    }
+  }
+  std::optional<ProvisionResult> second;
+  std::thread other(
+      [&] { second = prov.provision(scaled, &copy, &copy); });
+  const ProvisionResult first = prov.provision(corrected, &basis, &basis);
+  other.join();
+  expect_cold_objectives(prov, corrected, first);
+  expect_cold_objectives(prov, scaled, *second);
+  for (std::size_t f = 0; f < basis.scenarios.size(); ++f) {
+    expect_model_demand(basis.scenarios[f], corrected);
+    expect_model_demand(copy.scenarios[f], scaled);
+  }
+}
+
+// A demand cell that drops to zero removes its placement columns and its
+// completeness row, so every scenario's retained model no longer matches:
+// each is rebuilt (warm-started from its own basis) and still lands on the
+// cold optimum.
+TEST(ParallelProvisionTest, ChangedDemandPatternRebuildsAndMatchesCold) {
+  const Fixture fix(4242);
+  const SwitchboardProvisioner prov(fix.ctx(), ProvisionOptions{});
+  ScenarioBasisHint basis;
+  (void)prov.provision(fix.demand, nullptr, &basis);
+  const std::size_t rows_before =
+      basis.scenarios.front().lp->model.constraint_count();
+
+  DemandMatrix zeroed = corrected_demand(fix.demand);
+  ASSERT_GT(zeroed.demand(0, 0), 0.0);
+  zeroed.set_demand(0, 0, 0.0);
+  const ProvisionResult warm = prov.provision(zeroed, &basis, &basis);
+  ASSERT_TRUE(basis.scenarios.front().lp.has_value());
+  EXPECT_EQ(basis.scenarios.front().lp->model.constraint_count(),
+            rows_before - 1);
+  expect_cold_objectives(prov, zeroed, warm);
 }
 
 }  // namespace
