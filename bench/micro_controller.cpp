@@ -239,16 +239,19 @@ struct ReprovisionDay {
   }
 };
 
-enum class Reprovision { kCold, kUniform, kPerConfig };
+enum class Reprovision { kCold, kUniform, kPerConfig, kSteady };
 
 /// The demand a variant provisions: the design day itself (cold), the
-/// loop's uniform x1.15 correction, or per-config factors 0.8..1.2.
+/// loop's uniform x1.15 correction (also the steady row's), or per-config
+/// factors 0.8..1.2.
 DemandMatrix reprovision_demand(const DemandMatrix& day, Reprovision variant) {
   DemandMatrix out = day;
   for (TimeSlot t = 0; t < out.slot_count(); ++t) {
     for (std::size_t c = 0; c < out.config_count(); ++c) {
       const double factor =
-          variant == Reprovision::kUniform ? 1.15
+          variant == Reprovision::kUniform ||
+                  variant == Reprovision::kSteady
+              ? 1.15
           : variant == Reprovision::kPerConfig
               ? 0.8 + 0.1 * static_cast<double>(c % 5)
               : 1.0;
@@ -259,10 +262,15 @@ DemandMatrix reprovision_demand(const DemandMatrix& day, Reprovision variant) {
 }
 
 // One provision per iteration. The cold row solves every scenario from
-// scratch; the warm rows re-provision through a fresh copy of the cold
-// run's hint (copied untimed), so each re-solves the six retained models
-// at new right-hand sides. Counters: wall ms and summed LP iterations per
-// provision. Spans are off, as in an untraced run.
+// scratch; the uniform_115 and per_config rows re-provision through a fresh
+// copy of the cold run's hint (copied untimed), so each re-solves the six
+// retained models at new right-hand sides, keeping their standard forms but
+// building each dual engine anew. The steady row primes one hint with an
+// untimed x1.15 re-provision and then re-provisions in place through it at
+// the same demand: every scenario re-solves its retained LP and engine in 0
+// iterations, so the row measures a steady-state replan's fixed cost.
+// Counters: wall ms and summed LP iterations per provision. Spans are off,
+// as in an untraced run.
 void BM_Reprovision(benchmark::State& state, Reprovision variant) {
   static const ReprovisionDay day;
   ProvisionOptions options;
@@ -275,10 +283,15 @@ void BM_Reprovision(benchmark::State& state, Reprovision variant) {
   ScenarioBasisHint cold;
   (void)prov.provision(day.demand, nullptr, &cold);
   ScenarioBasisHint hint;
+  if (variant == Reprovision::kSteady) {
+    hint = cold;
+    (void)prov.provision(demand, &hint, &hint);
+  }
   std::size_t lp_iterations = 0;
   double provision_s = 0.0;
   for (auto _ : state) {
-    if (variant != Reprovision::kCold) {
+    if (variant == Reprovision::kUniform ||
+        variant == Reprovision::kPerConfig) {
       state.PauseTiming();
       hint = cold;
       state.ResumeTiming();
@@ -305,6 +318,7 @@ void BM_Reprovision(benchmark::State& state, Reprovision variant) {
 BENCHMARK_CAPTURE(BM_Reprovision, cold, Reprovision::kCold);
 BENCHMARK_CAPTURE(BM_Reprovision, uniform_115, Reprovision::kUniform);
 BENCHMARK_CAPTURE(BM_Reprovision, per_config, Reprovision::kPerConfig);
+BENCHMARK_CAPTURE(BM_Reprovision, steady, Reprovision::kSteady);
 
 /// ConsoleReporter that also emits one bench_util JSON line per run
 /// (`micro_controller` bench, metric `<name>.ns_per_op`), so the

@@ -4,36 +4,33 @@
 // prints a per-DC / per-link provisioning sheet for the Switchboard plan.
 //
 // Flags: --slot_s=7200 --configs=20 --rate_scale=1
+// A bad flag (unknown, not a number, out of range, or a fractional config
+// count) prints usage to stderr and exits 2.
 #include <iostream>
 
 #include "baselines/locality_first.h"
 #include "baselines/round_robin.h"
+#include "bench_util.h"
 #include "common/table.h"
 #include "trace/scenario.h"
 #include "core/provisioner.h"
 
 namespace {
 
-// Minimal local flag parsing (the bench utilities are not part of the
-// installed library surface, so examples stay self-contained).
-double flag(int argc, char** argv, const std::string& name, double fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return std::strtod(arg.c_str() + prefix.size(), nullptr);
-    }
-  }
-  return fallback;
-}
+constexpr const char* kUsage =
+    "usage: capacity_planner [--slot_s=1800..86400] [--configs=1..100000]\n"
+    "         [--rate_scale=0.01..100]\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace sb;
-  const double slot_s = flag(argc, argv, "slot_s", 7200.0);
-  const auto configs = static_cast<std::size_t>(flag(argc, argv, "configs", 20));
-  const double rate_scale = flag(argc, argv, "rate_scale", 1.0);
+  bench::Flags flags(argc, argv, kUsage);
+  const double slot_s = flags.number("slot_s", 7200.0, 1800.0, 86400.0);
+  const auto configs =
+      static_cast<std::size_t>(flags.whole("configs", 20, 1, 100000));
+  const double rate_scale = flags.number("rate_scale", 1.0, 0.01, 100.0);
+  flags.finish();
 
   Scenario scenario = make_apac_scenario({.rate_scale = rate_scale});
   const LoadModel loads = LoadModel::paper_default();

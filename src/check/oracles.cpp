@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -489,12 +490,15 @@ bool small_lp(const Materialized& m, const DemandMatrix& demand) {
   return rows_est > 0 && rows_est <= 2000;
 }
 
-/// A per-config demand correction, as the closed loop computes one.
-DemandMatrix perturbed_demand(const DemandMatrix& demand) {
+/// A per-config demand correction, as the closed loop computes one: factors
+/// 0.8..1.2, rotated across configs by `shift`. Every factor is positive,
+/// so the positive-demand pattern never changes.
+DemandMatrix perturbed_demand(const DemandMatrix& demand,
+                              std::size_t shift = 0) {
   DemandMatrix corrected = demand;
   for (TimeSlot t = 0; t < corrected.slot_count(); ++t) {
     for (std::size_t c = 0; c < corrected.config_count(); ++c) {
-      const double factor = 0.8 + 0.1 * static_cast<double>(c % 5);
+      const double factor = 0.8 + 0.1 * static_cast<double>((c + shift) % 5);
       corrected.set_demand(t, c, corrected.demand(t, c) * factor);
     }
   }
@@ -562,17 +566,88 @@ void lp_differential_oracle(const Materialized& m, const FuzzCase& c,
   }
 }
 
+/// Byte equality: an in-place re-solve must reproduce a copy's arithmetic
+/// exactly, so no tolerance and no folding of -0.0 into 0.0.
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Where two re-provisions of the same input differ, or "" when they agree
+/// bit for bit: capacity plan, base placement, and every scenario's
+/// objective and iteration count.
+std::string reprovision_difference(const ProvisionResult& a,
+                                   const ProvisionResult& b) {
+  if (!same_bits(a.capacity.dc_serving_cores, b.capacity.dc_serving_cores) ||
+      !same_bits(a.capacity.dc_backup_cores, b.capacity.dc_backup_cores) ||
+      !same_bits(a.capacity.link_gbps, b.capacity.link_gbps)) {
+    return "capacity plan";
+  }
+  const PlacementMatrix& pa = a.base_placement;
+  const PlacementMatrix& pb = b.base_placement;
+  if (pa.slot_count() != pb.slot_count() ||
+      pa.config_count() != pb.config_count() ||
+      pa.dc_count() != pb.dc_count()) {
+    return "base placement shape";
+  }
+  for (TimeSlot t = 0; t < pa.slot_count(); ++t) {
+    for (std::size_t c = 0; c < pa.config_count(); ++c) {
+      for (std::size_t x = 0; x < pa.dc_count(); ++x) {
+        const DcId dc(static_cast<std::uint32_t>(x));
+        if (!same_bits(pa.calls(t, c, dc), pb.calls(t, c, dc))) {
+          return "base placement";
+        }
+      }
+    }
+  }
+  if (a.scenarios.size() != b.scenarios.size()) return "scenario count";
+  for (std::size_t f = 0; f < a.scenarios.size(); ++f) {
+    const ScenarioOutcome& oa = a.scenarios[f];
+    const ScenarioOutcome& ob = b.scenarios[f];
+    if (!same_bits(oa.lp_objective, ob.lp_objective) ||
+        oa.lp_iterations != ob.lp_iterations) {
+      std::ostringstream os;
+      os << oa.scenario.name << " objective " << oa.lp_objective << " ("
+         << oa.lp_iterations << " iterations) vs " << ob.lp_objective << " ("
+         << ob.lp_iterations << ")";
+      return os.str();
+    }
+  }
+  return "";
+}
+
 /// Re-provisions `demand` through `hint` (input and output) and checks every
 /// scenario's objective against a cold solve_scenario of that scenario at
 /// the floors the warm run gave it: the combined plan of the scenarios
 /// before it under chained floors, F0's requirement under kFromBase.
 /// Comparing at equal floors stays exact when an earlier scenario has
-/// alternate optima. Returns false after recording a failure.
+/// alternate optima. With `against_copy`, the same re-provision first runs
+/// through a copy of the input hint — whose retained LPs rebuild their dual
+/// engines — and the in-place run must match it bit for bit. Returns false
+/// after recording a failure.
 bool reprovision_agrees(const SwitchboardProvisioner& prov,
                         const ProvisionOptions& po, const DemandMatrix& demand,
                         ScenarioBasisHint& hint, const char* what,
-                        std::vector<OracleFailure>& out) {
+                        bool against_copy, std::vector<OracleFailure>& out) {
+  std::optional<ProvisionResult> copied;
+  if (against_copy) {
+    ScenarioBasisHint copy = hint;
+    copied = prov.provision(demand, &copy, &copy);
+  }
   const ProvisionResult warm = prov.provision(demand, &hint, &hint);
+  if (copied) {
+    const std::string diff = reprovision_difference(warm, *copied);
+    if (!diff.empty()) {
+      fail(out, "reprovision",
+           std::string(what) + " re-provision in place differs from one " +
+               "through a copy of its hint: " + diff);
+      return false;
+    }
+  }
   const bool chained =
       po.floor_mode == ProvisionOptions::FloorMode::kChained;
   CapacityPlan combined = warm.scenarios.front().required;
@@ -598,11 +673,14 @@ bool reprovision_agrees(const SwitchboardProvisioner& prov,
 }
 
 /// Incremental vs from-scratch re-provisioning. A cold provision writes
-/// every scenario's model and basis into a hint; a re-provision through it
-/// at the per-config perturbed demand re-solves each retained model with
-/// rewritten right-hand sides (the dual simplex under kAuto). One more
-/// re-provision after zeroing one (slot, config) cell changes the demand
-/// pattern, so every scenario rebuilds and warm-starts semantically.
+/// every scenario's model and basis into a hint; two re-provisions through
+/// it at per-config perturbed demands with the same positive pattern
+/// re-solve each retained LP in place with rewritten right-hand sides (the
+/// dual simplex under kAuto): the first builds each scenario's dual engine,
+/// the second reloads it. Each must match the same re-provision through a
+/// copy of its input hint bit for bit. One more re-provision after zeroing
+/// one (slot, config) cell changes the demand pattern, so every scenario
+/// rebuilds and warm-starts semantically.
 void reprovision_oracle(const Materialized& m, const FuzzCase& c,
                         const DemandMatrix& demand,
                         std::vector<OracleFailure>& out) {
@@ -612,8 +690,13 @@ void reprovision_oracle(const Materialized& m, const FuzzCase& c,
   try {
     ScenarioBasisHint hint;
     (void)prov.provision(demand, nullptr, &hint);
+    if (!reprovision_agrees(prov, po, perturbed_demand(demand, 2), hint,
+                            "perturbed", /*against_copy=*/true, out)) {
+      return;
+    }
     DemandMatrix corrected = perturbed_demand(demand);
-    if (!reprovision_agrees(prov, po, corrected, hint, "perturbed", out)) {
+    if (!reprovision_agrees(prov, po, corrected, hint, "re-perturbed",
+                            /*against_copy=*/true, out)) {
       return;
     }
     for (std::size_t i = 0;
@@ -623,7 +706,7 @@ void reprovision_oracle(const Materialized& m, const FuzzCase& c,
       if (corrected.demand(t, col) > 0.0) {
         corrected.set_demand(t, col, 0.0);
         (void)reprovision_agrees(prov, po, corrected, hint, "zeroed-cell",
-                                 out);
+                                 /*against_copy=*/false, out);
         return;
       }
     }

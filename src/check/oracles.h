@@ -25,7 +25,8 @@
 //   - reprovision: a re-provision through a previous provision's hint
 //     (retained models re-solved at new rhs, or rebuilt after a demand
 //     pattern change) matches a cold solve of every scenario at the same
-//     floors (small shapes only);
+//     floors, and two chained in-place re-solves match the same runs
+//     through copies of their input hints bit for bit (small shapes only);
 //   - rebuild-storm: concurrent plan rebuilds + fault edges + signaling
 //     churn leave the facade usable and a fresh clean cycle conserved.
 // Provisioning that is infeasible BY CONSTRUCTION (a failure scenario with

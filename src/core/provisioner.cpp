@@ -157,7 +157,7 @@ ScenarioLp build_scenario_lp(ScenarioLp::Key key, const DemandMatrix& demand,
 
   ScenarioLp lp;
   lp.key = std::move(key);
-  lp::Model& model = lp.model;
+  lp::Model model;
 
   // Peak variables. CP_x only for DCs that are candidates somewhere; NP_l
   // only for links some (config, DC) pair uses.
@@ -259,6 +259,7 @@ ScenarioLp build_scenario_lp(ScenarioLp::Key key, const DemandMatrix& demand,
                                static_cast<std::size_t>(t) * config_count + c);
     }
   }
+  lp.model = lp::RetainedLp(std::move(model));
   return lp;
 }
 
@@ -310,14 +311,20 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
 
   // Reuse the warm state's model only when it is this scenario's at an
   // unchanged structure: then the model differs from a fresh build in its
-  // rhs alone. A warm state aliased by basis_out hands its model over; a
-  // const one is copied.
+  // rhs alone. A warm state aliased by basis_out hands its LP over, dual
+  // engine included; a const one is copied (without the engine). The two
+  // branches stay separate statements: a conditional expression would
+  // merge them into a const prvalue and copy the handed-over LP too.
   ScenarioLp::Key key = scenario_key(demand, scenario, floors, ctx_, options_);
   const bool reuse =
       warm != nullptr && warm->lp.has_value() && warm->lp->key == key;
   ScenarioLp lp;
   if (reuse) {
-    lp = basis_out == warm ? take(basis_out->lp) : *warm->lp;
+    if (basis_out == warm) {
+      lp = take(basis_out->lp);
+    } else {
+      lp = *warm->lp;
+    }
     rewrite_rhs(lp, demand, floors, world, topo);
   } else {
     lp = build_scenario_lp(std::move(key), demand, scenario, floors, ctx_,
@@ -333,15 +340,12 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
   if (lp_options.decompose_threads <= 1) {
     lp_options.decompose_threads = options_.scenario_threads;
   }
-  if (warm && !warm->empty()) {
-    // On its own retained model the basis is still optimal for the costs
-    // and only primal infeasible where the rhs moved: the dual simplex's
-    // start. A basis mapped onto a rebuilt model keeps the primal: a hint
-    // carried across scenarios meets a model whose failed DC's placement
-    // columns are gone, so it is primal-near-feasible and dual-far, and
-    // routing it to the dual simplex measured ~2.4x the warm primal's
-    // iterations on the provisioner_parallel_test fixture.
-    if (reuse) lp_options.dual_resolve = true;
+  if (!reuse && warm && !warm->empty()) {
+    // A basis mapped onto a rebuilt model keeps the primal: a hint carried
+    // across scenarios meets a model whose failed DC's placement columns
+    // are gone, so it is primal-near-feasible and dual-far, and routing it
+    // to the dual simplex measured ~2.4x the warm primal's iterations on
+    // the provisioner_parallel_test fixture.
     // Translate the semantic hint into this model's column order. Columns
     // the hint doesn't know (or an undersized hint vector) default to
     // at-lower, which is also the cold-start state.
@@ -364,7 +368,11 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
       if (idx < bank->size()) lp_options.warm_start_rows[r] = (*bank)[idx];
     }
   }
-  const lp::Solution solution = lp::solve(lp.model, lp_options);
+  // On its own retained LP the last basis is still optimal for the costs
+  // and only primal infeasible where the rhs moved: the dual simplex's
+  // start, which resolve() takes from the LP's own statuses.
+  const lp::Solution solution =
+      reuse ? lp.model.resolve(lp_options) : lp.model.solve(lp_options);
   if (!solution.optimal()) {
     throw SolveError("provisioning LP for scenario " + scenario.name +
                      " returned " + lp::to_string(solution.status));

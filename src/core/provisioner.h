@@ -76,17 +76,19 @@ struct ProvisionOptions {
   /// explicitly), since the fan-out pool is idle meanwhile; scenario solves
   /// running ON the fan-out pool decompose sequentially.
   std::size_t scenario_threads = 1;
-  /// Base LP engine knobs. solve_scenario adds dual_resolve on its own
-  /// when it re-solves a retained model (see ScenarioLp); every other solve
-  /// takes these as given.
+  /// Base LP engine knobs. A retained model's re-solve (see ScenarioLp)
+  /// resumes from its own basis through the dual simplex on top of these;
+  /// every other solve takes them as given.
   lp::SolveOptions lp_options;
 };
 
 /// One scenario LP as solve_scenario built it, retained in a
 /// ScenarioWarmStart so a later solve of the same scenario at new right-hand
 /// sides skips the build: it rewrites the completeness rows to the new
-/// demand and the capacity rows to the new floors (lp::Model::set_rhs) and
-/// re-solves from the retained basis through the dual simplex.
+/// demand and the capacity rows to the new floors (lp::RetainedLp::set_rhs)
+/// and re-solves in place from its own final basis through the dual simplex
+/// (lp::RetainedLp::resolve), reusing the presolve result, standard form
+/// and dual engine its earlier solves prepared.
 struct ScenarioLp {
   /// Reuse key: everything that shapes the model. A retained model is
   /// reused only when the new solve's key is equal; otherwise it is rebuilt.
@@ -107,7 +109,7 @@ struct ScenarioLp {
     friend bool operator==(const Key&, const Key&) = default;
   };
   Key key;
-  lp::Model model;
+  lp::RetainedLp model;
   /// Semantic key per LP column, (kind, flat index): 'c' = CP per DC, 'n' =
   /// NP per link, 's' = S per (slot, config, DC) at (t * configs + c) *
   /// dc_count + dc.
@@ -126,11 +128,15 @@ struct ScenarioLp {
 /// plus the LP it was solved on. Produced and consumed by
 /// SwitchboardProvisioner::solve_scenario:
 ///  - the same scenario at the same structure (equal ScenarioLp::Key) reuses
-///    the retained model and re-solves through the dual simplex: only
-///    right-hand sides moved, so the old basis stays dual feasible;
+///    the retained LP and re-solves it in place from its own basis through
+///    the dual simplex: only right-hand sides moved, so the old basis stays
+///    dual feasible;
 ///  - anything else (another scenario's state, a changed demand pattern)
-///    builds a fresh model and maps the basis onto it for the primal engine.
-/// A copy owns its own model; copies never share mutable state.
+///    builds a fresh model and maps the semantic basis onto it for the
+///    primal engine.
+/// A copy owns its own model (lp::RetainedLp's copy rules: the dual engine
+/// stays behind and is rebuilt on the copy's next re-solve); copies never
+/// share mutable state.
 struct ScenarioWarmStart {
   std::vector<lp::VarStatus> cp;  ///< per DC id
   std::vector<lp::VarStatus> np;  ///< per link id

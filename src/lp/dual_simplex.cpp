@@ -22,9 +22,11 @@ constexpr int kMaxFinishRounds = 3;
 /// Rounds of basis repair during load (same as the primal engine).
 constexpr int kMaxRepairRounds = 5;
 
-class DualSimplex {
+}  // namespace
+
+class DualEngine::Impl {
  public:
-  DualSimplex(const StandardForm& sf, const SimplexOptions& options)
+  Impl(const StandardForm& sf, const SimplexOptions& options)
       : options_(options),
         n_(sf.var_count()),
         m_(sf.rows.size()),
@@ -32,9 +34,35 @@ class DualSimplex {
     build(sf);
   }
 
+  /// Overwrites the rhs and structural uppers and returns every piece of
+  /// per-solve state to what build() leaves: workspaces, statuses,
+  /// counters, the Bland and fallback flags.
+  void reload(const StandardForm& sf, const SimplexOptions& options) {
+    require(sf.var_count() == n_ && sf.rows.size() == m_,
+            "DualEngine::reload: standard form shape changed");
+    options_ = options;
+    for (std::size_t j = 0; j < n_; ++j) upper_[j] = sf.upper[j];
+    for (std::size_t r = 0; r < m_; ++r) rhs_[r] = sf.rows[r].rhs;
+    status_.assign(total_, VarStatus::kAtLower);
+    pos_of_.assign(total_, -1);
+    x_basic_.clear();
+    basis_.clear();
+    w_.resize(m_);
+    cb_.resize(m_);
+    bwork_.resize(m_);
+    rho_.resize(m_);
+    alpha_.resize(total_);
+    breakpoints_.clear();
+    flips_.clear();
+    bound_flips_ = 0;
+    bland_ = false;
+    fell_back_ = false;
+  }
+
   SfSolution run(const std::vector<VarStatus>* warm, DualSolveStats* stats) {
     SfSolution out;
     obs::Span span("lp.dual", obs::Subsystem::kLp);
+    factorizations_before_ = basis_state_.factorizations();
     init(warm);
     if (!make_dual_feasible()) {
       // The start cannot be repaired by bound flips (an unboxed column's
@@ -50,7 +78,7 @@ class DualSimplex {
     span.attr(obs::AttrKey::kIterations,
               static_cast<std::int64_t>(out.iterations));
     span.attr(obs::AttrKey::kFactorizations,
-              static_cast<std::int64_t>(basis_state_.factorizations()));
+              static_cast<std::int64_t>(factorizations()));
     fill_statuses(out);
     if (out.status == SolveStatus::kOptimal) {
       out.values.resize(n_);
@@ -559,14 +587,19 @@ class DualSimplex {
     for (std::size_t j = 0; j < total_; ++j) out.statuses[j] = status_[j];
   }
 
+  /// Factorizations of the current run (the Basis counts across reloads).
+  [[nodiscard]] std::size_t factorizations() const {
+    return basis_state_.factorizations() - factorizations_before_;
+  }
+
   void fill_stats(DualSolveStats* stats, bool cleanup) const {
-    stats->factorizations = basis_state_.factorizations();
+    stats->factorizations = factorizations();
     stats->eta_nnz = basis_state_.eta_nnz();
     stats->bound_flips = bound_flips_;
     stats->needs_primal_cleanup = cleanup;
   }
 
-  const SimplexOptions options_;
+  SimplexOptions options_;
   const std::size_t n_;
   const std::size_t m_;
   const std::size_t total_;
@@ -584,6 +617,7 @@ class DualSimplex {
   std::vector<VarStatus> status_;
   std::vector<double> x_basic_;
 
+  std::size_t factorizations_before_ = 0;
   std::size_t bound_flips_ = 0;
   bool bland_ = false;
   bool fell_back_ = false;
@@ -598,7 +632,18 @@ class DualSimplex {
   IndexedVector alpha_;  ///< pivot row in column space
 };
 
-}  // namespace
+DualEngine::DualEngine(const StandardForm& sf, const SimplexOptions& options)
+    : impl_(std::make_unique<Impl>(sf, options)) {}
+DualEngine::~DualEngine() = default;
+
+void DualEngine::reload(const StandardForm& sf, const SimplexOptions& options) {
+  impl_->reload(sf, options);
+}
+
+SfSolution DualEngine::run(const std::vector<VarStatus>* warm,
+                           DualSolveStats* stats) {
+  return impl_->run(warm, stats);
+}
 
 SfSolution solve_dual(const StandardForm& sf, const SimplexOptions& options,
                       const std::vector<VarStatus>* warm,
@@ -607,8 +652,7 @@ SfSolution solve_dual(const StandardForm& sf, const SimplexOptions& options,
     // No constraints: same closed form as the primal engine.
     return solve_sparse(sf, options, nullptr, nullptr);
   }
-  DualSimplex engine(sf, options);
-  return engine.run(warm, stats);
+  return DualEngine(sf, options).run(warm, stats);
 }
 
 }  // namespace sb::lp

@@ -27,8 +27,15 @@
 // sets DualSolveStats::needs_primal_cleanup and returns the current
 // (always valid) basis statuses, which the solver facade feeds to the
 // primal engine as a warm start.
+//
+// DualEngine outlives one solve: a retained LP (lp::RetainedLp) whose rhs
+// moved reloads the engine it built on an earlier solve instead of building
+// a new one. A reload keeps the column and row stores and the costs,
+// overwrites the rhs and structural uppers, and resets everything else to a
+// fresh engine's state, so a reloaded run is bit-identical to a fresh one.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "lp/dense_simplex.h"
@@ -46,6 +53,29 @@ struct DualSolveStats {
   /// hold a valid basis to warm-start the primal engine from; its status
   /// field is kIterationLimit and its values are meaningless.
   bool needs_primal_cleanup = false;
+};
+
+/// A dual simplex engine over one standard form's structure. Not copyable;
+/// lp::RetainedLp holds it behind a pointer, so the column store its basis
+/// points into never moves.
+class DualEngine {
+ public:
+  /// Builds the engine for `sf` (BoundPolicy::kInline, at least one row).
+  DualEngine(const StandardForm& sf, const SimplexOptions& options);
+  ~DualEngine();
+
+  /// Points the engine at `sf`'s rhs and structural uppers. `sf` must have
+  /// the structure the engine was built from: same columns, rows, terms,
+  /// senses and costs (refresh_standard_form's output).
+  void reload(const StandardForm& sf, const SimplexOptions& options);
+
+  /// One dual solve from `warm` (solve_dual's contract). Counters in
+  /// `stats` cover this run only.
+  SfSolution run(const std::vector<VarStatus>* warm, DualSolveStats* stats);
+
+ private:
+  class Impl;
+  std::unique_ptr<Impl> impl_;
 };
 
 /// Solves a standard-form LP (BoundPolicy::kInline) with the dual simplex.

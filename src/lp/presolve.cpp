@@ -1,57 +1,53 @@
 #include "lp/presolve.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace sb::lp {
 
-namespace {
-
-struct Bounds {
-  double lower;
-  double upper;
-};
-
-}  // namespace
-
 PresolveResult presolve(const Model& model, double tolerance) {
   PresolveResult result;
 
-  std::vector<Bounds> bounds;
-  bounds.reserve(model.variable_count());
+  std::vector<double>& lower = result.lower;
+  std::vector<double>& upper = result.upper;
+  lower.reserve(model.variable_count());
+  upper.reserve(model.variable_count());
   for (const Variable& v : model.variables()) {
-    bounds.push_back({v.lower, v.upper});
+    lower.push_back(v.lower);
+    upper.push_back(v.upper);
   }
   std::vector<bool> row_alive(model.constraint_count(), true);
 
   auto tighten = [&](int var, Sense sense, double value) -> bool {
-    Bounds& b = bounds[var];
+    double& lo = lower[static_cast<std::size_t>(var)];
+    double& up = upper[static_cast<std::size_t>(var)];
     bool changed = false;
     switch (sense) {
       case Sense::kLe:
-        if (value < b.upper - tolerance) {
-          b.upper = value;
+        if (value < up - tolerance) {
+          up = value;
           changed = true;
         }
         break;
       case Sense::kGe:
-        if (value > b.lower + tolerance) {
-          b.lower = value;
+        if (value > lo + tolerance) {
+          lo = value;
           changed = true;
         }
         break;
       case Sense::kEq:
-        if (value > b.lower + tolerance) {
-          b.lower = value;
+        if (value > lo + tolerance) {
+          lo = value;
           changed = true;
         }
-        if (value < b.upper - tolerance) {
-          b.upper = value;
+        if (value < up - tolerance) {
+          up = value;
           changed = true;
         }
         break;
     }
     if (changed) ++result.bounds_tightened;
-    return b.lower <= b.upper + tolerance;
+    return lo <= up + tolerance;
   };
 
   bool progressed = true;
@@ -122,8 +118,8 @@ PresolveResult presolve(const Model& model, double tolerance) {
     double min_activity = 0.0;
     bool bounded = true;
     for (const Term& t : row.terms) {
-      const Bounds& b = bounds[static_cast<std::size_t>(t.var)];
-      const double lo = t.coeff > 0.0 ? t.coeff * b.lower : t.coeff * b.upper;
+      const auto v = static_cast<std::size_t>(t.var);
+      const double lo = t.coeff > 0.0 ? t.coeff * lower[v] : t.coeff * upper[v];
       if (!std::isfinite(lo)) {
         bounded = false;
         break;
@@ -133,32 +129,26 @@ PresolveResult presolve(const Model& model, double tolerance) {
     if (!bounded) continue;
     for (const Term& t : row.terms) {
       if (t.coeff <= 0.0) continue;
-      Bounds& b = bounds[static_cast<std::size_t>(t.var)];
-      if (std::isfinite(b.upper)) continue;
-      const double without = min_activity - t.coeff * b.lower;
+      const auto v = static_cast<std::size_t>(t.var);
+      if (std::isfinite(upper[v])) continue;
+      const double without = min_activity - t.coeff * lower[v];
       const double implied = (row.rhs - without) / t.coeff;
       if (std::isfinite(implied)) {
-        b.upper = std::max(implied, b.lower);
+        upper[v] = std::max(implied, lower[v]);
         ++result.uppers_implied;
       }
     }
   }
 
-  // Rebuild the reduced model with the tightened bounds and surviving rows.
+  // Snap within-tolerance crossings and number the surviving rows.
   for (std::size_t i = 0; i < model.variable_count(); ++i) {
+    if (upper[i] < lower[i]) upper[i] = lower[i];
     const Variable& v = model.variable(static_cast<int>(i));
-    double lower = bounds[i].lower;
-    double upper = bounds[i].upper;
-    if (upper < lower) upper = lower;  // within tolerance; snap
-    if (lower == upper && v.lower != v.upper) ++result.variables_fixed;
-    result.reduced.add_variable(lower, upper, v.cost, v.name);
+    if (lower[i] == upper[i] && v.lower != v.upper) ++result.variables_fixed;
   }
   result.row_map.assign(model.constraint_count(), -1);
   for (std::size_t r = 0; r < model.constraint_count(); ++r) {
-    if (!row_alive[r]) continue;
-    const Constraint& row = model.constraint(static_cast<int>(r));
-    result.row_map[r] = static_cast<int>(result.reduced.constraint_count());
-    result.reduced.add_constraint(row.terms, row.sense, row.rhs, row.name);
+    if (row_alive[r]) result.row_map[r] = static_cast<int>(result.rows_kept++);
   }
   return result;
 }

@@ -13,27 +13,34 @@
 //    substitutes them out);
 //  - implied upper bounds from kLe row activity: boxes +inf columns so the
 //    simplex engines' long-step ratio tests can bound-flip them.
+//
+// Presolve never copies the model: it reports the tightened bounds and the
+// surviving rows, and to_standard_form (lp/standard_form.h) builds the
+// reduced LP straight from the model plus this result.
 #pragma once
 
-#include <optional>
+#include <string>
+#include <vector>
 
 #include "lp/model.h"
 
 namespace sb::lp {
 
 struct PresolveResult {
-  /// The reduced model. Variable indices are preserved (variables are
-  /// fixed via bounds rather than renumbered), so solutions of `reduced`
-  /// are solutions of the original model directly.
-  Model reduced;
-  /// Set when presolve proves the model infeasible; `reduced` is then
-  /// meaningless.
+  /// Set when presolve proves the model infeasible; every other field is
+  /// then meaningless.
   bool infeasible = false;
   std::string infeasible_reason;
-  /// Original constraint index -> index in `reduced` (-1 when the row was
-  /// removed). Lets callers map row-level data (e.g. warm-start logical
-  /// statuses) between the original and reduced models.
+  /// Tightened bounds per model variable (indices are preserved: variables
+  /// are fixed via bounds rather than renumbered). upper >= lower always
+  /// holds; lower == upper marks a fixed variable.
+  std::vector<double> lower;
+  std::vector<double> upper;
+  /// Original constraint index -> index among the surviving rows (-1 when
+  /// the row was removed). Lets callers map row-level data (e.g. warm-start
+  /// logical statuses) between the original and reduced LPs.
   std::vector<int> row_map;
+  std::size_t rows_kept = 0;
   /// Statistics for logging/tests.
   std::size_t rows_removed = 0;
   std::size_t bounds_tightened = 0;

@@ -102,9 +102,63 @@ obs::Histogram& method_timer_for(SolveMetrics& metrics, Method method) {
   return method == Method::kSparse || method == Method::kDual;
 }
 
+/// Whether a fresh presolve made the decisions `old` recorded, so the
+/// standard form built through `old` keeps its structure: the same rows
+/// survive, the same variables are fixed, the same uppers are finite.
+[[nodiscard]] bool same_decisions(const PresolveResult& old,
+                                  const PresolveResult& fresh) {
+  if (old.row_map != fresh.row_map) return false;
+  for (std::size_t i = 0; i < old.lower.size(); ++i) {
+    if ((old.lower[i] == old.upper[i]) !=
+            (fresh.lower[i] == fresh.upper[i]) ||
+        (old.upper[i] == kInf) != (fresh.upper[i] == kInf)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Solution solve(const Model& model, const SolveOptions& options) {
+  RetainedLp once;
+  return once.run(model, options, /*own_basis=*/false);
+}
+
+RetainedLp::RetainedLp() = default;
+RetainedLp::RetainedLp(Model model) : model_(std::move(model)) {}
+RetainedLp::RetainedLp(const RetainedLp& other)
+    : model_(other.model_),
+      repacked_(true),
+      prepared_(other.prepared_),
+      presolved_(other.presolved_),
+      policy_(other.policy_),
+      pre_(other.pre_),
+      sf_(other.sf_),
+      basis_(other.basis_),
+      row_basis_(other.row_basis_) {}
+RetainedLp& RetainedLp::operator=(const RetainedLp& other) {
+  if (this != &other) *this = RetainedLp(other);
+  return *this;
+}
+RetainedLp::RetainedLp(RetainedLp&&) noexcept = default;
+RetainedLp& RetainedLp::operator=(RetainedLp&&) noexcept = default;
+RetainedLp::~RetainedLp() = default;
+
+Solution RetainedLp::solve(const SolveOptions& options) {
+  return run(model_, options, /*own_basis=*/false);
+}
+
+Solution RetainedLp::resolve(const SolveOptions& options) {
+  if (!repacked_) {
+    model_ = Model(model_);
+    repacked_ = true;
+  }
+  return run(model_, options, /*own_basis=*/true);
+}
+
+Solution RetainedLp::run(const Model& model, const SolveOptions& options,
+                         bool own_basis) {
   SolveMetrics& metrics = SolveMetrics::get();
   metrics.solves.inc();
   obs::ScopedTimer total_timer(metrics.solve_s);
@@ -114,11 +168,20 @@ Solution solve(const Model& model, const SolveOptions& options) {
   span.attr(obs::AttrKey::kCols,
             static_cast<std::int64_t>(model.variable_count()));
 
-  const Model* target = &model;
-  PresolveResult pre;
+  // resolve()'s warm start is the last solve's basis; it is consumed into
+  // sf_warm below, before this solve overwrites it.
+  const std::vector<VarStatus>& warm_start =
+      own_basis ? basis_ : options.warm_start;
+  const std::vector<VarStatus>& warm_start_rows =
+      own_basis ? row_basis_ : options.warm_start_rows;
+  const bool dual_resolve = own_basis || options.dual_resolve;
+
+  // Re-derive presolve; the retained standard form keeps its structure
+  // only if every decision came out the same (only rhs can have moved).
+  bool same_structure = prepared_ && presolved_ == options.use_presolve;
   if (options.use_presolve) {
     obs::Span presolve_span("lp.presolve", obs::Subsystem::kLp);
-    pre = presolve(model);
+    PresolveResult pre = presolve(model);
     metrics.presolve_rows_removed.inc(pre.rows_removed);
     metrics.presolve_bounds_tightened.inc(pre.bounds_tightened);
     metrics.presolve_variables_fixed.inc(pre.variables_fixed);
@@ -126,6 +189,10 @@ Solution solve(const Model& model, const SolveOptions& options) {
     presolve_span.attr(obs::AttrKey::kRows,
                        static_cast<std::int64_t>(pre.rows_removed));
     if (pre.infeasible) {
+      prepared_ = false;
+      engine_.reset();
+      basis_.clear();
+      row_basis_.clear();
       metrics.infeasible.inc();
       Solution solution;
       solution.status = SolveStatus::kInfeasible;
@@ -133,29 +200,41 @@ Solution solve(const Model& model, const SolveOptions& options) {
                 static_cast<std::int64_t>(SolveStatus::kInfeasible));
       return solution;
     }
-    target = &pre.reduced;
+    same_structure = same_structure && same_decisions(pre_, pre);
+    pre_ = std::move(pre);
   }
+  presolved_ = options.use_presolve;
+  const PresolveResult* pre = presolved_ ? &pre_ : nullptr;
+  const std::size_t rows =
+      presolved_ ? pre_.rows_kept : model.constraint_count();
 
   // kAuto routing table (documented in DESIGN.md): tiny models take the
   // dense tableau; warm re-solves flagged as bound/rhs perturbations take
   // the dual simplex; everything else takes the primal sparse engine, with
   // large cold solves additionally eligible for block decomposition below.
-  const bool has_warm_hint = !options.warm_start.empty() &&
-                             options.warm_start.size() ==
-                                 model.variable_count();
+  const bool has_warm_hint =
+      !warm_start.empty() && warm_start.size() == model.variable_count();
   Method method = options.method;
   if (method == Method::kAuto) {
-    if (target->constraint_count() < kAutoSparseRowCutoff) {
+    if (rows < kAutoSparseRowCutoff) {
       method = Method::kDense;
-    } else if (options.dual_resolve && has_warm_hint) {
+    } else if (dual_resolve && has_warm_hint) {
       method = Method::kDual;
     } else {
       method = Method::kSparse;
     }
   }
-  const StandardForm sf = to_standard_form(
-      *target, sparse_family(method) ? BoundPolicy::kInline
-                                     : BoundPolicy::kUpperRows);
+  const BoundPolicy policy = sparse_family(method) ? BoundPolicy::kInline
+                                                   : BoundPolicy::kUpperRows;
+  if (same_structure && policy == policy_) {
+    refresh_standard_form(model, policy, pre, sf_);
+  } else {
+    sf_ = to_standard_form(model, policy, pre);
+    policy_ = policy;
+    engine_.reset();
+  }
+  prepared_ = true;
+  const StandardForm& sf = sf_;
   if (method == Method::kDense && sf.rows.size() > kDenseRowLimit) {
     throw InvalidArgument(
         "lp: dense tableau is limited to " + std::to_string(kDenseRowLimit) +
@@ -163,31 +242,30 @@ Solution solve(const Model& model, const SolveOptions& options) {
         "); use Method::kSparse or kAuto");
   }
 
-  // Map the warm-start statuses (model variable space) onto the reduced
-  // model's structural variables. Variables presolve fixed simply drop out.
+  // Map the warm-start statuses (model variable space) onto the standard
+  // form's structural variables. Variables presolve fixed simply drop out.
   std::vector<VarStatus> sf_warm;
   const std::vector<VarStatus>* warm_ptr = nullptr;
   if (sparse_family(method) && has_warm_hint) {
     sf_warm.assign(sf.var_count(), VarStatus::kAtLower);
-    for (std::size_t i = 0; i < options.warm_start.size(); ++i) {
+    for (std::size_t i = 0; i < warm_start.size(); ++i) {
       const int sv = sf.var_map[i];
       if (sv < 0) continue;
-      const VarStatus s = options.warm_start[i];
+      const VarStatus s = warm_start[i];
       sf_warm[static_cast<std::size_t>(sv)] =
           s == VarStatus::kFixed ? VarStatus::kAtLower : s;
     }
     // Row statuses ride along when supplied: the standard form emits one row
-    // per reduced-model constraint in order (BoundPolicy::kInline adds no
-    // extra rows), so reduced row r is standard-form logical var_count()+r.
+    // per surviving constraint in order (BoundPolicy::kInline adds no extra
+    // rows), so surviving row r is standard-form logical var_count()+r.
     // Rows presolve removed keep the engine's resting default.
-    if (options.warm_start_rows.size() == model.constraint_count()) {
+    if (warm_start_rows.size() == model.constraint_count()) {
       sf_warm.resize(sf.var_count() + sf.rows.size(), VarStatus::kAtLower);
-      for (std::size_t r = 0; r < options.warm_start_rows.size(); ++r) {
-        const int rr = options.use_presolve ? pre.row_map[r]
-                                            : static_cast<int>(r);
+      for (std::size_t r = 0; r < warm_start_rows.size(); ++r) {
+        const int rr = presolved_ ? pre_.row_map[r] : static_cast<int>(r);
         if (rr < 0) continue;
         sf_warm[sf.var_count() + static_cast<std::size_t>(rr)] =
-            options.warm_start_rows[r];
+            warm_start_rows[r];
       }
     }
     warm_ptr = &sf_warm;
@@ -220,7 +298,18 @@ Solution solve(const Model& model, const SolveOptions& options) {
         break;
       case Method::kDual: {
         DualSolveStats dual_stats;
-        raw = solve_dual(sf, options, warm_ptr, &dual_stats);
+        if (sf.rows.empty()) {
+          raw = solve_dual(sf, options, warm_ptr, &dual_stats);
+        } else {
+          // The first dual solve builds the engine; later ones over the
+          // same structure reload it with the refreshed rhs and uppers.
+          if (engine_ != nullptr) {
+            engine_->reload(sf, options);
+          } else {
+            engine_ = std::make_unique<DualEngine>(sf, options);
+          }
+          raw = engine_->run(warm_ptr, &dual_stats);
+        }
         metrics.factorizations.inc(dual_stats.factorizations);
         metrics.bound_flips.inc(dual_stats.bound_flips);
         metrics.eta_nnz.record(static_cast<double>(dual_stats.eta_nnz));
@@ -281,7 +370,7 @@ Solution solve(const Model& model, const SolveOptions& options) {
   solution.iterations = raw.iterations;
   if (raw.status == SolveStatus::kOptimal) {
     // Presolve preserves variable indices, so mapping back through the
-    // reduced model's standard form lands in the original variable space.
+    // reduced standard form lands in the original variable space.
     solution.values = map_back(sf, raw.values, model.variable_count());
     solution.objective = model.objective_value(solution.values);
     if (sparse_family(method)) {
@@ -301,8 +390,7 @@ Solution solve(const Model& model, const SolveOptions& options) {
       // (slack basic / row inactive) so re-feeding the basis stays exact.
       solution.row_basis.assign(model.constraint_count(), VarStatus::kBasic);
       for (std::size_t r = 0; r < model.constraint_count(); ++r) {
-        const int rr = options.use_presolve ? pre.row_map[r]
-                                            : static_cast<int>(r);
+        const int rr = presolved_ ? pre_.row_map[r] : static_cast<int>(r);
         if (rr < 0) continue;
         const std::size_t idx = sf.var_count() + static_cast<std::size_t>(rr);
         if (idx < raw.statuses.size()) {
@@ -311,6 +399,8 @@ Solution solve(const Model& model, const SolveOptions& options) {
       }
     }
   }
+  basis_ = solution.basis;
+  row_basis_ = solution.row_basis;
   return solution;
 }
 

@@ -1,13 +1,18 @@
 // Solver facade: converts a Model to standard form, dispatches to a simplex
 // implementation, and maps the answer back to model variable space. This is
-// the only LP entry point the rest of Switchboard uses.
+// the only LP entry point the rest of Switchboard uses: lp::solve for a
+// one-shot solve, lp::RetainedLp for a model solved again after its
+// right-hand sides move. Both run the same solve path.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "lp/dense_simplex.h"
 #include "lp/model.h"
+#include "lp/presolve.h"
+#include "lp/standard_form.h"
 
 namespace sb::lp {
 
@@ -93,5 +98,77 @@ struct SolveOptions : SimplexOptions {
 /// its row limit; solver failures are reported via Solution::status, not
 /// exceptions.
 Solution solve(const Model& model, const SolveOptions& options = {});
+
+class DualEngine;
+
+/// A model kept across solves with what its solves prepared: the presolve
+/// result, the standard form, a dual engine built the first time a solve
+/// routes to the dual simplex, and the basis of the last solve. Only the
+/// right-hand sides can change between solves (set_rhs), so a later solve
+/// re-derives presolve and checks that its decisions held — the same rows
+/// removed, the same variables fixed, the same uppers finite. If they held,
+/// it re-derives the standard form's values in place and reloads the
+/// retained engine; otherwise it prepares from scratch. Either way every
+/// engine sees the inputs lp::solve would compute, so the answers are bit
+/// for bit those of lp::solve(model(), options).
+///
+/// Copies carry the model, the presolve result, the standard form and the
+/// last basis, but not the engine: a copy builds its own on its next dual
+/// solve and answers bit-identically. Moves keep the engine. One object
+/// must not be solved from two threads at once.
+class RetainedLp {
+ public:
+  RetainedLp();
+  explicit RetainedLp(Model model);
+  RetainedLp(const RetainedLp& other);
+  RetainedLp& operator=(const RetainedLp& other);
+  RetainedLp(RetainedLp&&) noexcept;
+  RetainedLp& operator=(RetainedLp&&) noexcept;
+  ~RetainedLp();
+
+  [[nodiscard]] const Model& model() const { return model_; }
+  /// Whether a dual engine is retained for the next re-solve: after a dual
+  /// solve, until a copy, a structure change or an infeasible presolve.
+  [[nodiscard]] bool has_engine() const { return engine_ != nullptr; }
+  /// Model::set_rhs on the retained model.
+  void set_rhs(int row, double rhs) { model_.set_rhs(row, rhs); }
+
+  /// lp::solve(model(), options), keeping what the solve prepared.
+  Solution solve(const SolveOptions& options = {});
+
+  /// Re-solves from the last solve's final basis through the dual simplex:
+  /// lp::solve(model(), options) with that solve's Solution::basis and
+  /// row_basis as the warm start and dual_resolve set. Without a basis (no
+  /// solve yet, a non-optimal one, or the dense tableau's) it solves cold.
+  ///
+  /// The first resolve() of a model adopted through the constructor first
+  /// copies the model into fresh storage, once (a copy changes no value a
+  /// solve reads). Left where its builder put it, among the builder's
+  /// freed temporaries, the model kept glibc from returning up to ~50 MB
+  /// of freed heap at perfbench busy_window's peak (EXPERIMENTS.md,
+  /// "Retained re-solves").
+  Solution resolve(const SolveOptions& options = {});
+
+ private:
+  friend Solution solve(const Model& model, const SolveOptions& options);
+
+  /// The one solve path. `model` is model_ except for lp::solve's one-shot
+  /// object; `own_basis` takes the warm start from basis_/row_basis_ and
+  /// sets dual_resolve.
+  Solution run(const Model& model, const SolveOptions& options,
+               bool own_basis);
+
+  Model model_;
+  bool repacked_ = false;  ///< model_ was copied into fresh storage
+  /// pre_/sf_ describe the model as of the last solve.
+  bool prepared_ = false;
+  bool presolved_ = false;  ///< sf_ was built through pre_
+  BoundPolicy policy_ = BoundPolicy::kInline;
+  PresolveResult pre_;
+  StandardForm sf_;
+  std::unique_ptr<DualEngine> engine_;  ///< built for sf_'s structure
+  std::vector<VarStatus> basis_;        ///< last Solution::basis
+  std::vector<VarStatus> row_basis_;    ///< last Solution::row_basis
+};
 
 }  // namespace sb::lp

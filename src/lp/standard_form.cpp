@@ -4,55 +4,104 @@
 
 namespace sb::lp {
 
-StandardForm to_standard_form(const Model& model, BoundPolicy policy) {
+namespace {
+
+/// A variable's bounds as the standard form sees them: presolve's when
+/// given, else the model's.
+double lower_of(const Model& model, const PresolveResult* pre, std::size_t i) {
+  return pre != nullptr ? pre->lower[i]
+                        : model.variable(static_cast<int>(i)).lower;
+}
+double upper_of(const Model& model, const PresolveResult* pre, std::size_t i) {
+  return pre != nullptr ? pre->upper[i]
+                        : model.variable(static_cast<int>(i)).upper;
+}
+bool row_kept(const PresolveResult* pre, std::size_t r) {
+  return pre == nullptr || pre->row_map[r] >= 0;
+}
+
+}  // namespace
+
+StandardForm to_standard_form(const Model& model, BoundPolicy policy,
+                              const PresolveResult* presolved) {
   StandardForm sf;
   const std::size_t n = model.variable_count();
   sf.var_map.assign(n, -1);
-  sf.var_base.assign(n, 0.0);
 
-  // Assign standard-form indices to non-fixed variables; record shifts.
+  // Assign standard-form indices to non-fixed variables.
   for (std::size_t i = 0; i < n; ++i) {
-    const Variable& v = model.variable(static_cast<int>(i));
-    if (v.lower == v.upper) {
-      sf.var_base[i] = v.lower;
-      sf.objective_offset += v.cost * v.lower;
+    if (lower_of(model, presolved, i) == upper_of(model, presolved, i)) {
       continue;
     }
     sf.var_map[i] = static_cast<int>(sf.cost.size());
-    sf.var_base[i] = v.lower;
-    sf.cost.push_back(v.cost);
-    sf.upper.push_back(v.upper == kInf ? kInf : v.upper - v.lower);
-    sf.objective_offset += v.cost * v.lower;
+    sf.cost.push_back(model.variable(static_cast<int>(i)).cost);
   }
+  sf.upper.resize(sf.cost.size());
 
   // Upper-bound rows for shifted variables with finite upper bounds (legacy
   // policy only; the sparse engine reads `upper` directly).
   if (policy == BoundPolicy::kUpperRows) {
     for (std::size_t i = 0; i < n; ++i) {
-      const Variable& v = model.variable(static_cast<int>(i));
-      if (sf.var_map[i] < 0 || v.upper == kInf) continue;
-      sf.rows.push_back(StandardRow{{Term{sf.var_map[i], 1.0}},
-                                    Sense::kLe,
-                                    v.upper - v.lower});
+      if (sf.var_map[i] < 0 || upper_of(model, presolved, i) == kInf) continue;
+      sf.rows.push_back(
+          StandardRow{{Term{sf.var_map[i], 1.0}}, Sense::kLe, 0.0});
     }
   }
 
-  // Constraint rows with fixed variables folded into the rhs and the
-  // remaining variables shifted (rhs -= coeff * lower).
+  // Constraint rows over the remaining variables; fixed variables fold into
+  // the rhs (refresh_standard_form below).
   for (std::size_t r = 0; r < model.constraint_count(); ++r) {
+    if (!row_kept(presolved, r)) continue;
     const Constraint& row = model.constraint(static_cast<int>(r));
     StandardRow out;
     out.sense = row.sense;
-    out.rhs = row.rhs;
     for (const Term& t : row.terms) {
-      out.rhs -= t.coeff * sf.var_base[t.var];
       if (sf.var_map[t.var] >= 0 && t.coeff != 0.0) {
         out.terms.push_back(Term{sf.var_map[t.var], t.coeff});
       }
     }
     sf.rows.push_back(std::move(out));
   }
+  refresh_standard_form(model, policy, presolved, sf);
   return sf;
+}
+
+void refresh_standard_form(const Model& model, BoundPolicy policy,
+                           const PresolveResult* presolved, StandardForm& sf) {
+  const std::size_t n = model.variable_count();
+  // Shifts (lower bound, or the fixed value) and shifted uppers.
+  sf.var_base.resize(n);
+  sf.objective_offset = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double lower = lower_of(model, presolved, i);
+    const double upper = upper_of(model, presolved, i);
+    sf.var_base[i] = lower;
+    sf.objective_offset += model.variable(static_cast<int>(i)).cost * lower;
+    const int sv = sf.var_map[i];
+    if (sv >= 0) {
+      sf.upper[static_cast<std::size_t>(sv)] =
+          upper == kInf ? kInf : upper - lower;
+    }
+  }
+
+  std::size_t k = 0;
+  if (policy == BoundPolicy::kUpperRows) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double upper = upper_of(model, presolved, i);
+      if (sf.var_map[i] < 0 || upper == kInf) continue;
+      sf.rows[k++].rhs = upper - lower_of(model, presolved, i);
+    }
+  }
+  // rhs -= coeff * shift over every term, fixed variables included.
+  for (std::size_t r = 0; r < model.constraint_count(); ++r) {
+    if (!row_kept(presolved, r)) continue;
+    const Constraint& row = model.constraint(static_cast<int>(r));
+    double rhs = row.rhs;
+    for (const Term& t : row.terms) {
+      rhs -= t.coeff * sf.var_base[static_cast<std::size_t>(t.var)];
+    }
+    sf.rows[k++].rhs = rhs;
+  }
 }
 
 std::vector<double> map_back(const StandardForm& sf,

@@ -10,11 +10,16 @@
 // which keeps the row count — and the basis size — independent of how many
 // variables are bounded. map_back() restores values in the original model's
 // variable space either way.
+//
+// The conversion reads a model plus, optionally, its presolve result
+// (lp/presolve.h): the tightened bounds replace the model's and the rows
+// presolve removed are skipped, so no reduced Model is ever materialized.
 #pragma once
 
 #include <vector>
 
 #include "lp/model.h"
+#include "lp/presolve.h"
 
 namespace sb::lp {
 
@@ -43,10 +48,22 @@ struct StandardForm {
   [[nodiscard]] std::size_t var_count() const { return cost.size(); }
 };
 
-/// Builds the standard form. Throws InvalidArgument if any variable has a
-/// non-finite lower bound.
+/// Builds the standard form of `model`, or of its reduction when
+/// `presolved` is given (bounds and surviving rows from that result). Throws
+/// InvalidArgument if any variable has a non-finite lower bound.
 StandardForm to_standard_form(const Model& model,
-                              BoundPolicy policy = BoundPolicy::kUpperRows);
+                              BoundPolicy policy = BoundPolicy::kUpperRows,
+                              const PresolveResult* presolved = nullptr);
+
+/// Re-derives `sf`'s rhs, uppers, shifts and objective offset from `model`
+/// (and `presolved`) in place, with to_standard_form's arithmetic in its
+/// term order, so the result equals a fresh conversion bit for bit. `sf`
+/// must come from to_standard_form with the same policy, and the model and
+/// presolve result may differ from that call's only in values that leave
+/// the structure alone: the same rows surviving, the same variables fixed,
+/// the same uppers finite.
+void refresh_standard_form(const Model& model, BoundPolicy policy,
+                           const PresolveResult* presolved, StandardForm& sf);
 
 /// Maps standard-form values back into the model's variable space.
 std::vector<double> map_back(const StandardForm& sf,

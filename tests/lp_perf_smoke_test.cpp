@@ -17,40 +17,12 @@
 #include "lp/standard_form.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
+#include "lp_models.h"
 
 namespace sb::lp {
 namespace {
 
-/// The provisioning shape shared with bench/micro_lp.cpp and the other lp
-/// tests: per-DC peaks (coupling), per-(slot, config) completeness
-/// equalities and per-slot capacity rows (block-local).
-Model make_provisioning_lp(std::size_t slots, std::size_t configs,
-                           std::size_t dcs, std::uint64_t seed) {
-  Rng rng(seed);
-  Model m;
-  std::vector<int> cp(dcs);
-  for (std::size_t x = 0; x < dcs; ++x) {
-    cp[x] = m.add_variable(0.0, kInf, rng.uniform(0.9, 1.4));
-  }
-  for (std::size_t t = 0; t < slots; ++t) {
-    std::vector<std::vector<Term>> dc_rows(dcs);
-    for (std::size_t c = 0; c < configs; ++c) {
-      std::vector<Term> completeness;
-      for (std::size_t x = 0; x < dcs; ++x) {
-        const int s = m.add_variable(0.0, kInf, 1e-6 * rng.uniform(5, 100));
-        dc_rows[x].push_back({s, rng.uniform(0.01, 0.1)});
-        completeness.push_back({s, 1.0});
-      }
-      m.add_constraint(std::move(completeness), Sense::kEq,
-                       rng.uniform(0.0, 50.0));
-    }
-    for (std::size_t x = 0; x < dcs; ++x) {
-      dc_rows[x].push_back({cp[x], -1.0});
-      m.add_constraint(std::move(dc_rows[x]), Sense::kLe, 0.0);
-    }
-  }
-  return m;
-}
+using test::make_provisioning_lp;
 
 TEST(LpPerfSmoke, DetectionFindsOneBlockPerSlot) {
   const std::size_t slots = 16;

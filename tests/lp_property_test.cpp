@@ -6,49 +6,13 @@
 
 #include "common/rng.h"
 #include "lp/solver.h"
+#include "lp_models.h"
 
 namespace sb::lp {
 namespace {
 
-struct RandomLpSpec {
-  std::uint64_t seed;
-  std::size_t vars;
-  std::size_t rows;
-};
-
-/// Builds a random LP that is feasible by construction: draw a non-negative
-/// witness x0, then set each row's rhs from A x0 (loosened for inequalities
-/// in the satisfied direction). Costs are non-negative, so with x >= 0 the
-/// problem is also bounded.
-Model make_random_feasible_lp(const RandomLpSpec& spec) {
-  Rng rng(spec.seed);
-  Model m;
-  std::vector<double> witness(spec.vars);
-  for (std::size_t i = 0; i < spec.vars; ++i) {
-    witness[i] = rng.uniform(0.0, 10.0);
-    m.add_variable(0.0, kInf, rng.uniform(0.0, 5.0));
-  }
-  for (std::size_t r = 0; r < spec.rows; ++r) {
-    std::vector<Term> terms;
-    double lhs = 0.0;
-    for (std::size_t i = 0; i < spec.vars; ++i) {
-      if (!rng.chance(0.4)) continue;
-      const double coeff = rng.uniform(-3.0, 3.0);
-      terms.push_back({static_cast<int>(i), coeff});
-      lhs += coeff * witness[i];
-    }
-    if (terms.empty()) continue;
-    const double pick = rng.uniform();
-    if (pick < 0.4) {
-      m.add_constraint(std::move(terms), Sense::kLe, lhs + rng.uniform(0.0, 4.0));
-    } else if (pick < 0.8) {
-      m.add_constraint(std::move(terms), Sense::kGe, lhs - rng.uniform(0.0, 4.0));
-    } else {
-      m.add_constraint(std::move(terms), Sense::kEq, lhs);
-    }
-  }
-  return m;
-}
+using test::make_random_feasible_lp;
+using test::RandomLpSpec;
 
 class RandomLpAgreementTest
     : public ::testing::TestWithParam<RandomLpSpec> {};

@@ -10,41 +10,12 @@
 
 #include "common/rng.h"
 #include "lp/solver.h"
+#include "lp_models.h"
 
 namespace sb::lp {
 namespace {
 
-/// Provisioning-shaped LP (see bench/micro_lp.cpp): per-DC peaks, per-slot
-/// capacity rows, completeness equalities. `demand_scale` perturbs every
-/// completeness rhs, modeling a failure scenario's shifted demand.
-Model make_provisioning_lp(std::size_t slots, std::size_t configs,
-                           std::size_t dcs, std::uint64_t seed,
-                           double demand_scale = 1.0) {
-  Rng rng(seed);
-  Model m;
-  std::vector<int> cp(dcs);
-  for (std::size_t x = 0; x < dcs; ++x) {
-    cp[x] = m.add_variable(0.0, kInf, rng.uniform(0.9, 1.4));
-  }
-  for (std::size_t t = 0; t < slots; ++t) {
-    std::vector<std::vector<Term>> dc_rows(dcs);
-    for (std::size_t c = 0; c < configs; ++c) {
-      std::vector<Term> completeness;
-      for (std::size_t x = 0; x < dcs; ++x) {
-        const int s = m.add_variable(0.0, kInf, 1e-6 * rng.uniform(5, 100));
-        dc_rows[x].push_back({s, rng.uniform(0.01, 0.1)});
-        completeness.push_back({s, 1.0});
-      }
-      m.add_constraint(std::move(completeness), Sense::kEq,
-                       demand_scale * rng.uniform(0.0, 50.0));
-    }
-    for (std::size_t x = 0; x < dcs; ++x) {
-      dc_rows[x].push_back({cp[x], -1.0});
-      m.add_constraint(std::move(dc_rows[x]), Sense::kLe, 0.0);
-    }
-  }
-  return m;
-}
+using test::make_provisioning_lp;
 
 TEST(WarmStartTest, ResolveFromOwnBasisIsIterationFree) {
   const Model m = make_provisioning_lp(8, 10, 5, 17);

@@ -5,11 +5,15 @@
 // file also pins provision()'s start rule: a cold provision solves every
 // scenario cold, and a re-provision re-solves every scenario from its own
 // retained model and basis (rebuilding the model when the demand pattern
-// changed), landing on the optimum a cold solve at the same floors finds.
+// changed), landing on the optimum a cold solve at the same floors finds,
+// and bit for bit on what the same re-provision through a copy of its hint
+// (whose retained LPs rebuild their dual engines) computes.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <optional>
+#include <string>
 #include <thread>
 
 #include "core/provisioner.h"
@@ -218,6 +222,17 @@ DemandMatrix corrected_demand(const DemandMatrix& demand) {
   return corrected;
 }
 
+/// `demand` with every cell scaled by `factor` (same positive pattern).
+DemandMatrix scaled_demand(const DemandMatrix& demand, double factor) {
+  DemandMatrix scaled = demand;
+  for (TimeSlot t = 0; t < scaled.slot_count(); ++t) {
+    for (std::size_t c = 0; c < scaled.config_count(); ++c) {
+      scaled.set_demand(t, c, scaled.demand(t, c) * factor);
+    }
+  }
+  return scaled;
+}
+
 /// Every scenario of `warm` reaches the objective a cold solve_scenario of
 /// that scenario finds at the same floors: the combined plan of the
 /// scenarios before it (the default chained floors).
@@ -281,7 +296,7 @@ void expect_model_demand(const ScenarioWarmStart& state,
   for (std::size_t r = 0; r < lp.row_keys.size(); ++r) {
     const auto& [kind, idx] = lp.row_keys[r];
     if (kind != 'E') continue;
-    EXPECT_EQ(lp.model.constraint(static_cast<int>(r)).rhs,
+    EXPECT_EQ(lp.model.model().constraint(static_cast<int>(r)).rhs,
               demand.demand(static_cast<TimeSlot>(idx / demand.config_count()),
                             idx % demand.config_count()));
   }
@@ -298,12 +313,7 @@ TEST(ParallelProvisionTest, CopiedHintsReprovisionIndependently) {
   ScenarioBasisHint copy = basis;
 
   const DemandMatrix corrected = corrected_demand(fix.demand);
-  DemandMatrix scaled = fix.demand;
-  for (TimeSlot t = 0; t < scaled.slot_count(); ++t) {
-    for (std::size_t c = 0; c < scaled.config_count(); ++c) {
-      scaled.set_demand(t, c, scaled.demand(t, c) * 1.15);
-    }
-  }
+  const DemandMatrix scaled = scaled_demand(fix.demand, 1.15);
   std::optional<ProvisionResult> second;
   std::thread other(
       [&] { second = prov.provision(scaled, &copy, &copy); });
@@ -317,6 +327,101 @@ TEST(ParallelProvisionTest, CopiedHintsReprovisionIndependently) {
   }
 }
 
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Byte equality of two provisions: every scenario's objective, iterations
+/// and requirement, the combined plan, the base placement and its ACL.
+void expect_bitwise_equal(const ProvisionResult& a, const ProvisionResult& b,
+                          const std::string& step) {
+  ASSERT_EQ(a.scenarios.size(), b.scenarios.size()) << step;
+  for (std::size_t f = 0; f < a.scenarios.size(); ++f) {
+    const ScenarioOutcome& oa = a.scenarios[f];
+    const ScenarioOutcome& ob = b.scenarios[f];
+    EXPECT_TRUE(same_bits(oa.lp_objective, ob.lp_objective))
+        << step << " " << oa.scenario.name;
+    EXPECT_EQ(oa.lp_iterations, ob.lp_iterations)
+        << step << " " << oa.scenario.name;
+    for (std::size_t x = 0; x < oa.required.dc_serving_cores.size(); ++x) {
+      EXPECT_TRUE(same_bits(oa.required.dc_serving_cores[x],
+                            ob.required.dc_serving_cores[x]))
+          << step << " " << oa.scenario.name << " dc " << x;
+    }
+    for (std::size_t l = 0; l < oa.required.link_gbps.size(); ++l) {
+      EXPECT_TRUE(same_bits(oa.required.link_gbps[l], ob.required.link_gbps[l]))
+          << step << " " << oa.scenario.name << " link " << l;
+    }
+  }
+  for (std::size_t x = 0; x < a.capacity.dc_serving_cores.size(); ++x) {
+    EXPECT_TRUE(same_bits(a.capacity.dc_serving_cores[x],
+                          b.capacity.dc_serving_cores[x]))
+        << step;
+    EXPECT_TRUE(same_bits(a.capacity.dc_backup_cores[x],
+                          b.capacity.dc_backup_cores[x]))
+        << step;
+  }
+  for (std::size_t l = 0; l < a.capacity.link_gbps.size(); ++l) {
+    EXPECT_TRUE(same_bits(a.capacity.link_gbps[l], b.capacity.link_gbps[l]))
+        << step;
+  }
+  const PlacementMatrix& pa = a.base_placement;
+  const PlacementMatrix& pb = b.base_placement;
+  for (TimeSlot t = 0; t < pa.slot_count(); ++t) {
+    for (std::size_t c = 0; c < pa.config_count(); ++c) {
+      for (std::size_t x = 0; x < pa.dc_count(); ++x) {
+        const DcId dc(static_cast<std::uint32_t>(x));
+        EXPECT_TRUE(same_bits(pa.calls(t, c, dc), pb.calls(t, c, dc)))
+            << step << " placement (" << t << ", " << c << ", " << x << ")";
+      }
+    }
+  }
+  EXPECT_TRUE(same_bits(a.mean_acl_ms, b.mean_acl_ms)) << step;
+}
+
+/// Three chained same-structure re-provisions (x1.15, x0.9, then per-config
+/// factors) run twice: in place through one hint, whose retained LPs build
+/// their dual engines on the first and reload them after, and through a
+/// fresh copy of each step's input hint, whose LPs rebuild every engine.
+/// Both must agree bit for bit.
+void expect_in_place_matches_copies(const ProvisionOptions& options) {
+  const Fixture fix(4242);
+  const SwitchboardProvisioner prov(fix.ctx(), options);
+  ScenarioBasisHint in_place;
+  (void)prov.provision(fix.demand, nullptr, &in_place);
+  ScenarioBasisHint carried = in_place;
+  const std::vector<DemandMatrix> steps = {scaled_demand(fix.demand, 1.15),
+                                           scaled_demand(fix.demand, 0.9),
+                                           corrected_demand(fix.demand)};
+  for (std::size_t k = 0; k < steps.size(); ++k) {
+    const ProvisionResult a = prov.provision(steps[k], &in_place, &in_place);
+    for (const ScenarioWarmStart& state : in_place.scenarios) {
+      ASSERT_TRUE(state.lp.has_value());
+      EXPECT_TRUE(state.lp->model.has_engine()) << "step " << k;
+    }
+    ScenarioBasisHint copy = carried;
+    for (const ScenarioWarmStart& state : copy.scenarios) {
+      EXPECT_FALSE(state.lp->model.has_engine()) << "step " << k;
+    }
+    const ProvisionResult b = prov.provision(steps[k], &copy, &copy);
+    expect_bitwise_equal(a, b, "step " + std::to_string(k));
+    carried = copy;
+  }
+}
+
+TEST(ParallelProvisionTest, InPlaceReprovisionsMatchCopiedHintsBitForBit) {
+  ProvisionOptions options;  // chained floors, one thread
+  options.scenario_threads = 1;
+  expect_in_place_matches_copies(options);
+}
+
+TEST(ParallelProvisionTest, InPlaceFromBaseReprovisionsMatchCopiesOnFourThreads) {
+  ProvisionOptions options;
+  options.floor_mode = ProvisionOptions::FloorMode::kFromBase;
+  options.scenario_threads = 4;
+  expect_in_place_matches_copies(options);
+}
+
 // A demand cell that drops to zero removes its placement columns and its
 // completeness row, so every scenario's retained model no longer matches:
 // each is rebuilt (warm-started from its own basis) and still lands on the
@@ -327,14 +432,14 @@ TEST(ParallelProvisionTest, ChangedDemandPatternRebuildsAndMatchesCold) {
   ScenarioBasisHint basis;
   (void)prov.provision(fix.demand, nullptr, &basis);
   const std::size_t rows_before =
-      basis.scenarios.front().lp->model.constraint_count();
+      basis.scenarios.front().lp->model.model().constraint_count();
 
   DemandMatrix zeroed = corrected_demand(fix.demand);
   ASSERT_GT(zeroed.demand(0, 0), 0.0);
   zeroed.set_demand(0, 0, 0.0);
   const ProvisionResult warm = prov.provision(zeroed, &basis, &basis);
   ASSERT_TRUE(basis.scenarios.front().lp.has_value());
-  EXPECT_EQ(basis.scenarios.front().lp->model.constraint_count(),
+  EXPECT_EQ(basis.scenarios.front().lp->model.model().constraint_count(),
             rows_before - 1);
   expect_cold_objectives(prov, zeroed, warm);
 }
