@@ -8,6 +8,13 @@
 //      to the historical placement's per-DC/per-link peaks, scaled for
 //      growth, with no ability to re-shift calls (§4.4's contrast).
 //
+// Each row's cost is also printed as a `{"bench": ...}` JSON line. The run
+// exits 1 (ctest ablation_ideas_claim, label paper) unless the §4 claims
+// hold: turning peak-aware backup, capacity reuse or joint compute+network
+// off costs strictly more than the full system; the exact joint LP costs
+// no more than it (within 1e-9 relative); and application-specific
+// provisioning costs less than usage-log provisioning.
+//
 // Flags: --slot_s=10800 --configs=14 --growth=1.3. A bad flag prints usage
 // to stderr and exits 2.
 #include <iostream>
@@ -28,6 +35,7 @@ constexpr const char* kUsage =
 
 struct Row {
   std::string variant;
+  std::string metric;  ///< JSON metric name of the row's cost
   double cores;
   double wan;
   double cost;
@@ -61,34 +69,42 @@ int run(int argc, char** argv) {
   };
 
   std::vector<Row> rows;
-  auto add = [&](const std::string& name, const CapacityPlan& plan) {
-    rows.push_back({name, plan.total_cores(), plan.total_wan_gbps(),
+  auto add = [&](const std::string& name, const std::string& metric,
+                 const CapacityPlan& plan) {
+    rows.push_back({name, metric, plan.total_cores(), plan.total_wan_gbps(),
                     plan.total_cost(world, topo)});
+    return rows.back().cost;
   };
 
   ProvisionOptions full;
-  add("full Switchboard (sequential reuse)", provision(full).capacity);
+  const double full_cost = add("full Switchboard (sequential reuse)",
+                               "full_cost", provision(full).capacity);
 
   ProvisionOptions joint = full;
   joint.joint_scenarios = true;
-  add("exact joint scenario LP (Eq 3+7/8)", provision(joint).capacity);
+  joint.joint_network = true;  // the fused LP always prices network capacity
+  const double joint_cost = add("exact joint scenario LP (Eq 3+7/8)",
+                                "joint_cost", provision(joint).capacity);
 
   ProvisionOptions no_reuse = full;
   no_reuse.capacity_reuse = false;
-  add("capacity reuse OFF (independent scenarios)",
-      provision(no_reuse).capacity);
+  const double no_reuse_cost =
+      add("capacity reuse OFF (independent scenarios)", "no_reuse_cost",
+          provision(no_reuse).capacity);
 
   ProvisionOptions additive = full;
   additive.peak_aware_backup = false;
-  add("peak-aware backup OFF (additive Eq 1-2)", provision(additive).capacity);
+  const double additive_cost =
+      add("peak-aware backup OFF (additive Eq 1-2)", "additive_backup_cost",
+          provision(additive).capacity);
 
   ProvisionOptions compute_first = full;
   compute_first.joint_network = false;
-  add("joint compute+network OFF (compute-first)",
-      provision(compute_first).capacity);
+  const double compute_first_cost =
+      add("joint compute+network OFF (compute-first)", "compute_first_cost",
+          provision(compute_first).capacity);
 
   TextTable table({"Variant", "Cores", "WAN Gbps", "Cost", "Cost vs full"});
-  const double full_cost = rows.front().cost;
   for (const Row& r : rows) {
     table.row()
         .cell(r.variant)
@@ -141,21 +157,49 @@ int run(int argc, char** argv) {
   const CapacityPlan usage_log =
       plan_from_usage(compute_usage(grown_placement, grown, ctx));
 
+  const double app_cost = app_aware.capacity.total_cost(world, topo);
+  const double usage_log_cost = usage_log.total_cost(world, topo);
   TextTable app({"Approach", "Cores", "WAN Gbps", "Cost"});
   app.row()
       .cell("app-specific (re-optimizes placement)")
       .cell(app_aware.capacity.total_cores(), 1)
       .cell(app_aware.capacity.total_wan_gbps(), 3)
-      .cell(app_aware.capacity.total_cost(world, topo), 1);
+      .cell(app_cost, 1);
   app.row()
       .cell("usage-log (scales old placement)")
       .cell(usage_log.total_cores(), 1)
       .cell(usage_log.total_wan_gbps(), 3)
-      .cell(usage_log.total_cost(world, topo), 1);
+      .cell(usage_log_cost, 1);
   std::cout << app;
   std::cout << "\napp-specific provisioning absorbs the India surge by "
                "shifting calls instead of growing the India peak (§4.4)\n";
-  return 0;
+
+  struct Claim {
+    const char* what;
+    bool held;
+  };
+  const Claim claims[] = {
+      {"capacity reuse OFF costs more than full", no_reuse_cost > full_cost},
+      {"peak-aware backup OFF costs more than full",
+       additive_cost > full_cost},
+      {"compute-first costs more than full", compute_first_cost > full_cost},
+      {"the exact joint LP costs no more than full",
+       joint_cost <= full_cost * (1.0 + 1e-9)},
+      {"app-specific costs less than usage-log", app_cost < usage_log_cost},
+  };
+  bool all_held = true;
+  std::cout << "\n";
+  for (const Claim& claim : claims) {
+    std::cout << (claim.held ? "claim holds: " : "REGRESSION: claim broken: ")
+              << claim.what << "\n";
+    all_held = all_held && claim.held;
+  }
+  for (const Row& r : rows) {
+    bench::emit_json("ablation_ideas", r.metric, r.cost);
+  }
+  bench::emit_json("ablation_ideas", "app_specific_cost", app_cost);
+  bench::emit_json("ablation_ideas", "usage_log_cost", usage_log_cost);
+  return all_held ? 0 : 1;
 }
 
 }  // namespace sb

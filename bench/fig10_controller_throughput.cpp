@@ -18,7 +18,8 @@
 //
 // Flags: --hours=1 --threads_max=N (sweep 1..N; default covers
 // hw_concurrency and at least 8) --threads=N (measure just 1 and N).
-// Machine-readable results are emitted as `{"bench": ...}` JSON lines.
+// Machine-readable results are emitted as `{"bench": ...}` JSON lines. A
+// bad flag prints usage to stderr and exits 2 before any replay.
 //
 // Observability flags (the span-overhead experiment in BENCH_obs.json):
 //   --tracing=on|off|flight  span recording mode — on (default ring), off
@@ -44,6 +45,12 @@
 
 namespace sb {
 namespace {
+
+constexpr const char* kUsage =
+    "usage: fig10_controller_throughput [--hours=0.01..24]\n"
+    "           [--threads_max=1..256] [--threads=1..256]\n"
+    "           [--tracing=on|off|flight] [--trace-out=FILE]\n"
+    "           [--timeseries-out=FILE]\n";
 
 struct CallWork {
   const CallRecord* record;
@@ -82,18 +89,20 @@ std::size_t replay_call(Switchboard& controller, KvStore& store,
 }  // namespace
 
 int run(int argc, char** argv) {
-  const double hours = bench::arg_double(argc, argv, "hours", 1.0);
+  bench::Flags flags(argc, argv, kUsage);
+  const double hours = flags.number("hours", 1.0, 0.01, 24.0);
   // Default sweep reaches hardware_concurrency and at least the paper's
   // interesting range (the acceptance point is 8 threads).
   const std::size_t default_max = std::max<std::size_t>(
       {std::thread::hardware_concurrency(), 8, 1});
-  const std::size_t threads_max =
-      bench::arg_size(argc, argv, "threads_max", default_max);
-  const std::size_t threads_only = bench::arg_size(argc, argv, "threads", 0);
-  const std::string tracing = bench::arg_string(argc, argv, "tracing", "on");
-  const std::string trace_out = bench::arg_string(argc, argv, "trace-out", "");
-  const std::string timeseries_out =
-      bench::arg_string(argc, argv, "timeseries-out", "");
+  const auto threads_max = static_cast<std::size_t>(flags.whole(
+      "threads_max", static_cast<double>(default_max), 1, 256));
+  const auto threads_only =
+      static_cast<std::size_t>(flags.whole("threads", 0, 1, 256));
+  const std::string tracing = flags.text("tracing", "on");
+  const std::string trace_out = flags.text("trace-out", "");
+  const std::string timeseries_out = flags.text("timeseries-out", "");
+  flags.finish();
 
   if (tracing == "off") {
     obs::SpanRecorder::global().set_enabled(false);
@@ -103,9 +112,7 @@ int run(int argc, char** argv) {
   } else if (tracing == "on") {
     obs::SpanRecorder::global().configure({.enabled = true});
   } else {
-    std::cerr << "unknown --tracing mode '" << tracing
-              << "' (want on|off|flight)\n";
-    return 2;
+    flags.fail("bad value '--tracing=" + tracing + "' (want on|off|flight)");
   }
   obs::TimeSeriesRecorder telemetry(&obs::MetricsRegistry::global(),
                                     {.period_s = 60.0});

@@ -10,7 +10,7 @@
 // calls-per-second at 8 driver threads.
 //
 // Flags: --plan_configs=30 --cushion=1.3 --window_h=2 --amplify=300
-//        --reps=3
+//        --reps=3. A bad flag prints usage to stderr and exits 2.
 #include <chrono>
 #include <cstddef>
 #include <iostream>
@@ -25,6 +25,11 @@
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: sim_throughput [--plan_configs=1..100000] [--cushion=1..100]\n"
+    "                      [--window_h=0.01..24] [--amplify=1..10000]\n"
+    "                      [--reps=1..100]\n";
+
 const char* engine_name(sb::Simulator::Engine e) {
   return e == sb::Simulator::Engine::kBatched ? "batched" : "reference";
 }
@@ -34,13 +39,15 @@ const char* engine_name(sb::Simulator::Engine e) {
 int main(int argc, char** argv) {
   using namespace sb;
   using Clock = std::chrono::steady_clock;
-  const std::size_t plan_configs =
-      bench::arg_size(argc, argv, "plan_configs", 30);
-  const double cushion = bench::arg_double(argc, argv, "cushion", 1.3);
+  bench::Flags flags(argc, argv, kUsage);
+  const auto plan_configs =
+      static_cast<std::size_t>(flags.whole("plan_configs", 30, 1, 100000));
+  const double cushion = flags.number("cushion", 1.3, 1.0, 100.0);
   const double window_s =
-      bench::arg_double(argc, argv, "window_h", 2.0) * kSecondsPerHour;
-  const double amplify = bench::arg_double(argc, argv, "amplify", 300.0);
-  const std::size_t reps = bench::arg_size(argc, argv, "reps", 3);
+      flags.number("window_h", 2.0, 0.01, 24.0) * kSecondsPerHour;
+  const double amplify = flags.number("amplify", 300.0, 1.0, 10000.0);
+  const auto reps = static_cast<std::size_t>(flags.whole("reps", 3, 1, 100));
+  flags.finish();
   // Throughput is the subject here; span recording is per-event overhead
   // shared by both engines and is benchmarked by the obs suite.
   obs::SpanRecorder::global().set_enabled(false);

@@ -161,8 +161,6 @@ Json options_to_json(const FuzzOptions& o) {
   j["use_plan"] = o.use_plan;
   j["with_backup"] = o.with_backup;
   j["include_link_failures"] = o.include_link_failures;
-  j["floor_mode"] = o.floor_mode;
-  j["scenario_threads"] = o.scenario_threads;
   j["lp_method"] = o.lp_method;
   j["rebuild_storm"] = o.rebuild_storm;
   j["chaos_skip_drain_credit"] = o.chaos_skip_drain_credit;
@@ -189,9 +187,13 @@ FuzzOptions options_from_json(const Json& j) {
   o.use_plan = j.get("use_plan").as_bool();
   o.with_backup = j.get("with_backup").as_bool();
   o.include_link_failures = j.get("include_link_failures").as_bool();
-  o.floor_mode = static_cast<int>(j.get("floor_mode").as_i64());
-  o.scenario_threads =
-      static_cast<std::size_t>(j.get("scenario_threads").as_u64());
+  // Older repros carry two removed provisioner options. scenario_threads
+  // never changed a result, so it is ignored; floor_mode 1 (every failure
+  // scenario floored on F0 alone) cannot be replayed by the chained floors
+  // that remain.
+  require(j.get_or("floor_mode", 0.0) == 0.0,
+          "FuzzOptions: floor_mode 1 (F0-only floors) was removed; only "
+          "chained floors (0) replay");
   const std::int64_t lp_method = j.get("lp_method").as_i64();
   require(lp_method == static_cast<int>(lp::Method::kAuto) ||
               lp_method == static_cast<int>(lp::Method::kDense) ||

@@ -61,8 +61,6 @@ struct FuzzOptions {
   bool use_plan = true;          ///< provision + plan + controller path
   bool with_backup = true;
   bool include_link_failures = true;
-  int floor_mode = 0;            ///< ProvisionOptions::FloorMode value
-  std::size_t scenario_threads = 1;
   int lp_method = 0;             ///< lp::Method value
   bool rebuild_storm = false;    ///< post-sim plan-rebuild churn phase
   bool chaos_skip_drain_credit = false;  ///< mutation knob (oracle self-test)

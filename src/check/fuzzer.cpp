@@ -110,8 +110,9 @@ FuzzCase ScenarioFuzzer::generate(std::uint64_t seed) const {
   o.use_plan = rng.chance(params_.plan_prob);
   o.with_backup = rng.chance(0.8);
   o.include_link_failures = rng.chance(0.5);
-  o.floor_mode = rng.chance(0.5) ? 1 : 0;
-  o.scenario_threads = rng.chance(0.5) ? 2 : 1;
+  // Draws of two removed options, discarded so later draws keep each seed.
+  (void)rng.chance(0.5);
+  (void)rng.chance(0.5);
   o.lp_method = rng.chance(0.8) ? static_cast<int>(lp::Method::kAuto)
                                 : static_cast<int>(lp::Method::kSparse);
   o.rebuild_storm = rng.chance(params_.rebuild_storm_prob);

@@ -506,26 +506,24 @@ DemandMatrix perturbed_demand(const DemandMatrix& demand,
 }
 
 /// Sparse LU/eta simplex vs the dense reference tableau on the same
-/// scenario LPs, plus warm-started vs cold solves: F0 at a per-config
-/// perturbed demand from the unperturbed F0 state (F0 re-solving its own
-/// retained model), and a DC failure from F0's state (a foreign hint, which
-/// must not reuse F0's model and exercises the warm start's padding path).
-/// Optimal OBJECTIVES are unique (placements need not be), so that is what
-/// is compared. Scenario infeasibility here is a skip, not a failure.
+/// scenario LPs, plus a warm-started vs a cold solve: F0 at a per-config
+/// perturbed demand, re-solving its own retained model from the unperturbed
+/// solve. Optimal OBJECTIVES are unique (placements need not be), so that
+/// is what is compared. Scenario infeasibility here is a skip, not a
+/// failure.
 void lp_differential_oracle(const Materialized& m, const FuzzCase& c,
                             const DemandMatrix& demand,
                             std::vector<OracleFailure>& out) {
   if (!small_lp(m, demand)) return;
 
   ProvisionOptions po = controller_options(c.options).provision;
-  po.scenario_threads = 1;
   po.lp_options.method = lp::Method::kSparse;
   const SwitchboardProvisioner sparse(m.ctx(), po);
   po.lp_options.method = lp::Method::kDense;
   const SwitchboardProvisioner dense(m.ctx(), po);
 
   try {
-    ScenarioWarmStart basis;
+    std::optional<ScenarioLp> basis;
     const ScenarioOutcome f0_sparse = sparse.solve_scenario(
         demand, FailureScenario::none(), nullptr, nullptr, nullptr, &basis);
     const ScenarioOutcome f0_dense =
@@ -547,18 +545,6 @@ void lp_differential_oracle(const Materialized& m, const FuzzCase& c,
       os << "perturbed-F0 objective warm " << f0_warm.lp_objective
          << " != cold " << f0_cold.lp_objective;
       fail(out, "lp-differential", os.str());
-      return;
-    }
-    if (m.world.dc_count() < 2) return;
-    const FailureScenario f1 = FailureScenario::dc_failure(DcId(0), m.world);
-    const ScenarioOutcome warm = sparse.solve_scenario(
-        demand, f1, nullptr, nullptr, &basis, nullptr);
-    const ScenarioOutcome cold = sparse.solve_scenario(demand, f1);
-    if (!close(warm.lp_objective, cold.lp_objective, kLpTol)) {
-      std::ostringstream os;
-      os << "dc0-failure objective warm " << warm.lp_objective << " != cold "
-         << cold.lp_objective;
-      fail(out, "lp-differential", os.str());
     }
   } catch (const SolveError&) {
     // A failure scenario with no feasible placement is a property of the
@@ -577,9 +563,8 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-/// Where two re-provisions of the same input differ, or "" when they agree
-/// bit for bit: capacity plan, base placement, and every scenario's
-/// objective and iteration count.
+}  // namespace
+
 std::string reprovision_difference(const ProvisionResult& a,
                                    const ProvisionResult& b) {
   if (!same_bits(a.capacity.dc_serving_cores, b.capacity.dc_serving_cores) ||
@@ -609,7 +594,10 @@ std::string reprovision_difference(const ProvisionResult& a,
     const ScenarioOutcome& oa = a.scenarios[f];
     const ScenarioOutcome& ob = b.scenarios[f];
     if (!same_bits(oa.lp_objective, ob.lp_objective) ||
-        oa.lp_iterations != ob.lp_iterations) {
+        oa.lp_iterations != ob.lp_iterations ||
+        !same_bits(oa.required.dc_serving_cores,
+                   ob.required.dc_serving_cores) ||
+        !same_bits(oa.required.link_gbps, ob.required.link_gbps)) {
       std::ostringstream os;
       os << oa.scenario.name << " objective " << oa.lp_objective << " ("
          << oa.lp_iterations << " iterations) vs " << ob.lp_objective << " ("
@@ -620,43 +608,35 @@ std::string reprovision_difference(const ProvisionResult& a,
   return "";
 }
 
-/// Re-provisions `demand` through `hint` (input and output) and checks every
-/// scenario's objective against a cold solve_scenario of that scenario at
-/// the floors the warm run gave it: the combined plan of the scenarios
-/// before it under chained floors, F0's requirement under kFromBase.
-/// Comparing at equal floors stays exact when an earlier scenario has
-/// alternate optima. With `against_copy`, the same re-provision first runs
-/// through a copy of the input hint — whose retained LPs rebuild their dual
-/// engines — and the in-place run must match it bit for bit. Returns false
+namespace {
+
+/// Re-provisions `demand` through `hint` (input and output). The same
+/// re-provision first runs through a copy of the input hint, whose retained
+/// LPs rebuild their dual engines, and the in-place run must match it bit
+/// for bit. Then every scenario's objective is checked against a cold
+/// solve_scenario of that scenario at the floors the warm run gave it: the
+/// combined plan of the scenarios before it. Comparing at equal floors
+/// stays exact when an earlier scenario has alternate optima. Returns false
 /// after recording a failure.
 bool reprovision_agrees(const SwitchboardProvisioner& prov,
                         const ProvisionOptions& po, const DemandMatrix& demand,
                         ScenarioBasisHint& hint, const char* what,
-                        bool against_copy, std::vector<OracleFailure>& out) {
-  std::optional<ProvisionResult> copied;
-  if (against_copy) {
-    ScenarioBasisHint copy = hint;
-    copied = prov.provision(demand, &copy, &copy);
-  }
+                        std::vector<OracleFailure>& out) {
+  ScenarioBasisHint copy = hint;
+  const ProvisionResult copied = prov.provision(demand, &copy, &copy);
   const ProvisionResult warm = prov.provision(demand, &hint, &hint);
-  if (copied) {
-    const std::string diff = reprovision_difference(warm, *copied);
-    if (!diff.empty()) {
-      fail(out, "reprovision",
-           std::string(what) + " re-provision in place differs from one " +
-               "through a copy of its hint: " + diff);
-      return false;
-    }
+  const std::string diff = reprovision_difference(warm, copied);
+  if (!diff.empty()) {
+    fail(out, "reprovision",
+         std::string(what) + " re-provision in place differs from one " +
+             "through a copy of its hint: " + diff);
+    return false;
   }
-  const bool chained =
-      po.floor_mode == ProvisionOptions::FloorMode::kChained;
   CapacityPlan combined = warm.scenarios.front().required;
   for (std::size_t f = 0; f < warm.scenarios.size(); ++f) {
     const ScenarioOutcome& got = warm.scenarios[f];
-    const CapacityPlan* floors = nullptr;
-    if (f > 0 && po.capacity_reuse) {
-      floors = chained ? &combined : &warm.scenarios.front().required;
-    }
+    const CapacityPlan* floors =
+        f > 0 && po.capacity_reuse ? &combined : nullptr;
     const ScenarioOutcome cold =
         prov.solve_scenario(demand, got.scenario, nullptr, floors);
     if (!close(got.lp_objective, cold.lp_objective, kLpTol)) {
@@ -680,7 +660,8 @@ bool reprovision_agrees(const SwitchboardProvisioner& prov,
 /// the second reloads it. Each must match the same re-provision through a
 /// copy of its input hint bit for bit. One more re-provision after zeroing
 /// one (slot, config) cell changes the demand pattern, so every scenario
-/// rebuilds and warm-starts semantically.
+/// rebuilds and solves cold: it must equal a cold provision() of the same
+/// demand bit for bit.
 void reprovision_oracle(const Materialized& m, const FuzzCase& c,
                         const DemandMatrix& demand,
                         std::vector<OracleFailure>& out) {
@@ -690,13 +671,10 @@ void reprovision_oracle(const Materialized& m, const FuzzCase& c,
   try {
     ScenarioBasisHint hint;
     (void)prov.provision(demand, nullptr, &hint);
-    if (!reprovision_agrees(prov, po, perturbed_demand(demand, 2), hint,
-                            "perturbed", /*against_copy=*/true, out)) {
-      return;
-    }
     DemandMatrix corrected = perturbed_demand(demand);
-    if (!reprovision_agrees(prov, po, corrected, hint, "re-perturbed",
-                            /*against_copy=*/true, out)) {
+    if (!reprovision_agrees(prov, po, perturbed_demand(demand, 2), hint,
+                            "perturbed", out) ||
+        !reprovision_agrees(prov, po, corrected, hint, "re-perturbed", out)) {
       return;
     }
     for (std::size_t i = 0;
@@ -705,8 +683,14 @@ void reprovision_oracle(const Materialized& m, const FuzzCase& c,
       const std::size_t col = i % corrected.config_count();
       if (corrected.demand(t, col) > 0.0) {
         corrected.set_demand(t, col, 0.0);
-        (void)reprovision_agrees(prov, po, corrected, hint, "zeroed-cell",
-                                 /*against_copy=*/false, out);
+        const ProvisionResult warm = prov.provision(corrected, &hint, &hint);
+        const std::string diff =
+            reprovision_difference(warm, prov.provision(corrected));
+        if (!diff.empty()) {
+          fail(out, "reprovision",
+               "zeroed-cell re-provision differs from a cold provision: " +
+                   diff);
+        }
         return;
       }
     }
@@ -827,10 +811,6 @@ ControllerOptions controller_options(const FuzzOptions& o) {
   copts.slot_s = o.slot_s;
   copts.provision.with_backup = o.with_backup;
   copts.provision.include_link_failures = o.include_link_failures;
-  copts.provision.floor_mode = o.floor_mode == 1
-                                   ? ProvisionOptions::FloorMode::kFromBase
-                                   : ProvisionOptions::FloorMode::kChained;
-  copts.provision.scenario_threads = o.scenario_threads;
   copts.provision.lp_options.method = static_cast<lp::Method>(o.lp_method);
   copts.allocation.lp_options.method = static_cast<lp::Method>(o.lp_method);
   copts.realtime.freeze_delay_s = o.freeze_delay_s;

@@ -20,13 +20,14 @@
 //   - seq-vs-concurrent: run_concurrent agrees on counts (and, without plan
 //     quotas, on the bucket series); its own hosting log passes the
 //     exactly-once/recount/conservation oracles;
-//   - lp-differential: sparse vs dense-tableau provisioning and warm vs
-//     cold scenario solves agree on objectives (small shapes only);
-//   - reprovision: a re-provision through a previous provision's hint
-//     (retained models re-solved at new rhs, or rebuilt after a demand
-//     pattern change) matches a cold solve of every scenario at the same
-//     floors, and two chained in-place re-solves match the same runs
-//     through copies of their input hints bit for bit (small shapes only);
+//   - lp-differential: sparse vs dense-tableau provisioning and a warm vs
+//     a cold F0 solve agree on objectives (small shapes only);
+//   - reprovision: two chained re-provisions through a previous
+//     provision's hint (retained models re-solved in place at new rhs)
+//     match a cold solve of every scenario at the same floors and the same
+//     runs through copies of their input hints bit for bit, and one after
+//     a demand-pattern change (every model rebuilt) matches a cold
+//     provision bit for bit (small shapes only);
 //   - rebuild-storm: concurrent plan rebuilds + fault edges + signaling
 //     churn leave the facade usable and a fresh clean cycle conserved.
 // Provisioning that is infeasible BY CONSTRUCTION (a failure scenario with
@@ -97,6 +98,12 @@ struct CheckOptions {
 /// case plans from. The simulator replays the truth, so the observation
 /// leaves the loop's deviation band and the tick must correct.
 [[nodiscard]] DemandMatrix scaled_demand(const DemandMatrix& d, double scale);
+
+/// Where two provisions of the same demand differ, or "" when they agree
+/// bit for bit: the capacity plan, the base placement, and every
+/// scenario's objective, iteration count and requirement.
+[[nodiscard]] std::string reprovision_difference(const ProvisionResult& a,
+                                                 const ProvisionResult& b);
 
 /// The controller configuration every executor run of a case uses.
 [[nodiscard]] ControllerOptions controller_options(const FuzzOptions& o);

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "core/backup_lp.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -101,6 +100,8 @@ SwitchboardProvisioner::SwitchboardProvisioner(EvalContext ctx,
           "SwitchboardProvisioner: incomplete context");
   require(options_.acl_threshold_ms > 0.0,
           "SwitchboardProvisioner: ACL threshold");
+  require(options_.joint_network || !options_.joint_scenarios,
+          "SwitchboardProvisioner: joint_scenarios requires joint_network");
 }
 
 namespace {
@@ -284,7 +285,7 @@ void rewrite_rhs(ScenarioLp& lp, const DemandMatrix& demand,
   }
 }
 
-/// Moves the model out of a warm state that is about to be overwritten.
+/// Moves the LP out of a warm state that is about to be overwritten.
 ScenarioLp take(std::optional<ScenarioLp>& slot) {
   ScenarioLp lp = std::move(*slot);
   slot.reset();
@@ -296,7 +297,8 @@ ScenarioLp take(std::optional<ScenarioLp>& slot) {
 ScenarioOutcome SwitchboardProvisioner::solve_scenario(
     const DemandMatrix& demand, const FailureScenario& scenario,
     PlacementMatrix* placement_out, const CapacityPlan* floors,
-    const ScenarioWarmStart* warm, ScenarioWarmStart* basis_out) const {
+    const std::optional<ScenarioLp>* warm,
+    std::optional<ScenarioLp>* basis_out) const {
   static obs::Counter& scenarios_solved =
       obs::MetricsRegistry::global().counter("sb.provisioner.scenarios_solved");
   static obs::Histogram& scenario_solve_s =
@@ -309,21 +311,21 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
   const std::size_t slots = demand.slot_count();
   const std::size_t config_count = demand.config_count();
 
-  // Reuse the warm state's model only when it is this scenario's at an
-  // unchanged structure: then the model differs from a fresh build in its
-  // rhs alone. A warm state aliased by basis_out hands its LP over, dual
-  // engine included; a const one is copied (without the engine). The two
-  // branches stay separate statements: a conditional expression would
-  // merge them into a const prvalue and copy the handed-over LP too.
+  // Reuse the warm LP only when it is this scenario's at an unchanged
+  // structure: then it differs from a fresh build in its rhs alone. A warm
+  // LP aliased by basis_out is handed over, dual engine included; a const
+  // one is copied (without the engine). The two branches stay separate
+  // statements: a conditional expression would merge them into a const
+  // prvalue and copy the handed-over LP too.
   ScenarioLp::Key key = scenario_key(demand, scenario, floors, ctx_, options_);
   const bool reuse =
-      warm != nullptr && warm->lp.has_value() && warm->lp->key == key;
+      warm != nullptr && warm->has_value() && (*warm)->key == key;
   ScenarioLp lp;
   if (reuse) {
     if (basis_out == warm) {
-      lp = take(basis_out->lp);
+      lp = take(*basis_out);
     } else {
-      lp = *warm->lp;
+      lp = **warm;
     }
     rewrite_rhs(lp, demand, floors, world, topo);
   } else {
@@ -331,48 +333,12 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
                            options_);
   }
 
-  lp::SolveOptions lp_options = options_.lp_options;
-  // A scenario solved alone leaves the fan-out pool idle, so a cold solve's
-  // block decomposition may use those threads for its subproblem solves
-  // (a warm solve never decomposes). provision() hands solves that run ON
-  // the pool a provisioner with scenario_threads = 1, so they never nest a
-  // pool.
-  if (lp_options.decompose_threads <= 1) {
-    lp_options.decompose_threads = options_.scenario_threads;
-  }
-  if (!reuse && warm && !warm->empty()) {
-    // A basis mapped onto a rebuilt model keeps the primal: a hint carried
-    // across scenarios meets a model whose failed DC's placement columns
-    // are gone, so it is primal-near-feasible and dual-far, and routing it
-    // to the dual simplex measured ~2.4x the warm primal's iterations on
-    // the provisioner_parallel_test fixture.
-    // Translate the semantic hint into this model's column order. Columns
-    // the hint doesn't know (or an undersized hint vector) default to
-    // at-lower, which is also the cold-start state.
-    lp_options.warm_start.assign(lp.var_keys.size(), lp::VarStatus::kAtLower);
-    for (std::size_t j = 0; j < lp.var_keys.size(); ++j) {
-      const auto& [kind, idx] = lp.var_keys[j];
-      const std::vector<lp::VarStatus>* bank =
-          kind == 'c' ? &warm->cp : kind == 'n' ? &warm->np : &warm->s;
-      if (idx < bank->size()) lp_options.warm_start[j] = (*bank)[idx];
-    }
-    // Rows the hint doesn't know default to kBasic (slack basic), which is
-    // exactly the cold-start state of a fresh row.
-    lp_options.warm_start_rows.assign(lp.row_keys.size(),
-                                      lp::VarStatus::kBasic);
-    for (std::size_t r = 0; r < lp.row_keys.size(); ++r) {
-      const auto& [kind, idx] = lp.row_keys[r];
-      const std::vector<lp::VarStatus>* bank =
-          kind == 'C' ? &warm->row_dc
-                      : kind == 'L' ? &warm->row_link : &warm->row_cfg;
-      if (idx < bank->size()) lp_options.warm_start_rows[r] = (*bank)[idx];
-    }
-  }
   // On its own retained LP the last basis is still optimal for the costs
   // and only primal infeasible where the rhs moved: the dual simplex's
-  // start, which resolve() takes from the LP's own statuses.
-  const lp::Solution solution =
-      reuse ? lp.model.resolve(lp_options) : lp.model.solve(lp_options);
+  // start, which resolve() takes from the LP's own statuses. A fresh build
+  // solves cold.
+  const lp::Solution solution = reuse ? lp.model.resolve(options_.lp_options)
+                                      : lp.model.solve(options_.lp_options);
   if (!solution.optimal()) {
     throw SolveError("provisioning LP for scenario " + scenario.name +
                      " returned " + lp::to_string(solution.status));
@@ -424,39 +390,7 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
     }
   }
 
-  if (basis_out) {
-    // A fresh state replaces the old one whole (its banks left empty when
-    // the engine reports no basis, as the dense tableau does), so no status
-    // outlives the model it belongs to.
-    ScenarioWarmStart out;
-    if (solution.basis.size() == lp.var_keys.size()) {
-      out.cp.assign(world.dc_count(), lp::VarStatus::kAtLower);
-      out.np.assign(topo.link_count(), lp::VarStatus::kAtLower);
-      out.s.assign(slots * config_count * world.dc_count(),
-                   lp::VarStatus::kAtLower);
-      for (std::size_t j = 0; j < lp.var_keys.size(); ++j) {
-        const auto& [kind, idx] = lp.var_keys[j];
-        std::vector<lp::VarStatus>& bank =
-            kind == 'c' ? out.cp : kind == 'n' ? out.np : out.s;
-        bank[idx] = solution.basis[j];
-      }
-      if (solution.row_basis.size() == lp.row_keys.size()) {
-        out.row_dc.assign(slots * world.dc_count(), lp::VarStatus::kBasic);
-        out.row_link.assign(slots * topo.link_count(), lp::VarStatus::kBasic);
-        out.row_cfg.assign(slots * config_count, lp::VarStatus::kBasic);
-        for (std::size_t r = 0; r < lp.row_keys.size(); ++r) {
-          const auto& [kind, idx] = lp.row_keys[r];
-          std::vector<lp::VarStatus>& bank =
-              kind == 'C' ? out.row_dc
-                          : kind == 'L' ? out.row_link : out.row_cfg;
-          bank[idx] = solution.row_basis[r];
-        }
-      }
-    }
-    out.lp = std::move(lp);
-    *basis_out = std::move(out);
-  }
-
+  if (basis_out) *basis_out = std::move(lp);
   if (placement_out) *placement_out = std::move(placement);
   return outcome;
 }
@@ -651,12 +585,11 @@ ProvisionResult SwitchboardProvisioner::provision(
   }
 
   // Per-scenario warm state. Scenario f starts from warm_of(f) and leaves
-  // its new state in out_of(f); each solve touches only its own entry, so
-  // the fan-out below needs no locking. When the caller passes one hint as
-  // both, its entries are taken over and every retained model is re-solved
-  // in place; otherwise a reused model is copied out of `warm`.
-  std::vector<ScenarioWarmStart> next;
-  const std::vector<ScenarioWarmStart>* prior =
+  // its LP in out_of(f). When the caller passes one hint as both, its
+  // entries are taken over and every retained LP is re-solved in place;
+  // otherwise a reused LP is copied out of `warm`.
+  std::vector<std::optional<ScenarioLp>> next;
+  const std::vector<std::optional<ScenarioLp>>* prior =
       warm != nullptr ? &warm->scenarios : nullptr;
   if (basis_out != nullptr) {
     if (basis_out == warm) {
@@ -666,10 +599,10 @@ ProvisionResult SwitchboardProvisioner::provision(
     basis_out->scenarios.clear();
     next.resize(scenarios.size());
   }
-  const auto warm_of = [&](std::size_t f) -> const ScenarioWarmStart* {
+  const auto warm_of = [&](std::size_t f) -> const std::optional<ScenarioLp>* {
     return prior != nullptr && f < prior->size() ? &(*prior)[f] : nullptr;
   };
-  const auto out_of = [&](std::size_t f) -> ScenarioWarmStart* {
+  const auto out_of = [&](std::size_t f) -> std::optional<ScenarioLp>* {
     return basis_out != nullptr ? &next[f] : nullptr;
   };
 
@@ -683,84 +616,32 @@ ProvisionResult SwitchboardProvisioner::provision(
   CapacityPlan combined = CapacityPlan::zeros(world, topo);
   CapacityPlan serving = combined;
 
-  // F0 first, always sequentially: it defines `serving` and the base
-  // placement. Without a hint every scenario solves cold, so above
-  // kDecomposeMinRows a failure scenario goes through the block
+  // F0 first: it defines `serving` and the base placement. Then each
+  // failure scenario in enumeration order. Under capacity_reuse (Eq 7/8
+  // coupling) each one sees the running combined plan as a free floor and
+  // pays only for increments, an inherently sequential recurrence; without
+  // it every scenario is priced from scratch. Without a hint every scenario
+  // solves cold, so above kDecomposeMinRows it goes through the block
   // decomposition: a cold provision of the APAC design day then takes 3.4x
   // fewer simplex iterations (9x with link failures) than with every
   // failure scenario warm-started from F0's basis. A re-provision re-solves
-  // each scenario from its own previous state instead.
-  {
-    PlacementMatrix placement(demand.slot_count(), demand.config_count(),
-                              world.dc_count());
-    obs::Span f0_span("prov.scenario", obs::Subsystem::kProvisioner);
-    f0_span.attr(obs::AttrKey::kScenario, 0);
+  // each scenario from its own retained LP instead.
+  for (std::size_t f = 0; f < scenarios.size(); ++f) {
+    const CapacityPlan* floors =
+        f > 0 && options_.capacity_reuse ? &combined : nullptr;
+    obs::Span s("prov.scenario", obs::Subsystem::kProvisioner);
+    s.attr(obs::AttrKey::kScenario, static_cast<std::int64_t>(f));
     ScenarioOutcome outcome = solve_scenario(
-        demand, scenarios.front(), &placement, nullptr, warm_of(0), out_of(0));
-    f0_span.finish();
-    serving = outcome.required;
-    combined = outcome.required;
-    result.base_placement = std::move(placement);
-    result.scenarios.push_back(std::move(outcome));
-  }
-
-  const bool chained =
-      options_.capacity_reuse &&
-      options_.floor_mode == ProvisionOptions::FloorMode::kChained;
-  if (chained || scenarios.size() <= 1) {
-    // Under chained reuse (Eq 7/8 coupling), each scenario sees the running
-    // combined plan as a free floor and pays only for increments — an
-    // inherently sequential recurrence.
-    for (std::size_t f = 1; f < scenarios.size(); ++f) {
-      const CapacityPlan* floors = options_.capacity_reuse ? &combined : nullptr;
-      obs::Span s("prov.scenario", obs::Subsystem::kProvisioner);
-      s.attr(obs::AttrKey::kScenario, static_cast<std::int64_t>(f));
-      ScenarioOutcome outcome = solve_scenario(
-          demand, scenarios[f], nullptr, floors, warm_of(f), out_of(f));
-      s.finish();
-      combined = max_capacity(combined, outcome.required);
-      result.scenarios.push_back(std::move(outcome));
-    }
-  } else {
-    // kFromBase (or no reuse at all): every failure scenario floors on the
-    // fixed F0 requirement, so the solves commute and can fan out over a
-    // thread pool. Results are combined in enumeration order, making the
-    // plan bit-identical whatever the thread count.
-    const CapacityPlan* floors = options_.capacity_reuse ? &serving : nullptr;
-    // Solves that share the fan-out pool decompose sequentially instead of
-    // each borrowing scenario_threads for a nested pool.
-    ProvisionOptions pooled_options = options_;
-    pooled_options.scenario_threads = 1;
-    const SwitchboardProvisioner pooled(ctx_, pooled_options);
-    // Fan-out spans run on pool threads where no span is open; parent them
-    // explicitly under this provision() span so the trace stays nested.
-    const std::uint64_t fan_parent = obs::SpanRecorder::current_span();
-    auto solve_one = [&, fan_parent](std::size_t f) {
-      obs::Span s("prov.scenario", obs::Subsystem::kProvisioner,
-                  obs::kNoSimTime, fan_parent);
-      s.attr(obs::AttrKey::kScenario, static_cast<std::int64_t>(f));
-      return pooled.solve_scenario(demand, scenarios[f], nullptr, floors,
-                                   warm_of(f), out_of(f));
-    };
-    std::vector<ScenarioOutcome> outcomes;
-    outcomes.reserve(scenarios.size() - 1);
-    if (options_.scenario_threads == 1) {
-      for (std::size_t f = 1; f < scenarios.size(); ++f) {
-        outcomes.push_back(solve_one(f));
-      }
+        demand, scenarios[f], f == 0 ? &result.base_placement : nullptr,
+        floors, warm_of(f), out_of(f));
+    s.finish();
+    if (f == 0) {
+      serving = outcome.required;
+      combined = outcome.required;
     } else {
-      ThreadPool pool(options_.scenario_threads);
-      std::vector<std::future<ScenarioOutcome>> futures;
-      futures.reserve(scenarios.size() - 1);
-      for (std::size_t f = 1; f < scenarios.size(); ++f) {
-        futures.push_back(pool.submit(solve_one, f));
-      }
-      for (auto& fut : futures) outcomes.push_back(fut.get());
-    }
-    for (ScenarioOutcome& outcome : outcomes) {
       combined = max_capacity(combined, outcome.required);
-      result.scenarios.push_back(std::move(outcome));
     }
+    result.scenarios.push_back(std::move(outcome));
   }
 
   // Serving/backup split: serving is the no-failure requirement; backup is

@@ -38,8 +38,8 @@ struct ProvisionOptions {
   /// instead of reusing off-peak serving slack.
   bool peak_aware_backup = true;
   /// Eq 7/8 make capacity SHARED across failure scenarios: what one
-  /// scenario provisions is free for every other. When true (default),
-  /// scenarios are solved sequentially and each LP only pays for capacity
+  /// scenario provisions is free for every other. Scenarios are solved in
+  /// enumeration order; when true (default), each LP only pays for capacity
   /// above the running combined plan — the tractable decomposition of that
   /// coupling. When false, every scenario is priced from scratch
   /// (independent LPs + max), which over-provisions; kept as an ablation.
@@ -49,33 +49,13 @@ struct ProvisionOptions {
   /// gets its own placement). Avoids the sequential decomposition's myopia
   /// (F0 packing away the slack failures would have reused) at the price of
   /// a scenario-count-times-larger LP. Link-failure scenarios are still
-  /// handled sequentially with capacity floors on top.
+  /// handled sequentially with capacity floors on top. The fused LP always
+  /// prices network capacity, so it requires joint_network.
   bool joint_scenarios = false;
   /// Weight of the latency tie-break added to every S_tcx cost so equal-cost
   /// placements prefer lower ACL. Kept small so it never outweighs a real
   /// resource trade-off.
   double acl_epsilon = 1e-6;
-  /// How failure scenarios see capacity provisioned by other scenarios
-  /// (only meaningful with capacity_reuse):
-  ///  - kChained: each scenario floors on the RUNNING combined plan, so
-  ///    later scenarios reuse what earlier ones bought. Order-dependent;
-  ///    forces sequential solves. The historical default.
-  ///  - kFromBase: every failure scenario floors on the F0 (no-failure)
-  ///    requirement only. Order-independent — scenario solves commute, so
-  ///    they can fan out over a thread pool and still produce bit-identical
-  ///    plans to a sequential run; may buy slightly more backup than
-  ///    kChained when two failures need capacity in the same place.
-  enum class FloorMode { kChained, kFromBase };
-  FloorMode floor_mode = FloorMode::kChained;
-  /// Failure-scenario solve parallelism. >1 fans the per-scenario LPs over
-  /// a ThreadPool when the scenarios are independent (floor_mode ==
-  /// kFromBase, or capacity_reuse off); chained floors are inherently
-  /// sequential and ignore this. 0 means hardware concurrency. A cold solve
-  /// that runs alone (F0, and every chained scenario) also borrows this as
-  /// its lp::SolveOptions::decompose_threads (unless one was set
-  /// explicitly), since the fan-out pool is idle meanwhile; scenario solves
-  /// running ON the fan-out pool decompose sequentially.
-  std::size_t scenario_threads = 1;
   /// Base LP engine knobs. A retained model's re-solve (see ScenarioLp)
   /// resumes from its own basis through the dual simplex on top of these;
   /// every other solve takes them as given.
@@ -83,7 +63,7 @@ struct ProvisionOptions {
 };
 
 /// One scenario LP as solve_scenario built it, retained in a
-/// ScenarioWarmStart so a later solve of the same scenario at new right-hand
+/// ScenarioBasisHint so a later solve of the same scenario at new right-hand
 /// sides skips the build: it rewrites the completeness rows to the new
 /// demand and the capacity rows to the new floors (lp::RetainedLp::set_rhs)
 /// and re-solves in place from its own final basis through the dual simplex
@@ -121,49 +101,19 @@ struct ScenarioLp {
   std::vector<std::pair<char, std::size_t>> row_keys;
 };
 
-/// Warm state of one scenario solve: its final basis keyed by SEMANTIC
-/// identity — CP per DC, NP per link, S per (slot, config, DC) — rather than
-/// LP column index, so a structurally different scenario (a failed DC drops
-/// its CP column and candidate placements) can still warm-start from it,
-/// plus the LP it was solved on. Produced and consumed by
-/// SwitchboardProvisioner::solve_scenario:
-///  - the same scenario at the same structure (equal ScenarioLp::Key) reuses
-///    the retained LP and re-solves it in place from its own basis through
-///    the dual simplex: only right-hand sides moved, so the old basis stays
-///    dual feasible;
-///  - anything else (another scenario's state, a changed demand pattern)
-///    builds a fresh model and maps the semantic basis onto it for the
-///    primal engine.
-/// A copy owns its own model (lp::RetainedLp's copy rules: the dual engine
-/// stays behind and is rebuilt on the copy's next re-solve); copies never
-/// share mutable state.
-struct ScenarioWarmStart {
-  std::vector<lp::VarStatus> cp;  ///< per DC id
-  std::vector<lp::VarStatus> np;  ///< per link id
-  std::vector<lp::VarStatus> s;   ///< (t * configs + c) * dc_count + dc id
-  /// Row (logical) statuses, keyed like the columns so the slack/tight
-  /// pattern survives between scenarios whose row sets differ. kBasic means
-  /// the row was inactive. Capacity rows per (slot, DC) / (slot, link),
-  /// completeness rows per (slot, config).
-  std::vector<lp::VarStatus> row_dc;    ///< t * dc_count + dc id
-  std::vector<lp::VarStatus> row_link;  ///< t * link_count + link id
-  std::vector<lp::VarStatus> row_cfg;   ///< t * config_count + config
-  /// The model this basis is optimal for; empty before the first solve.
-  std::optional<ScenarioLp> lp;
-  [[nodiscard]] bool empty() const {
-    return cp.empty() && np.empty() && s.empty();
-  }
-};
-
-/// provision()'s warm state: one ScenarioWarmStart per scenario, in
+/// provision()'s warm state: the retained LP of every scenario, in
 /// enumeration order (F0 first, then every failure scenario). A provision
-/// given a hint seeds scenario f from entry f; one given an output hint
-/// writes every scenario's new state there. The closed loop threads one
-/// hint through every replan, so each replan re-solves every scenario from
-/// its own retained model and basis. A hint belongs to the provisioner
-/// context that produced it; a copy is independent of the original.
+/// given a hint re-solves scenario f in place from entry f when that entry
+/// is the same scenario at an unchanged structure (equal ScenarioLp::Key),
+/// and builds and solves it cold otherwise; one given an output hint writes
+/// every scenario's LP there. The closed loop threads one hint through every
+/// replan, so each replan re-solves every scenario from its own retained
+/// model and basis. A hint belongs to the provisioner context that produced
+/// it. A copy owns its own models (lp::RetainedLp's copy rules: the dual
+/// engine stays behind and is rebuilt on the copy's next re-solve), so
+/// copies never share mutable state.
 struct ScenarioBasisHint {
-  std::vector<ScenarioWarmStart> scenarios;
+  std::vector<std::optional<ScenarioLp>> scenarios;
   [[nodiscard]] bool empty() const { return scenarios.empty(); }
 };
 
@@ -196,6 +146,8 @@ struct ProvisionResult {
 /// outlive the provisioner.
 class SwitchboardProvisioner {
  public:
+  /// Throws InvalidArgument on an incomplete context, a non-positive ACL
+  /// threshold, or joint_scenarios without joint_network.
   SwitchboardProvisioner(EvalContext ctx, ProvisionOptions options);
 
   /// Provisions capacity for the given demand. Throws SolveError if any
@@ -216,17 +168,17 @@ class SwitchboardProvisioner {
   /// Solves a single scenario's LP; exposed for tests and the Fig 4 bench.
   /// With `floors` set, capacity up to the floor is free and the LP prices
   /// only the increment; the returned requirement then includes the floor.
-  /// `warm` (if non-empty) seeds the starting basis: from its retained model
-  /// when that is this scenario's at an unchanged structure, else mapped
-  /// semantically onto a fresh build (see ScenarioWarmStart). `basis_out`
-  /// (if non-null) receives this solve's final basis and model; it may
-  /// point at `warm`.
+  /// A `warm` LP that is this scenario's at an unchanged structure (equal
+  /// ScenarioLp::Key) is re-solved at the new right-hand sides from its own
+  /// basis through the dual simplex; otherwise the LP is built and solved
+  /// cold. `basis_out` (if non-null) receives the solved LP, final basis
+  /// included; it may point at `warm`, whose LP is then re-solved in place.
   [[nodiscard]] ScenarioOutcome solve_scenario(
       const DemandMatrix& demand, const FailureScenario& scenario,
       PlacementMatrix* placement_out = nullptr,
       const CapacityPlan* floors = nullptr,
-      const ScenarioWarmStart* warm = nullptr,
-      ScenarioWarmStart* basis_out = nullptr) const;
+      const std::optional<ScenarioLp>* warm = nullptr,
+      std::optional<ScenarioLp>* basis_out = nullptr) const;
 
  private:
   /// The exact Eq 3+7/8 LP over F0 and all DC-failure scenarios (shared

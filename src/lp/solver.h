@@ -65,7 +65,7 @@ struct SolveOptions : SimplexOptions {
   /// Optional warm start for the sparse engine: one status per model
   /// variable, as returned in Solution::basis by a previous solve of a
   /// structurally similar model (same variables, perturbed rows/bounds —
-  /// e.g. the provisioner's F0 LP re-solved at corrected demand). Ignored
+  /// e.g. a provisioning LP re-solved at corrected demand). Ignored
   /// by the dense tableau; a mismatched size falls back to a cold start.
   /// A hint also keeps kAuto off the block decomposition, so on large
   /// models it pays only when the hint is a few pivots from the optimum.
@@ -79,10 +79,11 @@ struct SolveOptions : SimplexOptions {
   /// Route warm-started solves through the dual simplex under kAuto. The
   /// dual engine repairs primal bound violations without touching dual
   /// feasibility, which is exactly what a re-solve of the SAME model after
-  /// a bound or rhs change perturbs. The provisioner sets it when a
-  /// scenario re-solves its own retained model at new demand and floors; a
-  /// basis mapped onto a model with other columns stays on the primal,
-  /// where the dual measured ~2.4x the iterations.
+  /// a bound or rhs change perturbs. RetainedLp::resolve sets it, which is
+  /// how the provisioner re-solves each scenario's retained model at new
+  /// demand and floors. A basis mapped onto a model with other columns is
+  /// better left on the primal: there the dual measured ~2.4x the
+  /// iterations.
   bool dual_resolve = false;
   /// Cold-solve decomposition policy; see DecomposePolicy.
   DecomposePolicy decompose = DecomposePolicy::kAuto;

@@ -163,7 +163,7 @@ class SpanRecorder {
 
   /// Innermost open span id on the calling thread (0 = none). Capture this
   /// before handing work to another thread and pass it as the explicit
-  /// parent to keep cross-thread spans (scenario fan-out, sim partitions)
+  /// parent to keep cross-thread spans (sim partitions, pool tasks)
   /// nested under their initiator.
   [[nodiscard]] static std::uint64_t current_span();
 

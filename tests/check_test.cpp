@@ -97,6 +97,28 @@ TEST(FuzzerTest, ReproLpMethodIsPinnedAndRangeChecked) {
   }
 }
 
+// Repros written before the provisioner lost its F0-only floors and its
+// scenario thread pool still load when they asked for what remains
+// (chained floors); one that asked for F0-only floors is rejected by name,
+// and the thread count, which never changed a result, is ignored.
+TEST(FuzzerTest, ReproRemovedProvisionerOptionsArePinned) {
+  const FuzzCase c = ScenarioFuzzer().generate(3);
+  Json j = c.to_json();
+  j["options"]["floor_mode"] = 0;
+  j["options"]["scenario_threads"] = 2;
+  EXPECT_EQ(FuzzCase::from_json(j).to_json().dump(), c.to_json().dump());
+  j["options"]["floor_mode"] = 1;
+  try {
+    (void)FuzzCase::from_json(j);
+    ADD_FAILURE() << "floor_mode 1 loaded";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("floor_mode 1"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("removed"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(RunCaseTest, FuzzedSeedsPassAllOracles) {
   const ScenarioFuzzer fuzzer;
   for (std::uint64_t seed = 0; seed < 6; ++seed) {

@@ -4,6 +4,7 @@
 // additive Eq 1-2 plan needs 480).
 #include <gtest/gtest.h>
 
+#include "common/error.h"
 #include "core/backup_lp.h"
 #include "core/provisioner.h"
 
@@ -164,6 +165,19 @@ TEST(Fig4Test, JointScenarioLpNeverCostsMoreThanSequential) {
   const double seq_cost = seq.capacity.total_cost(w.world, w.topology);
   const double jnt_cost = jnt.capacity.total_cost(w.world, w.topology);
   EXPECT_LE(jnt_cost, seq_cost * 1.0001);
+}
+
+// The fused joint LP always prices network capacity, so the §4.3
+// compute-first ablation cannot apply to it: the combination is rejected
+// rather than half applied (only the link-failure passes would honour it).
+TEST(Fig4Test, JointScenariosRejectComputeFirstNetwork) {
+  Fig4World w;
+  ProvisionOptions options;
+  options.joint_scenarios = true;
+  options.joint_network = false;
+  EXPECT_THROW(SwitchboardProvisioner(w.ctx(), options), InvalidArgument);
+  options.joint_scenarios = false;
+  EXPECT_NO_THROW(SwitchboardProvisioner(w.ctx(), options));
 }
 
 TEST(Fig4Test, WithoutBackupMatchesLocalPeaks) {
