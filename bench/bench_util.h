@@ -29,40 +29,10 @@ inline void emit_json(const std::string& bench, const std::string& metric,
             << "\", \"value\": " << formatted << "}\n";
 }
 
-/// Parses "--name=value" from argv; returns fallback when absent.
-inline double arg_double(int argc, char** argv, const std::string& name,
-                         double fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return std::strtod(arg.c_str() + prefix.size(), nullptr);
-    }
-  }
-  return fallback;
-}
-
-inline std::size_t arg_size(int argc, char** argv, const std::string& name,
-                            std::size_t fallback) {
-  return static_cast<std::size_t>(
-      arg_double(argc, argv, name, static_cast<double>(fallback)));
-}
-
-inline std::string arg_string(int argc, char** argv, const std::string& name,
-                              const std::string& fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-  }
-  return fallback;
-}
-
 /// Strict --key=value parsing for benches that reject bad input instead of
 /// aborting: an argument of another shape, a flag the bench never reads
 /// (finish()) and a value outside its range all print the reason and
-/// `usage` to stderr and exit 2. Values parse as arg_double does, so a
-/// valid command line reads exactly the same numbers.
+/// `usage` to stderr and exit 2. Values parse with std::strtod.
 class Flags {
  public:
   Flags(int argc, char** argv, const char* usage) : usage_(usage) {
@@ -122,7 +92,7 @@ class Flags {
     bool read;
   };
 
-  /// First occurrence wins, as in arg_double.
+  /// First occurrence wins.
   const std::string* find(const std::string& name) {
     const std::string* first = nullptr;
     for (Arg& a : args_) {

@@ -3,15 +3,22 @@
 // that peak-aware provisioning exploits. The paper plots Japan, Hong Kong,
 // and India peaking at roughly 00:00, 02:00, and 05:30 UTC.
 //
-// Flags: --slot_s=1800
+// Flags: --slot_s=1800. A bad flag prints usage to stderr and exits 2.
 #include <algorithm>
 #include <iostream>
 
 #include "bench_util.h"
 
+namespace {
+constexpr const char* kUsage =
+    "usage: fig3_demand_curves [--slot_s=60..86400]\n";
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace sb;
-  const double slot_s = bench::arg_double(argc, argv, "slot_s", 1800.0);
+  bench::Flags flags(argc, argv, kUsage);
+  const double slot_s = flags.number("slot_s", 1800.0, 60.0, 86400.0);
+  flags.finish();
 
   Scenario scenario = make_apac_scenario();
   const LoadModel loads = LoadModel::paper_default();

@@ -3,7 +3,8 @@
 // covered by the top-N% call configs (paper: top 0.1% cover 86%, top 1%
 // cover 93%).
 //
-// Flags: --history_weeks=8 --horizon_days=7 --universe=4000
+// Flags: --history_weeks=8 --horizon_days=7 --universe=4000. A bad flag
+// prints usage to stderr and exits 2.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -11,14 +12,22 @@
 #include "bench_util.h"
 #include "forecast/forecaster.h"
 
+namespace {
+constexpr const char* kUsage =
+    "usage: fig7_call_configs [--history_weeks=2..520] "
+    "[--horizon_days=1..365] [--universe=1..100000]\n";
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace sb;
-  const std::size_t history_weeks =
-      bench::arg_size(argc, argv, "history_weeks", 8);
-  const std::size_t horizon_days =
-      bench::arg_size(argc, argv, "horizon_days", 7);
-  const std::size_t universe_size =
-      bench::arg_size(argc, argv, "universe", 4000);
+  bench::Flags flags(argc, argv, kUsage);
+  const auto history_weeks =
+      static_cast<std::size_t>(flags.whole("history_weeks", 8, 2, 520));
+  const auto horizon_days =
+      static_cast<std::size_t>(flags.whole("horizon_days", 7, 1, 365));
+  const auto universe_size =
+      static_cast<std::size_t>(flags.whole("universe", 4000, 1, 100000));
+  flags.finish();
 
   // A large universe so the coverage curve (c) has a meaningful tail.
   Scenario scenario = make_apac_scenario({.config_count = universe_size});

@@ -2,15 +2,21 @@
 // function of time since the meeting started. The paper freezes the call
 // config at A = 300 s because ~80% of participants have joined by then.
 //
-// Flags: --hours=6
+// Flags: --hours=6. A bad flag prints usage to stderr and exits 2.
 #include <algorithm>
 #include <iostream>
 
 #include "bench_util.h"
 
+namespace {
+constexpr const char* kUsage = "usage: fig8_join_fraction [--hours=0.01..168]\n";
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace sb;
-  const double hours = bench::arg_double(argc, argv, "hours", 6.0);
+  bench::Flags flags(argc, argv, kUsage);
+  const double hours = flags.number("hours", 6.0, 0.01, 168.0);
+  flags.finish();
 
   Scenario scenario = make_apac_scenario();
   // A busy Tuesday window.

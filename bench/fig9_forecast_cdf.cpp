@@ -4,20 +4,30 @@
 // and median MAE 8% over the top-1000 configs.
 //
 // Laptop-scale defaults fit 8 weeks and forecast 2 weeks over the top 150
-// configs; override with --history_weeks, --horizon_weeks, --configs.
+// configs; override with --history_weeks, --horizon_weeks, --configs. A bad
+// flag prints usage to stderr and exits 2.
 #include <iostream>
 
 #include "bench_util.h"
 #include "common/stats.h"
 #include "forecast/forecaster.h"
 
+namespace {
+constexpr const char* kUsage =
+    "usage: fig9_forecast_cdf [--history_weeks=2..520] "
+    "[--horizon_weeks=1..52] [--configs=1..1500]\n";
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace sb;
-  const std::size_t history_weeks =
-      bench::arg_size(argc, argv, "history_weeks", 8);
-  const std::size_t horizon_weeks =
-      bench::arg_size(argc, argv, "horizon_weeks", 2);
-  const std::size_t config_count = bench::arg_size(argc, argv, "configs", 150);
+  bench::Flags flags(argc, argv, kUsage);
+  const auto history_weeks =
+      static_cast<std::size_t>(flags.whole("history_weeks", 8, 2, 520));
+  const auto horizon_weeks =
+      static_cast<std::size_t>(flags.whole("horizon_weeks", 2, 1, 52));
+  const auto config_count =
+      static_cast<std::size_t>(flags.whole("configs", 150, 1, 1500));
+  flags.finish();
 
   Scenario scenario = make_apac_scenario({.config_count = 1500});
   const TraceGenerator& trace = *scenario.trace;

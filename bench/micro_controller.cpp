@@ -16,6 +16,7 @@
 #include <random>
 
 #include "bench_util.h"
+#include "core/allocation_plan.h"
 #include "core/provisioner.h"
 #include "core/realtime.h"
 #include "fault/health_table.h"
@@ -319,6 +320,57 @@ BENCHMARK_CAPTURE(BM_Reprovision, cold, Reprovision::kCold);
 BENCHMARK_CAPTURE(BM_Reprovision, uniform_115, Reprovision::kUniform);
 BENCHMARK_CAPTURE(BM_Reprovision, per_config, Reprovision::kPerConfig);
 BENCHMARK_CAPTURE(BM_Reprovision, steady, Reprovision::kSteady);
+
+enum class Replan { kCold, kRetained };
+
+// One allocation plan (Eq 10, one LP per slot) per iteration, at the loop's
+// x1.15 correction under the capacities provisioned for it (untimed). The
+// cold row plans without a hint: every slot LP is built and solved cold, as
+// build_allocation_plan does. The retained row primes a hint with an
+// untimed cold plan of the design day and an untimed re-plan at x1.15, then
+// re-plans in place through it at the same demand: every slot re-solves its
+// retained LP and dual engine, so the row measures a steady-state replan's
+// install_plan solve. Counters: wall ms and summed LP iterations per plan.
+// Spans are off, as in an untraced run.
+void BM_Plan(benchmark::State& state, Replan variant) {
+  static const ReprovisionDay day;
+  ProvisionOptions options;
+  options.include_link_failures = false;
+  const SwitchboardProvisioner prov(day.ctx(), options);
+  const DemandMatrix demand =
+      reprovision_demand(day.demand, Reprovision::kUniform);
+  const CapacityPlan capacity = prov.provision(demand).capacity;
+  const AllocationPlanner planner(day.ctx(), {});
+  obs::SpanRecorder& spans = obs::SpanRecorder::global();
+  const bool spans_were_enabled = spans.enabled();
+  spans.set_enabled(false);
+  PlanLpHint hint;
+  PlanLpHint* hint_ptr = nullptr;
+  if (variant == Replan::kRetained) {
+    (void)planner.plan(day.demand, prov.provision(day.demand).capacity,
+                       3600.0, &hint);
+    (void)planner.plan(demand, capacity, 3600.0, &hint);
+    hint_ptr = &hint;
+  }
+  std::size_t lp_iterations = 0;
+  double plan_s = 0.0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const AllocationPlan plan = planner.plan(demand, capacity, 3600.0, hint_ptr);
+    plan_s += std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            t0)
+                  .count();
+    benchmark::DoNotOptimize(plan);
+    lp_iterations += plan.lp_iterations;
+  }
+  spans.set_enabled(spans_were_enabled);
+  const auto plans = static_cast<double>(
+      std::max<benchmark::IterationCount>(state.iterations(), 1));
+  state.counters["ms/plan"] = plan_s * 1e3 / plans;
+  state.counters["iters/plan"] = static_cast<double>(lp_iterations) / plans;
+}
+BENCHMARK_CAPTURE(BM_Plan, cold, Replan::kCold);
+BENCHMARK_CAPTURE(BM_Plan, retained, Replan::kRetained);
 
 /// ConsoleReporter that also emits one bench_util JSON line per run
 /// (`micro_controller` bench, metric `<name>.ns_per_op`), so the

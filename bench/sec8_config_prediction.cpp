@@ -5,16 +5,26 @@
 // The paper reports RMSE 0.97 / MAE 0.90 for the model vs 24.90 / 23.60 for
 // the previous-instance baseline, with the gap widest on large meetings.
 //
-// Flags: --series=600 --train_frac=0.8
+// Flags: --series=600 --train_frac=0.8. A bad flag prints usage to stderr
+// and exits 2.
 #include <iostream>
 
 #include "bench_util.h"
 #include "predict/config_predictor.h"
 
+namespace {
+constexpr const char* kUsage =
+    "usage: sec8_config_prediction [--series=10..100000] "
+    "[--train_frac=0.1..0.9]\n";
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace sb;
-  const std::size_t series_count = bench::arg_size(argc, argv, "series", 600);
-  const double train_frac = bench::arg_double(argc, argv, "train_frac", 0.8);
+  bench::Flags flags(argc, argv, kUsage);
+  const auto series_count =
+      static_cast<std::size_t>(flags.whole("series", 600, 10, 100000));
+  const double train_frac = flags.number("train_frac", 0.8, 0.1, 0.9);
+  flags.finish();
 
   const GeoModel apac = make_apac_world();
   Rng rng(2026);

@@ -4,13 +4,18 @@
 // library's default load model sits at the midpoints. The NL/CL ratio is
 // what orders Switchboard's offload preference (§6.3): audio first,
 // screen-share next, video last.
+//
+// Takes no flags: any argument prints usage to stderr and exits 2.
 #include <iostream>
 
+#include "bench_util.h"
 #include "calls/media.h"
 #include "common/table.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace sb;
+  bench::Flags(argc, argv, "usage: table1_load_model (takes no flags)\n")
+      .finish();
   const LoadModel model = LoadModel::paper_default();
   std::cout << "Table 1: relative compute (CL) and network (NL) loads per "
                "media type\n";

@@ -5,14 +5,20 @@
 //   3. Provision capacity (the Eq 3-9 LP, surviving any single DC failure).
 //   4. Build a daily allocation plan (Eq 10) and serve calls in real time.
 //
-// Build & run:  ./build/examples/quickstart
+// Build & run:  ./build/examples/quickstart (it takes no arguments; any
+// argument prints usage to stderr and exits 2)
 #include <iostream>
 
 #include "common/table.h"
 #include "core/controller.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace sb;
+  if (argc > 1) {
+    std::cerr << "unexpected argument '" << argv[1]
+              << "'\nusage: quickstart (takes no arguments)\n";
+    return 2;
+  }
 
   // --- 1. A tiny world: two countries, a DC in each, one WAN link. ---
   World world;

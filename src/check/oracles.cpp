@@ -8,6 +8,7 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "calls/demand.h"
@@ -608,6 +609,86 @@ std::string reprovision_difference(const ProvisionResult& a,
   return "";
 }
 
+std::string plan_difference(const AllocationPlan& a, const AllocationPlan& b) {
+  if (a.slot_count() != b.slot_count() ||
+      a.config_count() != b.config_count() || a.dc_count() != b.dc_count()) {
+    return "plan shape";
+  }
+  for (TimeSlot t = 0; t < a.slot_count(); ++t) {
+    for (std::size_t c = 0; c < a.config_count(); ++c) {
+      for (std::size_t x = 0; x < a.dc_count(); ++x) {
+        const DcId dc(static_cast<std::uint32_t>(x));
+        if (a.quota(t, c, dc) != b.quota(t, c, dc) ||
+            !same_bits(a.fractional.calls(t, c, dc),
+                       b.fractional.calls(t, c, dc))) {
+          std::ostringstream os;
+          os << "slot " << t << " config " << c << " dc " << x << ": quota "
+             << a.quota(t, c, dc) << " (" << a.fractional.calls(t, c, dc)
+             << " calls) vs " << b.quota(t, c, dc) << " ("
+             << b.fractional.calls(t, c, dc) << ")";
+          return os.str();
+        }
+      }
+    }
+  }
+  if (!same_bits(a.slot_objective, b.slot_objective)) return "slot objectives";
+  if (a.lp_iterations != b.lp_iterations) {
+    return "lp iterations " + std::to_string(a.lp_iterations) + " vs " +
+           std::to_string(b.lp_iterations);
+  }
+  if (!same_bits(a.mean_acl_ms, b.mean_acl_ms)) return "mean ACL";
+  return "";
+}
+
+std::string plan_infeasibility(const AllocationPlan& plan,
+                               const DemandMatrix& demand,
+                               const CapacityPlan& capacity,
+                               const EvalContext& ctx) {
+  std::ostringstream os;
+  const UsageProfile usage = compute_usage(plan.fractional, demand, ctx);
+  for (std::size_t x = 0; x < usage.dc_cores.size(); ++x) {
+    const double cap =
+        capacity.dc_total_cores(DcId(static_cast<std::uint32_t>(x)));
+    for (std::size_t t = 0; t < usage.dc_cores[x].size(); ++t) {
+      if (usage.dc_cores[x][t] > cap + kLpTol * std::max(1.0, cap)) {
+        os << "slot " << t << " dc " << x << " uses " << usage.dc_cores[x][t]
+           << " cores > capacity " << cap;
+        return os.str();
+      }
+    }
+  }
+  for (std::size_t l = 0; l < usage.link_gbps.size(); ++l) {
+    const double cap = capacity.link_gbps[l];
+    for (std::size_t t = 0; t < usage.link_gbps[l].size(); ++t) {
+      if (usage.link_gbps[l][t] > cap + kLpTol * std::max(1.0, cap)) {
+        os << "slot " << t << " link " << l << " uses "
+           << usage.link_gbps[l][t] << " gbps > capacity " << cap;
+        return os.str();
+      }
+    }
+  }
+  for (TimeSlot t = 0; t < demand.slot_count(); ++t) {
+    for (std::size_t c = 0; c < demand.config_count(); ++c) {
+      const double d = demand.demand(t, c);
+      double placed = 0.0;
+      std::uint64_t quotas = 0;
+      for (std::size_t x = 0; x < plan.dc_count(); ++x) {
+        const DcId dc(static_cast<std::uint32_t>(x));
+        placed += plan.fractional.calls(t, c, dc);
+        quotas += plan.quota(t, c, dc);
+      }
+      const auto ceil_d =
+          d > 0.0 ? static_cast<std::uint64_t>(std::ceil(d - 1e-9)) : 0;
+      if (!close(placed, d, kLpTol) || quotas != ceil_d) {
+        os << "slot " << t << " config " << c << " places " << placed
+           << " calls in " << quotas << " quota slots for demand " << d;
+        return os.str();
+      }
+    }
+  }
+  return "";
+}
+
 namespace {
 
 /// Re-provisions `demand` through `hint` (input and output). The same
@@ -696,6 +777,99 @@ void reprovision_oracle(const Materialized& m, const FuzzCase& c,
     }
   } catch (const SolveError&) {
     // As above: an infeasible scenario is the world's, not the solver's.
+  }
+}
+
+/// Re-plans `demand` under `capacity` through `hint` (input and output).
+/// The same re-plan first runs through a copy of the input hint, whose
+/// retained slot LPs rebuild their dual engines, and the in-place run must
+/// match it bit for bit; then every slot's objective must match a hint-less
+/// plan's, and both plans must satisfy Eq 10. Returns false after recording
+/// a failure.
+bool replan_agrees(const AllocationPlanner& planner, const EvalContext& ctx,
+                   const DemandMatrix& demand, const CapacityPlan& capacity,
+                   double slot_s, PlanLpHint& hint, const std::string& what,
+                   std::vector<OracleFailure>& out) {
+  PlanLpHint copy = hint;
+  const AllocationPlan copied = planner.plan(demand, capacity, slot_s, &copy);
+  const AllocationPlan warm = planner.plan(demand, capacity, slot_s, &hint);
+  const AllocationPlan cold = planner.plan(demand, capacity, slot_s);
+  std::string diff = plan_difference(warm, copied);
+  if (!diff.empty()) {
+    fail(out, "replan",
+         what + " re-plan in place differs from one through a copy of its " +
+             "hint: " + diff);
+    return false;
+  }
+  for (TimeSlot t = 0; t < warm.slot_count(); ++t) {
+    if (!close(warm.slot_objective[t], cold.slot_objective[t], kLpTol)) {
+      std::ostringstream os;
+      os << what << " re-plan: slot " << t << " objective in place "
+         << warm.slot_objective[t] << " != hint-less "
+         << cold.slot_objective[t];
+      fail(out, "replan", os.str());
+      return false;
+    }
+  }
+  for (const AllocationPlan* plan : {&warm, &cold}) {
+    diff = plan_infeasibility(*plan, demand, capacity, ctx);
+    if (!diff.empty()) {
+      fail(out, "replan", what + " re-plan breaks Eq 10: " + diff);
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Incremental vs from-scratch re-planning, the allocation-plan twin of the
+/// reprovision oracle. A cold plan writes every slot's Eq 10 LP into a
+/// hint; two re-plans through it, each at a per-config perturbed demand
+/// with the same positive pattern and that demand's provisioned capacity,
+/// rewrite every slot's capacity and completeness rhs and re-solve in
+/// place (the first builds each slot's dual engine, the second reloads
+/// it). A provision that is infeasible by construction is a skip; a plan
+/// under capacities provisioned for its own demand always has a solution,
+/// so a plan that throws is a failure.
+void replan_oracle(const Materialized& m, const FuzzCase& c,
+                   const DemandMatrix& demand,
+                   std::vector<OracleFailure>& out) {
+  if (!small_lp(m, demand)) return;
+  const ControllerOptions co = controller_options(c.options);
+  const SwitchboardProvisioner prov(m.ctx(), co.provision);
+  const AllocationPlanner planner(m.ctx(), co.allocation);
+  ScenarioBasisHint basis;
+  const auto capacity_for =
+      [&](const DemandMatrix& d) -> std::optional<CapacityPlan> {
+    try {
+      return prov.provision(d, &basis, &basis).capacity;
+    } catch (const SolveError&) {
+      return std::nullopt;
+    }
+  };
+  try {
+    const std::optional<CapacityPlan> capacity = capacity_for(demand);
+    if (!capacity) return;
+    PlanLpHint hint;
+    const AllocationPlan plan =
+        planner.plan(demand, *capacity, co.slot_s, &hint);
+    const std::string diff =
+        plan_infeasibility(plan, demand, *capacity, m.ctx());
+    if (!diff.empty()) {
+      fail(out, "replan", "cold plan breaks Eq 10: " + diff);
+      return;
+    }
+    for (const auto& [shift, what] :
+         {std::pair<std::size_t, const char*>{2, "perturbed"},
+          {0, "re-perturbed"}}) {
+      const DemandMatrix corrected = perturbed_demand(demand, shift);
+      const std::optional<CapacityPlan> cap = capacity_for(corrected);
+      if (!cap || !replan_agrees(planner, m.ctx(), corrected, *cap, co.slot_s,
+                                 hint, what, out)) {
+        return;
+      }
+    }
+  } catch (const SolveError& e) {
+    fail(out, "replan", std::string("plan threw: ") + e.what());
   }
 }
 
@@ -1140,6 +1314,7 @@ CheckResult run_case(const FuzzCase& c, const CheckOptions& opts) {
       if (res.failures.empty()) {
         reprovision_oracle(m, c, *demand, res.failures);
       }
+      if (res.failures.empty()) replan_oracle(m, c, *demand, res.failures);
     }
 
     if (opts.run_rebuild_storm && c.options.rebuild_storm &&

@@ -28,6 +28,11 @@
 //     runs through copies of their input hints bit for bit, and one after
 //     a demand-pattern change (every model rebuilt) matches a cold
 //     provision bit for bit (small shapes only);
+//   - replan: two re-plans through a cold plan's PlanLpHint (slot LPs
+//     re-solved in place at new capacities and demand) match the same
+//     re-plans through copies of the hint bit for bit and a hint-less plan
+//     per slot, and every plan satisfies Eq 10 against its capacities
+//     (small shapes only);
 //   - rebuild-storm: concurrent plan rebuilds + fault edges + signaling
 //     churn leave the facade usable and a fresh clean cycle conserved.
 // Provisioning that is infeasible BY CONSTRUCTION (a failure scenario with
@@ -104,6 +109,22 @@ struct CheckOptions {
 /// scenario's objective, iteration count and requirement.
 [[nodiscard]] std::string reprovision_difference(const ProvisionResult& a,
                                                  const ProvisionResult& b);
+
+/// Where two allocation plans differ, or "" when they agree bit for bit:
+/// quotas, the fractional optimum, every slot's objective, the LP
+/// iterations and the mean ACL.
+[[nodiscard]] std::string plan_difference(const AllocationPlan& a,
+                                          const AllocationPlan& b);
+
+/// Where `plan` breaks Eq 10 against `capacity`, or "" when it holds: per
+/// slot, the fractional placement's DC cores within serving + backup cores
+/// and its link Gbps within link capacity; per (slot, config), the placed
+/// calls equal to the demand; and each cell's quotas summing to
+/// ceil(demand), with the planner's 1e-9 slack.
+[[nodiscard]] std::string plan_infeasibility(const AllocationPlan& plan,
+                                             const DemandMatrix& demand,
+                                             const CapacityPlan& capacity,
+                                             const EvalContext& ctx);
 
 /// The controller configuration every executor run of a case uses.
 [[nodiscard]] ControllerOptions controller_options(const FuzzOptions& o);

@@ -152,7 +152,7 @@ const AllocationPlan& Switchboard::build_allocation_plan(
 
 const AllocationPlan& Switchboard::install_plan(const DemandMatrix& demand,
                                                 SimTime plan_start_s,
-                                                SimTime now) {
+                                                SimTime now, PlanLpHint* hint) {
   require(provision_result_.has_value(),
           "install_plan: call provision() first");
   require(plan_.has_value(),
@@ -161,8 +161,8 @@ const AllocationPlan& Switchboard::install_plan(const DemandMatrix& demand,
   obs::ScopedTimer timer(metrics_.allocation_plan_s);
   obs::Span span("ctl.plan_install", obs::Subsystem::kController, now);
   AllocationPlanner planner(ctx_, options_.allocation);
-  AllocationPlan new_plan =
-      planner.plan(demand, provision_result_->capacity, options_.slot_s);
+  AllocationPlan new_plan = planner.plan(
+      demand, provision_result_->capacity, options_.slot_s, hint);
   obs::Span publish("ctl.plan_publish", obs::Subsystem::kController, now);
   std::unique_lock lock(swap_mutex_);
   // Swap the plan in place: the optional's storage (and so the selector's

@@ -87,11 +87,16 @@ class Switchboard {
   /// whose cell is already full — fall back to unplanned/overflow
   /// accounting, and overflow calls may gain a slot the old plan denied
   /// them. `plan_start_s` must be the anchor of the plan being replaced so
-  /// slot indices stay aligned across the install. Requires a prior
-  /// build_allocation_plan. Thread-safe against concurrent realtime events
-  /// (they drain before the install and resume after).
+  /// slot indices stay aligned across the install. `hint` (optional) is the
+  /// caller's PlanLpHint, read and written in place, so a caller that
+  /// replans repeatedly (the closed loop) re-solves each slot's retained LP
+  /// (see AllocationPlanner::plan); the controller keeps none itself.
+  /// Requires a prior build_allocation_plan. Thread-safe against concurrent
+  /// realtime events (they drain before the install and resume after), but
+  /// not against another install through the same hint.
   const AllocationPlan& install_plan(const DemandMatrix& demand,
-                                     SimTime plan_start_s, SimTime now);
+                                     SimTime plan_start_s, SimTime now,
+                                     PlanLpHint* hint = nullptr);
 
   /// Monotone epoch bumped by every plan publication (build_allocation_plan
   /// and install_plan). Readers use it to detect that a re-plan landed

@@ -211,7 +211,7 @@ void AdaptiveController::tick(SimTime now) {
   DemandMatrix corrected = corrected_demand(slot);
   try {
     sb_->provision(corrected, &warm_basis_, &warm_basis_);
-    sb_->install_plan(corrected, plan_start_s_, now);
+    sb_->install_plan(corrected, plan_start_s_, now, &plan_hint_);
   } catch (const SolveError&) {
     // A corrected demand the scenario LPs cannot serve (capacity ceiling):
     // keep the old plan and forecast, try again next out-of-band tick.

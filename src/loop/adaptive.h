@@ -136,6 +136,11 @@ class AdaptiveController : public ControllerAllocator {
   /// replan's models in place (guarded by tick_mutex_). Empty until the
   /// first replan, which therefore provisions cold.
   ScenarioBasisHint warm_basis_;
+  /// Every slot's retained Eq 10 LP, passed to install_plan so each replan
+  /// re-solves the previous replan's slot LPs in place (guarded by
+  /// tick_mutex_). The loop owns it rather than the Switchboard, so plans
+  /// built outside the loop keep no LPs alive.
+  PlanLpHint plan_hint_;
 
   std::atomic<std::uint64_t> ticks_{0};
   std::atomic<std::uint64_t> triggers_{0};

@@ -8,70 +8,20 @@
 // basis.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
+#include "apac_design_day.h"
 #include "core/provisioner.h"
-#include "trace/scenario.h"
 
 namespace sb {
 namespace {
 
-/// APAC preset with scenario seed 1, top 30 configs of the expected demand
-/// over one design day in 3600 s slots (24 x 30 x 5 DCs).
-struct ApacDesignDay {
-  Scenario scenario = make_apac_scenario({.seed = 1});
-  LoadModel loads = LoadModel::paper_default();
-  DemandMatrix demand = top_configs(
-      scenario.trace->expected_demand(3600.0, kSecondsPerDay,
-                                      2 * kSecondsPerDay),
-      30);
-
-  static DemandMatrix top_configs(const DemandMatrix& full, std::size_t k) {
-    std::vector<ConfigId> top;
-    for (std::size_t c = 0; c < std::min(k, full.config_count()); ++c) {
-      top.push_back(full.config_at(c));
-    }
-    DemandMatrix out = make_demand_matrix(top, full.slot_count());
-    for (TimeSlot t = 0; t < full.slot_count(); ++t) {
-      for (std::size_t c = 0; c < top.size(); ++c) {
-        out.set_demand(t, c, full.demand(t, c));
-      }
-    }
-    return out;
-  }
-
-  [[nodiscard]] EvalContext ctx() const {
-    return {&scenario.world(), &scenario.topology(), &scenario.latency(),
-            scenario.registry.get(), &loads};
-  }
-};
+using test::ApacDesignDay;
+using test::per_config;
+using test::uniform_115;
 
 std::size_t total_iterations(const ProvisionResult& result) {
   std::size_t total = 0;
   for (const ScenarioOutcome& s : result.scenarios) total += s.lp_iterations;
   return total;
-}
-
-/// `demand` with column c scaled by factor(c).
-template <typename Factor>
-DemandMatrix scaled(const DemandMatrix& demand, Factor factor) {
-  DemandMatrix out = demand;
-  for (TimeSlot t = 0; t < out.slot_count(); ++t) {
-    for (std::size_t c = 0; c < out.config_count(); ++c) {
-      out.set_demand(t, c, out.demand(t, c) * factor(c));
-    }
-  }
-  return out;
-}
-
-/// The closed loop's uniform correction and a per-config one.
-DemandMatrix uniform_115(const DemandMatrix& demand) {
-  return scaled(demand, [](std::size_t) { return 1.15; });
-}
-DemandMatrix per_config(const DemandMatrix& demand) {
-  return scaled(demand, [](std::size_t c) {
-    return 0.8 + 0.1 * static_cast<double>(c % 5);
-  });
 }
 
 // F0 plus the five single-DC failures. 1,693 iterations when written; the
