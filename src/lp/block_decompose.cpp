@@ -3,14 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <cstdio>
-#include <cstdlib>
-#include <future>
-#include <memory>
 #include <numeric>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "lp/dual_simplex.h"
 #include "lp/revised_simplex.h"
 #include "obs/span.h"
@@ -22,15 +17,6 @@ using Clock = std::chrono::steady_clock;
 
 [[nodiscard]] double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Phase-by-phase stderr trace for tuning planet-scale solves, enabled by
-/// setting SB_LP_DECOMPOSE_TRACE in the environment. Deliberately not part
-/// of the obs registry: it prints DURING the solve, which is exactly when a
-/// multi-minute regression needs diagnosing.
-[[nodiscard]] bool trace_enabled() {
-  static const bool enabled = std::getenv("SB_LP_DECOMPOSE_TRACE") != nullptr;
-  return enabled;
 }
 
 /// Initial master size: the few busiest blocks pin the coupling columns in
@@ -63,11 +49,6 @@ class RowSets {
 
  private:
   std::vector<int> parent_;
-};
-
-struct SubResult {
-  SfSolution solution;
-  SparseSolveStats stats;
 };
 
 /// Cached block sub-form: the matrix never changes between rounds — only
@@ -151,8 +132,7 @@ BlockPlan detect_blocks(const StandardForm& sf) {
 
 SfSolution solve_decomposed(const StandardForm& sf,
                             const SimplexOptions& options,
-                            const BlockPlan& plan, std::size_t threads,
-                            DecomposeStats* stats) {
+                            const BlockPlan& plan, DecomposeStats* stats) {
   obs::Span span("lp.decompose", obs::Subsystem::kLp);
   const std::size_t n = sf.var_count();
   const std::size_t m = sf.rows.size();
@@ -162,8 +142,7 @@ SfSolution solve_decomposed(const StandardForm& sf,
   st.coupling_cols = plan.coupling_cols;
 
   // Group rows (and columns) by block. Row ids stay ascending within each
-  // block, so the sub-forms — and therefore the sub-solves and the stitch —
-  // are independent of thread count.
+  // block.
   const auto detect_start = Clock::now();
   std::vector<std::vector<int>> block_rows(plan.block_count);
   for (std::size_t r = 0; r < m; ++r) {
@@ -220,7 +199,7 @@ SfSolution solve_decomposed(const StandardForm& sf,
   // blocks' (tiny) placement-cost influence on the coupling columns.
   const auto sub_start = Clock::now();
   std::vector<double> coupling_value(n, 0.0);
-  std::vector<SubResult> refined(plan.block_count);
+  std::vector<SfSolution> refined(plan.block_count);
   SfSolution master_sol;
   std::vector<int> master_map;
   std::vector<int> master_rows;
@@ -277,34 +256,15 @@ SfSolution solve_decomposed(const StandardForm& sf,
       }
       sub.rows[i].rhs = rhs;
     }
-    SubResult out;
-    const SubResult& prev = refined[b];
-    if (prev.solution.status == SolveStatus::kOptimal &&
-        prev.solution.statuses.size() ==
-            sub.var_count() + sub.rows.size()) {
-      DualSolveStats dual_stats;
-      out.solution =
-          solve_dual(sub, options, &prev.solution.statuses, &dual_stats);
-      if (out.solution.status == SolveStatus::kOptimal ||
-          out.solution.status == SolveStatus::kInfeasible) {
-        return out;
-      }
-      // Fallback contract: the dual's statuses are a valid basis for the
-      // primal engine; keep both engines' iterations on the block's tab.
-      const std::size_t dual_iters = out.solution.iterations;
-      const std::vector<VarStatus> dual_warm = out.solution.statuses;
-      out.solution = solve_sparse(sub, options, &dual_warm, &out.stats);
-      out.solution.iterations += dual_iters;
+    const SfSolution& prev = refined[b];
+    if (prev.status == SolveStatus::kOptimal &&
+        prev.statuses.size() == sub.var_count() + sub.rows.size()) {
+      SfSolution out = solve_dual(sub, options, &prev.statuses);
+      finish_on_primal(sub, options, out);
       return out;
     }
-    out.solution = solve_sparse(sub, options, nullptr, &out.stats);
-    return out;
+    return solve_sparse(sub, options);
   };
-
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1 && plan.block_count > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-  }
   // Previous round's master basis, for warm-starting the next round's
   // master after it grows: surviving columns and rows keep their statuses,
   // new blocks' columns start at their lower bound, and new rows' logicals
@@ -317,6 +277,11 @@ SfSolution solve_decomposed(const StandardForm& sf,
   std::size_t prev_n = 0;
   for (std::size_t round = 0; round < kMaxMasterRounds; ++round) {
     ++st.master_rounds;
+    // One span per round, nested under lp.decompose: the master's size, the
+    // blocks refined against it, how many of them join the next master, and
+    // the round's iterations (master plus refines). A growing master shows
+    // here round by round.
+    obs::Span round_span("lp.decompose.round", obs::Subsystem::kLp);
     master_rows.clear();
     for (std::size_t r = 0; r < m; ++r) {
       const int b = plan.row_block[r];
@@ -357,8 +322,7 @@ SfSolution solve_decomposed(const StandardForm& sf,
         if (prev_row_pos[static_cast<std::size_t>(block_rows[b][0])] >= 0) {
           continue;  // already in the previous master; prev_statuses covers it
         }
-        const std::vector<VarStatus>& sub_status =
-            refined[b].solution.statuses;
+        const std::vector<VarStatus>& sub_status = refined[b].statuses;
         const std::size_t sub_nb = block_cols[b].size();
         if (sub_status.size() != sub_nb + block_rows[b].size()) continue;
         for (std::size_t k = 0; k < sub_nb; ++k) {
@@ -377,27 +341,27 @@ SfSolution solve_decomposed(const StandardForm& sf,
       }
       master_warm_ptr = &master_warm;
     }
-    const auto master_start = Clock::now();
     master_sol = solve_sparse(master_sub, options, master_warm_ptr, nullptr);
-    if (trace_enabled()) {
-      std::fprintf(stderr,
-                   "[decompose] round %zu master rows=%zu cols=%zu iters=%zu "
-                   "%.2fs\n",
-                   round, master_rows.size(), master_sub.var_count(),
-                   master_sol.iterations, seconds_since(master_start));
-    }
     st.sub_iterations += master_sol.iterations;
-    if (master_sol.status == SolveStatus::kInfeasible) {
-      // The master is the parent restricted to a row subset: no completion
-      // of ANY assignment can satisfy these rows, so the parent is
-      // infeasible too.
-      SfSolution out;
-      out.status = SolveStatus::kInfeasible;
-      span.attr(obs::AttrKey::kStatus, -1);
-      st.sub_seconds = seconds_since(sub_start);
-      return out;
+    round_span.attr(obs::AttrKey::kRows,
+                    static_cast<std::int64_t>(master_rows.size()));
+    round_span.attr(obs::AttrKey::kCols,
+                    static_cast<std::int64_t>(master_sub.var_count()));
+    if (master_sol.status != SolveStatus::kOptimal) {
+      round_span.attr(obs::AttrKey::kIterations,
+                      static_cast<std::int64_t>(master_sol.iterations));
+      if (master_sol.status == SolveStatus::kInfeasible) {
+        // The master is the parent restricted to a row subset: no completion
+        // of ANY assignment can satisfy these rows, so the parent is
+        // infeasible too.
+        SfSolution out;
+        out.status = SolveStatus::kInfeasible;
+        span.attr(obs::AttrKey::kStatus, -1);
+        st.sub_seconds = seconds_since(sub_start);
+        return out;
+      }
+      break;  // cold clean-up
     }
-    if (master_sol.status != SolveStatus::kOptimal) break;  // cold clean-up
     prev_statuses = master_sol.statuses;
     prev_master_map = master_map;
     prev_n = master_sub.var_count();
@@ -419,45 +383,31 @@ SfSolution solve_decomposed(const StandardForm& sf,
     for (std::size_t b = 0; b < plan.block_count; ++b) {
       if (!in_master[b]) work.push_back(b);
     }
-    const auto refine_start = Clock::now();
-    if (pool != nullptr && work.size() > 1) {
-      std::vector<std::future<SubResult>> futures;
-      futures.reserve(work.size());
-      for (std::size_t b : work) futures.push_back(pool->submit(refine_block, b));
-      for (std::size_t i = 0; i < work.size(); ++i) {
-        refined[work[i]] = futures[i].get();
-      }
-    } else {
-      for (std::size_t b : work) refined[b] = refine_block(b);
-    }
+    for (std::size_t b : work) refined[b] = refine_block(b);
 
-    bool grew = false;
     bool failed = false;
-    std::size_t infeasible_blocks = 0;
-    std::size_t round_iters = 0;
+    std::size_t joined = 0;
+    std::size_t round_iters = master_sol.iterations;
     for (std::size_t b : work) {
-      st.sub_iterations += refined[b].solution.iterations;
-      round_iters += refined[b].solution.iterations;
-      const SolveStatus s = refined[b].solution.status;
+      st.sub_iterations += refined[b].iterations;
+      round_iters += refined[b].iterations;
+      const SolveStatus s = refined[b].status;
       if (s == SolveStatus::kInfeasible) {
         // Infeasible at the master's coupling values — a binding block, NOT
         // proof of parent infeasibility (the substitution added bounds).
         in_master[b] = 1;
-        grew = true;
-        ++infeasible_blocks;
+        ++joined;
       } else if (s != SolveStatus::kOptimal) {
         failed = true;
       }
     }
-    if (trace_enabled()) {
-      std::fprintf(stderr,
-                   "[decompose] round %zu refined %zu blocks iters=%zu "
-                   "infeasible=%zu %.2fs\n",
-                   round, work.size(), round_iters, infeasible_blocks,
-                   seconds_since(refine_start));
-    }
+    round_span.attr(obs::AttrKey::kBlocks,
+                    static_cast<std::int64_t>(work.size()));
+    round_span.attr(obs::AttrKey::kJoined, static_cast<std::int64_t>(joined));
+    round_span.attr(obs::AttrKey::kIterations,
+                    static_cast<std::int64_t>(round_iters));
     if (failed) break;  // degrade to a cold clean-up
-    if (!grew) {
+    if (joined == 0) {
       stitch_ok = true;
       break;
     }
@@ -473,7 +423,6 @@ SfSolution solve_decomposed(const StandardForm& sf,
   // (zero) lower bound.
   const auto cleanup_start = Clock::now();
   std::vector<VarStatus> warm;
-  const std::vector<VarStatus>* warm_ptr = nullptr;
   if (stitch_ok) {
     warm.assign(n + m, VarStatus::kAtLower);
     const std::size_t master_n = master_sol.values.size();
@@ -488,8 +437,8 @@ SfSolution solve_decomposed(const StandardForm& sf,
     }
     for (std::size_t b = 0; b < plan.block_count; ++b) {
       if (in_master[b]) continue;
-      const std::vector<VarStatus>& sub_status = refined[b].solution.statuses;
-      const std::size_t sub_n = refined[b].solution.values.size();
+      const std::vector<VarStatus>& sub_status = refined[b].statuses;
+      const std::size_t sub_n = refined[b].values.size();
       for (int j : block_cols[b]) {
         const auto ju = static_cast<std::size_t>(j);
         warm[ju] = sub_status[static_cast<std::size_t>(col_local[ju])];
@@ -502,9 +451,6 @@ SfSolution solve_decomposed(const StandardForm& sf,
     for (std::size_t r = 0; r < m; ++r) {
       if (plan.row_block[r] < 0) warm[n + r] = VarStatus::kBasic;
     }
-    warm_ptr = &warm;
-  } else {
-    st.sub_solve_failed = true;  // degrade to a cold clean-up (plain sparse)
   }
 
   // Clean-up: the stitched basis is primal feasible and optimal per block;
@@ -512,34 +458,18 @@ SfSolution solve_decomposed(const StandardForm& sf,
   // placement costs pulling on the relaxation's choice) remains, which
   // shows up as a handful of mispriced columns — the dual simplex's home
   // turf. It hands any start it cannot finish to the primal engine
-  // (fallback contract in lp/dual_simplex.h).
+  // (finish_on_primal). Without a stitch the clean-up is the plain sparse
+  // path, cold.
   SfSolution out;
-  bool need_primal = true;
-  if (warm_ptr != nullptr) {
-    DualSolveStats dual_stats;
-    out = solve_dual(sf, options, warm_ptr, &dual_stats);
-    st.cleanup_iterations += out.iterations;
-    if (out.status == SolveStatus::kOptimal ||
-        out.status == SolveStatus::kInfeasible) {
-      need_primal = false;
-      st.dual_cleanup_finished = !dual_stats.needs_primal_cleanup;
-    } else if (!out.statuses.empty()) {
-      warm = out.statuses;  // dual progress becomes the primal warm start
-      warm_ptr = &warm;
-    }
+  if (stitch_ok) {
+    out = solve_dual(sf, options, &warm);
+    finish_on_primal(sf, options, out);
+  } else {
+    st.sub_solve_failed = true;
+    out = solve_sparse(sf, options);
   }
-  if (need_primal) {
-    out = solve_sparse(sf, options, warm_ptr, nullptr);
-    st.cleanup_iterations += out.iterations;
-  }
+  st.cleanup_iterations = out.iterations;
   st.cleanup_seconds = seconds_since(cleanup_start);
-  if (trace_enabled()) {
-    std::fprintf(stderr,
-                 "[decompose] cleanup iters=%zu dual_finished=%d %.2fs\n",
-                 st.cleanup_iterations,
-                 static_cast<int>(st.dual_cleanup_finished),
-                 st.cleanup_seconds);
-  }
   out.iterations = st.sub_iterations + st.cleanup_iterations;
 
   span.attr(obs::AttrKey::kIterations,

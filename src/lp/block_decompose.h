@@ -21,8 +21,7 @@
 //     values are optimal for a relaxation;
 //  3. every other block solves a small sub-LP (lp/standard_form.h
 //     extract_row_subform) with the coupling columns FIXED at the master's
-//     values (substituted into the rhs) — independently, so optionally in
-//     parallel over common/thread_pool. A block that is infeasible at those
+//     values (substituted into the rhs). A block that is infeasible at those
 //     values is a binding block the relaxation missed: it joins the master
 //     and the loop repeats (constraint generation over blocks). The grown
 //     master warm-starts from the previous round's basis — surviving
@@ -36,16 +35,17 @@
 //     on the coupling choice. The sub-bases are stitched into one crash
 //     basis — each block contributes exactly its square sub-basis, so the
 //     crash accepts it without demotions — and a clean-up solve (dual
-//     simplex first, primal fallback — see lp/dual_simplex.h) closes the
+//     simplex first, then lp/dual_simplex.h's finish_on_primal) closes the
 //     gap.
 //
-// Subproblem results do not depend on each other, the master loop is
-// sequential, and the stitch walks blocks in index order, so the parallel
-// run is bit-identical to the sequential one. The master coming back
-// infeasible proves the parent infeasible (it is the parent restricted to
-// a row subset); a block sub-LP coming back infeasible only sends that
-// block into the master. Any other sub-solve failure degrades to a cold
-// clean-up solve, i.e. the plain sparse path.
+// Each master round records one `lp.decompose.round` span under the
+// solve's `lp.decompose` span, with the master's rows and columns, the
+// blocks refined, the blocks that join the next master, and the round's
+// iterations. The master coming back infeasible proves the parent
+// infeasible (it is the parent restricted to a row subset); a block sub-LP
+// coming back infeasible only sends that block into the master. Any other
+// sub-solve failure degrades to a cold clean-up solve, i.e. the plain
+// sparse path.
 #pragma once
 
 #include <cstddef>
@@ -83,7 +83,6 @@ struct DecomposeStats {
   std::size_t master_rounds = 0;       ///< constraint-generation rounds
   std::size_t sub_iterations = 0;      ///< master + block subproblems
   std::size_t cleanup_iterations = 0;  ///< dual + primal clean-up combined
-  bool dual_cleanup_finished = false;  ///< clean-up needed no primal pass
   bool sub_solve_failed = false;       ///< degraded to a cold clean-up
   double detect_seconds = 0.0;
   double sub_seconds = 0.0;
@@ -91,12 +90,11 @@ struct DecomposeStats {
 };
 
 /// Solves `sf` by the decomposition above. `plan` must come from
-/// detect_blocks() on the same form; `threads` > 1 solves subproblems on a
-/// private thread pool of that size. Output matches solve_sparse in shape
+/// detect_blocks() on the same form. Output matches solve_sparse in shape
 /// (values over structurals, statuses over structurals + row logicals).
 SfSolution solve_decomposed(const StandardForm& sf,
                             const SimplexOptions& options,
-                            const BlockPlan& plan, std::size_t threads,
+                            const BlockPlan& plan,
                             DecomposeStats* stats = nullptr);
 
 }  // namespace sb::lp

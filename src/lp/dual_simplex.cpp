@@ -6,8 +6,7 @@
 #include <vector>
 
 #include "common/error.h"
-#include "lp/basis.h"
-#include "lp/lu_factor.h"
+#include "lp/simplex_core.h"
 #include "obs/span.h"
 
 namespace sb::lp {
@@ -19,58 +18,41 @@ constexpr double kAlphaTol = 1e-9;
 /// Rounds of end-game dual-feasibility repair (flip wrong-sign boxed
 /// nonbasics on fresh factors and resume) before handing off to the primal.
 constexpr int kMaxFinishRounds = 3;
-/// Rounds of basis repair during load (same as the primal engine).
-constexpr int kMaxRepairRounds = 5;
 
 }  // namespace
 
-class DualEngine::Impl {
+class DualEngine::Impl : SimplexCore {
  public:
   Impl(const StandardForm& sf, const SimplexOptions& options)
-      : options_(options),
-        n_(sf.var_count()),
-        m_(sf.rows.size()),
-        total_(n_ + m_) {
-    build(sf);
-  }
+      : SimplexCore(sf, options) {}
 
-  /// Overwrites the rhs and structural uppers and returns every piece of
-  /// per-solve state to what build() leaves: workspaces, statuses,
-  /// counters, the Bland and fallback flags.
+  /// The core's reload, plus the engine's own per-solve state: the flip
+  /// counter, the ratio-test lists and the Bland flag go back to what
+  /// construction leaves, so a reloaded run is bit-identical to a fresh one.
   void reload(const StandardForm& sf, const SimplexOptions& options) {
-    require(sf.var_count() == n_ && sf.rows.size() == m_,
-            "DualEngine::reload: standard form shape changed");
-    options_ = options;
-    for (std::size_t j = 0; j < n_; ++j) upper_[j] = sf.upper[j];
-    for (std::size_t r = 0; r < m_; ++r) rhs_[r] = sf.rows[r].rhs;
-    status_.assign(total_, VarStatus::kAtLower);
-    pos_of_.assign(total_, -1);
-    x_basic_.clear();
-    basis_.clear();
-    w_.resize(m_);
-    cb_.resize(m_);
-    bwork_.resize(m_);
-    rho_.resize(m_);
-    alpha_.resize(total_);
+    SimplexCore::reload(sf, options);
     breakpoints_.clear();
     flips_.clear();
     bound_flips_ = 0;
     bland_ = false;
-    fell_back_ = false;
   }
 
   SfSolution run(const std::vector<VarStatus>* warm, DualSolveStats* stats) {
     SfSolution out;
     obs::Span span("lp.dual", obs::Subsystem::kLp);
     factorizations_before_ = basis_state_.factorizations();
-    init(warm);
+    install(warm);
+    if (!load_with_repair()) {
+      throw InternalError("dual simplex: basis failed to factorize");
+    }
+    compute_basic_values();
     if (!make_dual_feasible()) {
       // The start cannot be repaired by bound flips (an unboxed column's
       // reduced cost has the wrong sign). Hand the — still valid — basis
       // to the primal engine.
-      fill_statuses(out);
+      export_solution(out, /*with_values=*/false);
       out.status = SolveStatus::kIterationLimit;
-      if (stats != nullptr) fill_stats(stats, /*cleanup=*/true);
+      if (stats != nullptr) fill_stats(stats);
       span.attr(obs::AttrKey::kStatus, -1);
       return out;
     }
@@ -79,191 +61,14 @@ class DualEngine::Impl {
               static_cast<std::int64_t>(out.iterations));
     span.attr(obs::AttrKey::kFactorizations,
               static_cast<std::int64_t>(factorizations()));
-    fill_statuses(out);
-    if (out.status == SolveStatus::kOptimal) {
-      out.values.resize(n_);
-      for (std::size_t j = 0; j < n_; ++j) {
-        out.values[j] = status_[j] == VarStatus::kBasic
-                            ? x_basic_[static_cast<std::size_t>(pos_of_[j])]
-                            : nonbasic_value(static_cast<int>(j));
-      }
-    }
-    if (stats != nullptr) fill_stats(stats, fell_back_);
+    export_solution(out, out.status == SolveStatus::kOptimal);
+    if (stats != nullptr) fill_stats(stats);
     return out;
   }
 
  private:
-  // ---- model construction (mirrors the primal engine) --------------------
-
-  void build(const StandardForm& sf) {
-    columns_.resize(total_);
-    lower_.assign(total_, 0.0);
-    upper_.assign(total_, kInf);
-    cost_.assign(total_, 0.0);
-    rhs_.resize(m_);
-    for (std::size_t j = 0; j < n_; ++j) {
-      cost_[j] = sf.cost[j];
-      upper_[j] = sf.upper[j];
-    }
-    rows_.resize(m_);
-    for (std::size_t r = 0; r < m_; ++r) {
-      const StandardRow& row = sf.rows[r];
-      for (const Term& t : row.terms) {
-        columns_[static_cast<std::size_t>(t.var)].emplace_back(r, t.coeff);
-        rows_[r].emplace_back(static_cast<std::size_t>(t.var), t.coeff);
-      }
-      const std::size_t lj = n_ + r;
-      columns_[lj].emplace_back(r, 1.0);
-      switch (row.sense) {
-        case Sense::kLe:
-          break;  // s in [0, inf)
-        case Sense::kGe:
-          lower_[lj] = -kInf;
-          upper_[lj] = 0.0;
-          break;
-        case Sense::kEq:
-          upper_[lj] = 0.0;
-          break;
-      }
-      rhs_[r] = row.rhs;
-    }
-    status_.assign(total_, VarStatus::kAtLower);
-    pos_of_.assign(total_, -1);
-    w_.resize(m_);
-    cb_.resize(m_);
-    bwork_.resize(m_);
-    rho_.resize(m_);
-    alpha_.resize(total_);
-  }
-
-  [[nodiscard]] double nonbasic_value(int j) const {
-    const auto ju = static_cast<std::size_t>(j);
-    return status_[ju] == VarStatus::kAtUpper ? upper_[ju] : lower_[ju];
-  }
-
-  [[nodiscard]] VarStatus resting_status(std::size_t j) const {
-    return lower_[j] == -kInf ? VarStatus::kAtUpper : VarStatus::kAtLower;
-  }
-
   [[nodiscard]] bool boxed(std::size_t j) const {
     return lower_[j] > -kInf && upper_[j] < kInf && upper_[j] > lower_[j];
-  }
-
-  /// Installs the warm statuses (or a cold all-logical basis), factorizes
-  /// with repair, and computes basic values. Same crash contract as the
-  /// primal engine's init_warm.
-  void init(const std::vector<VarStatus>* warm) {
-    basis_.clear();
-    const bool usable =
-        warm != nullptr && (warm->size() == n_ || warm->size() == total_);
-    const bool has_row_hints = usable && warm->size() == total_;
-    for (std::size_t j = 0; j < n_; ++j) {
-      const VarStatus hint = usable ? (*warm)[j] : VarStatus::kAtLower;
-      switch (hint) {
-        case VarStatus::kBasic:
-          if (basis_.size() < m_) {
-            basis_.push_back(static_cast<int>(j));
-            status_[j] = VarStatus::kBasic;
-          } else {
-            status_[j] = resting_status(j);
-          }
-          break;
-        case VarStatus::kAtUpper:
-          status_[j] =
-              upper_[j] < kInf ? VarStatus::kAtUpper : VarStatus::kAtLower;
-          break;
-        default:
-          status_[j] = resting_status(j);
-          break;
-      }
-    }
-    for (std::size_t r = 0; r < m_; ++r) {
-      const std::size_t lj = n_ + r;
-      if ((!usable || (has_row_hints && (*warm)[lj] == VarStatus::kBasic)) &&
-          basis_.size() < m_) {
-        basis_.push_back(static_cast<int>(lj));
-        status_[lj] = VarStatus::kBasic;
-      } else {
-        status_[lj] = resting_status(lj);
-      }
-    }
-    // Pad any shortfall with nonbasic logicals (load_with_repair swaps out
-    // dependent picks).
-    for (std::size_t r = 0; r < m_ && basis_.size() < m_; ++r) {
-      const std::size_t lj = n_ + r;
-      if (status_[lj] == VarStatus::kBasic) continue;
-      basis_.push_back(static_cast<int>(lj));
-      status_[lj] = VarStatus::kBasic;
-    }
-    if (!load_with_repair()) {
-      throw InternalError("dual simplex: basis failed to factorize");
-    }
-    compute_basic_values();
-  }
-
-  bool load_with_repair() {
-    std::vector<const SparseCol*> cols;
-    for (int round = 0; round < kMaxRepairRounds; ++round) {
-      cols.clear();
-      cols.reserve(basis_.size());
-      for (int col : basis_) {
-        cols.push_back(&columns_[static_cast<std::size_t>(col)]);
-      }
-      const Basis::LoadResult res = basis_state_.load(cols, m_);
-      if (res.clean() && basis_.size() == m_) {
-        std::fill(pos_of_.begin(), pos_of_.end(), -1);
-        for (std::size_t p = 0; p < m_; ++p) {
-          pos_of_[static_cast<std::size_t>(basis_[p])] = static_cast<int>(p);
-          status_[static_cast<std::size_t>(basis_[p])] = VarStatus::kBasic;
-        }
-        return true;
-      }
-      std::vector<int> next;
-      next.reserve(m_);
-      std::size_t rej = 0;
-      for (std::size_t p = 0; p < basis_.size(); ++p) {
-        if (rej < res.rejected.size() &&
-            res.rejected[rej] == static_cast<int>(p)) {
-          ++rej;
-          const auto col = static_cast<std::size_t>(basis_[p]);
-          status_[col] = resting_status(col);
-          continue;
-        }
-        next.push_back(basis_[p]);
-      }
-      for (int r : res.unpivoted_rows) {
-        const std::size_t lj = n_ + static_cast<std::size_t>(r);
-        next.push_back(static_cast<int>(lj));
-        status_[lj] = VarStatus::kBasic;
-      }
-      basis_ = std::move(next);
-      if (basis_.size() != m_) return false;
-    }
-    return false;
-  }
-
-  void compute_basic_values() {
-    bwork_.clear();
-    for (std::size_t r = 0; r < m_; ++r) {
-      if (rhs_[r] != 0.0) bwork_.set(static_cast<int>(r), rhs_[r]);
-    }
-    for (std::size_t j = 0; j < total_; ++j) {
-      if (status_[j] == VarStatus::kBasic) continue;
-      const double v = nonbasic_value(static_cast<int>(j));
-      if (v == 0.0) continue;
-      for (const auto& [r, a] : columns_[j]) {
-        bwork_.add(static_cast<int>(r), -a * v);
-      }
-    }
-    basis_state_.ftran(bwork_);
-    x_basic_.assign(m_, 0.0);
-    for (int p : bwork_.nz) {
-      if (p >= 0 && static_cast<std::size_t>(p) < m_) {
-        x_basic_[static_cast<std::size_t>(p)] =
-            bwork_.values[static_cast<std::size_t>(p)];
-      }
-    }
-    bwork_.clear();
   }
 
   bool refactorize() {
@@ -381,7 +186,6 @@ class DualEngine::Impl {
           continue;
         }
         if (!make_dual_feasible() || ++finish_rounds > kMaxFinishRounds) {
-          fell_back_ = true;
           return SolveStatus::kIterationLimit;
         }
         if (pick_leaving() >= 0) continue;  // repair flips broke feasibility
@@ -493,8 +297,8 @@ class DualEngine::Impl {
           }
           continue;  // retry the iteration with fresh factors
         }
-        fell_back_ = true;  // genuinely tiny pivot; let the primal finish
-        return SolveStatus::kIterationLimit;
+        return SolveStatus::kIterationLimit;  // genuinely tiny pivot
+
       }
 
       // Batched flip application: one FTRAN covers every flipped column's
@@ -571,65 +375,23 @@ class DualEngine::Impl {
     }
   }
 
-  [[nodiscard]] double infeasibility() const {
-    double total = 0.0;
-    for (std::size_t p = 0; p < m_; ++p) {
-      const auto col = static_cast<std::size_t>(basis_[p]);
-      const double x = x_basic_[p];
-      if (x < lower_[col]) total += lower_[col] - x;
-      if (x > upper_[col]) total += x - upper_[col];
-    }
-    return total;
-  }
-
-  void fill_statuses(SfSolution& out) const {
-    out.statuses.resize(total_);
-    for (std::size_t j = 0; j < total_; ++j) out.statuses[j] = status_[j];
-  }
-
   /// Factorizations of the current run (the Basis counts across reloads).
   [[nodiscard]] std::size_t factorizations() const {
     return basis_state_.factorizations() - factorizations_before_;
   }
 
-  void fill_stats(DualSolveStats* stats, bool cleanup) const {
+  void fill_stats(DualSolveStats* stats) const {
     stats->factorizations = factorizations();
     stats->eta_nnz = basis_state_.eta_nnz();
     stats->bound_flips = bound_flips_;
-    stats->needs_primal_cleanup = cleanup;
   }
-
-  SimplexOptions options_;
-  const std::size_t n_;
-  const std::size_t m_;
-  const std::size_t total_;
-
-  std::vector<SparseCol> columns_;
-  std::vector<SparseCol> rows_;
-  std::vector<double> lower_;
-  std::vector<double> upper_;
-  std::vector<double> cost_;
-  std::vector<double> rhs_;
-
-  Basis basis_state_;
-  std::vector<int> basis_;
-  std::vector<int> pos_of_;
-  std::vector<VarStatus> status_;
-  std::vector<double> x_basic_;
 
   std::size_t factorizations_before_ = 0;
   std::size_t bound_flips_ = 0;
   bool bland_ = false;
-  bool fell_back_ = false;
 
   std::vector<Breakpoint> breakpoints_;
   std::vector<int> flips_;
-
-  IndexedVector w_;      ///< entering column FTRAN image
-  IndexedVector cb_;     ///< duals y
-  IndexedVector bwork_;  ///< rhs / batched-flip workspace
-  IndexedVector rho_;    ///< pivot row of B^-1
-  IndexedVector alpha_;  ///< pivot row in column space
 };
 
 DualEngine::DualEngine(const StandardForm& sf, const SimplexOptions& options)
@@ -653,6 +415,19 @@ SfSolution solve_dual(const StandardForm& sf, const SimplexOptions& options,
     return solve_sparse(sf, options, nullptr, nullptr);
   }
   return DualEngine(sf, options).run(warm, stats);
+}
+
+bool finish_on_primal(const StandardForm& sf, const SimplexOptions& options,
+                      SfSolution& dual, SparseSolveStats* stats) {
+  if (dual.status == SolveStatus::kOptimal ||
+      dual.status == SolveStatus::kInfeasible) {
+    return false;
+  }
+  const std::size_t dual_iterations = dual.iterations;
+  const std::vector<VarStatus> resume = std::move(dual.statuses);
+  dual = solve_sparse(sf, options, resume.empty() ? nullptr : &resume, stats);
+  dual.iterations += dual_iterations;
+  return true;
 }
 
 }  // namespace sb::lp

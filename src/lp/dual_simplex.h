@@ -1,6 +1,8 @@
 // Dual revised simplex over the same sparse LU/eta basis as the primal
 // engine (lp/basis.h, lp/lu_factor.h), with a bound-flipping (long-step)
-// ratio test.
+// ratio test. Its state and the operations it shares with the primal — the
+// build, the warm-start install, basis repair, basic values, export — live
+// in lp/simplex_core.h.
 //
 // Where the primal engine iterates on primal feasibility and prices by
 // reduced cost, the dual engine starts from a DUAL-feasible basis (every
@@ -24,9 +26,9 @@
 // The engine never fails hard: any condition it cannot handle — a start
 // that cannot be made dual feasible by bound flips, numerical trouble a
 // refactorization does not cure, residual dual infeasibility at the end —
-// sets DualSolveStats::needs_primal_cleanup and returns the current
-// (always valid) basis statuses, which the solver facade feeds to the
-// primal engine as a warm start.
+// returns kIterationLimit with the current (always valid) basis statuses.
+// finish_on_primal() is the one fallback every caller uses: it hands those
+// statuses to the primal engine as a warm start.
 //
 // DualEngine outlives one solve: a retained LP (lp::RetainedLp) whose rhs
 // moved reloads the engine it built on an earlier solve instead of building
@@ -49,10 +51,6 @@ struct DualSolveStats {
   std::size_t factorizations = 0;
   std::size_t eta_nnz = 0;
   std::size_t bound_flips = 0;  ///< nonbasic flips (ratio-test + start repair)
-  /// The dual engine could not finish: the returned SfSolution's statuses
-  /// hold a valid basis to warm-start the primal engine from; its status
-  /// field is kIterationLimit and its values are meaningless.
-  bool needs_primal_cleanup = false;
 };
 
 /// A dual simplex engine over one standard form's structure. Not copyable;
@@ -79,12 +77,20 @@ class DualEngine {
 };
 
 /// Solves a standard-form LP (BoundPolicy::kInline) with the dual simplex.
-/// `warm` has the same contract as solve_sparse: per-structural statuses,
-/// optionally followed by per-row logical statuses; null means a cold
-/// all-logical start. See DualSolveStats::needs_primal_cleanup for the
-/// fallback contract.
+/// `warm` has the same contract as solve_sparse (lp/simplex_core.h):
+/// per-structural statuses, optionally followed by per-row logical
+/// statuses; null means a cold all-logical start. A result that is neither
+/// optimal nor infeasible goes to finish_on_primal().
 SfSolution solve_dual(const StandardForm& sf, const SimplexOptions& options,
                       const std::vector<VarStatus>* warm = nullptr,
                       DualSolveStats* stats = nullptr);
+
+/// The dual→primal fallback. When `dual` (a dual solve of `sf`) ended
+/// neither optimal nor infeasible, re-solves `sf` with the primal engine
+/// warm from the dual's final statuses, stores the result in `dual` with
+/// both engines' iterations added, and returns true; `stats` receives the
+/// primal run's counters. Otherwise leaves `dual` alone and returns false.
+bool finish_on_primal(const StandardForm& sf, const SimplexOptions& options,
+                      SfSolution& dual, SparseSolveStats* stats = nullptr);
 
 }  // namespace sb::lp

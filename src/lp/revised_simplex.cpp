@@ -6,8 +6,7 @@
 #include <vector>
 
 #include "common/error.h"
-#include "lp/basis.h"
-#include "lp/lu_factor.h"
+#include "lp/simplex_core.h"
 #include "obs/span.h"
 
 namespace sb::lp {
@@ -17,9 +16,6 @@ namespace {
 constexpr double kRatioTieTol = 1e-9;
 /// Relative improvement below which an iteration counts as stalled.
 constexpr double kStallRelTol = 1e-12;
-/// Rounds of basis repair (demote dependent columns, slot in logicals for
-/// uncovered rows) before a crash start is abandoned.
-constexpr int kMaxRepairRounds = 5;
 /// Devex reference-framework reset: when the entering column's own weight
 /// exceeds this, accumulated weight growth has outlived its reference basis.
 constexpr double kDevexResetThreshold = 1e6;
@@ -29,22 +25,27 @@ constexpr double kDevexResetThreshold = 1e6;
 /// framework is restarted at the next refactorization.
 constexpr double kDevexDriftLimit = 16.0;
 
-class SparseSimplex {
+class SparseSimplex : SimplexCore {
  public:
   SparseSimplex(const StandardForm& sf, const SimplexOptions& options)
-      : options_(options),
-        n_(sf.var_count()),
-        m_(sf.rows.size()),
-        total_(n_ + m_) {
-    build(sf);
+      : SimplexCore(sf, options) {
+    devex_.assign(total_, 1.0);
+    in_ref_.assign(total_, 1);
   }
 
   SfSolution run(const std::vector<VarStatus>* warm, SparseSolveStats* stats) {
     SfSolution out;
     {
       obs::Span crash("lp.crash", obs::Subsystem::kLp);
-      const bool warmed = init_warm(warm);
+      // A warm start whose basis cannot be factorized even after repair
+      // falls back to the cold crash.
+      bool warmed = usable(warm);
+      if (warmed) {
+        install(warm);
+        warmed = load_with_repair();
+      }
       if (!warmed) init_cold();
+      compute_values();
       crash.attr(obs::AttrKey::kWarmStart, warmed ? 1 : 0);
     }
     out.status = SolveStatus::kOptimal;
@@ -82,17 +83,10 @@ class SparseSimplex {
                   static_cast<std::int64_t>(pricing_passes_));
     }
 
-    out.values.resize(n_);
     // Statuses cover the logical (row) block too: a warm start that knows
     // which rows had basic slacks skips the repair pivots a structural-only
     // hint needs.
-    out.statuses.resize(total_);
-    for (std::size_t j = 0; j < total_; ++j) out.statuses[j] = status_[j];
-    for (std::size_t j = 0; j < n_; ++j) {
-      out.values[j] = status_[j] == VarStatus::kBasic
-                          ? x_basic_[static_cast<std::size_t>(pos_of_[j])]
-                          : nonbasic_value(static_cast<int>(j));
-    }
+    export_solution(out, /*with_values=*/true);
     if (stats != nullptr) {
       stats->factorizations = basis_state_.factorizations();
       stats->eta_nnz = basis_state_.eta_nnz();
@@ -104,74 +98,14 @@ class SparseSimplex {
   }
 
  private:
-  void build(const StandardForm& sf) {
-    columns_.resize(total_);
-    lower_.assign(total_, 0.0);
-    upper_.assign(total_, kInf);
-    cost_.assign(total_, 0.0);
-    rhs_.resize(m_);
-    rhs_scale_ = 1.0;
-    for (std::size_t j = 0; j < n_; ++j) {
-      cost_[j] = sf.cost[j];
-      upper_[j] = sf.upper[j];
-    }
-    rows_.resize(m_);
-    for (std::size_t r = 0; r < m_; ++r) {
-      const StandardRow& row = sf.rows[r];
-      for (const Term& t : row.terms) {
-        columns_[static_cast<std::size_t>(t.var)].emplace_back(r, t.coeff);
-        rows_[r].emplace_back(static_cast<std::size_t>(t.var), t.coeff);
-      }
-      const std::size_t lj = n_ + r;
-      columns_[lj].emplace_back(r, 1.0);
-      switch (row.sense) {
-        case Sense::kLe:
-          break;  // s in [0, inf)
-        case Sense::kGe:
-          lower_[lj] = -kInf;
-          upper_[lj] = 0.0;
-          break;
-        case Sense::kEq:
-          upper_[lj] = 0.0;
-          break;
-      }
-      rhs_[r] = row.rhs;
-      rhs_scale_ = std::max(rhs_scale_, std::abs(row.rhs));
-    }
-    status_.assign(total_, VarStatus::kAtLower);
-    pos_of_.assign(total_, -1);
-    devex_.assign(total_, 1.0);
-    in_ref_.assign(total_, 1);
-    w_.resize(m_);
-    cb_.resize(m_);
-    bwork_.resize(m_);
-    rho_.resize(m_);
-    alpha_.resize(total_);
-  }
-
-  [[nodiscard]] double nonbasic_value(int j) const {
-    const auto ju = static_cast<std::size_t>(j);
-    return status_[ju] == VarStatus::kAtUpper ? upper_[ju] : lower_[ju];
-  }
-
-  /// Nonbasic resting status: at-lower unless the lower bound is -inf
-  /// (kGe logicals), which can only rest at their (zero) upper bound.
-  [[nodiscard]] VarStatus resting_status(std::size_t j) const {
-    return lower_[j] == -kInf ? VarStatus::kAtUpper : VarStatus::kAtLower;
-  }
-
+  /// Cold start: the all-logical basis, then a crash. Rows whose logical
+  /// would start infeasible (eq rows with nonzero rhs, ge rows with
+  /// positive rhs) get the cheapest structural column instead — it can
+  /// absorb the rhs inside its own bounds, which moves most of the phase-1
+  /// work into the initial basis. Dependent picks are demoted again by
+  /// load_with_repair().
   void init_cold() {
-    basis_.resize(m_);
-    for (std::size_t j = 0; j < total_; ++j) status_[j] = resting_status(j);
-    for (std::size_t r = 0; r < m_; ++r) {
-      basis_[r] = static_cast<int>(n_ + r);
-      status_[n_ + r] = VarStatus::kBasic;
-    }
-    // Crash: rows whose logical would start infeasible (eq rows with
-    // nonzero rhs, ge rows with positive rhs) get the cheapest structural
-    // column instead — it can absorb the rhs inside its own bounds, which
-    // moves most of the phase-1 work into the initial basis. Dependent
-    // picks are demoted again by load_with_repair().
+    install(nullptr);
     std::vector<unsigned char> taken(total_, 0);
     // Build a row -> structural columns list once (only rows needing crash).
     std::vector<std::vector<int>> row_cols(m_);
@@ -215,170 +149,12 @@ class SparseSimplex {
     if (!load_with_repair()) {
       throw InternalError("sparse simplex: cold basis failed to factorize");
     }
+  }
+
+  /// Basic values plus the nonbasic variables' objective term, from
+  /// scratch.
+  void compute_values() {
     compute_basic_values();
-  }
-
-  /// Crash start from a foreign status vector: nonbasic variables land on
-  /// their bounds, the proposed basic set is factorized with repair. Returns
-  /// false (leaving state unspecified) when the crash is unusable. Accepts
-  /// either n (structurals only — logicals padded in row order) or n + m
-  /// entries (logical kBasic hints restore the exact slack/tight row
-  /// pattern of the donor basis).
-  bool init_warm(const std::vector<VarStatus>* warm) {
-    if (warm == nullptr || (warm->size() != n_ && warm->size() != total_)) {
-      return false;
-    }
-    const bool has_row_hints = warm->size() == total_;
-    basis_.clear();
-    for (std::size_t j = 0; j < n_; ++j) {
-      switch ((*warm)[j]) {
-        case VarStatus::kBasic:
-          if (basis_.size() < m_) {
-            basis_.push_back(static_cast<int>(j));
-            status_[j] = VarStatus::kBasic;
-          } else {
-            status_[j] = resting_status(j);
-          }
-          break;
-        case VarStatus::kAtUpper:
-          status_[j] =
-              upper_[j] < kInf ? VarStatus::kAtUpper : VarStatus::kAtLower;
-          break;
-        default:
-          status_[j] = resting_status(j);
-          break;
-      }
-    }
-    for (std::size_t r = 0; r < m_; ++r) {
-      const std::size_t lj = n_ + r;
-      if (has_row_hints && (*warm)[lj] == VarStatus::kBasic &&
-          basis_.size() < m_) {
-        basis_.push_back(static_cast<int>(lj));
-        status_[lj] = VarStatus::kBasic;
-      } else {
-        status_[lj] = resting_status(lj);
-      }
-    }
-    // A short basis means the donor's basics for some rows are gone (e.g. a
-    // failure scenario removed the columns a hint row relied on). Pad on the
-    // rows no basic column touches, reusing init_cold's crash heuristic:
-    // rows whose logical would start infeasible (eq rows with nonzero rhs)
-    // get their cheapest nonbasic structural column, the rest their logical.
-    // Blind first-rows padding here costs a phase-1 repair pivot per
-    // uncovered eq row and makes the warm start slower than cold.
-    if (basis_.size() < m_) {
-      std::vector<unsigned char> covered(m_, 0);
-      for (int col : basis_) {
-        for (const auto& [r, v] : columns_[static_cast<std::size_t>(col)]) {
-          if (v != 0.0) covered[r] = 1;
-        }
-      }
-      for (std::size_t r = 0; r < m_ && basis_.size() < m_; ++r) {
-        if (covered[r]) continue;
-        const std::size_t lj = n_ + r;
-        int pick = -1;
-        if (rhs_[r] < lower_[lj] || rhs_[r] > upper_[lj]) {
-          for (const auto& [j, v] : rows_[r]) {
-            if (v == 0.0 || status_[j] == VarStatus::kBasic) continue;
-            if (pick < 0 ||
-                cost_[j] < cost_[static_cast<std::size_t>(pick)]) {
-              pick = static_cast<int>(j);
-            }
-          }
-        }
-        if (pick >= 0) {
-          basis_.push_back(pick);
-          status_[static_cast<std::size_t>(pick)] = VarStatus::kBasic;
-          for (const auto& [rr, v] : columns_[static_cast<std::size_t>(pick)]) {
-            if (v != 0.0) covered[rr] = 1;
-          }
-        } else {
-          basis_.push_back(static_cast<int>(lj));
-          status_[lj] = VarStatus::kBasic;
-          covered[r] = 1;
-        }
-      }
-    }
-    // Rank-deficiency safety net: still short (every row covered but the
-    // basic set is dependent) — first nonbasic logicals; load_with_repair()
-    // swaps any that turn out redundant.
-    for (std::size_t r = 0; r < m_ && basis_.size() < m_; ++r) {
-      const std::size_t lj = n_ + r;
-      if (status_[lj] == VarStatus::kBasic) continue;
-      basis_.push_back(static_cast<int>(lj));
-      status_[lj] = VarStatus::kBasic;
-    }
-    if (!load_with_repair()) return false;
-    compute_basic_values();
-    return true;
-  }
-
-  /// Factorizes basis_, demoting rejected columns to their bounds and
-  /// substituting logicals for uncovered rows until the factorization is
-  /// clean. Rebinds pos_of_ / statuses on success.
-  bool load_with_repair() {
-    std::vector<const SparseCol*> cols;
-    for (int round = 0; round < kMaxRepairRounds; ++round) {
-      cols.clear();
-      cols.reserve(basis_.size());
-      for (int col : basis_) {
-        cols.push_back(&columns_[static_cast<std::size_t>(col)]);
-      }
-      const Basis::LoadResult res = basis_state_.load(cols, m_);
-      if (res.clean() && basis_.size() == m_) {
-        std::fill(pos_of_.begin(), pos_of_.end(), -1);
-        for (std::size_t p = 0; p < m_; ++p) {
-          pos_of_[static_cast<std::size_t>(basis_[p])] = static_cast<int>(p);
-          status_[static_cast<std::size_t>(basis_[p])] = VarStatus::kBasic;
-        }
-        return true;
-      }
-      std::vector<int> next;
-      next.reserve(m_);
-      std::size_t rej = 0;
-      for (std::size_t p = 0; p < basis_.size(); ++p) {
-        if (rej < res.rejected.size() &&
-            res.rejected[rej] == static_cast<int>(p)) {
-          ++rej;
-          const auto col = static_cast<std::size_t>(basis_[p]);
-          status_[col] = resting_status(col);
-          continue;
-        }
-        next.push_back(basis_[p]);
-      }
-      for (int r : res.unpivoted_rows) {
-        const std::size_t lj = n_ + static_cast<std::size_t>(r);
-        next.push_back(static_cast<int>(lj));
-        status_[lj] = VarStatus::kBasic;
-      }
-      basis_ = std::move(next);
-      if (basis_.size() != m_) return false;  // inconsistent repair
-    }
-    return false;
-  }
-
-  /// Recomputes basic values from scratch: x_B = B^-1 (b - N x_N).
-  void compute_basic_values() {
-    bwork_.clear();
-    for (std::size_t r = 0; r < m_; ++r) {
-      if (rhs_[r] != 0.0) bwork_.set(static_cast<int>(r), rhs_[r]);
-    }
-    for (std::size_t j = 0; j < total_; ++j) {
-      if (status_[j] == VarStatus::kBasic) continue;
-      const double v = nonbasic_value(static_cast<int>(j));
-      if (v == 0.0) continue;
-      for (const auto& [r, a] : columns_[j]) {
-        bwork_.add(static_cast<int>(r), -a * v);
-      }
-    }
-    basis_state_.ftran(bwork_);
-    x_basic_.assign(m_, 0.0);
-    for (int p : bwork_.nz) {
-      if (p >= 0 && static_cast<std::size_t>(p) < m_) {
-        x_basic_[static_cast<std::size_t>(p)] =
-            bwork_.values[static_cast<std::size_t>(p)];
-      }
-    }
     nb_cost_ = 0.0;
     for (std::size_t j = 0; j < total_; ++j) {
       if (status_[j] != VarStatus::kBasic && cost_[j] != 0.0) {
@@ -389,7 +165,7 @@ class SparseSimplex {
 
   bool refactorize() {
     if (!load_with_repair()) return false;
-    compute_basic_values();
+    compute_values();
     // The eta file the weight recurrence ran against is gone; if the
     // tracked weights had visibly drifted from their exact framework
     // values, restart the framework here rather than carrying stale
@@ -425,17 +201,6 @@ class SparseSimplex {
       sum += v * v;
     }
     return std::max(sum, 1.0);
-  }
-
-  [[nodiscard]] double infeasibility() const {
-    double total = 0.0;
-    for (std::size_t p = 0; p < m_; ++p) {
-      const auto col = static_cast<std::size_t>(basis_[p]);
-      const double x = x_basic_[p];
-      if (x < lower_[col]) total += lower_[col] - x;
-      if (x > upper_[col]) total += x - upper_[col];
-    }
-    return total;
   }
 
   [[nodiscard]] double objective_value() const {
@@ -922,24 +687,6 @@ class SparseSimplex {
     }
   }
 
-  const SimplexOptions options_;
-  const std::size_t n_;      ///< structural variables
-  const std::size_t m_;      ///< rows (= logical variables)
-  const std::size_t total_;  ///< n_ + m_
-
-  std::vector<SparseCol> columns_;  ///< structurals then logicals
-  std::vector<SparseCol> rows_;     ///< row-wise structural copy (Devex)
-  std::vector<double> lower_;
-  std::vector<double> upper_;
-  std::vector<double> cost_;
-  std::vector<double> rhs_;
-  double rhs_scale_ = 1.0;
-
-  Basis basis_state_;
-  std::vector<int> basis_;   ///< column id per basis position
-  std::vector<int> pos_of_;  ///< column id -> basis position or -1
-  std::vector<VarStatus> status_;
-  std::vector<double> x_basic_;  ///< value of the basic var at each position
   double nb_cost_ = 0.0;  ///< objective contribution of nonbasic variables
 
   std::vector<int> candidates_;  ///< partial-pricing list
@@ -953,12 +700,6 @@ class SparseSimplex {
   bool bland_ = false;
 
   mutable std::vector<Breakpoint> breakpoints_;  ///< phase-1 workspace
-
-  IndexedVector w_;      ///< entering column FTRAN image (position space)
-  IndexedVector cb_;     ///< basic costs -> BTRAN -> dual values y
-  IndexedVector bwork_;  ///< rhs workspace for compute_basic_values()
-  IndexedVector rho_;    ///< pivot-row workspace for update_devex()
-  IndexedVector alpha_;  ///< pivot-row in column space (Devex)
 };
 
 }  // namespace

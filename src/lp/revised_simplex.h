@@ -21,6 +21,11 @@
 //  - bound flips are batched: a phase-2 bound flip leaves the basis — and
 //    therefore the duals — unchanged, so consecutive flips skip the BTRAN
 //    and re-pricing pass entirely instead of paying a full iteration each.
+//
+// The state and operations it shares with the dual engine (the build, the
+// warm-start install, basis repair, basic values, export) live in
+// lp/simplex_core.h; this engine adds the cold crash, the two phases and
+// Devex partial pricing.
 #pragma once
 
 #include <vector>
@@ -40,12 +45,13 @@ struct SparseSolveStats {
 };
 
 /// Solves a standard-form LP built with BoundPolicy::kInline. `warm`, when
-/// non-null, holds one status per standard-form structural variable from a
-/// previous solve of a structurally similar model: nonbasic variables are
-/// re-installed at their bounds, the proposed basic set is crash-factorized
-/// (dependent columns demoted, uncovered rows filled with logicals), and
-/// phase 1 repairs the residual infeasibility. SfSolution::statuses reports
-/// the final structural statuses for the next warm start.
+/// non-null, holds one status per standard-form structural variable
+/// (optionally followed by one per row logical) from a previous solve of a
+/// structurally similar model: nonbasic variables are re-installed at their
+/// bounds, the proposed basic set is crash-factorized (dependent columns
+/// demoted, uncovered rows filled; the contract is in lp/simplex_core.h),
+/// and phase 1 repairs the residual infeasibility. SfSolution::statuses
+/// reports the final statuses for the next warm start.
 SfSolution solve_sparse(const StandardForm& sf, const SimplexOptions& options,
                         const std::vector<VarStatus>* warm = nullptr,
                         SparseSolveStats* stats = nullptr);

@@ -313,17 +313,8 @@ Solution RetainedLp::run(const Model& model, const SolveOptions& options,
         metrics.factorizations.inc(dual_stats.factorizations);
         metrics.bound_flips.inc(dual_stats.bound_flips);
         metrics.eta_nnz.record(static_cast<double>(dual_stats.eta_nnz));
-        if (dual_stats.needs_primal_cleanup ||
-            (raw.status != SolveStatus::kOptimal &&
-             raw.status != SolveStatus::kInfeasible)) {
-          // Fallback contract: the dual's statuses are a valid basis; let
-          // the primal engine finish from there.
+        if (finish_on_primal(sf, options, raw, &stats)) {
           metrics.dual_fallbacks.inc();
-          const std::size_t dual_iterations = raw.iterations;
-          const std::vector<VarStatus> resume = raw.statuses;
-          raw = solve_sparse(sf, options,
-                             resume.empty() ? warm_ptr : &resume, &stats);
-          raw.iterations += dual_iterations;
           have_sparse_stats = true;
         }
         break;
@@ -331,8 +322,7 @@ Solution RetainedLp::run(const Model& model, const SolveOptions& options,
       default: {
         if (decomposed) {
           DecomposeStats dstats;
-          raw = solve_decomposed(sf, options, plan,
-                                 options.decompose_threads, &dstats);
+          raw = solve_decomposed(sf, options, plan, &dstats);
           metrics.decompose_solves.inc();
           metrics.decompose_blocks.inc(dstats.blocks);
           metrics.decompose_sub_iterations.inc(dstats.sub_iterations);

@@ -87,10 +87,6 @@ struct SolveOptions : SimplexOptions {
   bool dual_resolve = false;
   /// Cold-solve decomposition policy; see DecomposePolicy.
   DecomposePolicy decompose = DecomposePolicy::kAuto;
-  /// Thread-pool size for parallel subproblem solves; <= 1 solves them
-  /// sequentially. Subproblems are independent and stitched in block order,
-  /// so the result is bit-identical at any thread count.
-  std::size_t decompose_threads = 1;
 };
 
 /// Solves `model` (minimization). The returned Solution's `values` cover all

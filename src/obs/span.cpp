@@ -81,6 +81,10 @@ const char* to_string(AttrKey key) {
       return "epoch";
     case AttrKey::kReplayed:
       return "replayed";
+    case AttrKey::kBlocks:
+      return "blocks";
+    case AttrKey::kJoined:
+      return "joined";
     case AttrKey::kNone:
       break;
   }

@@ -81,6 +81,8 @@ enum class AttrKey : std::uint8_t {
   kWorker,
   kEpoch,
   kReplayed,
+  kBlocks,  ///< LP decomposition: blocks refined in a master round
+  kJoined,  ///< LP decomposition: refined blocks that join the master
 };
 [[nodiscard]] const char* to_string(AttrKey key);
 

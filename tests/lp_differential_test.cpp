@@ -285,28 +285,6 @@ TEST_P(DecomposeDifferentialTest, DecomposedMatchesDense) {
   expect_sparse_matches_dense(m, opt, p.seed);
 }
 
-TEST_P(DecomposeDifferentialTest, ParallelDecompositionIsBitIdentical) {
-  const ProvShape& p = GetParam();
-  const Model m = make_provisioning_lp(p.slots, p.configs, p.dcs, p.seed);
-  SolveOptions opt;
-  opt.method = Method::kSparse;
-  opt.decompose = DecomposePolicy::kForce;
-  opt.decompose_threads = 1;
-  const Solution sequential = solve(m, opt);
-  opt.decompose_threads = 4;
-  const Solution parallel = solve(m, opt);
-  ASSERT_EQ(sequential.status, parallel.status) << "seed=" << p.seed;
-  ASSERT_EQ(sequential.values.size(), parallel.values.size());
-  for (std::size_t i = 0; i < sequential.values.size(); ++i) {
-    // Bit-identical, not merely close: subproblems are independent and the
-    // stitch walks blocks in index order regardless of thread count.
-    EXPECT_EQ(sequential.values[i], parallel.values[i])
-        << "seed=" << p.seed << " var=" << i;
-  }
-  ASSERT_EQ(sequential.basis, parallel.basis) << "seed=" << p.seed;
-  EXPECT_EQ(sequential.iterations, parallel.iterations);
-}
-
 std::vector<ProvShape> make_decompose_shapes() {
   std::vector<ProvShape> shapes;
   std::uint64_t seed = 40000;

@@ -6,7 +6,9 @@
 // basis was captured must still be detected as infeasible.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.h"
 #include "lp/solver.h"
@@ -102,6 +104,53 @@ TEST(WarmStartTest, PerturbedModelSolvesWithStrictlyFewerIterations) {
   EXPECT_NEAR(shifted_warm.objective, shifted_cold.objective,
               1e-7 * std::max(1.0, std::abs(shifted_cold.objective)));
   EXPECT_LT(shifted_warm.iterations, shifted_cold.iterations);
+}
+
+TEST(WarmStartTest, DualFromStructuralsOnlyHintMatchesDense) {
+  // A structurals-only hint (warm_start without warm_start_rows) mostly
+  // proposes fewer basics than rows: the optimum's slack capacity rows had
+  // basic logicals, and the hint drops them. The engines complete such a
+  // short basis by one rule (SimplexCore::pad_short_basis); through the
+  // dual, the re-solve of the shifted demand must still land on the
+  // optimum.
+  struct Shape {
+    std::size_t slots, configs, dcs;
+  };
+  std::size_t cases = 0;
+  std::size_t short_hints = 0;
+  for (const Shape& shape : {Shape{4, 6, 3}, Shape{6, 8, 4}, Shape{8, 10, 5}}) {
+    for (const std::uint64_t seed : {17u, 23u, 31u, 47u, 59u}) {
+      const Model base =
+          make_provisioning_lp(shape.slots, shape.configs, shape.dcs, seed);
+      const Model shifted = make_provisioning_lp(shape.slots, shape.configs,
+                                                 shape.dcs, seed, 1.07);
+      SolveOptions options;
+      options.method = Method::kSparse;
+      const Solution base_sol = solve(base, options);
+      ASSERT_TRUE(base_sol.optimal()) << "seed=" << seed;
+      // No row of this shape is a presolve singleton, so fewer basic
+      // structurals than constraints means a short basis.
+      const auto basic = static_cast<std::size_t>(std::count(
+          base_sol.basis.begin(), base_sol.basis.end(), VarStatus::kBasic));
+      if (basic < base.constraint_count()) ++short_hints;
+      ++cases;
+
+      SolveOptions dual_opt;
+      dual_opt.method = Method::kDual;
+      dual_opt.warm_start = base_sol.basis;
+      const Solution dual = solve(shifted, dual_opt);
+      SolveOptions dense_opt;
+      dense_opt.method = Method::kDense;
+      const Solution dense = solve(shifted, dense_opt);
+      ASSERT_TRUE(dense.optimal()) << "seed=" << seed;
+      ASSERT_TRUE(dual.optimal()) << "seed=" << seed;
+      EXPECT_NEAR(dual.objective, dense.objective,
+                  1e-7 * std::max(1.0, std::abs(dense.objective)))
+          << "seed=" << seed << " slots=" << shape.slots;
+    }
+  }
+  // Some optima have no basic logical, so their hint is square; most do.
+  EXPECT_GT(2 * short_hints, cases);
 }
 
 TEST(WarmStartTest, MismatchedHintSizeFallsBackToColdStart) {
