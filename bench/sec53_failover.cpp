@@ -44,8 +44,11 @@ int main(int argc, char** argv) {
   const double pad_s = flags.number("pad_h", 0.5, 0.0, 24.0) * kSecondsPerHour;
   const std::string trace_out = flags.text("trace-out", "");
   flags.finish();
-  // No trace requested -> don't pay for span recording at all.
-  obs::SpanRecorder::global().set_enabled(!trace_out.empty());
+  // No trace requested -> don't pay for span recording at all. A dump holds
+  // the whole run: the default flags record ~46k spans on the main thread,
+  // past the default ring's 32k.
+  obs::SpanRecorder::global().configure(
+      {.enabled = !trace_out.empty(), .ring_capacity = 1u << 17});
 
   Scenario scenario = make_apac_scenario();
   const LoadModel loads = LoadModel::paper_default();

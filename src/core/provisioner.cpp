@@ -13,6 +13,11 @@ namespace sb {
 
 namespace {
 
+/// Weight of the latency tie-break added to every S_tcx cost so equal-cost
+/// placements prefer lower ACL. Kept small so it never outweighs a real
+/// resource trade-off.
+constexpr double kAclEpsilon = 1e-6;
+
 /// Per-config data reused across rows of one scenario LP.
 struct ConfigPlan {
   std::vector<DcId> candidates;           ///< DCs this config may use
@@ -107,15 +112,16 @@ SwitchboardProvisioner::SwitchboardProvisioner(EvalContext ctx,
 namespace {
 
 ScenarioLp::Key scenario_key(const DemandMatrix& demand,
-                             const FailureScenario& scenario,
+                             std::span<const FailureScenario> scenarios,
                              const CapacityPlan* floors,
                              const EvalContext& ctx,
                              const ProvisionOptions& options) {
   ScenarioLp::Key key;
   key.ctx = ctx;
-  key.type = scenario.type;
-  key.dc = scenario.dc;
-  key.link = scenario.link;
+  key.type = scenarios.front().type;
+  key.dc = scenarios.front().dc;
+  key.link = scenarios.front().link;
+  key.blocks = scenarios.size();
   key.configs = demand.configs();
   key.slots = demand.slot_count();
   key.positive.resize(demand.slot_count() * demand.config_count());
@@ -128,7 +134,6 @@ ScenarioLp::Key scenario_key(const DemandMatrix& demand,
   key.floored = floors != nullptr;
   key.joint_network = options.joint_network;
   key.acl_threshold_ms = options.acl_threshold_ms;
-  key.acl_epsilon = options.acl_epsilon;
   return key;
 }
 
@@ -141,9 +146,32 @@ double link_floor(const CapacityPlan* floors, std::size_t l) {
   return floors ? floors->link_gbps[l] : 0.0;
 }
 
-/// Builds the scenario LP (Eq 3-9) for `key`, which scenario_key made from
-/// the same arguments.
-ScenarioLp build_scenario_lp(ScenarioLp::Key key, const DemandMatrix& demand,
+/// An Eq 3-9 model under construction, one failure scenario's block per
+/// add_block(). Every block shares one CP_x column per DC and one NP_l
+/// column per link: Eq 7/8's capacity, bought once for all scenarios. A
+/// sequential scenario LP is one block; the exact joint LP is F0's block
+/// followed by every DC failure's.
+struct ModelBuilder {
+  lp::Model model;
+  std::vector<std::pair<char, std::size_t>> var_keys;  ///< as ScenarioLp's
+  std::vector<std::pair<char, std::size_t>> row_keys;  ///< as ScenarioLp's
+  std::vector<int> cp_var;  ///< CP_x column per DC, -1 until a block needs it
+  std::vector<int> np_var;  ///< NP_l column per link, likewise
+  std::size_t blocks = 0;
+
+  explicit ModelBuilder(const EvalContext& ctx)
+      : cp_var(ctx.world->dc_count(), -1),
+        np_var(ctx.topology->link_count(), -1) {}
+
+  /// Appends `scenario`'s block: the CP_x / NP_l columns its candidates need
+  /// that no earlier block added, its S_tcx columns, its capacity rows
+  /// (Eq 5/6, floored) and its completeness rows (Eq 9).
+  void add_block(const DemandMatrix& demand, const FailureScenario& scenario,
+                 const CapacityPlan* floors, const EvalContext& ctx,
+                 const ProvisionOptions& options);
+};
+
+void ModelBuilder::add_block(const DemandMatrix& demand,
                              const FailureScenario& scenario,
                              const CapacityPlan* floors,
                              const EvalContext& ctx,
@@ -152,18 +180,14 @@ ScenarioLp build_scenario_lp(ScenarioLp::Key key, const DemandMatrix& demand,
   const Topology& topo = *ctx.topology;
   const std::size_t slots = demand.slot_count();
   const std::size_t config_count = demand.config_count();
+  // This block's S keys follow every earlier block's.
+  const std::size_t first_cell = blocks++ * slots * config_count;
 
   const std::vector<ConfigPlan> plans =
       build_config_plans(demand, scenario, ctx, options.acl_threshold_ms);
 
-  ScenarioLp lp;
-  lp.key = std::move(key);
-  lp::Model model;
-
   // Peak variables. CP_x only for DCs that are candidates somewhere; NP_l
   // only for links some (config, DC) pair uses.
-  std::vector<int> cp_var(world.dc_count(), -1);
-  std::vector<int> np_var(topo.link_count(), -1);
   for (std::size_t c = 0; c < config_count; ++c) {
     for (std::size_t k = 0; k < plans[c].candidates.size(); ++k) {
       const DcId dc = plans[c].candidates[k];
@@ -171,7 +195,7 @@ ScenarioLp build_scenario_lp(ScenarioLp::Key key, const DemandMatrix& demand,
         cp_var[dc.value()] = model.add_variable(
             0.0, lp::kInf, world.datacenter(dc).core_cost,
             "CP_" + world.datacenter(dc).name);
-        lp.var_keys.emplace_back('c', dc.value());
+        var_keys.emplace_back('c', dc.value());
       }
       if (options.joint_network) {
         for (const auto& [l, _] : plans[c].profiles[k].link_gbps_per_call) {
@@ -179,7 +203,7 @@ ScenarioLp build_scenario_lp(ScenarioLp::Key key, const DemandMatrix& demand,
             np_var[l.value()] = model.add_variable(
                 0.0, lp::kInf, topo.link(l).cost_per_gbps,
                 "NP_" + topo.link(l).name);
-            lp.var_keys.emplace_back('n', l.value());
+            var_keys.emplace_back('n', l.value());
           }
         }
       }
@@ -192,18 +216,16 @@ ScenarioLp build_scenario_lp(ScenarioLp::Key key, const DemandMatrix& demand,
   std::vector<std::vector<int>> s_var(slots * config_count);
   for (TimeSlot t = 0; t < slots; ++t) {
     for (std::size_t c = 0; c < config_count; ++c) {
-      auto& vars = s_var[static_cast<std::size_t>(t) * config_count + c];
+      const std::size_t cell = static_cast<std::size_t>(t) * config_count + c;
+      auto& vars = s_var[cell];
       const double d = demand.demand(t, c);
       if (d <= 0.0) continue;  // nothing to place in this slot
       vars.reserve(plans[c].candidates.size());
       for (std::size_t k = 0; k < plans[c].candidates.size(); ++k) {
         vars.push_back(model.add_variable(
-            0.0, lp::kInf,
-            options.acl_epsilon * plans[c].profiles[k].acl_ms, ""));
-        lp.var_keys.emplace_back(
-            's', (static_cast<std::size_t>(t) * config_count + c) *
-                         world.dc_count() +
-                     plans[c].candidates[k].value());
+            0.0, lp::kInf, kAclEpsilon * plans[c].profiles[k].acl_ms, ""));
+        var_keys.emplace_back('s', (first_cell + cell) * world.dc_count() +
+                                       plans[c].candidates[k].value());
       }
     }
   }
@@ -233,7 +255,7 @@ ScenarioLp build_scenario_lp(ScenarioLp::Key key, const DemandMatrix& demand,
       dc_rows[x].push_back({cp_var[x], -1.0});
       model.add_constraint(std::move(dc_rows[x]), lp::Sense::kLe,
                            dc_floor(floors, x));
-      lp.row_keys.emplace_back(
+      row_keys.emplace_back(
           'C', static_cast<std::size_t>(t) * world.dc_count() + x);
     }
     for (std::size_t l = 0; l < topo.link_count(); ++l) {
@@ -241,7 +263,7 @@ ScenarioLp build_scenario_lp(ScenarioLp::Key key, const DemandMatrix& demand,
       link_rows[l].push_back({np_var[l], -1.0});
       model.add_constraint(std::move(link_rows[l]), lp::Sense::kLe,
                            link_floor(floors, l));
-      lp.row_keys.emplace_back(
+      row_keys.emplace_back(
           'L', static_cast<std::size_t>(t) * topo.link_count() + l);
     }
   }
@@ -256,12 +278,24 @@ ScenarioLp build_scenario_lp(ScenarioLp::Key key, const DemandMatrix& demand,
       for (int v : vars) terms.push_back({v, 1.0});
       model.add_constraint(std::move(terms), lp::Sense::kEq,
                            demand.demand(t, c));
-      lp.row_keys.emplace_back('E',
-                               static_cast<std::size_t>(t) * config_count + c);
+      row_keys.emplace_back('E', static_cast<std::size_t>(t) * config_count + c);
     }
   }
-  lp.model = lp::RetainedLp(std::move(model));
-  return lp;
+}
+
+/// Builds the LP of `scenarios`, one block each, for `key`, which
+/// scenario_key made from the same arguments.
+ScenarioLp build_scenario_lp(ScenarioLp::Key key, const DemandMatrix& demand,
+                             std::span<const FailureScenario> scenarios,
+                             const CapacityPlan* floors,
+                             const EvalContext& ctx,
+                             const ProvisionOptions& options) {
+  ModelBuilder builder(ctx);
+  for (const FailureScenario& scenario : scenarios) {
+    builder.add_block(demand, scenario, floors, ctx, options);
+  }
+  return {std::move(key), lp::RetainedLp(std::move(builder.model)),
+          std::move(builder.var_keys), std::move(builder.row_keys)};
 }
 
 /// Points a retained model at new demand and floors: the same rhs a fresh
@@ -299,17 +333,29 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
     PlacementMatrix* placement_out, const CapacityPlan* floors,
     const std::optional<ScenarioLp>* warm,
     std::optional<ScenarioLp>* basis_out) const {
+  return solve_blocks(demand, {&scenario, 1}, placement_out, floors, warm,
+                      basis_out);
+}
+
+ScenarioOutcome SwitchboardProvisioner::solve_blocks(
+    const DemandMatrix& demand, std::span<const FailureScenario> scenarios,
+    PlacementMatrix* placement_out, const CapacityPlan* floors,
+    const std::optional<ScenarioLp>* warm,
+    std::optional<ScenarioLp>* basis_out) const {
   static obs::Counter& scenarios_solved =
       obs::MetricsRegistry::global().counter("sb.provisioner.scenarios_solved");
   static obs::Histogram& scenario_solve_s =
       obs::MetricsRegistry::global().histogram(
           "sb.provisioner.scenario_solve_s");
-  scenarios_solved.inc();
+  scenarios_solved.inc(scenarios.size());
   obs::ScopedTimer timer(scenario_solve_s);
   const World& world = *ctx_.world;
   const Topology& topo = *ctx_.topology;
   const std::size_t slots = demand.slot_count();
   const std::size_t config_count = demand.config_count();
+  ScenarioOutcome outcome;
+  outcome.scenario = scenarios.front();
+  if (scenarios.size() > 1) outcome.scenario.name += "+DC-failures(joint)";
 
   // Reuse the warm LP only when it is this scenario's at an unchanged
   // structure: then it differs from a fresh build in its rhs alone. A warm
@@ -317,7 +363,8 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
   // one is copied (without the engine). The two branches stay separate
   // statements: a conditional expression would merge them into a const
   // prvalue and copy the handed-over LP too.
-  ScenarioLp::Key key = scenario_key(demand, scenario, floors, ctx_, options_);
+  ScenarioLp::Key key =
+      scenario_key(demand, scenarios, floors, ctx_, options_);
   const bool reuse =
       warm != nullptr && warm->has_value() && (*warm)->key == key;
   ScenarioLp lp;
@@ -329,7 +376,7 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
     }
     rewrite_rhs(lp, demand, floors, world, topo);
   } else {
-    lp = build_scenario_lp(std::move(key), demand, scenario, floors, ctx_,
+    lp = build_scenario_lp(std::move(key), demand, scenarios, floors, ctx_,
                            options_);
   }
 
@@ -340,7 +387,7 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
   const lp::Solution solution = reuse ? lp.model.resolve(options_.lp_options)
                                       : lp.model.solve(options_.lp_options);
   if (!solution.optimal()) {
-    throw SolveError("provisioning LP for scenario " + scenario.name +
+    throw SolveError("provisioning LP for scenario " + outcome.scenario.name +
                      " returned " + lp::to_string(solution.status));
   }
 
@@ -353,7 +400,8 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
       cp_var[idx] = static_cast<int>(j);
     } else if (kind == 'n') {
       np_var[idx] = static_cast<int>(j);
-    } else {
+    } else if (idx < slots * config_count * world.dc_count()) {
+      // The first block's S columns: the placement.
       const std::size_t tc = idx / world.dc_count();
       placement.set_calls(static_cast<TimeSlot>(tc / config_count),
                           tc % config_count,
@@ -363,8 +411,6 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
     }
   }
 
-  ScenarioOutcome outcome;
-  outcome.scenario = scenario;
   outcome.lp_objective = solution.objective;
   outcome.lp_iterations = solution.iterations;
   outcome.required = CapacityPlan::zeros(world, topo);
@@ -395,183 +441,12 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
   return outcome;
 }
 
-// provision() wraps this call in its "prov.provision" span before
-// dispatching here, so the joint path needs no span of its own.
-ProvisionResult SwitchboardProvisioner::provision_joint(
-    const DemandMatrix& demand) const {
-  const World& world = *ctx_.world;
-  const Topology& topo = *ctx_.topology;
-  const std::size_t slots = demand.slot_count();
-  const std::size_t config_count = demand.config_count();
-
-  std::vector<FailureScenario> scenarios;
-  scenarios.push_back(FailureScenario::none());
-  for (DcId dc : world.dc_ids()) {
-    scenarios.push_back(FailureScenario::dc_failure(dc, world));
-  }
-
-  lp::Model model;
-  // Shared capacity variables (Eq 3 prices them once; Eq 7/8 are the
-  // per-scenario usage rows below).
-  std::vector<int> cp_var(world.dc_count(), -1);
-  std::vector<int> np_var(topo.link_count(), -1);
-  auto ensure_cp = [&](DcId dc) {
-    if (cp_var[dc.value()] < 0) {
-      cp_var[dc.value()] =
-          model.add_variable(0.0, lp::kInf, world.datacenter(dc).core_cost,
-                             "CP_" + world.datacenter(dc).name);
-    }
-    return cp_var[dc.value()];
-  };
-  auto ensure_np = [&](LinkId l) {
-    if (np_var[l.value()] < 0) {
-      np_var[l.value()] = model.add_variable(
-          0.0, lp::kInf, topo.link(l).cost_per_gbps, "NP_" + topo.link(l).name);
-    }
-    return np_var[l.value()];
-  };
-
-  struct Block {
-    std::vector<ConfigPlan> plans;
-    std::vector<std::vector<int>> s_var;  ///< per (t * C + c)
-  };
-  std::vector<Block> blocks(scenarios.size());
-
-  for (std::size_t f = 0; f < scenarios.size(); ++f) {
-    Block& block = blocks[f];
-    block.plans = build_config_plans(demand, scenarios[f], ctx_,
-                                     options_.acl_threshold_ms);
-    block.s_var.assign(slots * config_count, {});
-    for (TimeSlot t = 0; t < slots; ++t) {
-      for (std::size_t c = 0; c < config_count; ++c) {
-        if (demand.demand(t, c) <= 0.0) continue;
-        auto& vars = block.s_var[static_cast<std::size_t>(t) * config_count + c];
-        for (std::size_t k = 0; k < block.plans[c].candidates.size(); ++k) {
-          vars.push_back(model.add_variable(
-              0.0, lp::kInf,
-              options_.acl_epsilon * block.plans[c].profiles[k].acl_ms, ""));
-        }
-      }
-    }
-    for (TimeSlot t = 0; t < slots; ++t) {
-      std::vector<std::vector<lp::Term>> dc_rows(world.dc_count());
-      std::vector<std::vector<lp::Term>> link_rows(topo.link_count());
-      for (std::size_t c = 0; c < config_count; ++c) {
-        const auto& vars =
-            block.s_var[static_cast<std::size_t>(t) * config_count + c];
-        for (std::size_t k = 0; k < vars.size(); ++k) {
-          const DcId dc = block.plans[c].candidates[k];
-          const HostingProfile& profile = block.plans[c].profiles[k];
-          dc_rows[dc.value()].push_back({vars[k], profile.cores_per_call});
-          for (const auto& [l, gbps] : profile.link_gbps_per_call) {
-            link_rows[l.value()].push_back({vars[k], gbps});
-          }
-        }
-      }
-      for (std::size_t x = 0; x < world.dc_count(); ++x) {
-        if (dc_rows[x].empty()) continue;
-        dc_rows[x].push_back(
-            {ensure_cp(DcId(static_cast<std::uint32_t>(x))), -1.0});
-        model.add_constraint(std::move(dc_rows[x]), lp::Sense::kLe, 0.0);
-      }
-      for (std::size_t l = 0; l < topo.link_count(); ++l) {
-        if (link_rows[l].empty()) continue;
-        link_rows[l].push_back(
-            {ensure_np(LinkId(static_cast<std::uint32_t>(l))), -1.0});
-        model.add_constraint(std::move(link_rows[l]), lp::Sense::kLe, 0.0);
-      }
-      for (std::size_t c = 0; c < config_count; ++c) {
-        const auto& vars =
-            block.s_var[static_cast<std::size_t>(t) * config_count + c];
-        if (vars.empty()) continue;
-        std::vector<lp::Term> terms;
-        for (int v : vars) terms.push_back({v, 1.0});
-        model.add_constraint(std::move(terms), lp::Sense::kEq,
-                             demand.demand(t, c));
-      }
-    }
-  }
-
-  const lp::Solution solution = lp::solve(model, options_.lp_options);
-  if (!solution.optimal()) {
-    throw SolveError("joint provisioning LP returned " +
-                     lp::to_string(solution.status));
-  }
-
-  ProvisionResult result{CapacityPlan::zeros(world, topo),
-                         PlacementMatrix(slots, config_count, world.dc_count()),
-                         0.0,
-                         {},
-                         {}};
-  CapacityPlan combined = CapacityPlan::zeros(world, topo);
-  for (std::size_t x = 0; x < world.dc_count(); ++x) {
-    if (cp_var[x] >= 0) {
-      combined.dc_serving_cores[x] = solution.values[cp_var[x]];
-    }
-  }
-  for (std::size_t l = 0; l < topo.link_count(); ++l) {
-    if (np_var[l] >= 0) combined.link_gbps[l] = solution.values[np_var[l]];
-  }
-  // F0 placement (block 0) for reporting and allocation.
-  for (TimeSlot t = 0; t < slots; ++t) {
-    for (std::size_t c = 0; c < config_count; ++c) {
-      const auto& vars =
-          blocks[0].s_var[static_cast<std::size_t>(t) * config_count + c];
-      for (std::size_t k = 0; k < vars.size(); ++k) {
-        result.base_placement.set_calls(
-            t, c, blocks[0].plans[c].candidates[k], solution.values[vars[k]]);
-      }
-    }
-  }
-  ScenarioOutcome joint_outcome;
-  joint_outcome.scenario = FailureScenario::none();
-  joint_outcome.scenario.name = "F0+DC-failures(joint)";
-  joint_outcome.required = combined;
-  joint_outcome.lp_objective = solution.objective;
-  joint_outcome.lp_iterations = solution.iterations;
-  result.scenarios.push_back(joint_outcome);
-
-  // Link-failure scenarios on top, sequentially, reusing the joint plan.
-  if (options_.include_link_failures) {
-    for (LinkId link : topo.link_ids()) {
-      const FailureScenario scenario =
-          FailureScenario::link_failure(link, topo);
-      ScenarioOutcome outcome =
-          solve_scenario(demand, scenario, nullptr,
-                         options_.capacity_reuse ? &combined : nullptr);
-      combined = max_capacity(combined, outcome.required);
-      result.scenarios.push_back(std::move(outcome));
-    }
-  }
-
-  // The joint LP has no separate F0 capacity to call "serving"; report the
-  // F0 placement's own peaks as serving and the rest as backup.
-  const UsageProfile f0_usage =
-      compute_usage(result.base_placement, demand, ctx_);
-  const std::vector<double> f0_peaks = f0_usage.dc_peaks();
-  for (std::size_t x = 0; x < world.dc_count(); ++x) {
-    const double total = combined.dc_serving_cores[x];
-    result.capacity.dc_serving_cores[x] = std::min(f0_peaks[x], total);
-    result.capacity.dc_backup_cores[x] =
-        std::max(0.0, total - result.capacity.dc_serving_cores[x]);
-  }
-  result.capacity.link_gbps = combined.link_gbps;
-  result.mean_acl_ms = mean_acl_ms(result.base_placement, demand, ctx_);
-  result.server_budget_cores = split_server_budgets(world, result.capacity);
-  return result;
-}
-
 ProvisionResult SwitchboardProvisioner::provision(
     const DemandMatrix& demand, const ScenarioBasisHint* warm,
     ScenarioBasisHint* basis_out) const {
   obs::Span span("prov.provision", obs::Subsystem::kProvisioner);
   const World& world = *ctx_.world;
   const Topology& topo = *ctx_.topology;
-
-  if (options_.with_backup && options_.peak_aware_backup &&
-      options_.joint_scenarios) {
-    return provision_joint(demand);
-  }
 
   // Failure scenarios are enumerated whenever backup capacity is wanted;
   // the additive ablation below only replaces the COMPUTE backup policy
@@ -614,7 +489,7 @@ ProvisionResult SwitchboardProvisioner::provision(
                          {},
                          {}};
   CapacityPlan combined = CapacityPlan::zeros(world, topo);
-  CapacityPlan serving = combined;
+  std::vector<double> serving;
 
   // F0 first: it defines `serving` and the base placement. Then each
   // failure scenario in enumeration order. Under capacity_reuse (Eq 7/8
@@ -625,18 +500,25 @@ ProvisionResult SwitchboardProvisioner::provision(
   // decomposition: a cold provision of the APAC design day then takes 3.4x
   // fewer simplex iterations (9x with link failures) than with every
   // failure scenario warm-started from F0's basis. A re-provision re-solves
-  // each scenario from its own retained LP instead.
-  for (std::size_t f = 0; f < scenarios.size(); ++f) {
+  // each scenario from its own retained LP instead. Under joint_scenarios
+  // the first step solves F0 and every DC failure exactly, as one LP (Eq 3
+  // + 7/8), cold and without a hint; only the link failures follow it.
+  const bool joint = options_.with_backup && options_.peak_aware_backup &&
+                     options_.joint_scenarios;
+  std::size_t step = joint ? 1 + world.dc_count() : 1;  // scenarios per step
+  for (std::size_t f = 0; f < scenarios.size(); f += step, step = 1) {
+    const bool fused = step > 1;
     const CapacityPlan* floors =
         f > 0 && options_.capacity_reuse ? &combined : nullptr;
     obs::Span s("prov.scenario", obs::Subsystem::kProvisioner);
     s.attr(obs::AttrKey::kScenario, static_cast<std::int64_t>(f));
-    ScenarioOutcome outcome = solve_scenario(
-        demand, scenarios[f], f == 0 ? &result.base_placement : nullptr,
-        floors, warm_of(f), out_of(f));
+    ScenarioOutcome outcome = solve_blocks(
+        demand, std::span(scenarios).subspan(f, step),
+        f == 0 ? &result.base_placement : nullptr, floors,
+        fused ? nullptr : warm_of(f), fused ? nullptr : out_of(f));
     s.finish();
     if (f == 0) {
-      serving = outcome.required;
+      serving = outcome.required.dc_serving_cores;
       combined = outcome.required;
     } else {
       combined = max_capacity(combined, outcome.required);
@@ -645,12 +527,17 @@ ProvisionResult SwitchboardProvisioner::provision(
   }
 
   // Serving/backup split: serving is the no-failure requirement; backup is
-  // whatever extra the worst failure scenario forces per resource.
-  result.capacity = CapacityPlan::zeros(world, topo);
+  // whatever extra the worst failure scenario forces per resource. The
+  // joint LP has no F0 capacity of its own: its serving is the F0
+  // placement's own peaks.
+  if (joint) {
+    serving = compute_usage(result.base_placement, demand, ctx_).dc_peaks();
+  }
   for (std::size_t x = 0; x < world.dc_count(); ++x) {
-    result.capacity.dc_serving_cores[x] = serving.dc_serving_cores[x];
-    result.capacity.dc_backup_cores[x] = std::max(
-        0.0, combined.dc_serving_cores[x] - serving.dc_serving_cores[x]);
+    const double total = combined.dc_serving_cores[x];
+    result.capacity.dc_serving_cores[x] = std::min(serving[x], total);
+    result.capacity.dc_backup_cores[x] =
+        std::max(0.0, total - result.capacity.dc_serving_cores[x]);
   }
   result.capacity.link_gbps = combined.link_gbps;
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -52,10 +53,6 @@ struct ProvisionOptions {
   /// handled sequentially with capacity floors on top. The fused LP always
   /// prices network capacity, so it requires joint_network.
   bool joint_scenarios = false;
-  /// Weight of the latency tie-break added to every S_tcx cost so equal-cost
-  /// placements prefer lower ACL. Kept small so it never outweighs a real
-  /// resource trade-off.
-  double acl_epsilon = 1e-6;
   /// Base LP engine knobs. A retained model's re-solve (see ScenarioLp)
   /// resumes from its own basis through the dual simplex on top of these;
   /// every other solve takes them as given.
@@ -77,6 +74,8 @@ struct ScenarioLp {
     FailureScenario::Type type = FailureScenario::Type::kNone;
     DcId dc;      ///< the failed DC of a kDc scenario
     LinkId link;  ///< the failed link of a kLink scenario
+    /// Scenario blocks: 1, or F0 and every DC failure in the joint LP.
+    std::size_t blocks = 1;
     std::vector<ConfigId> configs;  ///< demand columns
     std::size_t slots = 0;
     /// demand(t, c) > 0 at t * configs + c: S columns and completeness rows
@@ -85,19 +84,20 @@ struct ScenarioLp {
     bool floored = false;  ///< capacity rows carry floors
     bool joint_network = true;
     double acl_threshold_ms = 0.0;
-    double acl_epsilon = 0.0;
     friend bool operator==(const Key&, const Key&) = default;
   };
   Key key;
   lp::RetainedLp model;
   /// Semantic key per LP column, (kind, flat index): 'c' = CP per DC, 'n' =
-  /// NP per link, 's' = S per (slot, config, DC) at (t * configs + c) *
-  /// dc_count + dc.
+  /// NP per link, 's' = S per (block, slot, config, DC) at ((block * slots +
+  /// t) * configs + c) * dc_count + dc, where block is the scenario's
+  /// position in the LP (0 but in the joint LP).
   std::vector<std::pair<char, std::size_t>> var_keys;
   /// Semantic key per constraint row: 'C' = DC capacity per (slot, DC) at
   /// t * dc_count + dc, 'L' = link capacity per (slot, link) at t *
   /// link_count + link, 'E' = completeness per (slot, config) at t *
-  /// configs + c. These are the rows whose rhs a re-solve rewrites.
+  /// configs + c. These are the rows whose rhs a re-solve rewrites; every
+  /// block's rows share them, as they share their rhs.
   std::vector<std::pair<char, std::size_t>> row_keys;
 };
 
@@ -159,8 +159,9 @@ class SwitchboardProvisioner {
   /// decomposition above lp::kDecomposeMinRows). `basis_out` (optional)
   /// receives this provision's state for the next round; it may point at
   /// the same hint as `warm`, which then re-solves the retained models in
-  /// place, and is left empty if a scenario LP throws. Both are ignored by
-  /// the joint_scenarios path (one fused LP, no per-scenario basis).
+  /// place, and is left empty if a scenario LP throws. The joint_scenarios
+  /// step (one fused LP over F0 and every DC failure) ignores both; the
+  /// link-failure scenarios after it use them as every scenario does.
   [[nodiscard]] ProvisionResult provision(
       const DemandMatrix& demand, const ScenarioBasisHint* warm = nullptr,
       ScenarioBasisHint* basis_out = nullptr) const;
@@ -181,10 +182,14 @@ class SwitchboardProvisioner {
       std::optional<ScenarioLp>* basis_out = nullptr) const;
 
  private:
-  /// The exact Eq 3+7/8 LP over F0 and all DC-failure scenarios (shared
-  /// capacity variables), plus sequential link-failure passes.
-  [[nodiscard]] ProvisionResult provision_joint(
-      const DemandMatrix& demand) const;
+  /// solve_scenario over the LP of `scenarios`, one block each on shared
+  /// CP_x/NP_l: one scenario, or F0 and every DC failure (the exact joint
+  /// LP, whose placement is F0's).
+  [[nodiscard]] ScenarioOutcome solve_blocks(
+      const DemandMatrix& demand, std::span<const FailureScenario> scenarios,
+      PlacementMatrix* placement_out, const CapacityPlan* floors,
+      const std::optional<ScenarioLp>* warm,
+      std::optional<ScenarioLp>* basis_out) const;
 
   EvalContext ctx_;
   ProvisionOptions options_;

@@ -139,7 +139,6 @@ SfSolution solve_decomposed(const StandardForm& sf,
   DecomposeStats local_stats;
   DecomposeStats& st = stats != nullptr ? *stats : local_stats;
   st.blocks = plan.block_count;
-  st.coupling_cols = plan.coupling_cols;
 
   // Group rows (and columns) by block. Row ids stay ascending within each
   // block.
@@ -276,7 +275,6 @@ SfSolution solve_decomposed(const StandardForm& sf,
   std::vector<VarStatus> prev_statuses;
   std::size_t prev_n = 0;
   for (std::size_t round = 0; round < kMaxMasterRounds; ++round) {
-    ++st.master_rounds;
     // One span per round, nested under lp.decompose: the master's size, the
     // blocks refined against it, how many of them join the next master, and
     // the round's iterations (master plus refines). A growing master shows

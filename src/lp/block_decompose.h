@@ -79,11 +79,10 @@ struct BlockPlan {
 /// Per-solve counters and phase timings, surfaced as sb.lp.* metrics.
 struct DecomposeStats {
   std::size_t blocks = 0;
-  std::size_t coupling_cols = 0;
-  std::size_t master_rounds = 0;       ///< constraint-generation rounds
   std::size_t sub_iterations = 0;      ///< master + block subproblems
   std::size_t cleanup_iterations = 0;  ///< dual + primal clean-up combined
-  bool sub_solve_failed = false;       ///< degraded to a cold clean-up
+  /// Degraded to a cold clean-up (counted as sb.lp.decompose_cold_cleanups).
+  bool sub_solve_failed = false;
   double detect_seconds = 0.0;
   double sub_seconds = 0.0;
   double cleanup_seconds = 0.0;

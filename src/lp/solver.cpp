@@ -34,6 +34,7 @@ struct SolveMetrics {
   obs::Counter& decompose_blocks;
   obs::Counter& decompose_sub_iterations;
   obs::Counter& decompose_cleanup_iterations;
+  obs::Counter& decompose_cold_cleanups;
   obs::Counter& presolve_rows_removed;
   obs::Counter& presolve_bounds_tightened;
   obs::Counter& presolve_variables_fixed;
@@ -66,6 +67,7 @@ struct SolveMetrics {
           r.counter("sb.lp.decompose_blocks"),
           r.counter("sb.lp.decompose_sub_iterations"),
           r.counter("sb.lp.decompose_cleanup_iterations"),
+          r.counter("sb.lp.decompose_cold_cleanups"),
           r.counter("sb.lp.presolve_rows_removed"),
           r.counter("sb.lp.presolve_bounds_tightened"),
           r.counter("sb.lp.presolve_variables_fixed"),
@@ -328,6 +330,7 @@ Solution RetainedLp::run(const Model& model, const SolveOptions& options,
           metrics.decompose_sub_iterations.inc(dstats.sub_iterations);
           metrics.decompose_cleanup_iterations.inc(
               dstats.cleanup_iterations);
+          if (dstats.sub_solve_failed) metrics.decompose_cold_cleanups.inc();
           metrics.decompose_detect_s.record(dstats.detect_seconds);
           metrics.decompose_sub_s.record(dstats.sub_seconds);
           metrics.decompose_cleanup_s.record(dstats.cleanup_seconds);

@@ -13,7 +13,6 @@
 #include "common/thread_pool.h"
 #include "obs/span.h"
 #include "obs/timer.h"
-#include "obs/timeseries.h"
 
 namespace sb {
 
@@ -506,7 +505,6 @@ void Simulator::replay_partition(const CallRecordDatabase& db,
     const Event ev = queue.top();
     queue.pop();
     usage.advance(ev.time);
-    if (telemetry_ != nullptr) telemetry_->sample(ev.time);
     ++event_count;
 
     if (ev.type == EventType::kFault) {
@@ -761,7 +759,6 @@ void Simulator::replay_partition_batched(
       // at the rendezvous never hold the controller's shared lock.
       const BEvent ev = events[i];
       usage.advance(ev.time);
-      if (telemetry_ != nullptr) telemetry_->sample(ev.time);
       ++event_count;
       faults->arrive(allocator, ev.record);
       const fault::FailoverOutcome& outcome = faults->outcomes[ev.record];
@@ -824,7 +821,6 @@ void Simulator::replay_partition_batched(
     for (; i < end; ++i) {
       const BEvent& ev = events[i];
       usage.advance(ev.time);
-      if (telemetry_ != nullptr) telemetry_->sample(ev.time);
       ++event_count;
       BatchedLive& call = live[ev.record];
 

@@ -31,10 +31,6 @@
 #include "obs/metrics.h"
 #include "sim/allocator.h"
 
-namespace sb::obs {
-class TimeSeriesRecorder;
-}  // namespace sb::obs
-
 namespace sb {
 
 struct SimReport {
@@ -134,15 +130,6 @@ class Simulator {
   /// latency of a closed-loop plan install racing the replay).
   void set_batch_events(std::size_t n) { batch_events_ = n == 0 ? 1 : n; }
 
-  /// Optional telemetry hook: when set, every partition offers its event
-  /// clock to the recorder (TimeSeriesRecorder::sample is thread-safe and
-  /// cheap off-cadence), so registry time series advance on SIM time in both
-  /// driver modes. The recorder must outlive the runs; pass nullptr to
-  /// detach.
-  void attach_telemetry(obs::TimeSeriesRecorder* telemetry) {
-    telemetry_ = telemetry;
-  }
-
   /// Replays `db` against `allocator` on the calling thread, every event in
   /// strict (time, insertion) order. `freeze_delay_s` is the A parameter
   /// (§6.4); calls shorter than it are never frozen or migrated. Fault
@@ -232,7 +219,6 @@ class Simulator {
 
   EvalContext ctx_;
   Metrics metrics_;
-  obs::TimeSeriesRecorder* telemetry_ = nullptr;
   Engine engine_ = Engine::kBatched;
   std::size_t batch_events_ = 256;
 };

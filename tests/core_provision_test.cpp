@@ -1,9 +1,11 @@
 // Tests for capacity plans, the backup LP, failure scenarios, and the
 // Switchboard provisioning LP — including an exact reproduction of the
 // paper's Fig 4 toy example (peak-aware backup needs 320 cores where the
-// additive Eq 1-2 plan needs 480).
+// additive Eq 1-2 plan needs 480) and the exact joint LP on the APAC
+// design day.
 #include <gtest/gtest.h>
 
+#include "apac_design_day.h"
 #include "common/error.h"
 #include "core/backup_lp.h"
 #include "core/provisioner.h"
@@ -165,6 +167,49 @@ TEST(Fig4Test, JointScenarioLpNeverCostsMoreThanSequential) {
   const double seq_cost = seq.capacity.total_cost(w.world, w.topology);
   const double jnt_cost = jnt.capacity.total_cost(w.world, w.topology);
   EXPECT_LE(jnt_cost, seq_cost * 1.0001);
+}
+
+// The exact joint LP on a real world: the APAC design day's top 5 configs,
+// F0 and its five DC failures. It costs no more than the sequential
+// provision, its capacity alone survives every DC failure (a solve floored
+// at it buys nothing), and its F0 placement serves every demand cell.
+TEST(JointScenarioTest, DesignDayJointLpCoversEveryDcFailureAtNoMoreCost) {
+  const test::ApacDesignDay day;
+  const DemandMatrix demand = test::ApacDesignDay::top_configs(day.demand, 5);
+  const World& world = day.scenario.world();
+  const Topology& topo = day.scenario.topology();
+  ProvisionOptions sequential;
+  sequential.include_link_failures = false;
+  ProvisionOptions joint = sequential;
+  joint.joint_scenarios = true;
+  const ProvisionResult seq =
+      SwitchboardProvisioner(day.ctx(), sequential).provision(demand);
+  const SwitchboardProvisioner provisioner(day.ctx(), joint);
+  const ProvisionResult jnt = provisioner.provision(demand);
+  ASSERT_EQ(jnt.scenarios.size(), 1u);
+  EXPECT_LE(jnt.capacity.total_cost(world, topo),
+            seq.capacity.total_cost(world, topo) * (1.0 + 1e-9));
+
+  for (DcId dc : world.dc_ids()) {
+    const ScenarioOutcome outcome = provisioner.solve_scenario(
+        demand, FailureScenario::dc_failure(dc, world), nullptr,
+        &jnt.capacity);
+    for (DcId x : world.dc_ids()) {
+      EXPECT_LE(outcome.required.dc_serving_cores[x.value()],
+                jnt.capacity.dc_total_cores(x) + 1e-6)
+          << outcome.scenario.name;
+    }
+    for (std::size_t l = 0; l < topo.link_count(); ++l) {
+      EXPECT_LE(outcome.required.link_gbps[l], jnt.capacity.link_gbps[l] + 1e-6)
+          << outcome.scenario.name;
+    }
+  }
+  for (TimeSlot t = 0; t < demand.slot_count(); ++t) {
+    for (std::size_t c = 0; c < demand.config_count(); ++c) {
+      EXPECT_NEAR(jnt.base_placement.total_calls(t, c), demand.demand(t, c),
+                  1e-6);
+    }
+  }
 }
 
 // The fused joint LP always prices network capacity, so the §4.3

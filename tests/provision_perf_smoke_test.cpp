@@ -10,6 +10,7 @@
 
 #include "apac_design_day.h"
 #include "core/provisioner.h"
+#include "obs/metrics.h"
 
 namespace sb {
 namespace {
@@ -45,6 +46,28 @@ TEST(ProvisionPerfSmoke, LinkFailureProvisionIterationsStayBounded) {
           .provision(day.demand);
   EXPECT_GT(result.scenarios.size(), 1 + day.scenario.world().dc_count());
   EXPECT_LT(total_iterations(result), 5000u);
+}
+
+// Every decomposed solve of the cold design-day provision stitches its
+// blocks' bases into the clean-up's start. A failed block sub-solve would
+// instead degrade the solve to a cold clean-up, which
+// sb.lp.decompose_cold_cleanups counts.
+TEST(ProvisionPerfSmoke, ColdProvisionNeverFallsBackToAColdCleanup) {
+#ifdef SB_METRICS_ENABLED
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const obs::Counter& decomposed = registry.counter("sb.lp.decompose_solves");
+  const obs::Counter& cold_cleanups =
+      registry.counter("sb.lp.decompose_cold_cleanups");
+  const std::uint64_t decomposed_before = decomposed.value();
+  const std::uint64_t cold_before = cold_cleanups.value();
+#endif
+  const ApacDesignDay day;
+  (void)SwitchboardProvisioner(day.ctx(), ProvisionOptions{})
+      .provision(day.demand);
+#ifdef SB_METRICS_ENABLED
+  EXPECT_GT(decomposed.value() - decomposed_before, 0u);
+  EXPECT_EQ(cold_cleanups.value() - cold_before, 0u);
+#endif
 }
 
 // A warm re-provision at perfbench's uniform x1.15 replan, F0 plus the five
