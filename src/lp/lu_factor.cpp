@@ -22,66 +22,75 @@ std::vector<int> LuFactor::factorize(
     const std::vector<const SparseCol*>& cols, std::size_t m) {
   m_ = m;
   const std::size_t k_cols = cols.size();
-  l_.clear();
-  u_.clear();
-  l_.reserve(k_cols);
-  u_.reserve(k_cols);
+  pivot_row_.clear();
+  u_position_.clear();
+  u_diag_.clear();
+  l_start_.assign(1, 0);
+  l_index_.clear();
+  l_value_.clear();
+  u_start_.assign(1, 0);
+  u_index_.clear();
+  u_value_.clear();
   eta_of_row_.assign(m, -1);
   unpivoted_rows_.clear();
-  fill_nnz_ = 0;
   work_.resize(m);
   result_.resize(m);
   queued_.assign(m, 0);
   heap_.clear();
 
   // --- Symbolic Markowitz-style ordering: peel row/column singletons
-  // (fill-free pivots), then sparsest-column-first for the nucleus.
-  std::vector<std::vector<int>> rowlist(m);
-  std::vector<int> colcount(k_cols, 0);
-  std::vector<int> rowcount(m, 0);
+  // (fill-free pivots), then sparsest-column-first for the nucleus. The
+  // row lists are counted into row_start_, then filled in ascending
+  // position order with rowcount_ as each row's cursor, which leaves it
+  // holding the row counts.
+  row_start_.assign(m + 1, 0);
+  colcount_.resize(k_cols);
   for (std::size_t p = 0; p < k_cols; ++p) {
-    colcount[p] = static_cast<int>(cols[p]->size());
+    colcount_[p] = static_cast<int>(cols[p]->size());
+    for (const auto& [r, v] : *cols[p]) ++row_start_[r + 1];
+  }
+  for (std::size_t r = 0; r < m; ++r) row_start_[r + 1] += row_start_[r];
+  row_cols_.resize(row_start_[m]);
+  rowcount_.assign(m, 0);
+  for (std::size_t p = 0; p < k_cols; ++p) {
     for (const auto& [r, v] : *cols[p]) {
-      rowlist[r].push_back(static_cast<int>(p));
+      row_cols_[row_start_[r] + rowcount_[r]++] = static_cast<int>(p);
     }
   }
-  for (std::size_t r = 0; r < m; ++r) {
-    rowcount[r] = static_cast<int>(rowlist[r].size());
-  }
-  std::vector<unsigned char> col_active(k_cols, 1);
-  std::vector<unsigned char> row_active(m, 1);
-  std::vector<int> col_queue;
-  std::vector<int> row_queue;
+  col_active_.assign(k_cols, 1);
+  row_active_.assign(m, 1);
+  col_queue_.clear();
+  row_queue_.clear();
   for (std::size_t p = 0; p < k_cols; ++p) {
-    if (colcount[p] == 1) col_queue.push_back(static_cast<int>(p));
+    if (colcount_[p] == 1) col_queue_.push_back(static_cast<int>(p));
   }
   for (std::size_t r = 0; r < m; ++r) {
-    if (rowcount[r] == 1) row_queue.push_back(static_cast<int>(r));
+    if (rowcount_[r] == 1) row_queue_.push_back(static_cast<int>(r));
   }
 
-  std::vector<std::pair<int, int>> order;  ///< (position, pinned row or -1)
-  order.reserve(k_cols);
+  order_.clear();
   auto symbolic_pivot = [&](int p, int r) {
-    order.emplace_back(p, r);
-    col_active[p] = 0;
-    row_active[r] = 0;
+    order_.emplace_back(p, r);
+    col_active_[p] = 0;
+    row_active_[r] = 0;
     for (const auto& [r2, v2] : *cols[p]) {
-      if (!row_active[r2]) continue;
-      if (--rowcount[r2] == 1) row_queue.push_back(static_cast<int>(r2));
+      if (!row_active_[r2]) continue;
+      if (--rowcount_[r2] == 1) row_queue_.push_back(static_cast<int>(r2));
     }
-    for (int p2 : rowlist[r]) {
-      if (!col_active[p2]) continue;
-      if (--colcount[p2] == 1) col_queue.push_back(p2);
+    for (int e = row_start_[r]; e < row_start_[r + 1]; ++e) {
+      const int p2 = row_cols_[e];
+      if (!col_active_[p2]) continue;
+      if (--colcount_[p2] == 1) col_queue_.push_back(p2);
     }
   };
   while (true) {
-    if (!col_queue.empty()) {
-      const int p = col_queue.back();
-      col_queue.pop_back();
-      if (!col_active[p] || colcount[p] != 1) continue;
+    if (!col_queue_.empty()) {
+      const int p = col_queue_.back();
+      col_queue_.pop_back();
+      if (!col_active_[p] || colcount_[p] != 1) continue;
       int pin = -1;
       for (const auto& [r, v] : *cols[p]) {
-        if (row_active[r]) {
+        if (row_active_[r]) {
           pin = static_cast<int>(r);
           break;
         }
@@ -89,13 +98,14 @@ std::vector<int> LuFactor::factorize(
       if (pin >= 0) symbolic_pivot(p, pin);
       continue;
     }
-    if (!row_queue.empty()) {
-      const int r = row_queue.back();
-      row_queue.pop_back();
-      if (!row_active[r] || rowcount[r] != 1) continue;
+    if (!row_queue_.empty()) {
+      const int r = row_queue_.back();
+      row_queue_.pop_back();
+      if (!row_active_[r] || rowcount_[r] != 1) continue;
       int pin = -1;
-      for (int p : rowlist[r]) {
-        if (col_active[p]) {
+      for (int e = row_start_[r]; e < row_start_[r + 1]; ++e) {
+        const int p = row_cols_[e];
+        if (col_active_[p]) {
           pin = p;
           break;
         }
@@ -105,17 +115,17 @@ std::vector<int> LuFactor::factorize(
     }
     break;
   }
-  std::vector<int> nucleus;
+  nucleus_.clear();
   for (std::size_t p = 0; p < k_cols; ++p) {
-    if (col_active[p]) nucleus.push_back(static_cast<int>(p));
+    if (col_active_[p]) nucleus_.push_back(static_cast<int>(p));
   }
-  std::stable_sort(nucleus.begin(), nucleus.end(),
-                   [&](int a, int b) { return colcount[a] < colcount[b]; });
-  for (int p : nucleus) order.emplace_back(p, -1);
+  std::stable_sort(nucleus_.begin(), nucleus_.end(),
+                   [&](int a, int b) { return colcount_[a] < colcount_[b]; });
+  for (int p : nucleus_) order_.emplace_back(p, -1);
 
   // --- Numeric left-looking pass in the symbolic order.
   std::vector<int> rejected;
-  for (const auto& [pos, pinned] : order) {
+  for (const auto& [pos, pinned] : order_) {
     const SparseCol& col = *cols[static_cast<std::size_t>(pos)];
     work_.clear();
     for (const auto& [r, v] : col) work_.add(static_cast<int>(r), v);
@@ -148,27 +158,25 @@ std::vector<int> LuFactor::factorize(
     }
 
     const double diag = work_.values[static_cast<std::size_t>(pivot_row)];
-    const int k = static_cast<int>(l_.size());
-    UCol ucol;
-    ucol.position = pos;
-    ucol.pivot_row = pivot_row;
-    ucol.diag = diag;
-    LEta eta;
-    eta.pivot_row = pivot_row;
+    const int k = static_cast<int>(pivot_row_.size());
     const double inv = 1.0 / diag;
     for (int i : work_.nz) {
       const double v = work_.values[static_cast<std::size_t>(i)];
       if (v == 0.0 || i == pivot_row) continue;
       const int prev = eta_of_row_[static_cast<std::size_t>(i)];
       if (prev >= 0) {
-        ucol.entries.emplace_back(prev, v);
+        u_index_.push_back(prev);
+        u_value_.push_back(v);
       } else {
-        eta.entries.emplace_back(i, v * inv);
+        l_index_.push_back(i);
+        l_value_.push_back(v * inv);
       }
     }
-    fill_nnz_ += ucol.entries.size() + eta.entries.size() + 1;
-    u_.push_back(std::move(ucol));
-    l_.push_back(std::move(eta));
+    pivot_row_.push_back(pivot_row);
+    u_position_.push_back(pos);
+    u_diag_.push_back(diag);
+    l_start_.push_back(l_index_.size());
+    u_start_.push_back(u_index_.size());
     eta_of_row_[static_cast<std::size_t>(pivot_row)] = k;
   }
   work_.clear();
@@ -177,7 +185,7 @@ std::vector<int> LuFactor::factorize(
     if (eta_of_row_[r] < 0) unpivoted_rows_.push_back(static_cast<int>(r));
   }
   std::sort(rejected.begin(), rejected.end());
-  gwork_.assign(l_.size(), 0.0);
+  gwork_.assign(pivot_row_.size(), 0.0);
   return rejected;
 }
 
@@ -198,12 +206,13 @@ void LuFactor::apply_l(IndexedVector& x) const {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
     const int k = heap_.back();
     heap_.pop_back();
-    queued_[static_cast<std::size_t>(k)] = 0;
-    const LEta& eta = l_[static_cast<std::size_t>(k)];
-    const double t = x.values[static_cast<std::size_t>(eta.pivot_row)];
+    const auto ku = static_cast<std::size_t>(k);
+    queued_[ku] = 0;
+    const double t = x.values[static_cast<std::size_t>(pivot_row_[ku])];
     if (t == 0.0) continue;
-    for (const auto& [i, l] : eta.entries) {
-      x.add(i, -l * t);
+    for (std::size_t e = l_start_[ku]; e < l_start_[ku + 1]; ++e) {
+      const int i = l_index_[e];
+      x.add(i, -l_value_[e] * t);
       if (x.values[static_cast<std::size_t>(i)] == 0.0) continue;
       const int k2 = eta_of_row_[static_cast<std::size_t>(i)];
       if (k2 > k) push(k2);
@@ -215,14 +224,14 @@ void LuFactor::ftran(IndexedVector& x) const {
   apply_l(x);
   // U backsolve, pivots in reverse order; result lands in position space.
   result_.clear();
-  for (std::size_t k = u_.size(); k-- > 0;) {
-    const UCol& uc = u_[k];
-    const double xr = x.values[static_cast<std::size_t>(uc.pivot_row)];
+  for (std::size_t k = pivot_row_.size(); k-- > 0;) {
+    const double xr = x.values[static_cast<std::size_t>(pivot_row_[k])];
     if (xr == 0.0) continue;
-    const double z = xr / uc.diag;
-    result_.set(uc.position, z);
-    for (const auto& [j, uv] : uc.entries) {
-      x.add(u_[static_cast<std::size_t>(j)].pivot_row, -uv * z);
+    const double z = xr / u_diag_[k];
+    result_.set(u_position_[k], z);
+    for (std::size_t e = u_start_[k]; e < u_start_[k + 1]; ++e) {
+      const auto j = static_cast<std::size_t>(u_index_[e]);
+      x.add(pivot_row_[j], -u_value_[e] * z);
     }
   }
   x.clear();
@@ -231,34 +240,33 @@ void LuFactor::ftran(IndexedVector& x) const {
 
 void LuFactor::btran(IndexedVector& x) const {
   // U^T forward solve into gwork_ (indexed by pivot order).
-  const std::size_t kp = u_.size();
+  const std::size_t kp = pivot_row_.size();
   for (std::size_t k = 0; k < kp; ++k) {
-    const UCol& uc = u_[k];
-    double acc = x.values[static_cast<std::size_t>(uc.position)];
-    for (const auto& [j, uv] : uc.entries) {
-      const double g = gwork_[static_cast<std::size_t>(j)];
-      if (g != 0.0) acc -= uv * g;
+    double acc = x.values[static_cast<std::size_t>(u_position_[k])];
+    for (std::size_t e = u_start_[k]; e < u_start_[k + 1]; ++e) {
+      const double g = gwork_[static_cast<std::size_t>(u_index_[e])];
+      if (g != 0.0) acc -= u_value_[e] * g;
     }
-    gwork_[k] = acc == 0.0 ? 0.0 : acc / uc.diag;
+    gwork_[k] = acc == 0.0 ? 0.0 : acc / u_diag_[k];
   }
   // Scatter into row space and apply L^T etas in reverse order.
   x.clear();
   for (std::size_t k = 0; k < kp; ++k) {
-    if (gwork_[k] != 0.0) x.set(u_[k].pivot_row, gwork_[k]);
+    if (gwork_[k] != 0.0) x.set(pivot_row_[k], gwork_[k]);
     gwork_[k] = 0.0;
   }
   for (std::size_t k = kp; k-- > 0;) {
-    const LEta& eta = l_[k];
-    double acc = x.values[static_cast<std::size_t>(eta.pivot_row)];
+    const int row = pivot_row_[k];
+    double acc = x.values[static_cast<std::size_t>(row)];
     bool any = acc != 0.0;
-    for (const auto& [i, l] : eta.entries) {
-      const double v = x.values[static_cast<std::size_t>(i)];
+    for (std::size_t e = l_start_[k]; e < l_start_[k + 1]; ++e) {
+      const double v = x.values[static_cast<std::size_t>(l_index_[e])];
       if (v != 0.0) {
-        acc -= l * v;
+        acc -= l_value_[e] * v;
         any = true;
       }
     }
-    if (any) x.set(eta.pivot_row, acc);
+    if (any) x.set(row, acc);
   }
 }
 

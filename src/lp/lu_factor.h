@@ -10,6 +10,12 @@
 // sparsity of the right-hand side (an ordered worklist applies only the L
 // etas actually reached by the rhs pattern).
 //
+// Both factors live in flat CSR-style arrays (per pivot: a start offset
+// into shared index and value arrays), as do the symbolic pass's row lists
+// and counters. A factorize() overwrites them in place, so an object that
+// refactorizes bases of similar size, as every simplex solve does, stops
+// allocating after its first factorizations.
+//
 // Singular or near-singular input columns are not fatal: factorize()
 // reports them as rejected so the caller (lp::Basis) can repair the basis
 // by substituting logical columns for the unpivoted rows — that is how warm
@@ -84,28 +90,43 @@ class LuFactor {
     return unpivoted_rows_;
   }
   /// Total stored nonzeros in L + U (fill measure).
-  [[nodiscard]] std::size_t fill_nnz() const { return fill_nnz_; }
+  [[nodiscard]] std::size_t fill_nnz() const {
+    return l_index_.size() + u_index_.size() + pivot_row_.size();
+  }
   [[nodiscard]] std::size_t size() const { return m_; }
 
  private:
-  struct LEta {
-    int pivot_row = -1;
-    std::vector<std::pair<int, double>> entries;  ///< (row, multiplier)
-  };
-  struct UCol {
-    int position = -1;     ///< basis position of this pivot's column
-    int pivot_row = -1;
-    double diag = 0.0;
-    std::vector<std::pair<int, double>> entries;  ///< (earlier pivot k, u)
-  };
-
   std::size_t m_ = 0;
-  std::size_t fill_nnz_ = 0;
-  std::vector<LEta> l_;             ///< in pivot order, unit diagonal
-  std::vector<UCol> u_;             ///< parallel to l_
+  // Factors, per pivot k in pivot order. L eta k (unit diagonal) holds
+  // (row, multiplier) pairs in [l_start_[k], l_start_[k + 1]); U column k
+  // holds (earlier pivot, u) pairs in [u_start_[k], u_start_[k + 1]) plus
+  // its diagonal. Both share the pivot row.
+  std::vector<int> pivot_row_;
+  std::vector<int> u_position_;  ///< basis position of pivot k's column
+  std::vector<double> u_diag_;
+  std::vector<std::size_t> l_start_;
+  std::vector<int> l_index_;
+  std::vector<double> l_value_;
+  std::vector<std::size_t> u_start_;
+  std::vector<int> u_index_;
+  std::vector<double> u_value_;
   std::vector<int> eta_of_row_;     ///< pivot row -> pivot index, -1 if none
   std::vector<int> unpivoted_rows_;
   void apply_l(IndexedVector& x) const;
+
+  // Symbolic-pass state, rebuilt by every factorize(): each row's column
+  // positions in ascending order (row_cols_ from row_start_[r]), the live
+  // counts and flags, the singleton queues, and the pivot order.
+  std::vector<int> row_start_;
+  std::vector<int> row_cols_;
+  std::vector<int> colcount_;
+  std::vector<int> rowcount_;
+  std::vector<unsigned char> col_active_;
+  std::vector<unsigned char> row_active_;
+  std::vector<int> col_queue_;
+  std::vector<int> row_queue_;
+  std::vector<int> nucleus_;
+  std::vector<std::pair<int, int>> order_;  ///< (position, pinned row or -1)
 
   // Workspaces reused across factorize/ftran calls (single-threaded use;
   // the simplex owns one LuFactor per solve).
