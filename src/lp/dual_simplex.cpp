@@ -24,16 +24,18 @@ constexpr int kMaxFinishRounds = 3;
 class DualEngine::Impl : SimplexCore {
  public:
   Impl(const StandardForm& sf, const SimplexOptions& options)
-      : SimplexCore(sf, options) {}
+      : SimplexCore(sf, options), d_(total_, 0.0) {}
 
   /// The core's reload, plus the engine's own per-solve state: the flip
-  /// counter, the ratio-test lists and the Bland flag go back to what
-  /// construction leaves, so a reloaded run is bit-identical to a fresh one.
+  /// counter, the drift record, the ratio-test lists and the Bland flag go
+  /// back to what construction leaves, so a reloaded run is bit-identical
+  /// to a fresh one. d_ needs no reset: every run recomputes it before use.
   void reload(const StandardForm& sf, const SimplexOptions& options) {
     SimplexCore::reload(sf, options);
     breakpoints_.clear();
     flips_.clear();
     bound_flips_ = 0;
+    max_dj_drift_ = 0.0;
     bland_ = false;
   }
 
@@ -45,6 +47,7 @@ class DualEngine::Impl : SimplexCore {
     if (!load_with_repair()) {
       throw InternalError("dual simplex: basis failed to factorize");
     }
+    duals_ = Duals::kStale;
     compute_basic_values();
     if (!make_dual_feasible()) {
       // The start cannot be repaired by bound flips (an unboxed column's
@@ -71,15 +74,25 @@ class DualEngine::Impl : SimplexCore {
     return lower_[j] > -kInf && upper_[j] < kInf && upper_[j] > lower_[j];
   }
 
+  /// Refactorizes and recomputes the basic values and reduced costs from
+  /// scratch on the fresh factors.
   bool refactorize() {
+    const std::size_t loads = basis_state_.factorizations();
     if (!load_with_repair()) return false;
+    // A repair swapped columns: the updated reduced costs belong to another
+    // basis and say nothing about drift.
+    if (basis_state_.factorizations() - loads > 1) duals_ = Duals::kStale;
     compute_basic_values();
+    compute_duals();
     return true;
   }
 
   // ---- dual machinery ----------------------------------------------------
 
-  /// Recomputes the duals y = B^-T c_B into cb_.
+  /// Recomputes the duals y = B^-T c_B into cb_ and from them every reduced
+  /// cost d_j = c_j - y^T a_j into d_ (zero on basics). When d_ was updated
+  /// since the last recompute, records the largest gap between the updated
+  /// and the fresh value over the nonbasics in max_dj_drift_.
   void compute_duals() {
     cb_.clear();
     for (std::size_t p = 0; p < m_; ++p) {
@@ -87,29 +100,35 @@ class DualEngine::Impl : SimplexCore {
       if (c != 0.0) cb_.set(static_cast<int>(p), c);
     }
     basis_state_.btran(cb_);
-  }
-
-  [[nodiscard]] double reduced_cost(int j) const {
-    const auto ju = static_cast<std::size_t>(j);
-    double d = cost_[ju];
-    for (const auto& [r, v] : columns_[ju]) {
-      d -= cb_.values[r] * v;
+    for (std::size_t j = 0; j < total_; ++j) {
+      if (status_[j] == VarStatus::kBasic) {
+        d_[j] = 0.0;
+        continue;
+      }
+      double d = cost_[j];
+      for (const auto& [r, v] : columns_[j]) d -= cb_.values[r] * v;
+      if (duals_ == Duals::kUpdated) {
+        max_dj_drift_ = std::max(max_dj_drift_, std::abs(d - d_[j]));
+      }
+      d_[j] = d;
     }
-    return d;
+    duals_ = Duals::kFresh;
   }
 
   /// Flips every wrong-sign BOXED nonbasic onto its other bound; returns
   /// false when an unboxed nonbasic has a wrong-sign reduced cost (the
-  /// start is not dual-repairable by flips). Recomputes basic values when
-  /// anything flipped.
+  /// start is not dual-repairable by flips). Reads reduced costs computed
+  /// from scratch on the current factors, recomputing them unless a
+  /// refactorization just did. Recomputes basic values when anything
+  /// flipped (flips move no dual).
   bool make_dual_feasible() {
-    compute_duals();
+    if (duals_ != Duals::kFresh) compute_duals();
     const double dtol = options_.optimality_tol;
     bool flipped = false;
     for (std::size_t j = 0; j < total_; ++j) {
       if (status_[j] == VarStatus::kBasic) continue;
       if (!(upper_[j] - lower_[j] > 0.0)) continue;  // fixed: any sign is fine
-      const double d = reduced_cost(static_cast<int>(j));
+      const double d = d_[j];
       if (status_[j] == VarStatus::kAtLower && d < -dtol) {
         if (upper_[j] == kInf) return false;
         status_[j] = VarStatus::kAtUpper;
@@ -192,8 +211,6 @@ class DualEngine::Impl : SimplexCore {
         return SolveStatus::kOptimal;
       }
 
-      compute_duals();
-
       const auto leave_col =
           static_cast<std::size_t>(basis_[static_cast<std::size_t>(r)]);
       const double x_r = x_basic_[static_cast<std::size_t>(r)];
@@ -228,12 +245,10 @@ class DualEngine::Impl : SimplexCore {
         } else {
           if (q >= -kAlphaTol) continue;
         }
-        const double d = reduced_cost(j);
-        double ratio = d / q;
+        double ratio = d_[ju] / q;
         if (ratio < 0.0) ratio = 0.0;  // within-tolerance dual drift
         breakpoints_.push_back({ratio, j, q});
       }
-      alpha_.clear();
 
       if (breakpoints_.empty()) {
         if (basis_state_.update_count() > 0) {
@@ -340,9 +355,24 @@ class DualEngine::Impl : SimplexCore {
       }
       bwork_.clear();
 
+      // Reduced costs from the pivot row: the duals move by theta * rho,
+      // so every nonbasic d_j drops by theta * alpha_j, the leaving column
+      // leaves at -theta and the entering one enters at zero. Flips move
+      // no dual.
+      const auto ent = static_cast<std::size_t>(entering);
+      const double theta = d_[ent] / alpha_.values[ent];
+      for (int j : alpha_.nz) {
+        const auto ju = static_cast<std::size_t>(j);
+        if (status_[ju] == VarStatus::kBasic) continue;
+        d_[ju] -= theta * alpha_.values[ju];
+      }
+      d_[leave_col] = -theta;
+      d_[ent] = 0.0;
+      duals_ = Duals::kUpdated;
+      alpha_.clear();
+
       // Pivot: entering moves off its bound far enough to bring the leaving
       // basic exactly to its violated bound (post-flip violation).
-      const auto ent = static_cast<std::size_t>(entering);
       const double bound_r =
           sigma > 0.0 ? upper_[leave_col] : lower_[leave_col];
       const double delta_q =
@@ -384,11 +414,24 @@ class DualEngine::Impl : SimplexCore {
     stats->factorizations = factorizations();
     stats->eta_nnz = basis_state_.eta_nnz();
     stats->bound_flips = bound_flips_;
+    stats->max_dj_drift = max_dj_drift_;
   }
 
   std::size_t factorizations_before_ = 0;
   std::size_t bound_flips_ = 0;
   bool bland_ = false;
+
+  /// Reduced cost of every column (zero on basics): recomputed from scratch
+  /// by compute_duals(), updated from the pivot row by each pivot.
+  std::vector<double> d_;
+  /// Where d_ stands against the current basis.
+  enum class Duals {
+    kStale,    ///< not computed for it (a run's start, a basis repair)
+    kFresh,    ///< recomputed from scratch on the current factors
+    kUpdated,  ///< recomputed, then updated from at least one pivot row
+  };
+  Duals duals_ = Duals::kStale;
+  double max_dj_drift_ = 0.0;
 
   std::vector<Breakpoint> breakpoints_;
   std::vector<int> flips_;

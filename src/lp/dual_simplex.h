@@ -23,6 +23,14 @@
 // single batched FTRAN for all of them) where the primal pays an iteration
 // per flip.
 //
+// The engine keeps every column's reduced cost and updates it from the
+// pivot row the ratio test already forms: a pivot moves the duals by
+// theta * rho, so each nonbasic d_j drops by theta * alpha_j. The reduced
+// costs are recomputed from scratch (a BTRAN of the basic costs) only at
+// each refactorization, so optimality is still declared on fresh factors
+// and fresh reduced costs; DualSolveStats::max_dj_drift reports how far the
+// updates had drifted at those recomputes.
+//
 // The engine never fails hard: any condition it cannot handle — a start
 // that cannot be made dual feasible by bound flips, numerical trouble a
 // refactorization does not cure, residual dual infeasibility at the end —
@@ -51,6 +59,10 @@ struct DualSolveStats {
   std::size_t factorizations = 0;
   std::size_t eta_nnz = 0;
   std::size_t bound_flips = 0;  ///< nonbasic flips (ratio-test + start repair)
+  /// Largest |updated - recomputed| reduced cost over the nonbasics, taken
+  /// at every from-scratch recompute that follows at least one pivot-row
+  /// update; 0 when none did.
+  double max_dj_drift = 0.0;
 };
 
 /// A dual simplex engine over one standard form's structure. Not copyable;

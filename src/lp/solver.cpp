@@ -40,6 +40,7 @@ struct SolveMetrics {
   obs::Counter& presolve_variables_fixed;
   obs::Counter& presolve_uppers_implied;
   obs::Histogram& eta_nnz;
+  obs::Histogram& dual_dj_drift;
   obs::Histogram& solve_s;
   obs::Histogram& solve_dense_s;
   obs::Histogram& solve_sparse_s;
@@ -73,6 +74,8 @@ struct SolveMetrics {
           r.counter("sb.lp.presolve_variables_fixed"),
           r.counter("sb.lp.presolve_uppers_implied"),
           r.histogram("sb.lp.eta_nnz"),
+          // From roundoff up to an update gone wrong.
+          r.histogram("sb.lp.dual_dj_drift", {1e-16, 1e-2, 70}),
           r.histogram("sb.lp.solve_s"),
           r.histogram("sb.lp.solve_dense_s"),
           r.histogram("sb.lp.solve_sparse_s"),
@@ -315,6 +318,7 @@ Solution RetainedLp::run(const Model& model, const SolveOptions& options,
         metrics.factorizations.inc(dual_stats.factorizations);
         metrics.bound_flips.inc(dual_stats.bound_flips);
         metrics.eta_nnz.record(static_cast<double>(dual_stats.eta_nnz));
+        metrics.dual_dj_drift.record(dual_stats.max_dj_drift);
         if (finish_on_primal(sf, options, raw, &stats)) {
           metrics.dual_fallbacks.inc();
           have_sparse_stats = true;

@@ -6,14 +6,18 @@
 // dense tableau's optimal objective, and every answer must pass the
 // independent feasibility validator. Additional sweeps force Bland's
 // anti-cycling rule almost immediately (stall_limit = 1) and check that
-// parallel decomposition is bit-identical to its sequential run.
+// parallel decomposition is bit-identical to its sequential run. Every
+// forced-dual case also runs the dual engine on the model's standard form
+// directly and bounds the drift of its pivot-row-updated reduced costs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
+#include "lp/dual_simplex.h"
 #include "lp/solver.h"
+#include "lp/standard_form.h"
 #include "lp_models.h"
 
 namespace sb::lp {
@@ -114,6 +118,21 @@ void expect_sparse_matches_dense(const Model& m, const SolveOptions& sparse_opt,
   EXPECT_EQ(sparse.basis.size(), m.variable_count());
 }
 
+/// The dual engine updates its reduced costs from each pivot row and
+/// recomputes them from scratch at every refactorization; the largest gap
+/// between the two at those recomputes (DualSolveStats::max_dj_drift) must
+/// stay at roundoff scale relative to the largest cost.
+void expect_small_dual_drift(const Model& m, const SimplexOptions& options,
+                             std::uint64_t seed) {
+  const StandardForm sf = to_standard_form(m, BoundPolicy::kInline);
+  if (sf.rows.empty()) return;
+  DualSolveStats stats;
+  (void)solve_dual(sf, options, nullptr, &stats);
+  double max_cost = 1.0;
+  for (double c : sf.cost) max_cost = std::max(max_cost, std::abs(c));
+  EXPECT_LE(stats.max_dj_drift, 1e-9 * max_cost) << "seed=" << seed;
+}
+
 class BoundedRandomDifferentialTest
     : public ::testing::TestWithParam<DiffSpec> {};
 
@@ -132,6 +151,7 @@ TEST_P(BoundedRandomDifferentialTest, DualMatchesDense) {
   SolveOptions dual_opt;
   dual_opt.method = Method::kDual;
   expect_sparse_matches_dense(m, dual_opt, GetParam().seed);
+  expect_small_dual_drift(m, dual_opt, GetParam().seed);
 }
 
 std::vector<DiffSpec> make_bounded_specs() {
@@ -170,6 +190,7 @@ TEST_P(FlipHeavyDifferentialTest, DualMatchesDense) {
   SolveOptions dual_opt;
   dual_opt.method = Method::kDual;
   expect_sparse_matches_dense(m, dual_opt, GetParam().seed);
+  expect_small_dual_drift(m, dual_opt, GetParam().seed);
 }
 
 std::vector<DiffSpec> make_flip_heavy_specs() {
@@ -218,6 +239,7 @@ TEST_P(ProvisioningShapedDifferentialTest, DualMatchesDense) {
   SolveOptions dual_opt;
   dual_opt.method = Method::kDual;
   expect_sparse_matches_dense(m, dual_opt, p.seed);
+  expect_small_dual_drift(m, dual_opt, p.seed);
 }
 
 std::vector<ProvShape> make_prov_shapes() {
@@ -267,6 +289,7 @@ TEST_P(BlandFallbackTest, DegenerateInstancesSolveUnderDualBland) {
   dual_opt.method = Method::kDual;
   dual_opt.stall_limit = 1;
   expect_sparse_matches_dense(m, dual_opt, GetParam());
+  expect_small_dual_drift(m, dual_opt, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BlandFallbackTest,

@@ -10,6 +10,7 @@
 // infeasible re-solves and dense-tableau models are covered too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -114,6 +115,34 @@ TEST(RetainedLpTest, ProvisioningChainsMatchFreshSolves) {
     check_chain(make_provisioning_lp(6 + seed, 8, 4, 300 + seed), seed, 6,
                 {}, "provisioning seed " + std::to_string(seed));
   }
+}
+
+// The same chains through the metrics path: every dual re-solve publishes
+// the drift of its pivot-row-updated reduced costs against their
+// from-scratch recompute (sb.lp.dual_dj_drift), which must stay at
+// roundoff scale relative to the largest cost. The bound is absolute, so
+// it holds where the duals are of the costs' order, as here; the random
+// chains above reach duals near 1e4 and drift by up to ~2e-8.
+TEST(RetainedLpTest, ProvisioningChainsKeepReducedCostDriftSmall) {
+#ifndef SB_METRICS_ENABLED
+  GTEST_SKIP() << "reads the sb.lp.dual_dj_drift histogram";
+#else
+  obs::Histogram& drift_histogram =
+      obs::MetricsRegistry::global().histogram("sb.lp.dual_dj_drift");
+  drift_histogram.reset();  // this test's chains only
+  double max_cost = 1.0;
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const Model model = make_provisioning_lp(6 + seed, 8, 4, 300 + seed);
+    for (const Variable& v : model.variables()) {
+      max_cost = std::max(max_cost, std::abs(v.cost));
+    }
+    check_chain(model, seed, 6, {},
+                "provisioning seed " + std::to_string(seed));
+  }
+  const obs::HistogramData drift = drift_histogram.collect();
+  EXPECT_GT(drift.count, 0u);
+  EXPECT_LE(drift.max, 1e-9 * max_cost);
+#endif
 }
 
 // The retained engine is built by the first dual re-solve and reused by
