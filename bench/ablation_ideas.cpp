@@ -56,7 +56,7 @@ int run(int argc, char** argv) {
   const EvalContext ctx{&scenario.world(), &scenario.topology(),
                         &scenario.latency(), scenario.registry.get(), &loads};
   const DemandMatrix demand =
-      bench::design_day_demand(scenario, slot_s, configs);
+      design_day_demand(scenario, slot_s, configs);
   const World& world = scenario.world();
   const Topology& topo = scenario.topology();
 

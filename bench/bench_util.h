@@ -1,6 +1,7 @@
 // Shared helpers for the bench binaries: tiny --key=value argument parsing
-// and consistent workload construction, so every table/figure bench runs on
-// the same scenario defaults (see EXPERIMENTS.md).
+// and one-line JSON results. Workloads come from trace/scenario.h
+// (make_apac_scenario, design_day_demand), so every table/figure bench runs
+// on the same scenario defaults (see EXPERIMENTS.md).
 #pragma once
 
 #include <cmath>
@@ -10,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "calls/demand.h"
 #include "common/table.h"
 #include "trace/scenario.h"
 
@@ -106,32 +106,5 @@ class Flags {
   const char* usage_;
   std::vector<Arg> args_;
 };
-
-/// Restricts a demand matrix to its first `top_k` columns (the trace
-/// universe is sorted by base rate, so these are the most popular configs —
-/// the §5.2 "top 1%" device that keeps the LP tractable).
-inline DemandMatrix top_k_demand(const DemandMatrix& full, std::size_t top_k) {
-  const std::size_t k = std::min(top_k, full.config_count());
-  std::vector<ConfigId> configs;
-  configs.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) configs.push_back(full.config_at(i));
-  DemandMatrix out = make_demand_matrix(std::move(configs), full.slot_count());
-  for (TimeSlot t = 0; t < full.slot_count(); ++t) {
-    for (std::size_t c = 0; c < k; ++c) {
-      out.set_demand(t, c, full.demand(t, c));
-    }
-  }
-  return out;
-}
-
-/// A design-day demand matrix: expected demand of the scenario's trace over
-/// one representative weekday (Tuesday), `slot_s`-second slots, top-k
-/// configs.
-inline DemandMatrix design_day_demand(const Scenario& scenario, double slot_s,
-                                      std::size_t top_k) {
-  const DemandMatrix full = scenario.trace->expected_demand(
-      slot_s, kSecondsPerDay, 2 * kSecondsPerDay);
-  return top_k_demand(full, top_k);
-}
 
 }  // namespace sb::bench

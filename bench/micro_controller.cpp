@@ -232,7 +232,7 @@ BENCHMARK(BM_AclComputation);
 struct ReprovisionDay {
   Scenario scenario = make_apac_scenario({.seed = 1});
   LoadModel loads = LoadModel::paper_default();
-  DemandMatrix demand = bench::design_day_demand(scenario, 3600.0, 30);
+  DemandMatrix demand = design_day_demand(scenario, 3600.0, 30);
 
   [[nodiscard]] EvalContext ctx() const {
     return {&scenario.world(), &scenario.topology(), &scenario.latency(),
@@ -282,11 +282,11 @@ void BM_Reprovision(benchmark::State& state, Reprovision variant) {
   const bool spans_were_enabled = spans.enabled();
   spans.set_enabled(false);
   ScenarioBasisHint cold;
-  (void)prov.provision(day.demand, nullptr, &cold);
+  (void)prov.provision(day.demand, &cold);
   ScenarioBasisHint hint;
   if (variant == Reprovision::kSteady) {
     hint = cold;
-    (void)prov.provision(demand, &hint, &hint);
+    (void)prov.provision(demand, &hint);
   }
   std::size_t lp_iterations = 0;
   double provision_s = 0.0;
@@ -300,7 +300,7 @@ void BM_Reprovision(benchmark::State& state, Reprovision variant) {
     const auto t0 = std::chrono::steady_clock::now();
     const ProvisionResult result =
         variant == Reprovision::kCold ? prov.provision(demand)
-                                      : prov.provision(demand, &hint, &hint);
+                                      : prov.provision(demand, &hint);
     provision_s += std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)
                        .count();

@@ -59,12 +59,8 @@ int main(int argc, char** argv) {
   // Provision once (with backup, §5.3) on the cushioned design day; every
   // per-DC run rebuilds the plan, which also resets the selector state.
   const double slot_s = 3600.0;
-  DemandMatrix demand = bench::design_day_demand(scenario, slot_s, plan_configs);
-  for (TimeSlot t = 0; t < demand.slot_count(); ++t) {
-    for (std::size_t c = 0; c < demand.config_count(); ++c) {
-      demand.set_demand(t, c, demand.demand(t, c) * cushion);
-    }
-  }
+  const DemandMatrix demand =
+      design_day_demand(scenario, slot_s, plan_configs, cushion);
   ControllerOptions options;
   options.provision.include_link_failures = false;
   Switchboard controller(ctx, options);

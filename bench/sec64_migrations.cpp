@@ -38,13 +38,8 @@ int main(int argc, char** argv) {
 
   // Build a Switchboard allocation plan for the day, then replay a busy
   // window against all three allocators.
-  DemandMatrix demand =
-      bench::design_day_demand(scenario, 3600.0, plan_configs);
-  for (TimeSlot t = 0; t < demand.slot_count(); ++t) {
-    for (std::size_t c = 0; c < demand.config_count(); ++c) {
-      demand.set_demand(t, c, demand.demand(t, c) * cushion);
-    }
-  }
+  const DemandMatrix demand =
+      design_day_demand(scenario, 3600.0, plan_configs, cushion);
   const double start = kSecondsPerDay;
   ControllerOptions options;
   options.provision.include_link_failures = false;

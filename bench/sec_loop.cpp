@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   // Forecast: the base design day, amplified, with no knowledge of the
   // spike. Both controllers provision and plan from exactly this matrix.
   const double slot_s = 3600.0;
-  DemandMatrix forecast = bench::design_day_demand(scenario, slot_s, 30);
+  DemandMatrix forecast = design_day_demand(scenario, slot_s, 30);
   for (TimeSlot t = 0; t < forecast.slot_count(); ++t) {
     for (std::size_t c = 0; c < forecast.config_count(); ++c) {
       forecast.set_demand(t, c, forecast.demand(t, c) * amplify);

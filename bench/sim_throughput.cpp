@@ -62,10 +62,11 @@ int main(int argc, char** argv) {
   // to load a replay engine. Amplify both the trace (deterministic
   // duplication via DemandSchedule::scale_trace) and the plan demand by the
   // same factor, so the plan-slot path sees production-like call volume.
-  DemandMatrix demand = bench::design_day_demand(scenario, slot_s, plan_configs);
+  DemandMatrix demand =
+      design_day_demand(scenario, slot_s, plan_configs, cushion);
   for (TimeSlot t = 0; t < demand.slot_count(); ++t) {
     for (std::size_t c = 0; c < demand.config_count(); ++c) {
-      demand.set_demand(t, c, demand.demand(t, c) * cushion * amplify);
+      demand.set_demand(t, c, demand.demand(t, c) * amplify);
     }
   }
   ControllerOptions options;

@@ -10,15 +10,22 @@
 //   SB     1.00   0.14  0.29  0.51      1.00   0.43  0.49  0.45
 //
 // The absolute numbers depend on the (synthetic) workload and cost model;
-// the orderings and rough factors are what this bench validates.
+// the orderings and rough factors are what this bench validates. It prints
+// each half's claim values through bench::emit_json and exits 1 (ctest
+// table3_provisioning_claim, label paper) unless, with and without backup,
+// the Eq 3 cost orders SB < LF < RR and SB's mean ACL stays within the
+// 120 ms threshold (kAclThresholdMs).
 //
 // Flags: --slot_s=7200 --configs=24 --rate_scale=1 --link_failures=1. A
 // bad flag prints usage to stderr and exits 2.
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "baselines/locality_first.h"
 #include "baselines/round_robin.h"
 #include "bench_util.h"
+#include "calls/acl.h"
 #include "core/allocation_plan.h"
 #include "core/provisioner.h"
 
@@ -84,13 +91,18 @@ int run(int argc, char** argv) {
   const EvalContext ctx{&scenario.world(), &scenario.topology(),
                         &scenario.latency(), scenario.registry.get(), &loads};
   const DemandMatrix demand =
-      bench::design_day_demand(scenario, slot_s, configs);
+      design_day_demand(scenario, slot_s, configs);
   std::cout << "total concurrent-call demand (slot-summed): "
             << format_double(demand.total(), 0) << "\n";
 
   const World& world = scenario.world();
   const Topology& topo = scenario.topology();
 
+  struct Claim {
+    std::string what;
+    bool held;
+  };
+  std::vector<Claim> claims;
   for (const bool with_backup : {false, true}) {
     BaselineOptions base_options;
     base_options.with_backup = with_backup;
@@ -137,8 +149,31 @@ int run(int argc, char** argv) {
     std::cout << "SB cost savings: " << format_double(100.0 * savings_rr, 0)
               << "% vs RR, " << format_double(100.0 * savings_lf, 0)
               << "% vs LF (paper with backup: 51% and 23%)\n";
+
+    const std::string half = with_backup ? "with_backup" : "no_backup";
+    claims.push_back({half + ": Eq 3 cost SB < LF < RR",
+                      rows[2].cost() < rows[1].cost() &&
+                          rows[1].cost() < rows[0].cost()});
+    claims.push_back({half + ": SB mean ACL within 120 ms",
+                      sb_acl <= kAclThresholdMs});
+    bench::emit_json("table3_provisioning", half + "_sb_cost_vs_rr",
+                     rows[2].cost() / rows[0].cost());
+    bench::emit_json("table3_provisioning", half + "_lf_cost_vs_rr",
+                     rows[1].cost() / rows[0].cost());
+    bench::emit_json("table3_provisioning", half + "_sb_acl_ms", sb_acl);
+    bench::emit_json("table3_provisioning", half + "_sb_wan_gbps",
+                     rows[2].wan);
+    bench::emit_json("table3_provisioning", half + "_lf_wan_gbps",
+                     rows[1].wan);
   }
-  return 0;
+  bool all_held = true;
+  std::cout << "\n";
+  for (const Claim& claim : claims) {
+    std::cout << (claim.held ? "claim holds: " : "REGRESSION: claim broken: ")
+              << claim.what << "\n";
+    all_held = all_held && claim.held;
+  }
+  return all_held ? 0 : 1;
 }
 
 }  // namespace sb

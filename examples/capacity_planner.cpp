@@ -40,22 +40,12 @@ int main(int argc, char** argv) {
   const Topology& topo = scenario.topology();
 
   // Expected demand for a representative weekday, top-K configs.
-  DemandMatrix full = scenario.trace->expected_demand(
-      slot_s, kSecondsPerDay, 2 * kSecondsPerDay);
-  std::vector<ConfigId> top;
-  for (std::size_t i = 0; i < std::min(configs, full.config_count()); ++i) {
-    top.push_back(full.config_at(i));
-  }
-  DemandMatrix demand = make_demand_matrix(top, full.slot_count());
-  for (TimeSlot t = 0; t < full.slot_count(); ++t) {
-    for (std::size_t c = 0; c < top.size(); ++c) {
-      demand.set_demand(t, c, full.demand(t, c));
-    }
-  }
+  const DemandMatrix demand = design_day_demand(scenario, slot_s, configs);
 
   std::cout << "Capacity planning for the APAC region ("
             << world.dc_count() << " DCs, " << topo.link_count()
-            << " WAN links, top-" << top.size() << " call configs)\n\n";
+            << " WAN links, top-" << demand.config_count()
+            << " call configs)\n\n";
 
   const BaselineResult rr = provision_round_robin(demand, ctx);
   const BaselineResult lf = provision_locality_first(demand, ctx);

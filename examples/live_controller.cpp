@@ -134,18 +134,7 @@ int main(int argc, char** argv) {
 
   // Offline stage: provision and plan for the day (top-K configs, with a
   // §5.2 cushion so realized Poisson load fits the plan's slots).
-  DemandMatrix full = scenario.trace->expected_demand(
-      3600.0, kSecondsPerDay, 2 * kSecondsPerDay);
-  std::vector<ConfigId> top;
-  for (std::size_t i = 0; i < std::min(configs, full.config_count()); ++i) {
-    top.push_back(full.config_at(i));
-  }
-  DemandMatrix demand = make_demand_matrix(top, full.slot_count());
-  for (TimeSlot t = 0; t < full.slot_count(); ++t) {
-    for (std::size_t c = 0; c < top.size(); ++c) {
-      demand.set_demand(t, c, full.demand(t, c) * 1.3);
-    }
-  }
+  const DemandMatrix demand = design_day_demand(scenario, 3600.0, configs, 1.3);
 
   ControllerOptions options;
   options.provision.include_link_failures = false;  // keep the demo quick

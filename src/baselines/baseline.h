@@ -22,7 +22,6 @@ struct BaselineOptions {
   /// Provision backup compute + the WAN peaks of failure scenarios.
   bool with_backup = true;
   bool include_link_failures = true;
-  double acl_threshold_ms = kDefaultAclThresholdMs;
 };
 
 /// DCs a config's calls may use: the DCs of the majority location's region

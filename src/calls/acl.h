@@ -12,8 +12,10 @@
 
 namespace sb {
 
-/// The paper's one-way ACL threshold in milliseconds.
-inline constexpr double kDefaultAclThresholdMs = 120.0;
+/// The paper's one-way ACL threshold in milliseconds (Eq 4). The
+/// provisioning LPs and the allocation plan both admit a DC for a config only
+/// within it, so a plan never needs a DC its capacity was not provisioned at.
+inline constexpr double kAclThresholdMs = 120.0;
 
 /// ACL of hosting a call of `config` at `dc`: sum over participants of
 /// Lat(dc, participant location) divided by participant count.
@@ -26,7 +28,7 @@ double acl_ms(const CallConfig& config, DcId dc, const LatencyMatrix& latency);
 std::vector<DcId> feasible_dcs(const CallConfig& config,
                                const std::vector<DcId>& candidates,
                                const LatencyMatrix& latency,
-                               double threshold_ms = kDefaultAclThresholdMs);
+                               double threshold_ms = kAclThresholdMs);
 
 /// Minimum-ACL DC among candidates (the Locality-First choice, §3.2).
 DcId min_acl_dc(const CallConfig& config, const std::vector<DcId>& candidates,

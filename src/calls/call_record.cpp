@@ -1,8 +1,6 @@
 #include "calls/call_record.h"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_map>
 
 #include "common/error.h"
 
@@ -19,47 +17,6 @@ void CallRecordDatabase::add(CallRecord record) {
                          }),
           "CallRecordDatabase::add: legs must be sorted by join offset");
   records_.push_back(std::move(record));
-}
-
-std::vector<std::pair<ConfigId, std::uint64_t>>
-CallRecordDatabase::config_counts() const {
-  std::unordered_map<ConfigId, std::uint64_t> counts;
-  for (const CallRecord& r : records_) ++counts[r.config];
-  std::vector<std::pair<ConfigId, std::uint64_t>> out(counts.begin(),
-                                                      counts.end());
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  return out;
-}
-
-std::vector<ConfigId> CallRecordDatabase::top_configs(std::size_t k) const {
-  auto counts = config_counts();
-  if (counts.size() > k) counts.resize(k);
-  std::vector<ConfigId> out;
-  out.reserve(counts.size());
-  for (const auto& [config, _] : counts) out.push_back(config);
-  return out;
-}
-
-std::vector<double> CallRecordDatabase::arrival_series(ConfigId config,
-                                                       double bucket_s,
-                                                       SimTime start_s,
-                                                       SimTime end_s) const {
-  require(bucket_s > 0.0, "arrival_series: bucket width must be positive");
-  require(end_s > start_s, "arrival_series: empty window");
-  const auto buckets =
-      static_cast<std::size_t>(std::ceil((end_s - start_s) / bucket_s));
-  std::vector<double> series(buckets, 0.0);
-  for (const CallRecord& r : records_) {
-    if (r.config != config || r.start_s < start_s || r.start_s >= end_s) {
-      continue;
-    }
-    const auto b = static_cast<std::size_t>((r.start_s - start_s) / bucket_s);
-    series[std::min(b, buckets - 1)] += 1.0;
-  }
-  return series;
 }
 
 std::vector<double> CallRecordDatabase::join_offsets() const {

@@ -32,9 +32,7 @@ struct CallRecord {
   double media_change_offset_s = 0.0;
 };
 
-/// In-memory store of call records with the groupings the paper's pipeline
-/// needs: per-config counts (Fig 7c), per-config time series (Fig 7a/b, §5.2
-/// forecasting input), and join-offset pooling (Fig 8).
+/// In-memory store of call records, with the join-offset pooling of Fig 8.
 class CallRecordDatabase {
  public:
   void add(CallRecord record);
@@ -44,20 +42,6 @@ class CallRecordDatabase {
     return records_;
   }
   [[nodiscard]] std::size_t size() const { return records_.size(); }
-
-  /// Total calls per config, sorted descending by count.
-  [[nodiscard]] std::vector<std::pair<ConfigId, std::uint64_t>> config_counts()
-      const;
-
-  /// The `k` most populous configs (ties broken by id).
-  [[nodiscard]] std::vector<ConfigId> top_configs(std::size_t k) const;
-
-  /// Arrival counts of `config` per bucket over [start_s, end_s), bucket
-  /// width `bucket_s`. This is the §5.2 forecasting time series.
-  [[nodiscard]] std::vector<double> arrival_series(ConfigId config,
-                                                   double bucket_s,
-                                                   SimTime start_s,
-                                                   SimTime end_s) const;
 
   /// Pooled join offsets (seconds) across all calls with >= 2 legs; Fig 8's
   /// raw data.

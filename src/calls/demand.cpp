@@ -87,13 +87,6 @@ ConfigId DemandMatrix::config_at(std::size_t col) const {
   return configs_[col];
 }
 
-std::size_t DemandMatrix::column_of(ConfigId config) const {
-  for (std::size_t i = 0; i < configs_.size(); ++i) {
-    if (configs_[i] == config) return i;
-  }
-  throw InvalidArgument("DemandMatrix::column_of: config not present");
-}
-
 double DemandMatrix::total() const {
   double acc = 0.0;
   for (double c : cells_) acc += c;

@@ -38,8 +38,6 @@ class DemandMatrix {
 
   /// The config interned at column `col`.
   [[nodiscard]] ConfigId config_at(std::size_t col) const;
-  /// Column of `config`; throws if the config is not part of this matrix.
-  [[nodiscard]] std::size_t column_of(ConfigId config) const;
   [[nodiscard]] const std::vector<ConfigId>& configs() const {
     return configs_;
   }

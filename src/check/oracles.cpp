@@ -526,7 +526,7 @@ void lp_differential_oracle(const Materialized& m, const FuzzCase& c,
   try {
     std::optional<ScenarioLp> basis;
     const ScenarioOutcome f0_sparse = sparse.solve_scenario(
-        demand, FailureScenario::none(), nullptr, nullptr, nullptr, &basis);
+        demand, FailureScenario::none(), nullptr, nullptr, &basis);
     const ScenarioOutcome f0_dense =
         dense.solve_scenario(demand, FailureScenario::none());
     if (!close(f0_sparse.lp_objective, f0_dense.lp_objective, kLpTol)) {
@@ -691,21 +691,21 @@ std::string plan_infeasibility(const AllocationPlan& plan,
 
 namespace {
 
-/// Re-provisions `demand` through `hint` (input and output). The same
-/// re-provision first runs through a copy of the input hint, whose retained
-/// LPs rebuild their dual engines, and the in-place run must match it bit
-/// for bit. Then every scenario's objective is checked against a cold
-/// solve_scenario of that scenario at the floors the warm run gave it: the
-/// combined plan of the scenarios before it. Comparing at equal floors
-/// stays exact when an earlier scenario has alternate optima. Returns false
-/// after recording a failure.
+/// Re-provisions `demand` through `hint`, in place. The same re-provision
+/// first runs through a copy of the hint, whose retained LPs rebuild their
+/// dual engines, and the in-place run must match it bit for bit. Then
+/// every scenario's objective is checked against a cold solve_scenario of
+/// that scenario at the floors the warm run gave it: the combined plan of
+/// the scenarios before it. Comparing at equal floors stays exact when an
+/// earlier scenario has alternate optima. Returns false after recording a
+/// failure.
 bool reprovision_agrees(const SwitchboardProvisioner& prov,
                         const ProvisionOptions& po, const DemandMatrix& demand,
                         ScenarioBasisHint& hint, const char* what,
                         std::vector<OracleFailure>& out) {
   ScenarioBasisHint copy = hint;
-  const ProvisionResult copied = prov.provision(demand, &copy, &copy);
-  const ProvisionResult warm = prov.provision(demand, &hint, &hint);
+  const ProvisionResult copied = prov.provision(demand, &copy);
+  const ProvisionResult warm = prov.provision(demand, &hint);
   const std::string diff = reprovision_difference(warm, copied);
   if (!diff.empty()) {
     fail(out, "reprovision",
@@ -751,7 +751,7 @@ void reprovision_oracle(const Materialized& m, const FuzzCase& c,
   const SwitchboardProvisioner prov(m.ctx(), po);
   try {
     ScenarioBasisHint hint;
-    (void)prov.provision(demand, nullptr, &hint);
+    (void)prov.provision(demand, &hint);
     DemandMatrix corrected = perturbed_demand(demand);
     if (!reprovision_agrees(prov, po, perturbed_demand(demand, 2), hint,
                             "perturbed", out) ||
@@ -764,7 +764,7 @@ void reprovision_oracle(const Materialized& m, const FuzzCase& c,
       const std::size_t col = i % corrected.config_count();
       if (corrected.demand(t, col) > 0.0) {
         corrected.set_demand(t, col, 0.0);
-        const ProvisionResult warm = prov.provision(corrected, &hint, &hint);
+        const ProvisionResult warm = prov.provision(corrected, &hint);
         const std::string diff =
             reprovision_difference(warm, prov.provision(corrected));
         if (!diff.empty()) {
@@ -841,7 +841,7 @@ void replan_oracle(const Materialized& m, const FuzzCase& c,
   const auto capacity_for =
       [&](const DemandMatrix& d) -> std::optional<CapacityPlan> {
     try {
-      return prov.provision(d, &basis, &basis).capacity;
+      return prov.provision(d, &basis).capacity;
     } catch (const SolveError&) {
       return std::nullopt;
     }

@@ -10,6 +10,11 @@ namespace sb::cluster {
 
 namespace {
 
+/// Options for the cluster's own KV system of record. Latency injection is
+/// off so the control plane never perturbs sim timing.
+constexpr KvStoreOptions kClusterKvOptions = {.shard_count = 16,
+                                              .inject_latency = false};
+
 obs::HistogramOptions readoption_histogram_options() {
   // Sim seconds from kill to re-adoption: sub-second (expedited on the next
   // event) up to hours (TTL on an idle range).
@@ -52,7 +57,7 @@ ClusterController::ClusterController(Switchboard& controller,
                                      ClusterOptions options)
     : sb_(controller),
       options_(options),
-      kv_(options.kv),
+      kv_(kClusterKvOptions),
       map_(controller.realtime_shard_count(), options.workers, 1),
       workers_(options.workers) {
   require(options_.lease_ttl_s > 0.0, "ClusterController: bad lease TTL");

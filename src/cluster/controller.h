@@ -55,9 +55,6 @@ struct ClusterOptions {
   /// Worker lease TTL in sim seconds. Lease expiry is the slow crash
   /// detector; the health table's worker row is the fast one.
   double lease_ttl_s = 30.0;
-  /// Options for the cluster's own KV system of record. Latency injection
-  /// defaults off so the control plane never perturbs sim timing.
-  KvStoreOptions kv = {.shard_count = 16, .inject_latency = false};
   /// TEST-ONLY mutation knob (tools/sb_fuzz --chaos skip-wal-freeze): the
   /// WAL record is NOT rewritten at config freeze, so a crash + replay
   /// resurrects the pre-freeze row and the end event credits nothing —

@@ -133,8 +133,6 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights) {
   return weights.size() - 1;  // numerical edge: fall into the final bucket
 }
 
-Rng Rng::fork() { return Rng((*this)()); }
-
 ZipfSampler::ZipfSampler(std::size_t n, double exponent) {
   require(n > 0, "ZipfSampler: n must be positive");
   // Exponent 0 is the degenerate uniform pmf (1/k^0 == 1): useful for

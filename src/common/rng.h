@@ -68,10 +68,6 @@ class Rng {
     }
   }
 
-  /// Derives an independent child generator; used to give each module or
-  /// thread its own stream without correlated output.
-  Rng fork();
-
  private:
   std::array<std::uint64_t, 4> state_{};
   double cached_normal_ = 0.0;

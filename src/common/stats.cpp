@@ -2,35 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.h"
 
 namespace sb {
-
-void Summary::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double Summary::mean() const { return count_ == 0 ? 0.0 : mean_; }
-
-double Summary::variance() const {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
-double Summary::stddev() const { return std::sqrt(variance()); }
-
-double Summary::min() const { return count_ == 0 ? 0.0 : min_; }
-
-double Summary::max() const { return count_ == 0 ? 0.0 : max_; }
 
 double mean(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
@@ -73,24 +49,6 @@ double mae(std::span<const double> truth, std::span<const double> estimate) {
     acc += std::abs(truth[i] - estimate[i]);
   }
   return acc / static_cast<double>(truth.size());
-}
-
-std::vector<CdfPoint> empirical_cdf(std::vector<double> samples,
-                                    std::size_t points) {
-  require(!samples.empty(), "empirical_cdf: empty input");
-  require(points >= 2, "empirical_cdf: need at least 2 points");
-  std::sort(samples.begin(), samples.end());
-  std::vector<CdfPoint> cdf;
-  cdf.reserve(points);
-  const auto n = static_cast<double>(samples.size());
-  for (std::size_t i = 0; i < points; ++i) {
-    const double frac =
-        static_cast<double>(i + 1) / static_cast<double>(points);
-    const auto idx = static_cast<std::size_t>(
-        std::min(n - 1.0, std::ceil(frac * n) - 1.0));
-    cdf.push_back({samples[idx], frac});
-  }
-  return cdf;
 }
 
 }  // namespace sb

@@ -1,35 +1,10 @@
-// Descriptive statistics used throughout the evaluation harness: summary
-// accumulators, percentiles, forecast error metrics, and CDF construction
-// for the figure benches.
+// Descriptive statistics used throughout the evaluation harness: means,
+// percentiles and forecast error metrics.
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace sb {
-
-/// Streaming mean/variance/min/max accumulator (Welford's algorithm).
-class Summary {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::size_t count() const { return count_; }
-  [[nodiscard]] double mean() const;
-  /// Sample variance (n-1 denominator); 0 when fewer than two samples.
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-  [[nodiscard]] double sum() const { return mean() * static_cast<double>(count_); }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Arithmetic mean; 0 for an empty span.
 double mean(std::span<const double> xs);
@@ -45,16 +20,5 @@ double rmse(std::span<const double> truth, std::span<const double> estimate);
 
 /// Mean absolute error between two equally sized series.
 double mae(std::span<const double> truth, std::span<const double> estimate);
-
-/// One (x, F(x)) step of an empirical CDF.
-struct CdfPoint {
-  double value = 0.0;
-  double fraction = 0.0;  ///< fraction of samples <= value
-};
-
-/// Builds an empirical CDF sampled at `points` evenly spaced fractions
-/// (plus the max). Throws on empty input.
-std::vector<CdfPoint> empirical_cdf(std::vector<double> samples,
-                                    std::size_t points = 20);
 
 }  // namespace sb

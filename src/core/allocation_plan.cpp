@@ -159,8 +159,7 @@ AllocationPlan AllocationPlanner::plan(const DemandMatrix& demand,
   std::vector<Candidates> cands(config_count);
   for (std::size_t c = 0; c < config_count; ++c) {
     const CallConfig& config = ctx_.registry->get(demand.config_at(c));
-    cands[c].dcs = feasible_dcs(config, all_dcs, *ctx_.latency,
-                                options_.acl_threshold_ms);
+    cands[c].dcs = feasible_dcs(config, all_dcs, *ctx_.latency);
     for (DcId dc : cands[c].dcs) {
       cands[c].profiles.push_back(make_hosting_profile(config, dc, ctx_));
     }
@@ -180,7 +179,7 @@ AllocationPlan AllocationPlanner::plan(const DemandMatrix& demand,
     } else {
       // Reuse slot t's retained LP only at an unchanged structure: then it
       // differs from a fresh build in its rhs alone.
-      SlotLp::Key key{ctx_, options_.acl_threshold_ms, demand.configs(), {}};
+      SlotLp::Key key{ctx_, demand.configs(), {}};
       key.positive.resize(config_count);
       for (std::size_t c = 0; c < config_count; ++c) {
         key.positive[c] = demand.demand(t, c) > 0.0;

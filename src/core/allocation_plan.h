@@ -22,7 +22,6 @@
 namespace sb {
 
 struct AllocationOptions {
-  double acl_threshold_ms = kDefaultAclThresholdMs;
   lp::SolveOptions lp_options;
 };
 
@@ -90,7 +89,6 @@ struct SlotLp {
   /// is reused only when the new plan's key for the slot is equal.
   struct Key {
     EvalContext ctx;
-    double acl_threshold_ms = 0.0;
     std::vector<ConfigId> configs;  ///< demand columns
     /// demand(t, c) > 0 per column c of this slot: S columns and
     /// completeness rows exist only there.

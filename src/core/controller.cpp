@@ -113,10 +113,16 @@ const ProvisionResult& Switchboard::provision(const DemandMatrix& demand,
                                               const ScenarioBasisHint* warm,
                                               ScenarioBasisHint* basis_out) {
   require_no_batch("provision");
+  require(warm == nullptr || warm == basis_out,
+          "provision: a warm hint must also be the output hint");
   obs::Span span("ctl.provision", obs::Subsystem::kController);
   obs::ScopedTimer timer(metrics_.provision_s);
+  // The provisioner reads and writes one hint in place: an output hint
+  // without a warm one starts empty, which gives a cold provision that
+  // fills it.
+  if (warm == nullptr && basis_out != nullptr) basis_out->scenarios.clear();
   SwitchboardProvisioner provisioner(ctx_, options_.provision);
-  ProvisionResult result = provisioner.provision(demand, warm, basis_out);
+  ProvisionResult result = provisioner.provision(demand, basis_out);
   // Publish under the exclusive lock so a caller overlapping realtime
   // events never mutates state a reader could be observing.
   std::unique_lock lock(swap_mutex_);
@@ -287,7 +293,7 @@ fault::FailoverOutcome Switchboard::dc_failed(DcId dc, SimTime now) {
   // keeps landing on the failed DC behind it).
   health_->set_dc(dc, false);
   return drain_and_record(span, [&](const std::vector<double>& budget) {
-    return selector_->drain_dc(dc, now, budget, options_.failover.drain_batch);
+    return selector_->drain_dc(dc, now, budget);
   });
 }
 
@@ -336,8 +342,7 @@ fault::FailoverOutcome Switchboard::server_failed(ServerId server,
   // behind the drain.
   health_->set_server(server, false);
   return drain_and_record(span, [&](const std::vector<double>& budget) {
-    return selector_->drain_server(server, now, budget,
-                                   options_.failover.drain_batch);
+    return selector_->drain_server(server, now, budget);
   });
 }
 

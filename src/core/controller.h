@@ -25,18 +25,10 @@ namespace obs {
 class Span;
 }  // namespace obs
 
-struct FailoverOptions {
-  /// Calls re-homed per shard-lock acquisition while draining a failed DC
-  /// (bounds how long one drain batch can block signaling events that hash
-  /// to the same shard).
-  std::size_t drain_batch = 64;
-};
-
 struct ControllerOptions {
   ProvisionOptions provision;
   AllocationOptions allocation;
   RealtimeOptions realtime;
-  FailoverOptions failover;
   /// Provisioning/allocation slot width in seconds (§5.2: 30 minutes).
   double slot_s = 1800.0;
   /// Number of sb_cluster controller-worker rows to track in the health
@@ -62,10 +54,12 @@ class Switchboard {
   Switchboard(EvalContext ctx, ControllerOptions options);
 
   /// Runs MP capacity provisioning (§5.3); stores and returns the result.
-  /// `warm` / `basis_out` (optional) thread a ScenarioBasisHint through
-  /// every scenario solve, so the closed-loop re-provision path re-solves
-  /// each scenario from the previous round's model and basis; they may be
-  /// the same hint (see SwitchboardProvisioner::provision).
+  /// `basis_out` (optional) is the ScenarioBasisHint that
+  /// SwitchboardProvisioner::provision reads and writes in place. With
+  /// `warm` null it is emptied first, so the provision solves cold and fills
+  /// it; with `warm == basis_out` the closed-loop re-provision path
+  /// re-solves each scenario from the previous round's model and basis. Any
+  /// other `warm` throws InvalidArgument.
   const ProvisionResult& provision(const DemandMatrix& demand,
                                    const ScenarioBasisHint* warm = nullptr,
                                    ScenarioBasisHint* basis_out = nullptr);

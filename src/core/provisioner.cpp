@@ -30,8 +30,7 @@ struct ConfigPlan {
 /// nothing qualifies.
 std::vector<ConfigPlan> build_config_plans(const DemandMatrix& demand,
                                            const FailureScenario& scenario,
-                                           const EvalContext& ctx,
-                                           double acl_threshold_ms) {
+                                           const EvalContext& ctx) {
   const World& world = *ctx.world;
   const Topology& topo = *ctx.topology;
   const std::vector<DcId> all_dcs = world.dc_ids();
@@ -60,8 +59,7 @@ std::vector<ConfigPlan> build_config_plans(const DemandMatrix& demand,
       }
     }
     require(!avail.empty(), "build_config_plans: no DC available");
-    plans[c].candidates = feasible_dcs(config, avail, *ctx.latency,
-                                       acl_threshold_ms);
+    plans[c].candidates = feasible_dcs(config, avail, *ctx.latency);
     plans[c].profiles.reserve(plans[c].candidates.size());
     for (DcId dc : plans[c].candidates) {
       plans[c].profiles.push_back(make_hosting_profile(config, dc, ctx));
@@ -103,8 +101,6 @@ SwitchboardProvisioner::SwitchboardProvisioner(EvalContext ctx,
   require(ctx_.world && ctx_.topology && ctx_.latency && ctx_.registry &&
               ctx_.loads,
           "SwitchboardProvisioner: incomplete context");
-  require(options_.acl_threshold_ms > 0.0,
-          "SwitchboardProvisioner: ACL threshold");
   require(options_.joint_network || !options_.joint_scenarios,
           "SwitchboardProvisioner: joint_scenarios requires joint_network");
 }
@@ -133,7 +129,6 @@ ScenarioLp::Key scenario_key(const DemandMatrix& demand,
   }
   key.floored = floors != nullptr;
   key.joint_network = options.joint_network;
-  key.acl_threshold_ms = options.acl_threshold_ms;
   return key;
 }
 
@@ -184,7 +179,7 @@ void ModelBuilder::add_block(const DemandMatrix& demand,
   const std::size_t first_cell = blocks++ * slots * config_count;
 
   const std::vector<ConfigPlan> plans =
-      build_config_plans(demand, scenario, ctx, options.acl_threshold_ms);
+      build_config_plans(demand, scenario, ctx);
 
   // Peak variables. CP_x only for DCs that are candidates somewhere; NP_l
   // only for links some (config, DC) pair uses.
@@ -319,29 +314,20 @@ void rewrite_rhs(ScenarioLp& lp, const DemandMatrix& demand,
   }
 }
 
-/// Moves the LP out of a warm state that is about to be overwritten.
-ScenarioLp take(std::optional<ScenarioLp>& slot) {
-  ScenarioLp lp = std::move(*slot);
-  slot.reset();
-  return lp;
-}
-
 }  // namespace
 
 ScenarioOutcome SwitchboardProvisioner::solve_scenario(
     const DemandMatrix& demand, const FailureScenario& scenario,
     PlacementMatrix* placement_out, const CapacityPlan* floors,
-    const std::optional<ScenarioLp>* warm,
-    std::optional<ScenarioLp>* basis_out) const {
-  return solve_blocks(demand, {&scenario, 1}, placement_out, floors, warm,
-                      basis_out);
+    std::optional<ScenarioLp>* retained) const {
+  return solve_blocks(demand, {&scenario, 1}, placement_out, floors,
+                      retained);
 }
 
 ScenarioOutcome SwitchboardProvisioner::solve_blocks(
     const DemandMatrix& demand, std::span<const FailureScenario> scenarios,
     PlacementMatrix* placement_out, const CapacityPlan* floors,
-    const std::optional<ScenarioLp>* warm,
-    std::optional<ScenarioLp>* basis_out) const {
+    std::optional<ScenarioLp>* retained) const {
   static obs::Counter& scenarios_solved =
       obs::MetricsRegistry::global().counter("sb.provisioner.scenarios_solved");
   static obs::Histogram& scenario_solve_s =
@@ -357,36 +343,33 @@ ScenarioOutcome SwitchboardProvisioner::solve_blocks(
   outcome.scenario = scenarios.front();
   if (scenarios.size() > 1) outcome.scenario.name += "+DC-failures(joint)";
 
-  // Reuse the warm LP only when it is this scenario's at an unchanged
-  // structure: then it differs from a fresh build in its rhs alone. A warm
-  // LP aliased by basis_out is handed over, dual engine included; a const
-  // one is copied (without the engine). The two branches stay separate
-  // statements: a conditional expression would merge them into a const
-  // prvalue and copy the handed-over LP too.
+  // Re-solve the retained LP in place only when it is this scenario's at an
+  // unchanged structure: then it differs from a fresh build in its rhs
+  // alone. A fresh build replaces the retained LP only after its solve, so
+  // the old LP is freed after the new one's solve allocates (the order
+  // busy_window's retained heap was measured with, ROADMAP 9f).
   ScenarioLp::Key key =
       scenario_key(demand, scenarios, floors, ctx_, options_);
-  const bool reuse =
-      warm != nullptr && warm->has_value() && (*warm)->key == key;
-  ScenarioLp lp;
+  const bool reuse = retained != nullptr && retained->has_value() &&
+                     (*retained)->key == key;
+  ScenarioLp fresh;
   if (reuse) {
-    if (basis_out == warm) {
-      lp = take(*basis_out);
-    } else {
-      lp = **warm;
-    }
-    rewrite_rhs(lp, demand, floors, world, topo);
+    rewrite_rhs(**retained, demand, floors, world, topo);
   } else {
-    lp = build_scenario_lp(std::move(key), demand, scenarios, floors, ctx_,
-                           options_);
+    fresh = build_scenario_lp(std::move(key), demand, scenarios, floors, ctx_,
+                              options_);
   }
+  ScenarioLp& solved = reuse ? **retained : fresh;
 
   // On its own retained LP the last basis is still optimal for the costs
   // and only primal infeasible where the rhs moved: the dual simplex's
   // start, which resolve() takes from the LP's own statuses. A fresh build
   // solves cold.
-  const lp::Solution solution = reuse ? lp.model.resolve(options_.lp_options)
-                                      : lp.model.solve(options_.lp_options);
+  const lp::Solution solution = reuse
+                                    ? solved.model.resolve(options_.lp_options)
+                                    : solved.model.solve(options_.lp_options);
   if (!solution.optimal()) {
+    if (retained != nullptr) retained->reset();
     throw SolveError("provisioning LP for scenario " + outcome.scenario.name +
                      " returned " + lp::to_string(solution.status));
   }
@@ -394,8 +377,8 @@ ScenarioOutcome SwitchboardProvisioner::solve_blocks(
   std::vector<int> cp_var(world.dc_count(), -1);
   std::vector<int> np_var(topo.link_count(), -1);
   PlacementMatrix placement(slots, config_count, world.dc_count());
-  for (std::size_t j = 0; j < lp.var_keys.size(); ++j) {
-    const auto& [kind, idx] = lp.var_keys[j];
+  for (std::size_t j = 0; j < solved.var_keys.size(); ++j) {
+    const auto& [kind, idx] = solved.var_keys[j];
     if (kind == 'c') {
       cp_var[idx] = static_cast<int>(j);
     } else if (kind == 'n') {
@@ -436,14 +419,13 @@ ScenarioOutcome SwitchboardProvisioner::solve_blocks(
     }
   }
 
-  if (basis_out) *basis_out = std::move(lp);
+  if (retained != nullptr && !reuse) *retained = std::move(fresh);
   if (placement_out) *placement_out = std::move(placement);
   return outcome;
 }
 
 ProvisionResult SwitchboardProvisioner::provision(
-    const DemandMatrix& demand, const ScenarioBasisHint* warm,
-    ScenarioBasisHint* basis_out) const {
+    const DemandMatrix& demand, ScenarioBasisHint* hint) const {
   obs::Span span("prov.provision", obs::Subsystem::kProvisioner);
   const World& world = *ctx_.world;
   const Topology& topo = *ctx_.topology;
@@ -459,27 +441,8 @@ ProvisionResult SwitchboardProvisioner::provision(
     scenarios.push_back(FailureScenario::none());
   }
 
-  // Per-scenario warm state. Scenario f starts from warm_of(f) and leaves
-  // its LP in out_of(f). When the caller passes one hint as both, its
-  // entries are taken over and every retained LP is re-solved in place;
-  // otherwise a reused LP is copied out of `warm`.
-  std::vector<std::optional<ScenarioLp>> next;
-  const std::vector<std::optional<ScenarioLp>>* prior =
-      warm != nullptr ? &warm->scenarios : nullptr;
-  if (basis_out != nullptr) {
-    if (basis_out == warm) {
-      next = std::move(basis_out->scenarios);
-      prior = &next;
-    }
-    basis_out->scenarios.clear();
-    next.resize(scenarios.size());
-  }
-  const auto warm_of = [&](std::size_t f) -> const std::optional<ScenarioLp>* {
-    return prior != nullptr && f < prior->size() ? &(*prior)[f] : nullptr;
-  };
-  const auto out_of = [&](std::size_t f) -> std::optional<ScenarioLp>* {
-    return basis_out != nullptr ? &next[f] : nullptr;
-  };
+  // Scenario f re-solves, or builds into, the hint's entry f.
+  if (hint != nullptr) hint->scenarios.resize(scenarios.size());
 
   ProvisionResult result{CapacityPlan::zeros(world, topo),
                          PlacementMatrix(demand.slot_count(),
@@ -506,24 +469,31 @@ ProvisionResult SwitchboardProvisioner::provision(
   const bool joint = options_.with_backup && options_.peak_aware_backup &&
                      options_.joint_scenarios;
   std::size_t step = joint ? 1 + world.dc_count() : 1;  // scenarios per step
-  for (std::size_t f = 0; f < scenarios.size(); f += step, step = 1) {
-    const bool fused = step > 1;
-    const CapacityPlan* floors =
-        f > 0 && options_.capacity_reuse ? &combined : nullptr;
-    obs::Span s("prov.scenario", obs::Subsystem::kProvisioner);
-    s.attr(obs::AttrKey::kScenario, static_cast<std::int64_t>(f));
-    ScenarioOutcome outcome = solve_blocks(
-        demand, std::span(scenarios).subspan(f, step),
-        f == 0 ? &result.base_placement : nullptr, floors,
-        fused ? nullptr : warm_of(f), fused ? nullptr : out_of(f));
-    s.finish();
-    if (f == 0) {
-      serving = outcome.required.dc_serving_cores;
-      combined = outcome.required;
-    } else {
-      combined = max_capacity(combined, outcome.required);
+  try {
+    for (std::size_t f = 0; f < scenarios.size(); f += step, step = 1) {
+      const bool fused = step > 1;
+      const CapacityPlan* floors =
+          f > 0 && options_.capacity_reuse ? &combined : nullptr;
+      obs::Span s("prov.scenario", obs::Subsystem::kProvisioner);
+      s.attr(obs::AttrKey::kScenario, static_cast<std::int64_t>(f));
+      ScenarioOutcome outcome = solve_blocks(
+          demand, std::span(scenarios).subspan(f, step),
+          f == 0 ? &result.base_placement : nullptr, floors,
+          hint != nullptr && !fused ? &hint->scenarios[f] : nullptr);
+      s.finish();
+      if (f == 0) {
+        serving = outcome.required.dc_serving_cores;
+        combined = outcome.required;
+      } else {
+        combined = max_capacity(combined, outcome.required);
+      }
+      result.scenarios.push_back(std::move(outcome));
     }
-    result.scenarios.push_back(std::move(outcome));
+  } catch (...) {
+    // No half-updated hint survives a failed solve: the next provision
+    // through it solves cold.
+    if (hint != nullptr) hint->scenarios.clear();
+    throw;
   }
 
   // Serving/backup split: serving is the no-failure requirement; backup is
@@ -548,8 +518,8 @@ ProvisionResult SwitchboardProvisioner::provision(
     // serving peaks — no reuse of off-peak slack. WAN keeps the
     // failure-scenario peaks computed above (link capacity must survive
     // failures under any compute-backup policy).
-    const std::vector<ConfigPlan> plans = build_config_plans(
-        demand, FailureScenario::none(), ctx_, options_.acl_threshold_ms);
+    const std::vector<ConfigPlan> plans =
+        build_config_plans(demand, FailureScenario::none(), ctx_);
     PlacementMatrix local(demand.slot_count(), demand.config_count(),
                           world.dc_count());
     for (std::size_t c = 0; c < demand.config_count(); ++c) {
@@ -578,7 +548,6 @@ ProvisionResult SwitchboardProvisioner::provision(
 
   result.mean_acl_ms = mean_acl_ms(result.base_placement, demand, ctx_);
   result.server_budget_cores = split_server_budgets(world, result.capacity);
-  if (basis_out != nullptr) basis_out->scenarios = std::move(next);
   return result;
 }
 

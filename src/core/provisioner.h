@@ -25,7 +25,6 @@
 namespace sb {
 
 struct ProvisionOptions {
-  double acl_threshold_ms = kDefaultAclThresholdMs;
   /// Provision backup capacity for failure scenarios (Table 3's "with
   /// backup" columns). When false only F0 is solved.
   bool with_backup = true;
@@ -83,7 +82,6 @@ struct ScenarioLp {
     std::vector<bool> positive;
     bool floored = false;  ///< capacity rows carry floors
     bool joint_network = true;
-    double acl_threshold_ms = 0.0;
     friend bool operator==(const Key&, const Key&) = default;
   };
   Key key;
@@ -102,15 +100,16 @@ struct ScenarioLp {
 };
 
 /// provision()'s warm state: the retained LP of every scenario, in
-/// enumeration order (F0 first, then every failure scenario). A provision
-/// given a hint re-solves scenario f in place from entry f when that entry
-/// is the same scenario at an unchanged structure (equal ScenarioLp::Key),
-/// and builds and solves it cold otherwise; one given an output hint writes
-/// every scenario's LP there. The closed loop threads one hint through every
-/// replan, so each replan re-solves every scenario from its own retained
-/// model and basis. A hint belongs to the provisioner context that produced
-/// it. A copy owns its own models (lp::RetainedLp's copy rules: the dual
-/// engine stays behind and is rebuilt on the copy's next re-solve), so
+/// enumeration order (F0 first, then every failure scenario), read and
+/// written in place. A provision given a hint re-solves scenario f in place
+/// from entry f when that entry is the same scenario at an unchanged
+/// structure (equal ScenarioLp::Key), builds and solves it cold otherwise,
+/// and leaves every scenario's LP in entry f. An empty hint therefore gives
+/// a cold provision that fills it. The closed loop threads one hint through
+/// every replan, so each replan re-solves every scenario from its own
+/// retained model and basis. A hint belongs to the provisioner context that
+/// produced it. A copy owns its own models (lp::RetainedLp's copy rules: the
+/// dual engine stays behind and is rebuilt on the copy's next re-solve), so
 /// copies never share mutable state.
 struct ScenarioBasisHint {
   std::vector<std::optional<ScenarioLp>> scenarios;
@@ -146,40 +145,37 @@ struct ProvisionResult {
 /// outlive the provisioner.
 class SwitchboardProvisioner {
  public:
-  /// Throws InvalidArgument on an incomplete context, a non-positive ACL
-  /// threshold, or joint_scenarios without joint_network.
+  /// Throws InvalidArgument on an incomplete context, or joint_scenarios
+  /// without joint_network.
   SwitchboardProvisioner(EvalContext ctx, ProvisionOptions options);
 
   /// Provisions capacity for the given demand. Throws SolveError if any
-  /// scenario LP fails. `warm` (optional) seeds every scenario from a
-  /// previous provision's per-scenario state — the closed-loop re-provision
-  /// path, where successive demand matrices differ only in magnitude, so
-  /// each scenario re-solves its retained model in ~0 dual iterations.
-  /// Without it every scenario solves cold (through the block
-  /// decomposition above lp::kDecomposeMinRows). `basis_out` (optional)
-  /// receives this provision's state for the next round; it may point at
-  /// the same hint as `warm`, which then re-solves the retained models in
-  /// place, and is left empty if a scenario LP throws. The joint_scenarios
-  /// step (one fused LP over F0 and every DC failure) ignores both; the
-  /// link-failure scenarios after it use them as every scenario does.
+  /// scenario LP fails. `hint` (optional, see ScenarioBasisHint) is read and
+  /// written in place: a filled one re-solves every scenario from its
+  /// retained LP — the closed-loop re-provision path, where successive
+  /// demand matrices differ only in magnitude, so each scenario re-solves
+  /// in ~0 dual iterations — and is left empty if a scenario LP throws.
+  /// Without a filled hint every scenario solves cold (through the block
+  /// decomposition above lp::kDecomposeMinRows). The joint_scenarios step
+  /// (one fused LP over F0 and every DC failure) neither reads nor writes
+  /// the hint; the link-failure scenarios after it use it as every scenario
+  /// does.
   [[nodiscard]] ProvisionResult provision(
-      const DemandMatrix& demand, const ScenarioBasisHint* warm = nullptr,
-      ScenarioBasisHint* basis_out = nullptr) const;
+      const DemandMatrix& demand, ScenarioBasisHint* hint = nullptr) const;
 
   /// Solves a single scenario's LP; exposed for tests and the Fig 4 bench.
   /// With `floors` set, capacity up to the floor is free and the LP prices
   /// only the increment; the returned requirement then includes the floor.
-  /// A `warm` LP that is this scenario's at an unchanged structure (equal
-  /// ScenarioLp::Key) is re-solved at the new right-hand sides from its own
-  /// basis through the dual simplex; otherwise the LP is built and solved
-  /// cold. `basis_out` (if non-null) receives the solved LP, final basis
-  /// included; it may point at `warm`, whose LP is then re-solved in place.
+  /// A `retained` LP that is this scenario's at an unchanged structure
+  /// (equal ScenarioLp::Key) is re-solved in place at the new right-hand
+  /// sides from its own basis through the dual simplex; otherwise the LP is
+  /// built and solved cold, and `retained` (if non-null) receives it, final
+  /// basis included. `retained` is left empty when this throws SolveError.
   [[nodiscard]] ScenarioOutcome solve_scenario(
       const DemandMatrix& demand, const FailureScenario& scenario,
       PlacementMatrix* placement_out = nullptr,
       const CapacityPlan* floors = nullptr,
-      const std::optional<ScenarioLp>* warm = nullptr,
-      std::optional<ScenarioLp>* basis_out = nullptr) const;
+      std::optional<ScenarioLp>* retained = nullptr) const;
 
  private:
   /// solve_scenario over the LP of `scenarios`, one block each on shared
@@ -188,8 +184,7 @@ class SwitchboardProvisioner {
   [[nodiscard]] ScenarioOutcome solve_blocks(
       const DemandMatrix& demand, std::span<const FailureScenario> scenarios,
       PlacementMatrix* placement_out, const CapacityPlan* floors,
-      const std::optional<ScenarioLp>* warm,
-      std::optional<ScenarioLp>* basis_out) const;
+      std::optional<ScenarioLp>* retained) const;
 
   EvalContext ctx_;
   ProvisionOptions options_;

@@ -8,6 +8,15 @@
 
 namespace sb {
 
+namespace {
+
+/// Calls re-homed per shard-lock acquisition while draining a failed DC or
+/// server: bounds how long one drain batch can block signaling events that
+/// hash to the same shard.
+constexpr std::size_t kDrainBatch = 64;
+
+}  // namespace
+
 RealtimeSelector::RealtimeSelector(EvalContext ctx, const AllocationPlan* plan,
                                    RealtimeOptions options,
                                    SimTime plan_start_s,
@@ -479,13 +488,11 @@ bool RealtimeSelector::rehome_move(CallId call, ActiveCall& state,
 }
 
 fault::FailoverOutcome RealtimeSelector::drain_dc(
-    DcId failed, SimTime now, const std::vector<double>& budget_cores,
-    std::size_t batch_size) {
+    DcId failed, SimTime now, const std::vector<double>& budget_cores) {
   require(failed.valid() && failed.value() < all_dcs_.size(),
           "drain_dc: bad DC id");
   require(budget_cores.empty() || budget_cores.size() == all_dcs_.size(),
           "drain_dc: budget shape");
-  const std::size_t batch = std::max<std::size_t>(batch_size, 1);
   obs::Span span("sel.drain_dc", obs::Subsystem::kDrain, now);
   span.attr(obs::AttrKey::kDc, static_cast<std::int64_t>(failed.value()));
   fault::FailoverOutcome out;
@@ -504,7 +511,7 @@ fault::FailoverOutcome RealtimeSelector::drain_dc(
     std::size_t next = 0;
     while (next < pending.size()) {
       std::lock_guard lock(s.mutex);
-      const std::size_t stop = std::min(pending.size(), next + batch);
+      const std::size_t stop = std::min(pending.size(), next + kDrainBatch);
       for (; next < stop; ++next) {
         const auto it = s.calls.find(pending[next]);
         // The call may have ended (or re-frozen elsewhere) between the scan
@@ -529,14 +536,12 @@ fault::FailoverOutcome RealtimeSelector::drain_dc(
 }
 
 fault::FailoverOutcome RealtimeSelector::drain_server(
-    ServerId failed, SimTime now, const std::vector<double>& budget_cores,
-    std::size_t batch_size) {
+    ServerId failed, SimTime now, const std::vector<double>& budget_cores) {
   require(packer_ != nullptr, "drain_server: world has no fleet");
   require(failed.valid() && failed.value() < ctx_.world->server_count(),
           "drain_server: bad server id");
   require(budget_cores.empty() || budget_cores.size() == all_dcs_.size(),
           "drain_server: budget shape");
-  const std::size_t batch = std::max<std::size_t>(batch_size, 1);
   obs::Span span("sel.drain_server", obs::Subsystem::kDrain, now);
   span.attr(obs::AttrKey::kServer,
             static_cast<std::int64_t>(failed.value()));
@@ -554,7 +559,7 @@ fault::FailoverOutcome RealtimeSelector::drain_server(
     std::size_t next = 0;
     while (next < pending.size()) {
       std::lock_guard lock(s.mutex);
-      const std::size_t stop = std::min(pending.size(), next + batch);
+      const std::size_t stop = std::min(pending.size(), next + kDrainBatch);
       for (; next < stop; ++next) {
         const CallId call = pending[next];
         const auto it = s.calls.find(call);

@@ -41,7 +41,6 @@ struct RealtimeOptions {
   /// §6.4: the config freezes A = 300 s after call start (~80% of
   /// participants have joined by then, Fig 8).
   double freeze_delay_s = 300.0;
-  double acl_threshold_ms = kDefaultAclThresholdMs;
   /// Lock stripes over the call table (shard = CallId % shard_count).
   /// Events for calls on different shards proceed concurrently.
   std::size_t shard_count = 16;
@@ -102,9 +101,9 @@ class RealtimeSelector {
 
   /// Drains every live call hosted at `failed` (which should already be
   /// marked down in the health table so no new call lands there), shard by
-  /// shard in batches of `batch_size` per lock acquisition so signaling
-  /// events on other calls of the same shard are only ever blocked for one
-  /// bounded batch. Re-homing policy per call:
+  /// shard in batches of 64 calls per lock acquisition so signaling events
+  /// on other calls of the same shard are only ever blocked for one bounded
+  /// batch. Re-homing policy per call:
   ///   1. a call holding a plan slot moves to the surviving DC with spare
   ///      quota for its config and the lowest ACL (slot credited at the old
   ///      cell and CAS-debited at the new one — accounting stays exact);
@@ -119,8 +118,7 @@ class RealtimeSelector {
   /// are never capacity-dropped (their config — and so their load — is not
   /// yet known). Thread-safe against concurrent events.
   fault::FailoverOutcome drain_dc(DcId failed, SimTime now,
-                                  const std::vector<double>& budget_cores,
-                                  std::size_t batch_size = 64);
+                                  const std::vector<double>& budget_cores);
 
   /// The server-level drain (fleet worlds only): evacuates every packed
   /// call hosted on `failed` (already marked down in the health table), in
@@ -136,8 +134,7 @@ class RealtimeSelector {
   ///       call dropped.
   /// Calls not yet frozen have no server and are never touched.
   fault::FailoverOutcome drain_server(ServerId failed, SimTime now,
-                                      const std::vector<double>& budget_cores,
-                                      std::size_t batch_size = 64);
+                                      const std::vector<double>& budget_cores);
 
   /// Intra-DC defragmentation pass (fleet worlds only): snapshots the DC's
   /// packed calls, computes a best-fit-decreasing target assignment offline,

@@ -98,19 +98,6 @@ std::size_t FaultSchedule::peak_slot(
       dc_cores_by_slot.begin());
 }
 
-FaultSchedule FaultSchedule::each_dc_at_peak(
-    const std::vector<std::vector<double>>& dc_cores, double slot_s, double t0,
-    double duration_s) {
-  require(slot_s > 0.0, "each_dc_at_peak: slot width");
-  FaultSchedule schedule;
-  for (std::size_t x = 0; x < dc_cores.size(); ++x) {
-    const SimTime at =
-        t0 + static_cast<double>(peak_slot(dc_cores[x])) * slot_s;
-    schedule.fail_dc(DcId(static_cast<std::uint32_t>(x)), at, duration_s);
-  }
-  return schedule;
-}
-
 FaultSchedule FaultSchedule::random(Rng& rng, std::size_t dc_count,
                                     std::size_t link_count,
                                     std::size_t outages, double t0, double t1,

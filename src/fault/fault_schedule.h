@@ -82,14 +82,6 @@ class FaultSchedule {
   [[nodiscard]] static std::size_t peak_slot(
       const std::vector<double>& dc_cores_by_slot);
 
-  /// The §5.3 experiment shape: one down/up outage per DC, each at the
-  /// moment its own planned core usage peaks. `dc_cores[x][t]` is DC x's
-  /// usage in slot t (UsageProfile::dc_cores layout); the outage for DC x
-  /// starts at `t0 + peak_slot * slot_s` and lasts `duration_s`.
-  [[nodiscard]] static FaultSchedule each_dc_at_peak(
-      const std::vector<std::vector<double>>& dc_cores, double slot_s,
-      double t0, double duration_s);
-
   /// Seedable random storm: `outages` outage pairs over [t0, t1), each
   /// picking a uniform DC (or, with probability `link_fraction` when
   /// link_count > 0, a uniform link; or, with probability `server_fraction`

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "common/stats.h"
 
 namespace sb {
 
@@ -67,44 +66,6 @@ DcId LatencyMatrix::closest_dc(LocationId loc,
     }
   }
   return best;
-}
-
-LatencyEstimator::LatencyEstimator(std::size_t dc_count,
-                                   std::size_t location_count)
-    : dc_count_(dc_count),
-      location_count_(location_count),
-      pair_samples_(dc_count * location_count) {
-  require(dc_count > 0 && location_count > 0,
-          "LatencyEstimator: empty dimensions");
-}
-
-void LatencyEstimator::add_sample(DcId dc, LocationId loc, double latency_ms) {
-  require(dc.valid() && dc.value() < dc_count_, "add_sample: bad dc");
-  require(loc.valid() && loc.value() < location_count_,
-          "add_sample: bad location");
-  require(latency_ms >= 0.0, "add_sample: negative latency");
-  pair_samples_[static_cast<std::size_t>(dc.value()) * location_count_ +
-                loc.value()]
-      .push_back(latency_ms);
-  ++samples_;
-}
-
-LatencyMatrix LatencyEstimator::build(const LatencyMatrix& fallback) const {
-  require(fallback.dc_count() == dc_count_ &&
-              fallback.location_count() == location_count_,
-          "LatencyEstimator::build: fallback shape mismatch");
-  LatencyMatrix m(dc_count_, location_count_);
-  for (std::size_t d = 0; d < dc_count_; ++d) {
-    for (std::size_t u = 0; u < location_count_; ++u) {
-      const auto& samples = pair_samples_[d * location_count_ + u];
-      const DcId dc(static_cast<std::uint32_t>(d));
-      const LocationId loc(static_cast<std::uint32_t>(u));
-      m.set_latency_ms(dc, loc,
-                       samples.empty() ? fallback.latency_ms(dc, loc)
-                                       : median(samples));
-    }
-  }
-  return m;
 }
 
 }  // namespace sb

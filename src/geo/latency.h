@@ -1,9 +1,6 @@
 // Call-leg latency estimation: Lat(x, u) between every DC x and participant
-// location u (Table 2). Two construction paths mirror the paper:
-//  - from_topology(): model-derived latencies (WAN shortest path + access
-//    latency) used when synthesizing a world;
-//  - LatencyEstimator: the §6.2 counterfactual method — pool per-leg latency
-//    samples from call records and take the per-(DC, location) median.
+// location u (Table 2), model-derived by from_topology() (WAN shortest path
+// + access latency) when synthesizing a world.
 #pragma once
 
 #include <vector>
@@ -42,27 +39,6 @@ class LatencyMatrix {
   std::size_t dc_count_;
   std::size_t location_count_;
   std::vector<double> ms_;
-};
-
-/// Builds a LatencyMatrix from observed call-leg samples, taking the median
-/// per (DC, location) pair and falling back to a model-derived matrix for
-/// pairs with no samples (new DCs, rare countries).
-class LatencyEstimator {
- public:
-  LatencyEstimator(std::size_t dc_count, std::size_t location_count);
-
-  void add_sample(DcId dc, LocationId loc, double latency_ms);
-
-  [[nodiscard]] std::size_t sample_count() const { return samples_; }
-
-  /// Median-of-samples matrix; `fallback` supplies pairs with no samples.
-  [[nodiscard]] LatencyMatrix build(const LatencyMatrix& fallback) const;
-
- private:
-  std::size_t dc_count_;
-  std::size_t location_count_;
-  std::vector<std::vector<double>> pair_samples_;
-  std::size_t samples_ = 0;
 };
 
 }  // namespace sb

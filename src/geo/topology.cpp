@@ -130,13 +130,6 @@ bool Topology::connected() const {
   return true;
 }
 
-std::vector<LinkId> Topology::incident_links(LocationId node) const {
-  require(node.valid() && node.value() < node_count_, "incident_links: bad node");
-  std::vector<LinkId> out;
-  for (const auto& [_, link] : adjacency_[node.value()]) out.push_back(link);
-  return out;
-}
-
 Topology build_knn_topology(const World& world, std::size_t k,
                             const LinkCostParams& costs) {
   require(k >= 1, "build_knn_topology: k must be >= 1");

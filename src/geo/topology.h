@@ -56,9 +56,6 @@ class Topology {
   /// True if every node can reach every other node.
   [[nodiscard]] bool connected() const;
 
-  /// Links with exactly one endpoint equal to `node`.
-  [[nodiscard]] std::vector<LinkId> incident_links(LocationId node) const;
-
   [[nodiscard]] std::size_t node_count() const { return node_count_; }
 
  private:

@@ -99,10 +99,6 @@ std::vector<DcId> World::dcs_in_region(const std::string& region) const {
   return result;
 }
 
-const std::string& World::dc_region(DcId id) const {
-  return location(datacenter(id).location).region;
-}
-
 std::vector<LocationId> World::location_ids() const {
   std::vector<LocationId> ids;
   ids.reserve(locations_.size());

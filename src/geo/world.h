@@ -83,9 +83,6 @@ class World {
   /// All datacenters whose location is in `region`.
   [[nodiscard]] std::vector<DcId> dcs_in_region(const std::string& region) const;
 
-  /// Region of the given datacenter (its location's region).
-  [[nodiscard]] const std::string& dc_region(DcId id) const;
-
   /// Iteration helpers: every valid id, in order.
   [[nodiscard]] std::vector<LocationId> location_ids() const;
   [[nodiscard]] std::vector<DcId> dc_ids() const;

@@ -63,54 +63,6 @@ GeoModel make_apac_world() {
   return finish(std::move(world), 3);
 }
 
-GeoModel make_global_world() {
-  static constexpr CountrySpec kGlobal[] = {
-      // APAC
-      {"IN", 19.0, 77.0, 5.5, 22.0, "APAC"},
-      {"JP", 36.0, 138.0, 9.0, 12.0, "APAC"},
-      {"SG", 1.35, 103.8, 8.0, 4.0, "APAC"},
-      {"HK", 22.3, 114.2, 8.0, 5.0, "APAC"},
-      {"AU", -33.9, 151.2, 10.0, 6.0, "APAC"},
-      {"ID", -6.2, 106.8, 7.0, 6.0, "APAC"},
-      {"KR", 37.5, 127.0, 9.0, 5.0, "APAC"},
-      {"PH", 14.6, 121.0, 8.0, 4.0, "APAC"},
-      {"TH", 13.7, 100.5, 7.0, 3.0, "APAC"},
-      // North America
-      {"US-E", 40.7, -74.0, -5.0, 25.0, "NA"},
-      {"US-C", 41.9, -87.6, -6.0, 12.0, "NA"},
-      {"US-W", 37.4, -122.1, -8.0, 15.0, "NA"},
-      {"CA", 43.7, -79.4, -5.0, 6.0, "NA"},
-      {"MX", 19.4, -99.1, -6.0, 4.0, "NA"},
-      {"BR", -23.5, -46.6, -3.0, 6.0, "NA"},
-      // Europe
-      {"UK", 51.5, -0.1, 0.0, 10.0, "EU"},
-      {"IE", 53.3, -6.3, 0.0, 2.0, "EU"},
-      {"FR", 48.9, 2.3, 1.0, 7.0, "EU"},
-      {"DE", 52.5, 13.4, 1.0, 9.0, "EU"},
-      {"NL", 52.4, 4.9, 1.0, 4.0, "EU"},
-      {"ES", 40.4, -3.7, 1.0, 4.0, "EU"},
-      {"IT", 41.9, 12.5, 1.0, 4.0, "EU"},
-      {"PL", 52.2, 21.0, 1.0, 3.0, "EU"},
-      {"SE", 59.3, 18.1, 1.0, 2.0, "EU"},
-      {"ZA", -26.2, 28.0, 2.0, 2.0, "EU"},
-      {"AE", 25.2, 55.3, 4.0, 3.0, "EU"},
-      {"IL", 32.1, 34.8, 2.0, 2.0, "EU"},
-  };
-  World world;
-  add_countries(world, kGlobal, std::size(kGlobal));
-  world.add_datacenter({"DC-India", *world.find_location("IN"), 0.90});
-  world.add_datacenter({"DC-Japan", *world.find_location("JP"), 1.25});
-  world.add_datacenter({"DC-Singapore", *world.find_location("SG"), 1.40});
-  world.add_datacenter({"DC-Sydney", *world.find_location("AU"), 1.35});
-  world.add_datacenter({"DC-Virginia", *world.find_location("US-E"), 1.00});
-  world.add_datacenter({"DC-California", *world.find_location("US-W"), 1.15});
-  world.add_datacenter({"DC-SaoPaulo", *world.find_location("BR"), 1.30});
-  world.add_datacenter({"DC-Dublin", *world.find_location("IE"), 1.05});
-  world.add_datacenter({"DC-Frankfurt", *world.find_location("DE"), 1.20});
-  world.add_datacenter({"DC-Dubai", *world.find_location("AE"), 1.45});
-  return finish(std::move(world), 3);
-}
-
 GeoModel make_random_world(Rng& rng, const RandomWorldParams& params) {
   require(params.dc_count >= 1, "make_random_world: need at least one DC");
   require(params.location_count >= params.dc_count,

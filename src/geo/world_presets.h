@@ -22,10 +22,6 @@ struct GeoModel {
 /// expository setting where all participants share a region.
 GeoModel make_apac_world();
 
-/// Three regions (APAC, NA, EU), 27 countries, 10 DCs. Exercises
-/// cross-region pruning by the 120 ms latency threshold.
-GeoModel make_global_world();
-
 /// Parameters for random world generation (property tests).
 struct RandomWorldParams {
   std::size_t location_count = 12;

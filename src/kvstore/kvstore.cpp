@@ -12,6 +12,9 @@ namespace sb {
 
 namespace {
 
+/// Seed of the injected-latency generators, mixed with each thread's id.
+constexpr std::uint64_t kLatencySeed = 0x5b0a;
+
 /// Latency samples are seconds; the paper's write range is 0.3-4.2 ms, so
 /// [10 us, 1 s) with ~13 buckets/decade resolves it comfortably.
 obs::HistogramOptions latency_histogram_options() {
@@ -41,7 +44,7 @@ KvStore::Shard& KvStore::shard_for(const std::string& key) const {
 void KvStore::simulate_network() const {
   if (!options_.inject_latency) return;
   // Per-thread generator so concurrent clients draw independent latencies.
-  thread_local Rng rng(options_.seed ^
+  thread_local Rng rng(kLatencySeed ^
                        std::hash<std::thread::id>{}(std::this_thread::get_id()));
   const double ratio = options_.max_latency_ms / options_.min_latency_ms;
   const double latency_ms =

@@ -25,7 +25,6 @@ struct KvStoreOptions {
   /// the paper's observed 0.3-4.2 ms write latencies.
   double min_latency_ms = 0.3;
   double max_latency_ms = 4.2;
-  std::uint64_t seed = 0x5b0a;
 };
 
 /// Thread-safe string store with per-shard locking. Latency injection

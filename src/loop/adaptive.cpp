@@ -13,6 +13,10 @@ namespace sb::loop {
 
 namespace {
 constexpr std::uint32_t kNoCol = std::numeric_limits<std::uint32_t>::max();
+/// Clamp on the per-config correction ratio observed/forecast, bounding how
+/// hard one tick can rescale the demand matrix.
+constexpr double kRatioFloor = 0.25;
+constexpr double kRatioCap = 8.0;
 }  // namespace
 
 AdaptiveController::AdaptiveController(Switchboard& sb, EvalContext ctx,
@@ -235,9 +239,9 @@ DemandMatrix AdaptiveController::corrected_demand(TimeSlot slot) const {
     if (fc > 1e-9) {
       ratio = obs / fc;
     } else {
-      ratio = obs > 0.0 ? options_.ratio_cap : 1.0;
+      ratio = obs > 0.0 ? kRatioCap : 1.0;
     }
-    ratio = std::clamp(ratio, options_.ratio_floor, options_.ratio_cap);
+    ratio = std::clamp(ratio, kRatioFloor, kRatioCap);
     for (TimeSlot t = slot; t < forecast_.slot_count(); ++t) {
       const double scaled = forecast_.demand(t, col) * ratio;
       // The current slot floors at what is live right now: capacity must

@@ -39,10 +39,6 @@ struct LoopOptions {
   /// be exceeded before the loop re-provisions. Inside the band the tick is
   /// a no-op (no plan-thrash on steady traces).
   double deviation_band = 0.25;
-  /// Clamp on the per-config correction ratio observed/forecast, bounding
-  /// how hard one tick can rescale the demand matrix.
-  double ratio_floor = 0.25;
-  double ratio_cap = 8.0;
   /// TEST-ONLY chaos knob (sb_fuzz --chaos skip-replan): the tick counts
   /// the out-of-band trigger but silently drops the re-provision — the
   /// planted bug the loop-replan oracle must catch. Never set in

@@ -28,7 +28,7 @@ class DenseTableau {
         result.status = p1;
         return result;
       }
-      if (phase1_objective() > options_.feasibility_tol * rhs_scale_) {
+      if (phase1_objective() > kFeasibilityTol * rhs_scale_) {
         result.status = SolveStatus::kInfeasible;
         return result;
       }
@@ -154,7 +154,7 @@ class DenseTableau {
       pivot(static_cast<std::size_t>(leaving),
             static_cast<std::size_t>(entering));
       const double objective = -objective_[cols_];
-      if (objective < last_objective - options_.optimality_tol) {
+      if (objective < last_objective - kOptimalityTol) {
         stall = 0;
         last_objective = objective;
       } else if (++stall >= options_.stall_limit) {
@@ -165,7 +165,7 @@ class DenseTableau {
 
   int pick_entering(bool bland) const {
     int best = -1;
-    double best_cost = -options_.optimality_tol;
+    double best_cost = -kOptimalityTol;
     for (std::size_t j = 0; j < cols_; ++j) {
       if (banned_[j]) continue;
       const double c = objective_[j];
@@ -187,16 +187,16 @@ class DenseTableau {
     for (std::size_t r = 0; r < m_; ++r) {
       const double a = at(r, entering);
       double ratio;
-      if (a > options_.feasibility_tol) {
+      if (a > kFeasibilityTol) {
         ratio = rhs(r) / a;
       } else if (!phase1 && basis_[r] >= artificial_begin_ &&
-                 a < -options_.feasibility_tol) {
+                 a < -kFeasibilityTol) {
         ratio = 0.0;
       } else {
         continue;
       }
-      if (leaving < 0 || ratio < best_ratio - options_.optimality_tol ||
-          (ratio < best_ratio + options_.optimality_tol &&
+      if (leaving < 0 || ratio < best_ratio - kOptimalityTol ||
+          (ratio < best_ratio + kOptimalityTol &&
            basis_[r] < basis_[static_cast<std::size_t>(leaving)])) {
         leaving = static_cast<int>(r);
         best_ratio = ratio;
@@ -207,7 +207,7 @@ class DenseTableau {
 
   void pivot(std::size_t row, std::size_t col) {
     const double p = at(row, col);
-    require(std::abs(p) > options_.feasibility_tol * 1e-3,
+    require(std::abs(p) > kFeasibilityTol * 1e-3,
             "dense simplex: tiny pivot");
     const double inv = 1.0 / p;
     for (std::size_t j = 0; j <= cols_; ++j) at(row, j) *= inv;
@@ -231,7 +231,7 @@ class DenseTableau {
     basis_[row] = col;
     // Clamp tiny negative rhs introduced by roundoff.
     for (std::size_t r = 0; r < m_; ++r) {
-      if (rhs(r) < 0.0 && rhs(r) > -options_.feasibility_tol) rhs(r) = 0.0;
+      if (rhs(r) < 0.0 && rhs(r) > -kFeasibilityTol) rhs(r) = 0.0;
     }
   }
 
@@ -243,7 +243,7 @@ class DenseTableau {
     for (std::size_t r = 0; r < m_; ++r) {
       if (basis_[r] < artificial_begin_) continue;
       for (std::size_t j = 0; j < artificial_begin_; ++j) {
-        if (std::abs(at(r, j)) > options_.feasibility_tol) {
+        if (std::abs(at(r, j)) > kFeasibilityTol) {
           pivot(r, j);
           break;
         }

@@ -12,13 +12,14 @@
 
 namespace sb::lp {
 
+/// Reduced-cost optimality tolerance of every simplex engine.
+inline constexpr double kOptimalityTol = 1e-9;
+/// Feasibility / pivot magnitude tolerance of every simplex engine.
+inline constexpr double kFeasibilityTol = 1e-7;
+
 /// Tuning knobs shared by the simplex engines.
 struct SimplexOptions {
   std::size_t max_iterations = 200000;
-  /// Reduced-cost optimality tolerance.
-  double optimality_tol = 1e-9;
-  /// Feasibility / pivot magnitude tolerance.
-  double feasibility_tol = 1e-7;
   /// Consecutive non-improving iterations before switching to Bland's rule.
   std::size_t stall_limit = 500;
   /// Revised engines only: refactorize the basis every N pivots. The sparse
@@ -28,10 +29,6 @@ struct SimplexOptions {
   /// margin (bench/micro_lp.cpp: 32 is ~3x faster than 300 at the
   /// 42x24x8 provisioning shape).
   std::size_t refactor_interval = 32;
-  /// Sparse engine only: size of the partial-pricing candidate list. The
-  /// pricer re-scores only this many nonbasic columns per iteration and
-  /// refills the list from a rotating cursor when it runs dry.
-  std::size_t pricing_candidates = 256;
 };
 
 /// Solver-internal result in standard-form variable space.

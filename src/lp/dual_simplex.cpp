@@ -13,7 +13,7 @@ namespace sb::lp {
 namespace {
 
 /// Pivot-row entries below this cannot anchor a dual pivot or a ratio-test
-/// breakpoint (mirrors the primal feasibility_tol use in its ratio test).
+/// breakpoint (mirrors the primal kFeasibilityTol use in its ratio test).
 constexpr double kAlphaTol = 1e-9;
 /// Rounds of end-game dual-feasibility repair (flip wrong-sign boxed
 /// nonbasics on fresh factors and resume) before handing off to the primal.
@@ -123,7 +123,7 @@ class DualEngine::Impl : SimplexCore {
   /// flipped (flips move no dual).
   bool make_dual_feasible() {
     if (duals_ != Duals::kFresh) compute_duals();
-    const double dtol = options_.optimality_tol;
+    const double dtol = kOptimalityTol;
     bool flipped = false;
     for (std::size_t j = 0; j < total_; ++j) {
       if (status_[j] == VarStatus::kBasic) continue;
@@ -148,7 +148,7 @@ class DualEngine::Impl : SimplexCore {
   /// Largest primal bound violation among the basics; -1 when primal
   /// feasible. Under bland_ the lowest violating position wins instead.
   [[nodiscard]] int pick_leaving() const {
-    const double ftol = options_.feasibility_tol;
+    const double ftol = kFeasibilityTol;
     int best = -1;
     double best_viol = ftol;
     for (std::size_t p = 0; p < m_; ++p) {
@@ -182,7 +182,7 @@ class DualEngine::Impl : SimplexCore {
     std::size_t stalled = 0;
     int finish_rounds = 0;
     double last_infeas = kInf;
-    const double dtol = options_.optimality_tol;
+    const double dtol = kOptimalityTol;
     while (true) {
       if (iterations >= options_.max_iterations) {
         return SolveStatus::kIterationLimit;

@@ -14,6 +14,10 @@ namespace {
 
 /// Absolute slack when comparing ratio-test breakpoints for ties.
 constexpr double kRatioTieTol = 1e-9;
+/// Size of the partial-pricing candidate list. The pricer re-scores only
+/// this many nonbasic columns per iteration and refills the list from a
+/// rotating cursor when it runs dry.
+constexpr std::size_t kPricingCandidates = 256;
 /// Relative improvement below which an iteration counts as stalled.
 constexpr double kStallRelTol = 1e-12;
 /// Devex reference-framework reset: when the entering column's own weight
@@ -59,7 +63,7 @@ class SparseSimplex : SimplexCore {
       if (p1 != SolveStatus::kOptimal) {
         out.status = p1;
       } else if (infeasibility() >
-                 options_.feasibility_tol * rhs_scale_ * 10.0) {
+                 kFeasibilityTol * rhs_scale_ * 10.0) {
         out.status = SolveStatus::kInfeasible;
       }
     }
@@ -224,8 +228,8 @@ class SparseSimplex : SimplexCore {
     const auto ju = static_cast<std::size_t>(j);
     if (status_[ju] == VarStatus::kBasic) return false;
     if (!(upper_[ju] - lower_[ju] > 0.0)) return false;  // fixed (kEq slack)
-    return status_[ju] == VarStatus::kAtLower ? d < -options_.optimality_tol
-                                              : d > options_.optimality_tol;
+    return status_[ju] == VarStatus::kAtLower ? d < -kOptimalityTol
+                                              : d > kOptimalityTol;
   }
 
   /// Picks the entering column. Partial pricing with Devex weights: the
@@ -274,7 +278,7 @@ class SparseSimplex : SimplexCore {
         best_score = score;
         best = j;
       }
-      if (candidates_.size() >= options_.pricing_candidates) break;
+      if (candidates_.size() >= kPricingCandidates) break;
     }
     return best;
   }
@@ -365,7 +369,7 @@ class SparseSimplex : SimplexCore {
     Ratio best;
     best.t = upper_[ent] - lower_[ent];  // bound-flip distance (may be inf)
     best.pos = -1;
-    const double ftol = options_.feasibility_tol;
+    const double ftol = kFeasibilityTol;
     for (int p : w_.nz) {
       const double wv = w_.values[static_cast<std::size_t>(p)];
       if (std::abs(wv) <= ftol) continue;
@@ -418,7 +422,7 @@ class SparseSimplex : SimplexCore {
   /// `d` is the phase-1 reduced cost of the entering column.
   Ratio ratio_test_phase1(int entering, double dir, double d) const {
     const auto ent = static_cast<std::size_t>(entering);
-    const double ftol = options_.feasibility_tol;
+    const double ftol = kFeasibilityTol;
 
     double hard_cap = upper_[ent] - lower_[ent];  // bound flip (may be inf)
     int hard_pos = -1;
@@ -499,7 +503,7 @@ class SparseSimplex : SimplexCore {
     for (const Breakpoint& bp : breakpoints_) {
       if (bp.cap >= hard_cap) break;
       slope += bp.weight;
-      if (slope >= -options_.optimality_tol || bp.cap >= hard_cap) {
+      if (slope >= -kOptimalityTol || bp.cap >= hard_cap) {
         best.t = bp.cap;
         best.pos = bp.pos;
         best.to_upper = bp.to_upper;
@@ -518,7 +522,7 @@ class SparseSimplex : SimplexCore {
     reset_devex_framework(/*count=*/false);  // new reference framework
     std::size_t stalled = 0;
     double last_obj = phase1 ? infeasibility() : objective_value();
-    const double ftol = options_.feasibility_tol;
+    const double ftol = kFeasibilityTol;
     // The duals (cb_) stay valid across bound flips — a flip changes no
     // basis column — so consecutive flips skip the BTRAN and share one
     // pricing state. Pivots and refactorizations invalidate them.

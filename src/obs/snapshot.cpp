@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <ostream>
 
-#include "common/csv.h"
 #include "common/error.h"
 #include "obs/json_text.h"
 
@@ -43,27 +42,6 @@ std::uint64_t MetricsSnapshot::counter_value(std::string_view name,
                                              std::uint64_t fallback) const {
   const CounterSample* sample = find_counter(name);
   return sample == nullptr ? fallback : sample->value;
-}
-
-void MetricsSnapshot::write_csv(std::ostream& out) const {
-  CsvWriter writer(out);
-  writer.write_row({"kind", "name", "value", "count", "sum", "mean", "min",
-                    "max", "p50", "p90", "p99"});
-  for (const CounterSample& c : counters) {
-    writer.write_row({"counter", c.name, std::to_string(c.value), "", "", "",
-                      "", "", "", "", ""});
-  }
-  for (const GaugeSample& g : gauges) {
-    writer.write_row({"gauge", g.name, format_number(g.value), "", "", "", "",
-                      "", "", "", ""});
-  }
-  for (const HistogramSample& h : histograms) {
-    writer.write_row({"histogram", h.name, "", std::to_string(h.data.count),
-                      format_number(h.data.sum), format_number(h.data.mean()),
-                      format_number(h.data.min), format_number(h.data.max),
-                      format_number(h.data.p50()), format_number(h.data.p90()),
-                      format_number(h.data.p99())});
-  }
 }
 
 void MetricsSnapshot::write_json(std::ostream& out) const {

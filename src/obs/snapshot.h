@@ -1,6 +1,7 @@
-// Point-in-time read of the whole MetricsRegistry, with CSV/JSON export and
-// a subtraction helper for benches (diff two snapshots taken around a run to
-// get that run's counts and latency distribution in isolation).
+// Point-in-time read of the whole MetricsRegistry, with JSON export (what
+// sb_report reads) and a subtraction helper for benches (diff two snapshots
+// taken around a run to get that run's counts and latency distribution in
+// isolation).
 //
 // These types are always compiled — with SB_METRICS=OFF a snapshot is simply
 // empty — so export paths don't need to be conditionally compiled.
@@ -50,9 +51,6 @@ struct MetricsSnapshot {
   [[nodiscard]] std::uint64_t counter_value(std::string_view name,
                                             std::uint64_t fallback = 0) const;
 
-  /// One row per metric: kind,name,value,count,sum,mean,min,max,p50,p90,p99.
-  /// Counters fill `value`; gauges fill `value`; histograms fill the rest.
-  void write_csv(std::ostream& out) const;
   /// {"counters": {...}, "gauges": {...}, "histograms": {name: {count, sum,
   ///  mean, min, max, p50, p90, p99}}}
   void write_json(std::ostream& out) const;

@@ -14,7 +14,6 @@ namespace {
 constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 
 using detail::format_number;
-using detail::json_escape;
 
 }  // namespace
 
@@ -136,28 +135,6 @@ void TimeSeriesRecorder::write_csv(std::ostream& out) const {
     }
     writer.write_row(row);
   }
-}
-
-void TimeSeriesRecorder::write_json(std::ostream& out) const {
-  std::lock_guard lock(mutex_);
-  out << "{\n  \"period_s\": " << format_number(options_.period_s)
-      << ",\n  \"t\": [";
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    out << (i == 0 ? "" : ", ") << format_number(samples_[i].t);
-  }
-  out << "],\n  \"series\": {";
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    out << (c == 0 ? "\n" : ",\n") << "    \"" << json_escape(columns_[c])
-        << "\": [";
-    for (std::size_t i = 0; i < samples_.size(); ++i) {
-      out << (i == 0 ? "" : ", ")
-          << format_number(c < samples_[i].values.size()
-                               ? samples_[i].values[c]
-                               : 0.0);
-    }
-    out << "]";
-  }
-  out << "\n  }\n}\n";
 }
 
 }  // namespace sb::obs

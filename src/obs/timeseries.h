@@ -6,7 +6,7 @@
 // derived columns (count/sum/p50/p99).
 //
 // Always compiled: with -DSB_METRICS=OFF snapshots are empty, so a recorder
-// produces a structurally valid but column-less export.
+// produces a structurally valid but column-less CSV export.
 #pragma once
 
 #include <atomic>
@@ -66,9 +66,6 @@ class TimeSeriesRecorder {
   /// cumulative values named `counter:<name>`; gauges `gauge:<name>`;
   /// histograms expand to `histogram:<name>:{count,sum,p50,p99}`.
   void write_csv(std::ostream& out) const;
-
-  /// {"period_s": .., "t": [..], "series": {column: [..]}}
-  void write_json(std::ostream& out) const;
 
  private:
   struct Sample {

@@ -8,6 +8,11 @@
 
 namespace sb::pack {
 
+namespace {
+/// CAS attempts per candidate before rescanning the fleet.
+constexpr std::uint32_t kMaxCasRetries = 8;
+}  // namespace
+
 ServerPacker::ServerPacker(const World& world, PackOptions options,
                            const fault::HealthTable* health)
     : world_(&world),
@@ -37,8 +42,7 @@ bool ServerPacker::try_claim(ServerId server, std::int64_t need_mc,
   std::atomic<std::int64_t>& used_mc = used_mc_[server.value()];
   const std::int64_t cap = capacity_mc_[server.value()];
   std::int64_t used = used_mc.load(std::memory_order_relaxed);
-  for (std::uint32_t attempt = 0; attempt < options_.max_cas_retries;
-       ++attempt) {
+  for (std::uint32_t attempt = 0; attempt < kMaxCasRetries; ++attempt) {
     if (used + need_mc > cap) return false;
     if (used_mc.compare_exchange_weak(used, used + need_mc,
                                       std::memory_order_acq_rel,

@@ -52,8 +52,6 @@ struct PackOptions {
   /// spreading one call per server (the fragmentation the Tetris paper
   /// measures). In cores; 0 disables.
   double anti_frag_empty_penalty_cores = 0.25;
-  /// CAS attempts per candidate before rescanning the fleet.
-  std::uint32_t max_cas_retries = 8;
 };
 
 /// One call moved by an intra-DC defragmentation pass.

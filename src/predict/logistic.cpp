@@ -7,6 +7,10 @@
 namespace sb {
 
 namespace {
+/// SGD step size at epoch 0 and the L2 penalty on the non-bias weights.
+constexpr double kLearningRate = 0.1;
+constexpr double kL2 = 1e-4;
+
 double sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
 }  // namespace
 
@@ -27,12 +31,12 @@ void LogisticRegression::fit(const std::vector<std::vector<double>>& features,
   for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
     // Decaying step size stabilizes the tail of training.
     const double lr =
-        options.learning_rate / (1.0 + 0.1 * static_cast<double>(epoch));
+        kLearningRate / (1.0 + 0.1 * static_cast<double>(epoch));
     for (std::size_t i = 0; i < features.size(); ++i) {
       const double p = predict_prob(features[i]);
       const double err = static_cast<double>(labels[i]) - p;
       for (std::size_t j = 0; j < feature_count_; ++j) {
-        weights_[j] += lr * (err * features[i][j] - options.l2 * weights_[j]);
+        weights_[j] += lr * (err * features[i][j] - kL2 * weights_[j]);
       }
       weights_.back() += lr * err;  // bias, not regularized
     }

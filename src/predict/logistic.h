@@ -12,8 +12,6 @@ namespace sb {
 
 struct LogisticOptions {
   std::size_t epochs = 30;
-  double learning_rate = 0.1;
-  double l2 = 1e-4;
 };
 
 class LogisticRegression {

@@ -16,18 +16,6 @@
 
 namespace sb {
 
-double SimReport::total_peak_cores() const {
-  double acc = 0.0;
-  for (double v : dc_peak_cores) acc += v;
-  return acc;
-}
-
-double SimReport::total_peak_gbps() const {
-  double acc = 0.0;
-  for (double v : link_peak_gbps) acc += v;
-  return acc;
-}
-
 double SimReport::dc_bucket_peak(std::size_t dc) const {
   if (dc >= dc_cores_buckets.size()) return 0.0;
   double peak = 0.0;

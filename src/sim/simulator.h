@@ -63,8 +63,6 @@ struct SimReport {
   std::vector<std::vector<double>> dc_cores_buckets;
   double bucket_s = 0.0;
 
-  [[nodiscard]] double total_peak_cores() const;
-  [[nodiscard]] double total_peak_gbps() const;
   /// Max over buckets of dc_cores_buckets[dc]; 0 when out of range/empty.
   [[nodiscard]] double dc_bucket_peak(std::size_t dc) const;
 };

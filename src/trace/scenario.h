@@ -34,4 +34,15 @@ struct ScenarioParams {
 /// universe homed across its countries.
 Scenario make_apac_scenario(const ScenarioParams& params = {});
 
+/// Restricts a demand matrix to its first `top_k` columns (the trace
+/// universe is sorted by base rate, so these are the most popular configs —
+/// the §5.2 "top 1%" device that keeps the LP tractable).
+DemandMatrix top_k_demand(const DemandMatrix& full, std::size_t top_k);
+
+/// A design-day demand matrix: expected demand of the scenario's trace over
+/// one representative weekday (Tuesday), `slot_s`-second slots, top-k
+/// configs, every cell multiplied by §5.2's planning `cushion`.
+DemandMatrix design_day_demand(const Scenario& scenario, double slot_s,
+                               std::size_t top_k, double cushion = 1.0);
+
 }  // namespace sb

@@ -3,9 +3,6 @@
 // DCs) — the shape micro_controller's ReprovisionDay benches.
 #pragma once
 
-#include <algorithm>
-#include <vector>
-
 #include "calls/demand.h"
 #include "core/placement.h"
 #include "trace/scenario.h"
@@ -15,24 +12,7 @@ namespace sb::test {
 struct ApacDesignDay {
   Scenario scenario = make_apac_scenario({.seed = 1});
   LoadModel loads = LoadModel::paper_default();
-  DemandMatrix demand = top_configs(
-      scenario.trace->expected_demand(3600.0, kSecondsPerDay,
-                                      2 * kSecondsPerDay),
-      30);
-
-  static DemandMatrix top_configs(const DemandMatrix& full, std::size_t k) {
-    std::vector<ConfigId> top;
-    for (std::size_t c = 0; c < std::min(k, full.config_count()); ++c) {
-      top.push_back(full.config_at(c));
-    }
-    DemandMatrix out = make_demand_matrix(top, full.slot_count());
-    for (TimeSlot t = 0; t < full.slot_count(); ++t) {
-      for (std::size_t c = 0; c < top.size(); ++c) {
-        out.set_demand(t, c, full.demand(t, c));
-      }
-    }
-    return out;
-  }
+  DemandMatrix demand = design_day_demand(scenario, 3600.0, 30);
 
   [[nodiscard]] EvalContext ctx() const {
     return {&scenario.world(), &scenario.topology(), &scenario.latency(),

@@ -20,18 +20,7 @@ class BaselineFixture : public ::testing::Test {
                            &scenario_->latency(), scenario_->registry.get(),
                            loads_};
     // Tuesday, 30-minute slots, top-30 configs by base rate.
-    DemandMatrix full = scenario_->trace->expected_demand(
-        1800.0, kSecondsPerDay, 2 * kSecondsPerDay);
-    std::vector<ConfigId> top;
-    for (std::size_t i = 0; i < 30; ++i) {
-      top.push_back(full.config_at(i));
-    }
-    demand_ = new DemandMatrix(make_demand_matrix(top, full.slot_count()));
-    for (TimeSlot t = 0; t < full.slot_count(); ++t) {
-      for (std::size_t c = 0; c < top.size(); ++c) {
-        demand_->set_demand(t, c, full.demand(t, c));
-      }
-    }
+    demand_ = new DemandMatrix(design_day_demand(*scenario_, 1800.0, 30));
   }
   static void TearDownTestSuite() {
     delete demand_;

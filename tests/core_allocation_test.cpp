@@ -232,7 +232,7 @@ TEST_F(PlanDayTest, PerSlotPlanMatchesMonolithicModel) {
   for (std::size_t k = 0; k < configs; ++k) {
     const CallConfig& config = c.registry->get(demand.config_at(k));
     cand[k] = feasible_dcs(config, world.dc_ids(), *c.latency,
-                           kDefaultAclThresholdMs);
+                           kAclThresholdMs);
     for (DcId dc : cand[k]) prof[k].push_back(make_hosting_profile(config, dc, c));
   }
   lp::Model model;
@@ -368,7 +368,7 @@ TEST_F(PlanDayTest, ZeroedCellRebuildsOnlyItsSlot) {
 TEST_F(PlanDayTest, HintForAnotherConfigSetIsDiscarded) {
   const AllocationPlanner planner(ctx(), {});
   PlanLpHint hint;
-  (void)planner.plan(test::ApacDesignDay::top_configs(d().day.demand, 29),
+  (void)planner.plan(top_k_demand(d().day.demand, 29),
                      d().cap_day, kSlotS, &hint);
   const AllocationPlan warm =
       planner.plan(d().uniform, d().cap_uniform, kSlotS, &hint);

@@ -178,7 +178,7 @@ TEST(Fig4Test, JointScenarioLpNeverCostsMoreThanSequential) {
 // at it buys nothing), and its F0 placement serves every demand cell.
 TEST(JointScenarioTest, DesignDayJointLpCoversEveryDcFailureAtNoMoreCost) {
   const test::ApacDesignDay day;
-  const DemandMatrix demand = test::ApacDesignDay::top_configs(day.demand, 5);
+  const DemandMatrix demand = top_k_demand(day.demand, 5);
   const World& world = day.scenario.world();
   const Topology& topo = day.scenario.topology();
   ProvisionOptions sequential;
@@ -243,7 +243,7 @@ double acl_weighted_cost(const PlacementMatrix& placement,
 // costs 4.4% more ACL.
 TEST(JointScenarioTest, DesignDayJointPlacementIsItsF0Block) {
   const test::ApacDesignDay day;
-  const DemandMatrix demand = test::ApacDesignDay::top_configs(day.demand, 6);
+  const DemandMatrix demand = top_k_demand(day.demand, 6);
   const EvalContext ctx = day.ctx();
   const World& world = *ctx.world;
   const Topology& topo = *ctx.topology;
@@ -257,7 +257,7 @@ TEST(JointScenarioTest, DesignDayJointPlacementIsItsF0Block) {
   for (std::size_t c = 0; c < demand.config_count(); ++c) {
     const std::vector<DcId> candidates =
         feasible_dcs(ctx.registry->get(demand.config_at(c)), world.dc_ids(),
-                     *ctx.latency, joint.acl_threshold_ms);
+                     *ctx.latency, kAclThresholdMs);
     for (DcId x : world.dc_ids()) {
       if (std::find(candidates.begin(), candidates.end(), x) !=
           candidates.end()) {

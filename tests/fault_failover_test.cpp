@@ -213,19 +213,7 @@ TEST(FailoverPropertyTest, SurvivorsCoverEverySingleDcFailureAtPeak) {
   const EvalContext ctx{&scenario.world(), &scenario.topology(),
                         &scenario.latency(), scenario.registry.get(), &loads};
 
-  DemandMatrix full = scenario.trace->expected_demand(
-      7200.0, kSecondsPerDay, 2 * kSecondsPerDay);
-  std::vector<ConfigId> top;
-  for (std::size_t i = 0; i < std::min<std::size_t>(15, full.config_count());
-       ++i) {
-    top.push_back(full.config_at(i));
-  }
-  DemandMatrix demand = make_demand_matrix(top, full.slot_count());
-  for (TimeSlot t = 0; t < full.slot_count(); ++t) {
-    for (std::size_t c = 0; c < top.size(); ++c) {
-      demand.set_demand(t, c, full.demand(t, c));
-    }
-  }
+  const DemandMatrix demand = design_day_demand(scenario, 7200.0, 15);
 
   ProvisionOptions options;
   options.include_link_failures = false;

@@ -104,14 +104,20 @@ TEST(FaultScheduleTest, FailPairProducesDownThenUp) {
   EXPECT_DOUBLE_EQ(events[3].time, 1600.0);
 }
 
+// The §5.3 experiment shape (sec53_failover): one down/up outage per DC,
+// each at the moment its own planned core usage peaks.
 TEST(FaultScheduleTest, EachDcAtPeakFailsEveryDcAtItsOwnPeakSlot) {
   // DC 0 peaks in slot 2, DC 1 in slot 0 (ties resolve earliest).
   const std::vector<std::vector<double>> dc_cores = {{1.0, 3.0, 9.0, 2.0},
                                                      {5.0, 5.0, 1.0, 0.0}};
   EXPECT_EQ(fault::FaultSchedule::peak_slot(dc_cores[0]), 2u);
   EXPECT_EQ(fault::FaultSchedule::peak_slot(dc_cores[1]), 0u);
-  const fault::FaultSchedule schedule = fault::FaultSchedule::each_dc_at_peak(
-      dc_cores, 1800.0, 86400.0, 900.0);
+  fault::FaultSchedule schedule;
+  for (std::uint32_t x = 0; x < dc_cores.size(); ++x) {
+    const double peak =
+        static_cast<double>(fault::FaultSchedule::peak_slot(dc_cores[x]));
+    schedule.fail_dc(DcId(x), 86400.0 + peak * 1800.0, 900.0);
+  }
   const auto events = schedule.events();
   ASSERT_EQ(events.size(), 4u);  // one down/up pair per DC
   // DC 1's outage (slot 0) comes first.

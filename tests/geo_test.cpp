@@ -26,7 +26,6 @@ TEST(WorldTest, RegistersAndLooksUp) {
   EXPECT_EQ(w.dc_count(), 2u);
   EXPECT_EQ(w.find_location("B")->value(), 1u);
   EXPECT_FALSE(w.find_location("Z").has_value());
-  EXPECT_EQ(w.dc_region(DcId(0)), "R");
   EXPECT_EQ(w.dcs_in_region("R").size(), 2u);
   EXPECT_TRUE(w.dcs_in_region("other").empty());
 }
@@ -86,16 +85,6 @@ TEST(TopologyTest, DisconnectedPairThrows) {
                InvalidArgument);
 }
 
-TEST(TopologyTest, IncidentLinks) {
-  World w = make_triangle_world();
-  Topology topo(w);
-  topo.add_link(LocationId(0), LocationId(1), 1.0, 1.0);
-  topo.add_link(LocationId(0), LocationId(2), 1.0, 1.0);
-  topo.compute_paths();
-  EXPECT_EQ(topo.incident_links(LocationId(0)).size(), 2u);
-  EXPECT_EQ(topo.incident_links(LocationId(2)).size(), 1u);
-}
-
 TEST(KnnTopologyTest, AlwaysConnected) {
   Rng rng(11);
   for (int rep = 0; rep < 5; ++rep) {
@@ -122,20 +111,6 @@ TEST(LatencyMatrixTest, FromTopologyAddsAccessLatency) {
   EXPECT_EQ(m.closest_dc(LocationId(2)), DcId(1));
 }
 
-TEST(LatencyEstimatorTest, MedianOfSamplesWithFallback) {
-  LatencyMatrix fallback(2, 2);
-  fallback.set_latency_ms(DcId(0), LocationId(0), 100.0);
-  fallback.set_latency_ms(DcId(1), LocationId(1), 50.0);
-
-  LatencyEstimator est(2, 2);
-  est.add_sample(DcId(0), LocationId(0), 10.0);
-  est.add_sample(DcId(0), LocationId(0), 30.0);
-  est.add_sample(DcId(0), LocationId(0), 20.0);
-  const LatencyMatrix m = est.build(fallback);
-  EXPECT_DOUBLE_EQ(m.latency_ms(DcId(0), LocationId(0)), 20.0);  // median
-  EXPECT_DOUBLE_EQ(m.latency_ms(DcId(1), LocationId(1)), 50.0);  // fallback
-}
-
 TEST(PresetWorldTest, ApacIsWellFormed) {
   const GeoModel apac = make_apac_world();
   EXPECT_EQ(apac.world.dc_count(), 5u);
@@ -147,14 +122,6 @@ TEST(PresetWorldTest, ApacIsWellFormed) {
     EXPECT_LT(apac.latency.latency_ms(dc, loc), 120.0)
         << apac.world.location(loc).name;
   }
-}
-
-TEST(PresetWorldTest, GlobalHasThreeRegions) {
-  const GeoModel global = make_global_world();
-  EXPECT_FALSE(global.world.dcs_in_region("APAC").empty());
-  EXPECT_FALSE(global.world.dcs_in_region("NA").empty());
-  EXPECT_FALSE(global.world.dcs_in_region("EU").empty());
-  EXPECT_TRUE(global.topology.connected());
 }
 
 }  // namespace

@@ -79,9 +79,9 @@ TEST(ProvisionPerfSmoke, UniformReprovisionIterationsStayBounded) {
   options.include_link_failures = false;
   const SwitchboardProvisioner prov(day.ctx(), options);
   ScenarioBasisHint hint;
-  (void)prov.provision(day.demand, nullptr, &hint);
+  (void)prov.provision(day.demand, &hint);
   const ProvisionResult warm =
-      prov.provision(uniform_115(day.demand), &hint, &hint);
+      prov.provision(uniform_115(day.demand), &hint);
   EXPECT_EQ(warm.scenarios.size(), 1 + day.scenario.world().dc_count());
   EXPECT_LT(total_iterations(warm), 50u);
 }
@@ -94,9 +94,9 @@ TEST(ProvisionPerfSmoke, PerConfigReprovisionIterationsStayBounded) {
   options.include_link_failures = false;
   const SwitchboardProvisioner prov(day.ctx(), options);
   ScenarioBasisHint hint;
-  (void)prov.provision(day.demand, nullptr, &hint);
+  (void)prov.provision(day.demand, &hint);
   const ProvisionResult warm =
-      prov.provision(per_config(day.demand), &hint, &hint);
+      prov.provision(per_config(day.demand), &hint);
   EXPECT_EQ(warm.scenarios.size(), 1 + day.scenario.world().dc_count());
   EXPECT_LT(total_iterations(warm), 400u);
 }

@@ -5,18 +5,24 @@
 // optimum a cold solve at the same floors finds and bit for bit on what the
 // same re-provision through a copy of its hint (whose retained LPs rebuild
 // their dual engines) computes. A demand-pattern change rebuilds every
-// scenario, so that re-provision equals a cold provision bit for bit.
+// scenario, so that re-provision equals a cold provision bit for bit. The
+// controller facade maps its (warm, basis_out) pair onto the one in-place
+// hint, and a failed re-provision leaves the hint empty.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <optional>
 #include <thread>
 
+#include "apac_design_day.h"
 #include "check/oracles.h"
+#include "common/error.h"
+#include "core/controller.h"
 #include "core/provisioner.h"
 #include "geo/world_presets.h"
 #include "obs/metrics.h"
 #include "trace/config_sampler.h"
+#include "trace/scenario.h"
 #include "trace/trace_gen.h"
 
 namespace sb {
@@ -49,20 +55,8 @@ struct Fixture {
         sample_universe(geo.world, registry, universe_params, rng);
     TraceGenerator trace(geo.world, registry, std::move(universe),
                          DiurnalShape{}, TraceParams{}, seed);
-    DemandMatrix full =
-        trace.expected_demand(7200.0, kSecondsPerDay, 2 * kSecondsPerDay);
-    std::vector<ConfigId> top;
-    for (std::size_t i = 0;
-         i < std::min<std::size_t>(8, full.config_count()); ++i) {
-      top.push_back(full.config_at(i));
-    }
-    DemandMatrix reduced = make_demand_matrix(top, full.slot_count());
-    for (TimeSlot t = 0; t < full.slot_count(); ++t) {
-      for (std::size_t c = 0; c < top.size(); ++c) {
-        reduced.set_demand(t, c, full.demand(t, c));
-      }
-    }
-    return reduced;
+    return top_k_demand(
+        trace.expected_demand(7200.0, kSecondsPerDay, 2 * kSecondsPerDay), 8);
   }
 
   [[nodiscard]] EvalContext ctx() const {
@@ -151,7 +145,7 @@ void expect_cold_objectives(const SwitchboardProvisioner& prov,
 }
 
 // provision()'s start rule. A cold provision warm-starts nothing and leaves
-// one retained state per scenario in its output hint; a re-provision
+// one retained state per scenario in its hint; a re-provision
 // through that hint warm-starts exactly one LP per scenario (F0, every DC
 // failure and every link failure), each on the optimum a cold solve at the
 // same floors finds.
@@ -164,7 +158,7 @@ TEST(ParallelProvisionTest, ReprovisionWarmStartsEveryScenarioFromItsOwnState) {
   const std::uint64_t before_cold = warm_starts.value();
 #endif
   ScenarioBasisHint basis;
-  const ProvisionResult cold = prov.provision(fix.demand, nullptr, &basis);
+  const ProvisionResult cold = prov.provision(fix.demand, &basis);
   ASSERT_EQ(cold.scenarios.size(), 19u);
   ASSERT_EQ(basis.scenarios.size(), cold.scenarios.size());
   for (const std::optional<ScenarioLp>& state : basis.scenarios) {
@@ -178,7 +172,7 @@ TEST(ParallelProvisionTest, ReprovisionWarmStartsEveryScenarioFromItsOwnState) {
 #ifdef SB_METRICS_ENABLED
   const std::uint64_t before_warm = warm_starts.value();
 #endif
-  const ProvisionResult warm = prov.provision(corrected, &basis, &basis);
+  const ProvisionResult warm = prov.provision(corrected, &basis);
 #ifdef SB_METRICS_ENABLED
   EXPECT_EQ(warm_starts.value() - before_warm, cold.scenarios.size());
 #endif
@@ -207,15 +201,15 @@ TEST(ParallelProvisionTest, CopiedHintsReprovisionIndependently) {
   const Fixture fix(4242);
   const SwitchboardProvisioner prov(fix.ctx(), ProvisionOptions{});
   ScenarioBasisHint basis;
-  (void)prov.provision(fix.demand, nullptr, &basis);
+  (void)prov.provision(fix.demand, &basis);
   ScenarioBasisHint copy = basis;
 
   const DemandMatrix corrected = corrected_demand(fix.demand);
   const DemandMatrix scaled = check::scaled_demand(fix.demand, 1.15);
   std::optional<ProvisionResult> second;
   std::thread other(
-      [&] { second = prov.provision(scaled, &copy, &copy); });
-  const ProvisionResult first = prov.provision(corrected, &basis, &basis);
+      [&] { second = prov.provision(scaled, &copy); });
+  const ProvisionResult first = prov.provision(corrected, &basis);
   other.join();
   expect_cold_objectives(prov, corrected, first);
   expect_cold_objectives(prov, scaled, *second);
@@ -234,13 +228,13 @@ TEST(ParallelProvisionTest, InPlaceReprovisionsMatchCopiedHintsBitForBit) {
   const Fixture fix(4242);
   const SwitchboardProvisioner prov(fix.ctx(), ProvisionOptions{});
   ScenarioBasisHint in_place;
-  (void)prov.provision(fix.demand, nullptr, &in_place);
+  (void)prov.provision(fix.demand, &in_place);
   ScenarioBasisHint carried = in_place;
   const std::vector<DemandMatrix> steps = {
       check::scaled_demand(fix.demand, 1.15),
       check::scaled_demand(fix.demand, 0.9), corrected_demand(fix.demand)};
   for (std::size_t k = 0; k < steps.size(); ++k) {
-    const ProvisionResult a = prov.provision(steps[k], &in_place, &in_place);
+    const ProvisionResult a = prov.provision(steps[k], &in_place);
     for (const std::optional<ScenarioLp>& state : in_place.scenarios) {
       ASSERT_TRUE(state.has_value());
       EXPECT_TRUE(state->model.has_engine()) << "step " << k;
@@ -249,7 +243,7 @@ TEST(ParallelProvisionTest, InPlaceReprovisionsMatchCopiedHintsBitForBit) {
     for (const std::optional<ScenarioLp>& state : copy.scenarios) {
       EXPECT_FALSE(state->model.has_engine()) << "step " << k;
     }
-    const ProvisionResult b = prov.provision(steps[k], &copy, &copy);
+    const ProvisionResult b = prov.provision(steps[k], &copy);
     EXPECT_EQ(check::reprovision_difference(a, b), "") << "step " << k;
     EXPECT_EQ(a.mean_acl_ms, b.mean_acl_ms) << "step " << k;
     carried = copy;
@@ -264,18 +258,67 @@ TEST(ParallelProvisionTest, ChangedDemandPatternRebuildsAndMatchesCold) {
   const Fixture fix(4242);
   const SwitchboardProvisioner prov(fix.ctx(), ProvisionOptions{});
   ScenarioBasisHint basis;
-  (void)prov.provision(fix.demand, nullptr, &basis);
+  (void)prov.provision(fix.demand, &basis);
   const std::size_t rows_before =
       basis.scenarios.front()->model.model().constraint_count();
 
   DemandMatrix zeroed = corrected_demand(fix.demand);
   ASSERT_GT(zeroed.demand(0, 0), 0.0);
   zeroed.set_demand(0, 0, 0.0);
-  const ProvisionResult warm = prov.provision(zeroed, &basis, &basis);
+  const ProvisionResult warm = prov.provision(zeroed, &basis);
   ASSERT_TRUE(basis.scenarios.front().has_value());
   EXPECT_EQ(basis.scenarios.front()->model.model().constraint_count(),
             rows_before - 1);
   EXPECT_EQ(check::reprovision_difference(warm, prov.provision(zeroed)), "");
+}
+
+// Switchboard::provision keeps its (warm, basis_out) pair over the
+// provisioner's one in-place hint. An output hint without a warm one is
+// emptied first: here it holds another demand's LPs of the same structure,
+// which an in-place re-solve would reuse, yet the provision equals a cold
+// one bit for bit and leaves every scenario's LP in the hint.
+TEST(ScenarioHintTest, FacadeColdProvisionEmptiesAFilledHintFirst) {
+  const Fixture fix(4242);
+  Switchboard sb(fix.ctx(), ControllerOptions{});
+  ScenarioBasisHint hint;
+  (void)sb.provision(check::scaled_demand(fix.demand, 1.15), nullptr, &hint);
+  ASSERT_FALSE(hint.empty());
+  const ProvisionResult got = sb.provision(fix.demand, nullptr, &hint);
+  const ProvisionResult cold =
+      SwitchboardProvisioner(fix.ctx(), ProvisionOptions{})
+          .provision(fix.demand);
+  EXPECT_EQ(check::reprovision_difference(got, cold), "");
+  ASSERT_EQ(hint.scenarios.size(), cold.scenarios.size());
+  for (const std::optional<ScenarioLp>& state : hint.scenarios) {
+    EXPECT_TRUE(state.has_value());
+  }
+}
+
+// A warm hint that is not also the output hint has no in-place meaning.
+TEST(ScenarioHintTest, FacadeRejectsTwoDistinctHints) {
+  const Fixture fix(4242);
+  Switchboard sb(fix.ctx(), ControllerOptions{});
+  ScenarioBasisHint a;
+  ScenarioBasisHint b;
+  (void)sb.provision(fix.demand, nullptr, &a);
+  EXPECT_THROW((void)sb.provision(fix.demand, &a, &b), InvalidArgument);
+}
+
+// A re-provision whose scenario LP cannot finish leaves no half-updated
+// hint behind, so the next provision through it solves cold. The design
+// day's per-config correction takes F0's dual re-solve 87 iterations.
+TEST(ScenarioHintTest, FailedReprovisionLeavesTheHintEmpty) {
+  const test::ApacDesignDay day;
+  ProvisionOptions options;
+  options.include_link_failures = false;
+  ScenarioBasisHint hint;
+  (void)SwitchboardProvisioner(day.ctx(), options).provision(day.demand, &hint);
+  ASSERT_FALSE(hint.empty());
+  options.lp_options.max_iterations = 1;
+  const SwitchboardProvisioner capped(day.ctx(), options);
+  EXPECT_THROW((void)capped.provision(test::per_config(day.demand), &hint),
+               SolveError);
+  EXPECT_TRUE(hint.empty());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "core/provisioner.h"
 #include "geo/world_presets.h"
 #include "trace/config_sampler.h"
+#include "trace/scenario.h"
 #include "trace/trace_gen.h"
 
 namespace sb {
@@ -43,19 +44,8 @@ TEST_P(RandomWorldProvisioningTest, CapacityCoversAllScenariosAndAllocates) {
                         &loads};
 
   // Top-10 configs over a short design window to keep the LPs tiny.
-  DemandMatrix full =
-      trace.expected_demand(7200.0, kSecondsPerDay, 2 * kSecondsPerDay);
-  std::vector<ConfigId> top;
-  for (std::size_t i = 0; i < std::min<std::size_t>(10, full.config_count());
-       ++i) {
-    top.push_back(full.config_at(i));
-  }
-  DemandMatrix demand = make_demand_matrix(top, full.slot_count());
-  for (TimeSlot t = 0; t < full.slot_count(); ++t) {
-    for (std::size_t c = 0; c < top.size(); ++c) {
-      demand.set_demand(t, c, full.demand(t, c));
-    }
-  }
+  const DemandMatrix demand = top_k_demand(
+      trace.expected_demand(7200.0, kSecondsPerDay, 2 * kSecondsPerDay), 10);
 
   ProvisionOptions options;
   options.include_link_failures = param.dcs >= 2;
