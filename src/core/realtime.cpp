@@ -15,6 +15,23 @@ namespace {
 /// hash to the same shard.
 constexpr std::size_t kDrainBatch = 64;
 
+/// The first of `dcs` that `usable` admits with the lowest `cost`; invalid
+/// when `usable` admits none.
+template <typename Usable, typename Cost>
+DcId min_dc(const std::vector<DcId>& dcs, Usable usable, Cost cost) {
+  DcId best;
+  double best_cost = 0.0;
+  for (DcId dc : dcs) {
+    if (!usable(dc)) continue;
+    const double c = cost(dc);
+    if (!best.valid() || c < best_cost) {
+      best = dc;
+      best_cost = c;
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 RealtimeSelector::RealtimeSelector(EvalContext ctx, const AllocationPlan* plan,
@@ -56,13 +73,12 @@ RealtimeSelector::RealtimeSelector(EvalContext ctx, const AllocationPlan* plan,
     }
     // The health table only covers servers when its owner sized it for this
     // world; a mismatched table (e.g. a pre-fleet controller) is ignored.
-    const fault::HealthTable* server_health =
-        health_ != nullptr &&
-                health_->server_count() == ctx_.world->server_count()
-            ? health_
-            : nullptr;
+    if (health_ != nullptr &&
+        health_->server_count() == ctx_.world->server_count()) {
+      server_health_ = health_;
+    }
     packer_ = std::make_unique<pack::ServerPacker>(*ctx_.world, options_.pack,
-                                                   server_health);
+                                                   server_health_);
   }
 }
 
@@ -79,6 +95,30 @@ bool RealtimeSelector::try_debit(std::size_t col, DcId dc,
     if (retries != nullptr) ++*retries;
   }
   return false;
+}
+
+template <typename Usable>
+DcId RealtimeSelector::debit_min_acl(std::size_t col, TimeSlot slot,
+                                     const CallConfig& config, Usable usable,
+                                     std::uint32_t* retries) {
+  // Another thread can take a candidate's last slot between the scan and our
+  // debit, so rescan until a debit lands or every quota reads exhausted; the
+  // CAS keeps accounting exact either way.
+  for (;;) {
+    const DcId best = min_dc(
+        all_dcs_,
+        [&](DcId dc) {
+          return usable(dc) && usage(col, dc).load(std::memory_order_relaxed) <
+                                   plan_->quota(slot, col, dc);
+        },
+        [&](DcId dc) { return acl_ms(config, dc, *ctx_.latency); });
+    if (!best.valid() ||
+        try_debit(col, best, plan_->quota(slot, col, best), retries)) {
+      return best;
+    }
+    // Lost the scan-to-debit race outright: the rescan is itself a retry.
+    if (retries != nullptr) ++*retries;
+  }
 }
 
 void RealtimeSelector::add_cores(DcId dc, double cores) {
@@ -159,8 +199,8 @@ DcId RealtimeSelector::on_call_start(CallId call, LocationId first_joiner,
     std::lock_guard lock(s.mutex);
     const auto [it, inserted] =
         s.calls.emplace(call,
-                        ActiveCall{dc, first_joiner, AllocationPlan::npos,
-                                   false, DcId(), 0.0, ServerId()});
+                        CallSnapshot{dc, first_joiner, AllocationPlan::npos,
+                                     false, DcId(), 0.0, ServerId()});
     require(inserted, "on_call_start: duplicate call id");
   }
   shard_stats(call).calls_started.fetch_add(1, std::memory_order_relaxed);
@@ -181,7 +221,7 @@ FreezeResult RealtimeSelector::on_config_frozen(CallId call,
   std::lock_guard lock(s.mutex);
   const auto it = s.calls.find(call);
   require(it != s.calls.end(), "on_config_frozen: unknown call");
-  ActiveCall& state = it->second;
+  CallSnapshot& state = it->second;
   stat.calls_frozen.fetch_add(1, std::memory_order_relaxed);
 
   const ConfigId id = id_hint.valid() ? id_hint : ctx_.registry->find(config);
@@ -193,130 +233,63 @@ FreezeResult RealtimeSelector::on_config_frozen(CallId call,
           : config.total_participants() *
                 ctx_.loads->cores_per_participant(config.media());
   const bool faulted = degraded();
+  const auto up = [&](DcId dc) { return !faulted || dc_ok(dc); };
 
   FreezeResult result{state.dc, false, col != AllocationPlan::npos,
                       ServerId()};
+  DcId target = state.dc;
   if (!result.planned) {
     // §5.4: unanticipated config -> its closest (min ACL) DC, restricted to
-    // surviving DCs while a fault is active.
+    // surviving DCs while a fault is active (every DC when none survives).
     stat.unplanned.fetch_add(1, std::memory_order_relaxed);
-    DcId target;
-    if (faulted) {
-      std::vector<DcId> up;
-      up.reserve(all_dcs_.size());
-      for (DcId dc : all_dcs_) {
-        if (health_->dc_up(dc)) up.push_back(dc);
-      }
-      target = min_acl_dc(config, up.empty() ? all_dcs_ : up, *ctx_.latency);
-    } else {
-      target = min_acl_dc(config, all_dcs_, *ctx_.latency);
-    }
-    result.migrated = target != state.dc;
-    if (result.migrated) {
-      stat.migrations.fetch_add(1, std::memory_order_relaxed);
-    }
-    state.dc = target;
-    state.cores = call_cores;
-    add_cores(target, call_cores);
-    result.dc = target;
-    state.server = pack_admit(target, call_cores, &cas_retries);
-    result.server = state.server;
-    span.attr(obs::AttrKey::kDc, static_cast<std::int64_t>(target.value()));
-    if (state.server.valid()) {
-      span.attr(obs::AttrKey::kServer,
-                static_cast<std::int64_t>(state.server.value()));
-    }
-    return result;
-  }
-
-  const TimeSlot slot = plan_->slot_at(now - plan_start_s_);
-  if ((!faulted || dc_ok(state.dc)) &&
-      try_debit(col, state.dc, plan_->quota(slot, col, state.dc),
-                &cas_retries)) {
-    // Initial heuristic matched the plan: just debit (§5.4b).
-    stat.slot_debits.fetch_add(1, std::memory_order_relaxed);
+    target = min_dc(all_dcs_, up, [&](DcId dc) {
+      return acl_ms(config, dc, *ctx_.latency);
+    });
+    if (!target.valid()) target = min_acl_dc(config, all_dcs_, *ctx_.latency);
+  } else {
+    // A slot at the initial DC when the heuristic matched the plan (§5.4b),
+    // else at the planned DC with spare quota and the lowest ACL (§5.4c).
+    const TimeSlot slot = plan_->slot_at(now - plan_start_s_);
+    const DcId slot_dc =
+        up(state.dc) && try_debit(col, state.dc,
+                                  plan_->quota(slot, col, state.dc),
+                                  &cas_retries)
+            ? state.dc
+            : debit_min_acl(col, slot, config, up, &cas_retries);
+    // The column is kept even without a slot: every decision path gates on
+    // holds_slot, and rebind_plan() uses it to upgrade overflow calls when a
+    // re-plan raises this config's quota.
     state.plan_col = col;
-    state.holds_slot = true;
-    state.slot_dc = state.dc;
-    state.cores = call_cores;
-    add_cores(state.dc, call_cores);
-    state.server = pack_admit(state.dc, call_cores, &cas_retries);
-    result.server = state.server;
-    span.attr(obs::AttrKey::kDc, static_cast<std::int64_t>(state.dc.value()));
-    span.attr(obs::AttrKey::kCasRetries, cas_retries);
-    return result;
-  }
-  // Migrate to the planned DC with spare quota and the lowest ACL (§5.4c).
-  // Another thread can drain a candidate between the scan and our debit, so
-  // retry the scan until a debit lands or every quota reads exhausted; the
-  // CAS keeps accounting exact either way.
-  DcId best;
-  for (;;) {
-    best = DcId();
-    double best_acl = 0.0;
-    for (DcId dc : all_dcs_) {
-      if (faulted && !dc_ok(dc)) continue;
-      if (usage(col, dc).load(std::memory_order_relaxed) >=
-          plan_->quota(slot, col, dc)) {
-        continue;
-      }
-      const double a = acl_ms(config, dc, *ctx_.latency);
-      if (!best.valid() || a < best_acl) {
-        best = dc;
-        best_acl = a;
-      }
-    }
-    if (!best.valid()) {
+    if (slot_dc.valid()) {
+      stat.slot_debits.fetch_add(1, std::memory_order_relaxed);
+      state.holds_slot = true;
+      state.slot_dc = target = slot_dc;
+    } else {
       // All quotas exhausted (plan under-estimated this config's
       // concurrency): stay put rather than thrash; provisioning cushions
       // make this rare. If the current host is down (a freeze racing a DC
       // failure), re-home to the closest surviving DC instead of staying
       // on a dead one.
       stat.overflow.fetch_add(1, std::memory_order_relaxed);
-      if (faulted && !dc_ok(state.dc)) {
-        const DcId target = closest_available_dc(state.first_joiner);
-        if (target != state.dc) {
-          stat.migrations.fetch_add(1, std::memory_order_relaxed);
-          result.migrated = true;
-          state.dc = target;
-          result.dc = target;
-        }
-      }
-      // Remember the column even without a slot: every decision path gates
-      // on holds_slot, and rebind_plan() uses it to upgrade overflow calls
-      // when a re-plan raises this config's quota.
-      state.plan_col = col;
-      state.cores = call_cores;
-      add_cores(state.dc, call_cores);
-      state.server = pack_admit(state.dc, call_cores, &cas_retries);
-      result.server = state.server;
-      span.attr(obs::AttrKey::kDc,
-                static_cast<std::int64_t>(state.dc.value()));
-      span.attr(obs::AttrKey::kCasRetries, cas_retries);
-      return result;
+      if (!up(state.dc)) target = closest_available_dc(state.first_joiner);
     }
-    if (try_debit(col, best, plan_->quota(slot, col, best), &cas_retries)) {
-      break;
-    }
-    // Lost the scan-to-debit race outright: the rescan is itself a retry.
-    ++cas_retries;
   }
-  stat.slot_debits.fetch_add(1, std::memory_order_relaxed);
-  state.plan_col = col;
-  state.holds_slot = true;
-  state.slot_dc = best;
-  if (best != state.dc) {
+  if (target != state.dc) {
     stat.migrations.fetch_add(1, std::memory_order_relaxed);
     result.migrated = true;
-    state.dc = best;
-    result.dc = best;
+    state.dc = target;
   }
+  result.dc = target;
   state.cores = call_cores;
-  add_cores(state.dc, call_cores);
-  state.server = pack_admit(state.dc, call_cores, &cas_retries);
+  add_cores(target, call_cores);
+  state.server = pack_admit(target, call_cores, &cas_retries);
   result.server = state.server;
-  span.attr(obs::AttrKey::kDc, static_cast<std::int64_t>(state.dc.value()));
+  span.attr(obs::AttrKey::kDc, static_cast<std::int64_t>(target.value()));
   span.attr(obs::AttrKey::kCasRetries, cas_retries);
+  if (state.server.valid()) {
+    span.attr(obs::AttrKey::kServer,
+              static_cast<std::int64_t>(state.server.value()));
+  }
   return result;
 }
 
@@ -328,28 +301,18 @@ void RealtimeSelector::on_call_end(CallId call, SimTime now) {
   std::lock_guard lock(s.mutex);
   const auto it = s.calls.find(call);
   require(it != s.calls.end(), "on_call_end: unknown call");
-  const ActiveCall& state = it->second;
+  span.attr(obs::AttrKey::kDc,
+            static_cast<std::int64_t>(it->second.dc.value()));
+  release_call(call, it->second);
+  s.calls.erase(it);
+}
+
+void RealtimeSelector::release_call(CallId call, const CallSnapshot& state) {
   if (state.holds_slot) {
     // Debits and credits pair exactly (holds_slot is set only after a
     // successful CAS debit), so the counter cannot underflow. The credited
     // cell is slot_dc, which tracks the accounting DC even when the call
     // was re-homed onto backup capacity during a failover.
-    usage(state.plan_col, state.slot_dc).fetch_sub(1, std::memory_order_acq_rel);
-    shard_stats(call).slot_credits.fetch_add(1, std::memory_order_relaxed);
-  }
-  span.attr(obs::AttrKey::kDc, static_cast<std::int64_t>(state.dc.value()));
-  add_cores(state.dc, -state.cores);
-  if (packer_ && state.server.valid()) {
-    packer_->release(state.server, state.cores);
-  }
-  s.calls.erase(it);
-}
-
-void RealtimeSelector::drop_call(CallId call, ActiveCall& state,
-                                 fault::FailoverOutcome& out) {
-  if (state.holds_slot) {
-    // Credit the slot so the quota table stays conserved; the caller erases
-    // the call state.
     usage(state.plan_col, state.slot_dc)
         .fetch_sub(1, std::memory_order_acq_rel);
     shard_stats(call).slot_credits.fetch_add(1, std::memory_order_relaxed);
@@ -358,10 +321,26 @@ void RealtimeSelector::drop_call(CallId call, ActiveCall& state,
   if (packer_ && state.server.valid()) {
     packer_->release(state.server, state.cores);
   }
-  out.dropped.push_back(call);
 }
 
-bool RealtimeSelector::rehome_move(CallId call, ActiveCall& state,
+void RealtimeSelector::move_call(CallId call, CallSnapshot& state, DcId to,
+                                 ServerId to_server,
+                                 fault::FailoverOutcome& out) {
+  // The chaos knob leaks the vacated server's release on purpose — see
+  // RealtimeOptions::chaos_skip_server_credit.
+  if (packer_ && state.server.valid() && !options_.chaos_skip_server_credit) {
+    packer_->release(state.server, state.cores);
+  }
+  out.moved.push_back({call, state.dc, to, to_server});
+  if (to != state.dc) {
+    add_cores(state.dc, -state.cores);
+    add_cores(to, state.cores);
+  }
+  state.dc = to;
+  state.server = to_server;
+}
+
+bool RealtimeSelector::rehome_move(CallId call, CallSnapshot& state,
                                    DcId failed, SimTime now,
                                    const std::vector<double>& budget,
                                    fault::FailoverOutcome& out) {
@@ -370,121 +349,111 @@ bool RealtimeSelector::rehome_move(CallId call, ActiveCall& state,
             static_cast<std::int64_t>(call.value()));
   span.attr(obs::AttrKey::kFromDc,
             static_cast<std::int64_t>(state.dc.value()));
-  // Moving a packed call re-packs it at the destination DC and releases the
-  // vacated server (the chaos knob leaks that release on purpose — see
-  // RealtimeOptions::chaos_skip_server_credit).
-  const auto repack_at = [&](DcId to) -> ServerId {
-    if (!packer_ || !state.server.valid()) return ServerId();
-    const ServerId to_server = packer_->admit(to, state.cores);
-    if (!options_.chaos_skip_server_credit) {
-      packer_->release(state.server, state.cores);
-    }
-    return to_server;
+  const auto survives = [&](DcId dc) {
+    return dc != failed && dc_ok(dc) &&
+           within_budget(dc, state.cores, budget);
   };
+  DcId to;
+  std::int64_t tier = 0;
   if (state.holds_slot) {
-    // Tier 1: another planned DC with spare quota, min ACL — the same scan
-    // the freeze path runs, minus the failed/down DCs.
     const CallConfig& config =
         ctx_.registry->get(plan_->config_columns[state.plan_col]);
-    const TimeSlot slot = plan_->slot_at(now - plan_start_s_);
-    for (;;) {
-      DcId best;
-      double best_acl = 0.0;
-      for (DcId dc : all_dcs_) {
-        if (dc == failed || !dc_ok(dc)) continue;
-        if (!within_budget(dc, state.cores, budget)) continue;
-        if (usage(state.plan_col, dc).load(std::memory_order_relaxed) >=
-            plan_->quota(slot, state.plan_col, dc)) {
-          continue;
-        }
-        const double a = acl_ms(config, dc, *ctx_.latency);
-        if (!best.valid() || a < best_acl) {
-          best = dc;
-          best_acl = a;
-        }
-      }
-      if (!best.valid()) break;
-      if (!try_debit(state.plan_col, best,
-                     plan_->quota(slot, state.plan_col, best))) {
-        continue;  // lost the race for the last slot; rescan
-      }
+    // Tier 1: another planned DC with spare quota, min ACL — the freeze's
+    // §5.4c debit over the surviving DCs within budget.
+    to = debit_min_acl(state.plan_col, plan_->slot_at(now - plan_start_s_),
+                       config, survives, nullptr);
+    if (to.valid()) {
+      tier = 1;
       if (!options_.chaos_skip_drain_credit) {
         usage(state.plan_col, state.slot_dc)
             .fetch_sub(1, std::memory_order_acq_rel);
       }
-      const ServerId to_server = repack_at(best);
-      out.moved.push_back({call, state.dc, best, to_server});
-      add_cores(state.dc, -state.cores);
-      add_cores(best, state.cores);
-      state.slot_dc = best;
-      state.dc = best;
-      state.server = to_server;
-      span.attr(obs::AttrKey::kDrainTier, 1);
-      span.attr(obs::AttrKey::kDc, static_cast<std::int64_t>(best.value()));
-      return true;
+      state.slot_dc = to;
+    } else {
+      // Tier 2: provisioned backup. The call keeps its original slot
+      // accounting (the failed DC's planned share is exactly what the §5.3
+      // backup guarantee covers) and is hosted wherever the budget still
+      // has room, min ACL first.
+      tier = 2;
+      to = min_dc(all_dcs_, survives, [&](DcId dc) {
+        return acl_ms(config, dc, *ctx_.latency);
+      });
     }
-    // Tier 2: provisioned backup. The call keeps its original slot
-    // accounting (the failed DC's planned share is exactly what the §5.3
-    // backup guarantee covers) and is hosted wherever the budget still has
-    // room, min ACL first.
-    DcId backup;
-    double backup_acl = 0.0;
-    for (DcId dc : all_dcs_) {
-      if (!dc_ok(dc) || dc == failed) continue;
-      if (!within_budget(dc, state.cores, budget)) continue;
-      const double a = acl_ms(config, dc, *ctx_.latency);
-      if (!backup.valid() || a < backup_acl) {
-        backup = dc;
-        backup_acl = a;
-      }
-    }
-    if (backup.valid()) {
-      const ServerId to_server = repack_at(backup);
-      out.moved.push_back({call, state.dc, backup, to_server});
-      add_cores(state.dc, -state.cores);
-      add_cores(backup, state.cores);
-      state.dc = backup;
-      state.server = to_server;
-      span.attr(obs::AttrKey::kDrainTier, 2);
-      span.attr(obs::AttrKey::kDc, static_cast<std::int64_t>(backup.value()));
-      return true;
-    }
-    // Backup truly exhausted: the caller picks the next tier (server
-    // overflow for a server drain, drop_call for a DC drain).
+  } else {
+    // Tier 0, no slot held: an unfrozen call (config unknown, load
+    // untracked) or a frozen unplanned/overflow call. Re-run the start
+    // heuristic over the surviving DCs; capacity-check only calls with known
+    // load (no quota moves).
+    to = min_dc(
+        all_dcs_,
+        [&](DcId dc) {
+          return dc != failed && dc_ok(dc) &&
+                 (state.cores <= 0.0 ||
+                  within_budget(dc, state.cores, budget));
+        },
+        [&](DcId dc) {
+          return ctx_.latency->latency_ms(dc, state.first_joiner);
+        });
+  }
+  if (!to.valid()) {
+    // Nothing can host it: the caller picks the next tier (server overflow
+    // for a server drain, a drop for a DC drain).
     span.attr(obs::AttrKey::kDrainTier, 3);
     return false;
   }
+  // A packed call is re-packed at the destination before its vacated server
+  // is released.
+  move_call(call, state, to,
+            packer_ && state.server.valid() ? packer_->admit(to, state.cores)
+                                            : ServerId(),
+            out);
+  span.attr(obs::AttrKey::kDrainTier, tier);
+  span.attr(obs::AttrKey::kDc, static_cast<std::int64_t>(to.value()));
+  return true;
+}
 
-  // No slot held: an unfrozen call (config unknown, load untracked) or a
-  // frozen unplanned/overflow call. Re-run the start heuristic over the
-  // surviving DCs; capacity-check only calls with known load.
-  DcId target;
-  double target_ms = 0.0;
-  for (DcId dc : all_dcs_) {
-    if (!dc_ok(dc) || dc == failed) continue;
-    if (state.cores > 0.0 && !within_budget(dc, state.cores, budget)) continue;
-    const double ms = ctx_.latency->latency_ms(dc, state.first_joiner);
-    if (!target.valid() || ms < target_ms) {
-      target = dc;
-      target_ms = ms;
+template <typename Victim, typename Evacuate>
+fault::FailoverOutcome RealtimeSelector::drain(obs::Span& span, Victim victim,
+                                               Evacuate evacuate) {
+  fault::FailoverOutcome out;
+  std::vector<CallId> pending;
+  for (std::size_t i = 0; i < shard_count_; ++i) {
+    CallShard& s = shards_[i];
+    pending.clear();
+    {
+      // One cheap pass collects the victims; evacuation then proceeds in
+      // bounded batches so concurrent events on this shard interleave.
+      std::lock_guard lock(s.mutex);
+      for (const auto& [id, state] : s.calls) {
+        if (victim(state)) pending.push_back(id);
+      }
+    }
+    std::size_t next = 0;
+    while (next < pending.size()) {
+      std::lock_guard lock(s.mutex);
+      const std::size_t stop = std::min(pending.size(), next + kDrainBatch);
+      for (; next < stop; ++next) {
+        const CallId call = pending[next];
+        const auto it = s.calls.find(call);
+        // The call may have ended (or re-frozen or re-packed elsewhere)
+        // between the scan and this batch; skip anything no longer a victim.
+        if (it == s.calls.end() || !victim(it->second)) continue;
+        if (evacuate(call, it->second, out)) {
+          stats_[i].failover_moves.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        release_call(call, it->second);
+        out.dropped.push_back(call);
+        stats_[i].failover_drops.fetch_add(1, std::memory_order_relaxed);
+        s.calls.erase(it);
+      }
     }
   }
-  if (target.valid()) {
-    const ServerId to_server = repack_at(target);
-    out.moved.push_back({call, state.dc, target, to_server});
-    add_cores(state.dc, -state.cores);
-    add_cores(target, state.cores);
-    state.dc = target;
-    state.server = to_server;
-    // Tier 0: slotless call re-ran the closest-DC heuristic (no quota moved).
-    span.attr(obs::AttrKey::kDrainTier, 0);
-    span.attr(obs::AttrKey::kDc, static_cast<std::int64_t>(target.value()));
-    return true;
-  }
-  // Unfrozen and every DC down, or a frozen slotless call over every budget:
-  // nothing can host it.
-  span.attr(obs::AttrKey::kDrainTier, 3);
-  return false;
+  span.attr(obs::AttrKey::kMoved,
+            static_cast<std::int64_t>(out.moved.size()));
+  span.attr(obs::AttrKey::kDropped,
+            static_cast<std::int64_t>(out.dropped.size()));
+  return out;
 }
 
 fault::FailoverOutcome RealtimeSelector::drain_dc(
@@ -495,44 +464,11 @@ fault::FailoverOutcome RealtimeSelector::drain_dc(
           "drain_dc: budget shape");
   obs::Span span("sel.drain_dc", obs::Subsystem::kDrain, now);
   span.attr(obs::AttrKey::kDc, static_cast<std::int64_t>(failed.value()));
-  fault::FailoverOutcome out;
-  std::vector<CallId> pending;
-  for (std::size_t i = 0; i < shard_count_; ++i) {
-    CallShard& s = shards_[i];
-    pending.clear();
-    {
-      // One cheap pass collects the victims; re-homing then proceeds in
-      // bounded batches so concurrent events on this shard interleave.
-      std::lock_guard lock(s.mutex);
-      for (const auto& [id, state] : s.calls) {
-        if (state.dc == failed) pending.push_back(id);
-      }
-    }
-    std::size_t next = 0;
-    while (next < pending.size()) {
-      std::lock_guard lock(s.mutex);
-      const std::size_t stop = std::min(pending.size(), next + kDrainBatch);
-      for (; next < stop; ++next) {
-        const auto it = s.calls.find(pending[next]);
-        // The call may have ended (or re-frozen elsewhere) between the scan
-        // and this batch; skip anything no longer hosted on the failed DC.
-        if (it == s.calls.end() || it->second.dc != failed) continue;
-        if (rehome_move(pending[next], it->second, failed, now, budget_cores,
-                        out)) {
-          stats_[i].failover_moves.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          drop_call(pending[next], it->second, out);
-          stats_[i].failover_drops.fetch_add(1, std::memory_order_relaxed);
-          s.calls.erase(it);
-        }
-      }
-    }
-  }
-  span.attr(obs::AttrKey::kMoved,
-            static_cast<std::int64_t>(out.moved.size()));
-  span.attr(obs::AttrKey::kDropped,
-            static_cast<std::int64_t>(out.dropped.size()));
-  return out;
+  return drain(
+      span, [failed](const CallSnapshot& state) { return state.dc == failed; },
+      [&](CallId call, CallSnapshot& state, fault::FailoverOutcome& out) {
+        return rehome_move(call, state, failed, now, budget_cores, out);
+      });
 }
 
 fault::FailoverOutcome RealtimeSelector::drain_server(
@@ -545,72 +481,29 @@ fault::FailoverOutcome RealtimeSelector::drain_server(
   obs::Span span("sel.drain_server", obs::Subsystem::kDrain, now);
   span.attr(obs::AttrKey::kServer,
             static_cast<std::int64_t>(failed.value()));
-  fault::FailoverOutcome out;
-  std::vector<CallId> pending;
-  for (std::size_t i = 0; i < shard_count_; ++i) {
-    CallShard& s = shards_[i];
-    pending.clear();
-    {
-      std::lock_guard lock(s.mutex);
-      for (const auto& [id, state] : s.calls) {
-        if (state.server == failed) pending.push_back(id);
-      }
-    }
-    std::size_t next = 0;
-    while (next < pending.size()) {
-      std::lock_guard lock(s.mutex);
-      const std::size_t stop = std::min(pending.size(), next + kDrainBatch);
-      for (; next < stop; ++next) {
-        const CallId call = pending[next];
-        const auto it = s.calls.find(call);
-        // Ended or re-packed elsewhere between the scan and this batch.
-        if (it == s.calls.end() || it->second.server != failed) continue;
-        ActiveCall& state = it->second;
-        const DcId dc = state.dc;
+  return drain(
+      span,
+      [failed](const CallSnapshot& state) { return state.server == failed; },
+      [&](CallId call, CallSnapshot& state, fault::FailoverOutcome& out) {
         // Tier S1: bounded re-pack onto an up sibling — the DC is healthy,
         // so quota accounting is untouched; the move keeps from == to.
-        const ServerId sibling =
-            packer_->admit_bounded(dc, state.cores, failed);
-        if (sibling.valid()) {
-          if (!options_.chaos_skip_server_credit) {
-            packer_->release(failed, state.cores);
+        ServerId to = packer_->admit_bounded(state.dc, state.cores, failed);
+        if (!to.valid()) {
+          // Tiers S2/S3: the fleet cannot absorb it within bounds — spill
+          // cross-DC through the quota-then-backup tiers a DC drain uses.
+          if (rehome_move(call, state, state.dc, now, budget_cores, out)) {
+            return true;
           }
-          state.server = sibling;
-          out.moved.push_back({call, dc, dc, sibling});
-          stats_[i].failover_moves.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        // Tiers S2/S3: the fleet cannot absorb it within bounds — spill
-        // cross-DC through the quota-then-backup tiers a DC drain uses.
-        if (rehome_move(call, state, dc, now, budget_cores, out)) {
-          stats_[i].failover_moves.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        // Tier S4: before dropping in an otherwise healthy DC, overflow
-        // onto the least-loaded up sibling (overcommit admit).
-        const ServerId overflow =
-            packer_->admit_overflow(dc, state.cores, failed, /*up_only=*/true);
-        if (overflow.valid()) {
-          if (!options_.chaos_skip_server_credit) {
-            packer_->release(failed, state.cores);
-          }
-          state.server = overflow;
-          out.moved.push_back({call, dc, dc, overflow});
-          stats_[i].failover_moves.fetch_add(1, std::memory_order_relaxed);
-          continue;
+          // Tier S4: before dropping in an otherwise healthy DC, overflow
+          // onto the least-loaded up sibling (overcommit admit).
+          to = packer_->admit_overflow(state.dc, state.cores, failed,
+                                       /*up_only=*/true);
         }
         // Tier S5: no up sibling and every cross-DC tier exhausted.
-        drop_call(call, state, out);
-        stats_[i].failover_drops.fetch_add(1, std::memory_order_relaxed);
-        s.calls.erase(it);
-      }
-    }
-  }
-  span.attr(obs::AttrKey::kMoved,
-            static_cast<std::int64_t>(out.moved.size()));
-  span.attr(obs::AttrKey::kDropped,
-            static_cast<std::int64_t>(out.dropped.size()));
-  return out;
+        if (!to.valid()) return false;
+        move_call(call, state, state.dc, to, out);
+        return true;
+      });
 }
 
 pack::DefragResult RealtimeSelector::defragment_dc(DcId dc,
@@ -664,8 +557,7 @@ pack::DefragResult RealtimeSelector::defragment_dc(DcId dc,
     return a.call < b.call;
   });
   const auto server_up = [&](std::size_t p) {
-    return health_ == nullptr || health_->server_count() == 0 ||
-           health_->server_up(fleet[p]);
+    return server_health_ == nullptr || server_health_->server_up(fleet[p]);
   };
   std::vector<std::size_t> target(cands.size());
   for (std::size_t c = 0; c < cands.size(); ++c) {
@@ -772,10 +664,7 @@ std::optional<RealtimeSelector::CallSnapshot> RealtimeSelector::snapshot_call(
   std::lock_guard lock(s.mutex);
   const auto it = s.calls.find(call);
   if (it == s.calls.end()) return std::nullopt;
-  const ActiveCall& state = it->second;
-  return CallSnapshot{state.dc,        state.first_joiner, state.plan_col,
-                      state.holds_slot, state.slot_dc,     state.cores,
-                      state.server};
+  return it->second;
 }
 
 std::size_t RealtimeSelector::drop_shards(std::size_t shard_begin,
@@ -796,13 +685,8 @@ std::size_t RealtimeSelector::drop_shards(std::size_t shard_begin,
 void RealtimeSelector::adopt_call(CallId call, const CallSnapshot& snap) {
   CallShard& s = shards_[shard_of(call, shard_count_)];
   std::lock_guard lock(s.mutex);
-  const auto [it, inserted] = s.calls.emplace(
-      call, ActiveCall{snap.dc, snap.first_joiner, snap.plan_col,
-                       snap.holds_slot, snap.slot_dc, snap.cores,
-                       snap.server});
-  (void)it;
-  require(inserted, "adopt_call: duplicate call id (replay must be "
-                    "exactly-once)");
+  require(s.calls.emplace(call, snap).second,
+          "adopt_call: duplicate call id (replay must be exactly-once)");
 }
 
 void RealtimeSelector::rebind_plan(const AllocationPlan& old_plan,

@@ -37,6 +37,10 @@
 
 namespace sb {
 
+namespace obs {
+class Span;
+}  // namespace obs
+
 struct RealtimeOptions {
   /// §6.4: the config freezes A = 300 s after call start (~80% of
   /// participants have joined by then, Fig 8).
@@ -204,16 +208,21 @@ class RealtimeSelector {
   // media plane — lifecycle accounting must happen exactly once regardless
   // of how many crash/replay cycles the row survives.
 
-  /// Verbatim image of one call's controller-side row, as persisted in the
-  /// cluster WAL and replayed by adopt_call().
+  /// One call's controller-side row: what the call tables hold, what the
+  /// cluster WAL persists and what adopt_call() replays verbatim.
   struct CallSnapshot {
     DcId dc;
-    LocationId first_joiner;
+    LocationId first_joiner;  ///< for re-running the start heuristic on drain
+    /// The config's plan column, recorded for every frozen planned call —
+    /// including overflow calls that hold no slot — so a later
+    /// rebind_plan() can re-attach them to the new plan's quotas.
     std::size_t plan_col = AllocationPlan::npos;
     bool holds_slot = false;
-    DcId slot_dc;
-    double cores = 0.0;
-    ServerId server;
+    DcId slot_dc;        ///< the DC of the debited quota cell (== dc except
+                         ///< for calls hosted on backup capacity)
+    double cores = 0.0;  ///< core footprint once frozen (0 before freeze)
+    ServerId server;     ///< packed media server (invalid without a fleet,
+                         ///< or before freeze)
   };
   /// The call's current row, or nullopt when unknown (never throws — the
   /// cluster layer probes liberally).
@@ -232,26 +241,11 @@ class RealtimeSelector {
   [[nodiscard]] double dc_cores_used(DcId dc) const;
 
  private:
-  struct ActiveCall {
-    DcId dc;
-    LocationId first_joiner;  ///< for re-running the start heuristic on drain
-    /// The config's plan column, recorded for every frozen planned call —
-    /// including overflow calls that hold no slot — so a later
-    /// rebind_plan() can re-attach them to the new plan's quotas.
-    std::size_t plan_col = AllocationPlan::npos;
-    bool holds_slot = false;
-    DcId slot_dc;        ///< the DC of the debited quota cell (== dc except
-                         ///< for calls hosted on backup capacity)
-    double cores = 0.0;  ///< core footprint once frozen (0 before freeze)
-    ServerId server;     ///< packed media server (invalid without a fleet,
-                         ///< or before freeze)
-  };
-
   /// One lock stripe: its own mutex and call table, padded so neighbouring
   /// shards' locks never share a cache line.
   struct alignas(64) CallShard {
     mutable std::mutex mutex;
-    FlatIdMap<CallId, ActiveCall> calls;
+    FlatIdMap<CallId, CallSnapshot> calls;
   };
 
   /// Per-shard event counters; incremented with relaxed atomics from inside
@@ -299,16 +293,34 @@ class RealtimeSelector {
   [[nodiscard]] bool within_budget(DcId dc, double cores,
                                    const std::vector<double>& budget) const;
   void add_cores(DcId dc, double cores);
+  /// §5.4c (shard lock held): CAS-debits one slot of `col` at the lowest-ACL
+  /// DC that `usable` admits and whose quota has room, rescanning when a
+  /// racing event takes the last slot first (each rescan counted in
+  /// `retries` when set). Invalid when every usable quota reads exhausted.
+  template <typename Usable>
+  DcId debit_min_acl(std::size_t col, TimeSlot slot, const CallConfig& config,
+                     Usable usable, std::uint32_t* retries);
   /// Tiers 0-2 of a drain (shard lock held): tries to move the call off
   /// `failed` without dropping it, re-packing at the destination when a
   /// fleet exists. Returns false when no surviving DC has room; the caller
-  /// decides between server-overflow (drain_server) and drop_call.
-  bool rehome_move(CallId call, ActiveCall& state, DcId failed, SimTime now,
+  /// decides between server-overflow (drain_server) and a drop.
+  bool rehome_move(CallId call, CallSnapshot& state, DcId failed, SimTime now,
                    const std::vector<double>& budget,
                    fault::FailoverOutcome& out);
-  /// Tier 3 (shard lock held): credits the slot, returns the cores and the
-  /// packed server, records the drop. The caller erases the call state.
-  void drop_call(CallId call, ActiveCall& state, fault::FailoverOutcome& out);
+  /// Every drain move (shard lock held): releases the vacated server,
+  /// records the move, carries the tracked cores to `to` and updates the row.
+  void move_call(CallId call, CallSnapshot& state, DcId to, ServerId to_server,
+                 fault::FailoverOutcome& out);
+  /// A leaving call (shard lock held): credits its slot, returns its cores
+  /// and its packed server. The caller erases the row.
+  void release_call(CallId call, const CallSnapshot& state);
+  /// The bounded-batch drain loop behind drain_dc and drain_server: evacuates
+  /// every row `victim` selects, shard by shard, kDrainBatch calls per lock
+  /// acquisition; a call `evacuate` cannot move is released and dropped.
+  /// Records the moved and dropped counts on `span`.
+  template <typename Victim, typename Evacuate>
+  fault::FailoverOutcome drain(obs::Span& span, Victim victim,
+                               Evacuate evacuate);
   /// Packs a freshly frozen call; invalid when no fleet exists.
   ServerId pack_admit(DcId dc, double cores, std::uint32_t* retries);
 
@@ -318,6 +330,9 @@ class RealtimeSelector {
   SimTime plan_start_s_;
   std::size_t shard_count_;
   const fault::HealthTable* health_;
+  /// health_ when it covers this world's servers, else null: the packer and
+  /// defragmentation read server health only through it.
+  const fault::HealthTable* server_health_ = nullptr;
   std::vector<DcId> all_dcs_;
   /// LocationId -> closest DC over the immutable latency matrix, resolved
   /// once at construction; call starts index it instead of re-scanning the

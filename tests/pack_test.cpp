@@ -595,29 +595,37 @@ TEST_F(PackSelectorTest, DrainDropsOnlyWhenEveryTierIsExhausted) {
 
 TEST_F(PackSelectorTest, DefragmentConsolidatesFreeSpace) {
   // Eight 1-participant calls fill both DC-A servers; ending alternating
-  // calls shreds the free space across the fleet.
-  fault::HealthTable health(2, 1, 3);
-  RealtimeSelector selector(world_.ctx(), nullptr, {}, 0.0, &health);
-  const CallConfig small =
-      CallConfig::make({{LocationId(0), 1}}, MediaType::kAudio);
-  for (std::uint32_t c = 1; c <= 8; ++c) {
-    selector.on_call_start(CallId(c), LocationId(0), 0.0);
-    ASSERT_EQ(selector.on_config_frozen(CallId(c), small, 300.0).dc, DcId(0));
-  }
-  for (std::uint32_t c = 1; c <= 8; c += 2) {
-    selector.on_call_end(CallId(c), 400.0);
-  }
-  const double used_before = selector.packer()->dc_cores_used(DcId(0));
-  const double frag_before = selector.packer()->fragmentation(DcId(0));
-  EXPECT_GT(frag_before, 0.0);
+  // calls shreds the free space across the fleet. The second health table
+  // is sized for another fleet (one server row, three servers in the world)
+  // and so carries no server health: the packer ignores it, and so must
+  // defragmentation, which treats every server as up instead of reading
+  // past the table.
+  for (const std::size_t health_servers : {3u, 1u}) {
+    SCOPED_TRACE(health_servers);
+    fault::HealthTable health(2, 1, health_servers);
+    RealtimeSelector selector(world_.ctx(), nullptr, {}, 0.0, &health);
+    const CallConfig small =
+        CallConfig::make({{LocationId(0), 1}}, MediaType::kAudio);
+    for (std::uint32_t c = 1; c <= 8; ++c) {
+      selector.on_call_start(CallId(c), LocationId(0), 0.0);
+      ASSERT_EQ(selector.on_config_frozen(CallId(c), small, 300.0).dc,
+                DcId(0));
+    }
+    for (std::uint32_t c = 1; c <= 8; c += 2) {
+      selector.on_call_end(CallId(c), 400.0);
+    }
+    const double used_before = selector.packer()->dc_cores_used(DcId(0));
+    const double frag_before = selector.packer()->fragmentation(DcId(0));
+    EXPECT_GT(frag_before, 0.0);
 
-  const pack::DefragResult r = selector.defragment_dc(DcId(0));
-  EXPECT_FALSE(r.moves.empty());
-  EXPECT_LT(r.fragmentation_after, frag_before);
-  EXPECT_DOUBLE_EQ(selector.packer()->dc_cores_used(DcId(0)), used_before);
-  for (const pack::ServerStats& s : selector.packer()->stats()) {
-    EXPECT_EQ(s.admitted_mc - s.released_mc,
-              pack::to_millicores(s.used_cores));
+    const pack::DefragResult r = selector.defragment_dc(DcId(0));
+    EXPECT_FALSE(r.moves.empty());
+    EXPECT_LT(r.fragmentation_after, frag_before);
+    EXPECT_DOUBLE_EQ(selector.packer()->dc_cores_used(DcId(0)), used_before);
+    for (const pack::ServerStats& s : selector.packer()->stats()) {
+      EXPECT_EQ(s.admitted_mc - s.released_mc,
+                pack::to_millicores(s.used_cores));
+    }
   }
 }
 

@@ -4,7 +4,10 @@
 // every scenario from its own retained model and basis, landing on the
 // optimum a cold solve at the same floors finds and bit for bit on what the
 // same re-provision through a copy of its hint (whose retained LPs rebuild
-// their dual engines) computes. A demand-pattern change rebuilds every
+// their dual engines) computes. The re-provision tests run on the APAC
+// design day under per-config corrections, which move the optimum, so every
+// in-place re-solve takes real dual pivots (a uniform scaling keeps every
+// basis optimal and takes none). A demand-pattern change rebuilds every
 // scenario, so that re-provision equals a cold provision bit for bit. The
 // controller facade maps its (warm, basis_out) pair onto the one in-place
 // hint, and a failed re-provision leaves the hint empty.
@@ -114,16 +117,31 @@ TEST(ParallelProvisionTest, NoReuseAblationCoversEveryScenarioAtNoLessCost) {
             full_cost * (1.0 - 1e-9));
 }
 
-/// A per-config correction, as the closed loop computes one.
-DemandMatrix corrected_demand(const DemandMatrix& demand) {
-  DemandMatrix corrected = demand;
-  for (TimeSlot t = 0; t < corrected.slot_count(); ++t) {
-    for (std::size_t c = 0; c < corrected.config_count(); ++c) {
-      const double factor = 0.8 + 0.1 * static_cast<double>(c % 5);
-      corrected.set_demand(t, c, corrected.demand(t, c) * factor);
-    }
+/// A per-config correction, as the closed loop computes one: column c
+/// scaled by base + step * (c % 5).
+DemandMatrix corrected_demand(const DemandMatrix& demand, double base = 0.8,
+                              double step = 0.1) {
+  return test::scaled(demand, [=](std::size_t c) {
+    return base + step * static_cast<double>(c % 5);
+  });
+}
+
+/// The simplex iterations a provision's scenario LPs took, summed.
+std::size_t lp_iterations(const ProvisionResult& result) {
+  std::size_t total = 0;
+  for (const ScenarioOutcome& outcome : result.scenarios) {
+    total += outcome.lp_iterations;
   }
-  return corrected;
+  return total;
+}
+
+/// A re-provision through the hint `cold` filled takes real dual pivots, and
+/// fewer than `cold` took: a dual engine whose reduced costs drift still
+/// reaches the optimum, but only after many more pivots than a cold solve.
+void expect_warm_pivots(const ProvisionResult& warm,
+                        const ProvisionResult& cold) {
+  EXPECT_GE(lp_iterations(warm), 100u);
+  EXPECT_LT(lp_iterations(warm), lp_iterations(cold));
 }
 
 /// Every scenario of `warm` reaches the objective a cold solve_scenario of
@@ -148,18 +166,19 @@ void expect_cold_objectives(const SwitchboardProvisioner& prov,
 // one retained state per scenario in its hint; a re-provision
 // through that hint warm-starts exactly one LP per scenario (F0, every DC
 // failure and every link failure), each on the optimum a cold solve at the
-// same floors finds.
+// same floors finds. The correction takes the re-solves 272 dual iterations
+// (the cold provision 3239).
 TEST(ParallelProvisionTest, ReprovisionWarmStartsEveryScenarioFromItsOwnState) {
-  const Fixture fix(4242);
-  const SwitchboardProvisioner prov(fix.ctx(), ProvisionOptions{});
+  const test::ApacDesignDay day;
+  const SwitchboardProvisioner prov(day.ctx(), ProvisionOptions{});
 #ifdef SB_METRICS_ENABLED
   const obs::Counter& warm_starts =
       obs::MetricsRegistry::global().counter("sb.lp.warm_starts");
   const std::uint64_t before_cold = warm_starts.value();
 #endif
   ScenarioBasisHint basis;
-  const ProvisionResult cold = prov.provision(fix.demand, &basis);
-  ASSERT_EQ(cold.scenarios.size(), 19u);
+  const ProvisionResult cold = prov.provision(day.demand, &basis);
+  ASSERT_EQ(cold.scenarios.size(), 35u);
   ASSERT_EQ(basis.scenarios.size(), cold.scenarios.size());
   for (const std::optional<ScenarioLp>& state : basis.scenarios) {
     EXPECT_TRUE(state.has_value());
@@ -168,7 +187,7 @@ TEST(ParallelProvisionTest, ReprovisionWarmStartsEveryScenarioFromItsOwnState) {
   EXPECT_EQ(warm_starts.value() - before_cold, 0u);
 #endif
 
-  const DemandMatrix corrected = corrected_demand(fix.demand);
+  const DemandMatrix corrected = corrected_demand(day.demand);
 #ifdef SB_METRICS_ENABLED
   const std::uint64_t before_warm = warm_starts.value();
 #endif
@@ -177,6 +196,7 @@ TEST(ParallelProvisionTest, ReprovisionWarmStartsEveryScenarioFromItsOwnState) {
   EXPECT_EQ(warm_starts.value() - before_warm, cold.scenarios.size());
 #endif
   ASSERT_EQ(warm.scenarios.size(), cold.scenarios.size());
+  expect_warm_pivots(warm, cold);
   expect_cold_objectives(prov, corrected, warm);
 }
 
@@ -197,44 +217,48 @@ void expect_model_demand(const std::optional<ScenarioLp>& state,
 // Copies of a hint own their models: two provisions running at once, each
 // re-solving its own copy of one hint in place at a different demand, both
 // get the cold result, and each copy's models end up at its own demand.
+// The two corrections take 272 and 189 dual iterations.
 TEST(ParallelProvisionTest, CopiedHintsReprovisionIndependently) {
-  const Fixture fix(4242);
-  const SwitchboardProvisioner prov(fix.ctx(), ProvisionOptions{});
+  const test::ApacDesignDay day;
+  const SwitchboardProvisioner prov(day.ctx(), ProvisionOptions{});
   ScenarioBasisHint basis;
-  (void)prov.provision(fix.demand, &basis);
+  const ProvisionResult cold = prov.provision(day.demand, &basis);
   ScenarioBasisHint copy = basis;
 
-  const DemandMatrix corrected = corrected_demand(fix.demand);
-  const DemandMatrix scaled = check::scaled_demand(fix.demand, 1.15);
+  const DemandMatrix corrected = corrected_demand(day.demand);
+  const DemandMatrix reversed = corrected_demand(day.demand, 1.2, -0.1);
   std::optional<ProvisionResult> second;
   std::thread other(
-      [&] { second = prov.provision(scaled, &copy); });
+      [&] { second = prov.provision(reversed, &copy); });
   const ProvisionResult first = prov.provision(corrected, &basis);
   other.join();
+  expect_warm_pivots(first, cold);
+  expect_warm_pivots(*second, cold);
   expect_cold_objectives(prov, corrected, first);
-  expect_cold_objectives(prov, scaled, *second);
+  expect_cold_objectives(prov, reversed, *second);
   for (std::size_t f = 0; f < basis.scenarios.size(); ++f) {
     expect_model_demand(basis.scenarios[f], corrected);
-    expect_model_demand(copy.scenarios[f], scaled);
+    expect_model_demand(copy.scenarios[f], reversed);
   }
 }
 
-// Three chained same-structure re-provisions (x1.15, x0.9, then per-config
-// factors) run twice: in place through one hint, whose retained LPs build
-// their dual engines on the first and reload them after, and through a
-// fresh copy of each step's input hint, whose LPs rebuild every engine.
-// Both must agree bit for bit.
+// Three chained same-structure re-provisions (three per-config corrections,
+// 272, 392 and 703 dual iterations) run twice: in place through one hint,
+// whose retained LPs build their dual engines on the first and reload them
+// after, and through a fresh copy of each step's input hint, whose LPs
+// rebuild every engine. Both must agree bit for bit.
 TEST(ParallelProvisionTest, InPlaceReprovisionsMatchCopiedHintsBitForBit) {
-  const Fixture fix(4242);
-  const SwitchboardProvisioner prov(fix.ctx(), ProvisionOptions{});
+  const test::ApacDesignDay day;
+  const SwitchboardProvisioner prov(day.ctx(), ProvisionOptions{});
   ScenarioBasisHint in_place;
-  (void)prov.provision(fix.demand, &in_place);
+  const ProvisionResult cold = prov.provision(day.demand, &in_place);
   ScenarioBasisHint carried = in_place;
   const std::vector<DemandMatrix> steps = {
-      check::scaled_demand(fix.demand, 1.15),
-      check::scaled_demand(fix.demand, 0.9), corrected_demand(fix.demand)};
+      corrected_demand(day.demand), corrected_demand(day.demand, 1.2, -0.1),
+      corrected_demand(day.demand, 0.6, 0.2)};
   for (std::size_t k = 0; k < steps.size(); ++k) {
     const ProvisionResult a = prov.provision(steps[k], &in_place);
+    expect_warm_pivots(a, cold);
     for (const std::optional<ScenarioLp>& state : in_place.scenarios) {
       ASSERT_TRUE(state.has_value());
       EXPECT_TRUE(state->model.has_engine()) << "step " << k;

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "check/json.h"
+#include "common/csv.h"
 #include "common/error.h"
 #include "common/table.h"
 #include "obs/span.h"
@@ -176,7 +177,7 @@ Json trace_json(const TraceReport& rep) {
     row["mean_s"] = s.mean_s();
     row["min_s"] = s.min_s;
     row["max_s"] = s.max_s;
-    by_name.push_back(Json(std::move(row)));
+    by_name.emplace_back(std::move(row));
   }
   out["by_name"] = Json(std::move(by_name));
   return Json(std::move(out));
@@ -208,23 +209,16 @@ struct SeriesReport {
   std::vector<SeriesColumn> columns;
 };
 
-std::vector<std::string> split_csv(const std::string& line) {
-  std::vector<std::string> out;
-  std::string field;
-  std::istringstream in(line);
-  while (std::getline(in, field, ',')) out.push_back(field);
-  return out;
-}
-
+/// Reads a TimeSeriesRecorder CSV. The writer quotes fields (RFC 4180), so
+/// a column name may hold commas; parse_csv keeps it whole.
 SeriesReport read_timeseries(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw sb::Error("sb_report: cannot read " + path);
-  std::string line;
-  if (!std::getline(in, line)) {
+  const std::vector<std::vector<std::string>> rows =
+      sb::parse_csv(slurp(path));
+  if (rows.empty()) {
     throw sb::Error("sb_report: empty time-series file " + path);
   }
-  const std::vector<std::string> header = split_csv(line);
-  if (header.empty() || header.front() != "t_s") {
+  const std::vector<std::string>& header = rows.front();
+  if (header.front() != "t_s") {
     throw sb::Error("sb_report: " + path + " is not a TimeSeriesRecorder CSV");
   }
   SeriesReport rep;
@@ -232,9 +226,8 @@ SeriesReport read_timeseries(const std::string& path) {
   for (std::size_t c = 1; c < header.size(); ++c) {
     rep.columns[c - 1].name = header[c];
   }
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::vector<std::string> row = split_csv(line);
+  for (std::size_t r = 1; r < rows.size(); ++r) {
+    const std::vector<std::string>& row = rows[r];
     const double t = std::strtod(row.front().c_str(), nullptr);
     if (rep.samples == 0) rep.t_first = t;
     rep.t_last = t;
@@ -272,7 +265,7 @@ Json timeseries_json(const SeriesReport& rep) {
     row["min"] = c.min;
     row["max"] = c.max;
     if (is_counter_column(c.name)) row["delta"] = c.last - c.first;
-    cols.push_back(Json(std::move(row)));
+    cols.emplace_back(std::move(row));
   }
   out["columns"] = Json(std::move(cols));
   return Json(std::move(out));
