@@ -1,7 +1,10 @@
 // Reproduces Fig 3: per-country compute demand (cores) over one day,
 // normalized to the maximum peak observed, showing the time-shifted peaks
 // that peak-aware provisioning exploits. The paper plots Japan, Hong Kong,
-// and India peaking at roughly 00:00, 02:00, and 05:30 UTC.
+// and India peaking at roughly 00:00, 02:00, and 05:30 UTC. The bench
+// prints each country's peak hour through bench::emit_json and exits 1
+// (ctest fig3_demand_curves_claim, label paper) unless the peaks come in
+// the paper's order, JP before HK before IN.
 //
 // Flags: --slot_s=1800. A bad flag prints usage to stderr and exits 2.
 #include <algorithm>
@@ -47,13 +50,21 @@ int main(int argc, char** argv) {
   std::cout << table;
 
   std::cout << "\npeak times (UTC):";
+  double peak_h[3] = {};
   for (std::size_t i = 0; i < 3; ++i) {
     const auto it = std::max_element(series[i].begin(), series[i].end());
-    const double hour =
-        static_cast<double>(std::distance(series[i].begin(), it)) * slot_s /
-        3600.0;
-    std::cout << "  " << countries[i] << "=" << format_double(hour, 1) << "h";
+    peak_h[i] = static_cast<double>(std::distance(series[i].begin(), it)) *
+                slot_s / 3600.0;
+    std::cout << "  " << countries[i] << "=" << format_double(peak_h[i], 1)
+              << "h";
   }
   std::cout << "  (paper: JP 00:00, HK 02:00, IN 05:30)\n";
-  return 0;
+  const char* metrics[] = {"jp_peak_h", "hk_peak_h", "in_peak_h"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    bench::emit_json("fig3_demand_curves", metrics[i], peak_h[i]);
+  }
+  const bool held = peak_h[0] < peak_h[1] && peak_h[1] < peak_h[2];
+  std::cout << (held ? "claim holds: " : "REGRESSION: claim broken: ")
+            << "peaks ordered JP < HK < IN\n";
+  return held ? 0 : 1;
 }

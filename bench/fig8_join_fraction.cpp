@@ -1,6 +1,9 @@
 // Reproduces Fig 8: average fraction of participants that have joined as a
 // function of time since the meeting started. The paper freezes the call
 // config at A = 300 s because ~80% of participants have joined by then.
+// The bench prints the fraction joined by 300 s through bench::emit_json
+// and exits 1 (ctest fig8_join_fraction_claim, label paper) unless it lies
+// in [0.75, 0.85].
 //
 // Flags: --hours=6. A bad flag prints usage to stderr and exits 2.
 #include <algorithm>
@@ -10,6 +13,9 @@
 
 namespace {
 constexpr const char* kUsage = "usage: fig8_join_fraction [--hours=0.01..168]\n";
+/// The band around the paper's "~80% joined by 300 s".
+constexpr double kJoinedLow = 0.75;
+constexpr double kJoinedHigh = 0.85;
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -41,11 +47,17 @@ int main(int argc, char** argv) {
   }
   std::cout << table;
 
-  const auto at300 = static_cast<double>(
-      std::upper_bound(offsets.begin(), offsets.end(), 300.0) -
-      offsets.begin());
-  std::cout << "\nfraction joined by A=300 s: "
-            << format_double(at300 / static_cast<double>(offsets.size()), 3)
+  const double at300 =
+      static_cast<double>(
+          std::upper_bound(offsets.begin(), offsets.end(), 300.0) -
+          offsets.begin()) /
+      static_cast<double>(offsets.size());
+  std::cout << "\nfraction joined by A=300 s: " << format_double(at300, 3)
             << " (paper: ~0.80 -> freeze the config at A = 300 s)\n";
-  return 0;
+  bench::emit_json("fig8_join_fraction", "joined_at_300s", at300);
+  const bool held = at300 >= kJoinedLow && at300 <= kJoinedHigh;
+  std::cout << (held ? "claim holds: " : "REGRESSION: claim broken: ")
+            << "fraction joined by 300 s within [" << kJoinedLow << ", "
+            << kJoinedHigh << "]\n";
+  return held ? 0 : 1;
 }

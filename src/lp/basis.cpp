@@ -17,13 +17,13 @@ constexpr double kEtaDropTol = 1e-12;
 
 }  // namespace
 
-Basis::LoadResult Basis::load(std::vector<const SparseCol*> cols,
-                              std::size_t m) {
+Basis::LoadResult Basis::load(const SparseStore& a,
+                              const std::vector<int>& ids, std::size_t m) {
   updates_.clear();
   update_nnz_ = 0;
   ++factorizations_;
   LoadResult result;
-  result.rejected = lu_.factorize(cols, m);
+  result.rejected = lu_.factorize(a, ids, m);
   result.unpivoted_rows = lu_.unpivoted_rows();
   return result;
 }

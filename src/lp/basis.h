@@ -30,9 +30,10 @@ class Basis {
     [[nodiscard]] bool clean() const { return rejected.empty(); }
   };
 
-  /// (Re)factorizes the m x m basis whose columns are `cols`. The pointers
-  /// must stay valid until the next load(). Discards any update etas.
-  LoadResult load(std::vector<const SparseCol*> cols, std::size_t m);
+  /// (Re)factorizes the m x m basis whose k-th column is column `ids[k]`
+  /// of the CSC store `a`. Discards any update etas.
+  LoadResult load(const SparseStore& a, const std::vector<int>& ids,
+                  std::size_t m);
 
   /// Solves B w = b: input in row space, output indexed by basis position.
   void ftran(IndexedVector& x) const;

@@ -106,7 +106,7 @@ class DualEngine::Impl : SimplexCore {
         continue;
       }
       double d = cost_[j];
-      for (const auto& [r, v] : columns_[j]) d -= cb_.values[r] * v;
+      for (const auto [r, v] : columns_.line(j)) d -= cb_.values[r] * v;
       if (duals_ == Duals::kUpdated) {
         max_dj_drift_ = std::max(max_dj_drift_, std::abs(d - d_[j]));
       }
@@ -226,9 +226,7 @@ class DualEngine::Impl : SimplexCore {
       for (int i : rho_.nz) {
         const double rv = rho_.values[static_cast<std::size_t>(i)];
         if (rv == 0.0) continue;
-        for (const auto& [col, v] : rows_[static_cast<std::size_t>(i)]) {
-          alpha_.add(static_cast<int>(col), rv * v);
-        }
+        for (const auto [col, v] : rows_.line(i)) alpha_.add(col, rv * v);
         alpha_.add(static_cast<int>(n_) + i, rv);
       }
 
@@ -300,9 +298,7 @@ class DualEngine::Impl : SimplexCore {
 
       // FTRAN the entering column under the CURRENT basis.
       w_.clear();
-      for (const auto& [row, v] : columns_[static_cast<std::size_t>(entering)]) {
-        w_.add(static_cast<int>(row), v);
-      }
+      for (const auto [row, v] : columns_.line(entering)) w_.add(row, v);
       basis_state_.ftran(w_);
       const double pivot = w_.values[static_cast<std::size_t>(r)];
       if (std::abs(pivot) < kAlphaTol * 10.0) {
@@ -326,8 +322,8 @@ class DualEngine::Impl : SimplexCore {
           const double delta = status_[ju] == VarStatus::kAtLower
                                    ? upper_[ju] - lower_[ju]
                                    : lower_[ju] - upper_[ju];
-          for (const auto& [row, v] : columns_[ju]) {
-            bwork_.add(static_cast<int>(row), v * delta);
+          for (const auto [row, v] : columns_.line(ju)) {
+            bwork_.add(row, v * delta);
           }
         }
         basis_state_.ftran(bwork_);

@@ -18,10 +18,12 @@ constexpr double kPivotAbsTol = 1e-10;
 
 }  // namespace
 
-std::vector<int> LuFactor::factorize(
-    const std::vector<const SparseCol*>& cols, std::size_t m) {
+std::vector<int> LuFactor::factorize(const SparseStore& a,
+                                     const std::vector<int>& ids,
+                                     std::size_t m) {
   m_ = m;
-  const std::size_t k_cols = cols.size();
+  const std::size_t k_cols = ids.size();
+  auto col = [&](std::size_t p) { return a.line(ids[p]); };
   pivot_row_.clear();
   u_position_.clear();
   u_diag_.clear();
@@ -46,14 +48,14 @@ std::vector<int> LuFactor::factorize(
   row_start_.assign(m + 1, 0);
   colcount_.resize(k_cols);
   for (std::size_t p = 0; p < k_cols; ++p) {
-    colcount_[p] = static_cast<int>(cols[p]->size());
-    for (const auto& [r, v] : *cols[p]) ++row_start_[r + 1];
+    colcount_[p] = a.start[ids[p] + 1] - a.start[ids[p]];
+    for (const auto [r, v] : col(p)) ++row_start_[r + 1];
   }
   for (std::size_t r = 0; r < m; ++r) row_start_[r + 1] += row_start_[r];
   row_cols_.resize(row_start_[m]);
   rowcount_.assign(m, 0);
   for (std::size_t p = 0; p < k_cols; ++p) {
-    for (const auto& [r, v] : *cols[p]) {
+    for (const auto [r, v] : col(p)) {
       row_cols_[row_start_[r] + rowcount_[r]++] = static_cast<int>(p);
     }
   }
@@ -73,9 +75,9 @@ std::vector<int> LuFactor::factorize(
     order_.emplace_back(p, r);
     col_active_[p] = 0;
     row_active_[r] = 0;
-    for (const auto& [r2, v2] : *cols[p]) {
+    for (const auto [r2, v2] : col(p)) {
       if (!row_active_[r2]) continue;
-      if (--rowcount_[r2] == 1) row_queue_.push_back(static_cast<int>(r2));
+      if (--rowcount_[r2] == 1) row_queue_.push_back(r2);
     }
     for (int e = row_start_[r]; e < row_start_[r + 1]; ++e) {
       const int p2 = row_cols_[e];
@@ -89,9 +91,9 @@ std::vector<int> LuFactor::factorize(
       col_queue_.pop_back();
       if (!col_active_[p] || colcount_[p] != 1) continue;
       int pin = -1;
-      for (const auto& [r, v] : *cols[p]) {
+      for (const auto [r, v] : col(p)) {
         if (row_active_[r]) {
-          pin = static_cast<int>(r);
+          pin = r;
           break;
         }
       }
@@ -126,9 +128,8 @@ std::vector<int> LuFactor::factorize(
   // --- Numeric left-looking pass in the symbolic order.
   std::vector<int> rejected;
   for (const auto& [pos, pinned] : order_) {
-    const SparseCol& col = *cols[static_cast<std::size_t>(pos)];
     work_.clear();
-    for (const auto& [r, v] : col) work_.add(static_cast<int>(r), v);
+    for (const auto [r, v] : col(pos)) work_.add(r, v);
     apply_l(work_);
 
     // Split the transformed column into U entries (pivoted rows) and pivot

@@ -23,12 +23,41 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace sb::lp {
 
-/// Sparse column: (row, value) pairs. Shared with the simplex column store.
-using SparseCol = std::vector<std::pair<std::size_t, double>>;
+/// Flat compressed sparse lines: line k (a column of a CSC store, a row of
+/// a CSR copy) holds (index[e], value[e]) for e in [start[k], start[k + 1]),
+/// and line(k) ranges over those pairs in storage order.
+struct SparseStore {
+  std::vector<int> start = {0};
+  std::vector<int> index;
+  std::vector<double> value;
+
+  struct Cursor {
+    const SparseStore* store;
+    std::size_t e;
+    std::pair<int, double> operator*() const {
+      return {store->index[e], store->value[e]};
+    }
+    Cursor& operator++() {
+      ++e;
+      return *this;
+    }
+    bool operator!=(const Cursor& o) const { return e != o.e; }
+  };
+  struct Line {
+    Cursor first, last;
+    [[nodiscard]] Cursor begin() const { return first; }
+    [[nodiscard]] Cursor end() const { return last; }
+  };
+  [[nodiscard]] Line line(std::size_t k) const {
+    return {{this, static_cast<std::size_t>(start[k])},
+            {this, static_cast<std::size_t>(start[k + 1])}};
+  }
+};
 
 /// Dense-values-plus-nonzero-list vector used by all sparse kernels. `nz`
 /// is a duplicate-free superset of the true pattern (entries may cancel to
@@ -69,13 +98,14 @@ struct IndexedVector {
 
 class LuFactor {
  public:
-  /// Factorizes the m x m matrix whose k-th column is `cols[k]` (entries are
-  /// (row, value); rows in [0, m)). Returns the indices of columns that
-  /// could not be pivoted (structurally or numerically dependent); when
-  /// non-empty the factorization covers only the pivoted subset and
-  /// `unpivoted_rows()` lists the rows left without a pivot, in ascending
-  /// order. A clean factorization returns an empty vector.
-  std::vector<int> factorize(const std::vector<const SparseCol*>& cols,
+  /// Factorizes the m x m matrix whose k-th column is column `ids[k]` of
+  /// the CSC store `a` (entries are (row, value); rows in [0, m)). Returns
+  /// the indices k of columns that could not be pivoted (structurally or
+  /// numerically dependent); when non-empty the factorization covers only
+  /// the pivoted subset and `unpivoted_rows()` lists the rows left without
+  /// a pivot, in ascending order. A clean factorization returns an empty
+  /// vector.
+  std::vector<int> factorize(const SparseStore& a, const std::vector<int>& ids,
                              std::size_t m);
 
   /// Solves B w = b. Input `x` holds b in row space; output holds w indexed

@@ -111,44 +111,23 @@ class SparseSimplex : SimplexCore {
   void init_cold() {
     install(nullptr);
     std::vector<unsigned char> taken(total_, 0);
-    // Build a row -> structural columns list once (only rows needing crash).
-    std::vector<std::vector<int>> row_cols(m_);
-    {
-      std::vector<unsigned char> wanted(m_, 0);
-      bool any = false;
-      for (std::size_t r = 0; r < m_; ++r) {
-        const std::size_t lj = n_ + r;
-        if (rhs_[r] < lower_[lj] || rhs_[r] > upper_[lj]) {
-          wanted[r] = 1;
-          any = true;
+    for (std::size_t r = 0; r < m_; ++r) {
+      const std::size_t lj = n_ + r;
+      if (!(rhs_[r] < lower_[lj] || rhs_[r] > upper_[lj])) continue;
+      // The cheapest untaken column, ties to the lowest id: the first
+      // cheapest in ascending column order, whatever the row's term order.
+      int pick = -1;
+      for (const auto [j, v] : rows_.line(r)) {
+        if (v == 0.0 || taken[j]) continue;
+        if (pick < 0 || std::pair(cost_[j], j) < std::pair(cost_[pick], pick)) {
+          pick = j;
         }
       }
-      if (any) {
-        for (std::size_t j = 0; j < n_; ++j) {
-          for (const auto& [r, v] : columns_[j]) {
-            if (wanted[r] && v != 0.0) {
-              row_cols[r].push_back(static_cast<int>(j));
-            }
-          }
-        }
-        for (std::size_t r = 0; r < m_; ++r) {
-          if (!wanted[r] || row_cols[r].empty()) continue;
-          int pick = -1;
-          for (int j : row_cols[r]) {
-            if (taken[static_cast<std::size_t>(j)]) continue;
-            if (pick < 0 ||
-                cost_[static_cast<std::size_t>(j)] <
-                    cost_[static_cast<std::size_t>(pick)]) {
-              pick = j;
-            }
-          }
-          if (pick < 0) continue;
-          taken[static_cast<std::size_t>(pick)] = 1;
-          status_[n_ + r] = resting_status(n_ + r);
-          basis_[r] = pick;
-          status_[static_cast<std::size_t>(pick)] = VarStatus::kBasic;
-        }
-      }
+      if (pick < 0) continue;
+      taken[static_cast<std::size_t>(pick)] = 1;
+      status_[lj] = resting_status(lj);
+      basis_[r] = pick;
+      status_[static_cast<std::size_t>(pick)] = VarStatus::kBasic;
     }
     if (!load_with_repair()) {
       throw InternalError("sparse simplex: cold basis failed to factorize");
@@ -218,9 +197,7 @@ class SparseSimplex : SimplexCore {
   [[nodiscard]] double reduced_cost(int j, bool phase1) const {
     const auto ju = static_cast<std::size_t>(j);
     double d = phase1 ? 0.0 : cost_[ju];
-    for (const auto& [r, v] : columns_[ju]) {
-      d -= cb_.values[r] * v;
-    }
+    for (const auto [r, v] : columns_.line(ju)) d -= cb_.values[r] * v;
     return d;
   }
 
@@ -328,9 +305,7 @@ class SparseSimplex : SimplexCore {
     for (int i : rho_.nz) {
       const double rv = rho_.values[static_cast<std::size_t>(i)];
       if (std::abs(rv) <= rho_cut) continue;
-      for (const auto& [col, v] : rows_[static_cast<std::size_t>(i)]) {
-        alpha_.add(static_cast<int>(col), rv * v);
-      }
+      for (const auto [col, v] : rows_.line(i)) alpha_.add(col, rv * v);
       // The logical of row i is a unit column: alpha contribution is rv.
       alpha_.add(static_cast<int>(n_) + i, rv);
     }
@@ -575,9 +550,7 @@ class SparseSimplex : SimplexCore {
       }
 
       w_.clear();
-      for (const auto& [r, v] : columns_[static_cast<std::size_t>(entering)]) {
-        w_.add(static_cast<int>(r), v);
-      }
+      for (const auto [r, v] : columns_.line(entering)) w_.add(r, v);
       basis_state_.ftran(w_);
 
       const double dir =

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "common/error.h"
@@ -15,12 +17,64 @@ constexpr int kMaxRepairRounds = 5;
 
 }  // namespace
 
+int store_nnz(std::size_t terms, std::size_t rows) {
+  constexpr auto kMax =
+      static_cast<std::size_t>(std::numeric_limits<int>::max());
+  require(terms <= kMax && rows <= kMax - terms,
+          "simplex: " + std::to_string(terms) + " + " + std::to_string(rows) +
+              " column entries overflow the store's int offsets");
+  return static_cast<int>(terms + rows);
+}
+
+void build_stores(const StandardForm& sf, SparseStore& columns,
+                  SparseStore& rows) {
+  const std::size_t n = sf.var_count();
+  const std::size_t m = sf.rows.size();
+  std::size_t terms = 0;
+  for (const StandardRow& row : sf.rows) terms += row.terms.size();
+  const auto nnz = static_cast<std::size_t>(store_nnz(terms, m));
+  // Each column's count lands two slots on, so that after the prefix sum
+  // start[j + 1] is column j's first entry. The row-order fill advances it
+  // as column j's cursor to its end, column j + 1's start, and the one
+  // spare slot is dropped.
+  rows.start.assign(m + 1, 0);
+  columns.start.assign(n + m + 2, 0);
+  for (std::size_t r = 0; r < m; ++r) {
+    const std::vector<Term>& ts = sf.rows[r].terms;
+    rows.start[r + 1] = rows.start[r] + static_cast<int>(ts.size());
+    for (const Term& t : ts) ++columns.start[t.var + 2];
+    columns.start[n + r + 2] = 1;
+  }
+  for (std::size_t k = 2; k < columns.start.size(); ++k) {
+    columns.start[k] += columns.start[k - 1];
+  }
+  rows.index.resize(terms);
+  rows.value.resize(terms);
+  columns.index.resize(nnz);
+  columns.value.resize(nnz);
+  auto put = [&](std::size_t j, int r, double v) {
+    const auto e = static_cast<std::size_t>(columns.start[j + 1]++);
+    columns.index[e] = r;
+    columns.value[e] = v;
+  };
+  for (std::size_t r = 0; r < m; ++r) {
+    auto e = static_cast<std::size_t>(rows.start[r]);
+    for (const Term& t : sf.rows[r].terms) {
+      rows.index[e] = t.var;
+      rows.value[e++] = t.coeff;
+      put(static_cast<std::size_t>(t.var), static_cast<int>(r), t.coeff);
+    }
+    put(n + r, static_cast<int>(r), 1.0);
+  }
+  columns.start.pop_back();
+}
+
 SimplexCore::SimplexCore(const StandardForm& sf, const SimplexOptions& options)
     : options_(options),
       n_(sf.var_count()),
       m_(sf.rows.size()),
       total_(n_ + m_) {
-  columns_.resize(total_);
+  build_stores(sf, columns_, rows_);
   lower_.assign(total_, 0.0);
   upper_.assign(total_, kInf);
   cost_.assign(total_, 0.0);
@@ -29,15 +83,9 @@ SimplexCore::SimplexCore(const StandardForm& sf, const SimplexOptions& options)
     cost_[j] = sf.cost[j];
     upper_[j] = sf.upper[j];
   }
-  rows_.resize(m_);
   for (std::size_t r = 0; r < m_; ++r) {
     const StandardRow& row = sf.rows[r];
-    for (const Term& t : row.terms) {
-      columns_[static_cast<std::size_t>(t.var)].emplace_back(r, t.coeff);
-      rows_[r].emplace_back(static_cast<std::size_t>(t.var), t.coeff);
-    }
     const std::size_t lj = n_ + r;
-    columns_[lj].emplace_back(r, 1.0);
     switch (row.sense) {
       case Sense::kLe:
         break;  // s in [0, inf)
@@ -120,7 +168,7 @@ void SimplexCore::pad_short_basis() {
   if (basis_.size() < m_) {
     std::vector<unsigned char> covered(m_, 0);
     for (int col : basis_) {
-      for (const auto& [r, v] : columns_[static_cast<std::size_t>(col)]) {
+      for (const auto [r, v] : columns_.line(col)) {
         if (v != 0.0) covered[r] = 1;
       }
     }
@@ -129,17 +177,17 @@ void SimplexCore::pad_short_basis() {
       const std::size_t lj = n_ + r;
       int pick = -1;
       if (rhs_[r] < lower_[lj] || rhs_[r] > upper_[lj]) {
-        for (const auto& [j, v] : rows_[r]) {
+        for (const auto [j, v] : rows_.line(r)) {
           if (v == 0.0 || status_[j] == VarStatus::kBasic) continue;
           if (pick < 0 || cost_[j] < cost_[static_cast<std::size_t>(pick)]) {
-            pick = static_cast<int>(j);
+            pick = j;
           }
         }
       }
       if (pick >= 0) {
         basis_.push_back(pick);
         status_[static_cast<std::size_t>(pick)] = VarStatus::kBasic;
-        for (const auto& [rr, v] : columns_[static_cast<std::size_t>(pick)]) {
+        for (const auto [rr, v] : columns_.line(pick)) {
           if (v != 0.0) covered[rr] = 1;
         }
       } else {
@@ -160,14 +208,8 @@ void SimplexCore::pad_short_basis() {
 }
 
 bool SimplexCore::load_with_repair() {
-  std::vector<const SparseCol*> cols;
   for (int round = 0; round < kMaxRepairRounds; ++round) {
-    cols.clear();
-    cols.reserve(basis_.size());
-    for (int col : basis_) {
-      cols.push_back(&columns_[static_cast<std::size_t>(col)]);
-    }
-    const Basis::LoadResult res = basis_state_.load(cols, m_);
+    const Basis::LoadResult res = basis_state_.load(columns_, basis_, m_);
     if (res.clean() && basis_.size() == m_) {
       std::fill(pos_of_.begin(), pos_of_.end(), -1);
       for (std::size_t p = 0; p < m_; ++p) {
@@ -209,9 +251,7 @@ void SimplexCore::compute_basic_values() {
     if (status_[j] == VarStatus::kBasic) continue;
     const double v = nonbasic_value(static_cast<int>(j));
     if (v == 0.0) continue;
-    for (const auto& [r, a] : columns_[j]) {
-      bwork_.add(static_cast<int>(r), -a * v);
-    }
+    for (const auto [r, a] : columns_.line(j)) bwork_.add(r, -a * v);
   }
   basis_state_.ftran(bwork_);
   x_basic_.assign(m_, 0.0);

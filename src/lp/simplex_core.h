@@ -4,8 +4,8 @@
 // row carries one logical column, finite uppers live in the variable state,
 // and the basis is a sparse LU plus product-form etas (lp/basis.h).
 //
-// SimplexCore owns what both engines read in their hot loops — the column
-// store and its row-wise copy, bounds, costs, rhs, the basis with its
+// SimplexCore owns what both engines read in their hot loops — the flat
+// column store and its row-wise copy, bounds, costs, rhs, the basis with its
 // position map, statuses and basic values, and the IndexedVector
 // workspaces — and does what both engines did the same way: the build from
 // a standard form, the warm-start install (one contract for both engines,
@@ -32,6 +32,17 @@
 #include "lp/standard_form.h"
 
 namespace sb::lp {
+
+/// Entries in a column store of `terms` structural entries and `rows` unit
+/// logicals, as the int its offsets use. Throws InvalidArgument when the
+/// count does not fit in one.
+int store_nnz(std::size_t terms, std::size_t rows);
+
+/// Builds `sf`'s CSC column store (structurals, then one unit logical per
+/// row; each column ascending by row) and its CSR row copy (structurals,
+/// each row in term order) in place, from one counting pass.
+void build_stores(const StandardForm& sf, SparseStore& columns,
+                  SparseStore& rows);
 
 class SimplexCore {
  protected:
@@ -95,8 +106,8 @@ class SimplexCore {
   const std::size_t m_;      ///< rows (= logical variables)
   const std::size_t total_;  ///< n_ + m_
 
-  std::vector<SparseCol> columns_;  ///< structurals then logicals
-  std::vector<SparseCol> rows_;     ///< row-wise structural copy
+  SparseStore columns_;  ///< CSC: structurals, then the logicals
+  SparseStore rows_;     ///< CSR copy of the structural columns
   std::vector<double> lower_;
   std::vector<double> upper_;
   std::vector<double> cost_;

@@ -4,35 +4,69 @@
 // provisioning-shaped LPs, with unit and dense right-hand sides; dependent
 // and singular column sets, whose rejected positions and unpivoted rows are
 // pinned; one LuFactor refactorized on bases of different sizes and
-// patterns, which must answer bit for bit like fresh objects (its reused
-// storage must never leak an earlier factor); and Basis::update chains,
-// which must agree with a fresh load of the updated column set.
+// patterns, and on bases picked by id out of wider column stores, which
+// must answer bit for bit like fresh objects on stores of just those
+// columns (its reused storage must never leak an earlier factor);
+// Basis::update chains, which must agree with a fresh load of the updated
+// column set; and the simplex's flat column and row stores
+// (lp/simplex_core.h): their layout with empty columns and rows, and the
+// guard on entry counts past int.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "lp/basis.h"
+#include "lp/dual_simplex.h"
 #include "lp/lu_factor.h"
 #include "lp/revised_simplex.h"
+#include "lp/simplex_core.h"
 #include "lp/standard_form.h"
 #include "lp_models.h"
 
 namespace sb::lp {
 namespace {
 
+/// A test column: (row, value) pairs.
+using SparseCol = std::vector<std::pair<std::size_t, double>>;
 using Columns = std::vector<SparseCol>;
 
-std::vector<const SparseCol*> pointers(const Columns& cols) {
-  std::vector<const SparseCol*> out;
-  out.reserve(cols.size());
-  for (const SparseCol& c : cols) out.push_back(&c);
+/// `cols` flattened into a CSC store, as the simplex keeps its columns, and
+/// the ids that pick them in order.
+struct Flat {
+  SparseStore store;
+  std::vector<int> ids;
+};
+
+Flat flatten(const Columns& cols) {
+  Flat out;
+  for (const SparseCol& c : cols) {
+    for (const auto& [r, v] : c) {
+      out.store.index.push_back(static_cast<int>(r));
+      out.store.value.push_back(v);
+    }
+    out.store.start.push_back(static_cast<int>(out.store.index.size()));
+    out.ids.push_back(static_cast<int>(out.ids.size()));
+  }
   return out;
+}
+
+std::vector<int> factorize(LuFactor& lu, const Columns& cols, std::size_t m) {
+  const Flat flat = flatten(cols);
+  return lu.factorize(flat.store, flat.ids, m);
+}
+
+Basis::LoadResult load(Basis& basis, const Columns& cols, std::size_t m) {
+  const Flat flat = flatten(cols);
+  return basis.load(flat.store, flat.ids, m);
 }
 
 /// Largest absolute column sum: the norm residuals are scaled by.
@@ -196,7 +230,7 @@ TEST(LuFactorTest, RandomSparseBasesSolveWithSmallResiduals) {
       for (int rep = 0; rep < 3; ++rep, ++seed) {
         const Columns cols = random_basis(seed, m, extra);
         LuFactor lu;
-        const std::vector<int> rejected = lu.factorize(pointers(cols), m);
+        const std::vector<int> rejected = factorize(lu, cols, m);
         const std::string where = "seed " + std::to_string(seed) + " m " +
                                   std::to_string(m) + " extra " +
                                   std::to_string(extra);
@@ -255,7 +289,7 @@ TEST(LuFactorTest, ProvisioningBasesSolveWithSmallResiduals) {
       const std::string where = "shape seed " + std::to_string(s.seed) +
                                 (b == 0 ? " optimal" : " halfway");
       LuFactor lu;
-      ASSERT_TRUE(lu.factorize(pointers(cols), cols.size()).empty()) << where;
+      ASSERT_TRUE(factorize(lu, cols, cols.size()).empty()) << where;
       expect_solves(lu, cols, s.seed, where);
     }
   }
@@ -269,7 +303,7 @@ struct Factored {
 Factored factor(const Columns& cols, std::size_t m) {
   LuFactor lu;
   Factored out;
-  out.rejected = lu.factorize(pointers(cols), m);
+  out.rejected = factorize(lu, cols, m);
   out.unpivoted = lu.unpivoted_rows();
   return out;
 }
@@ -340,6 +374,25 @@ bool same_bytes(const Answer& a, const Answer& b) {
                      a.values.size() * sizeof(double)) == 0;
 }
 
+/// Every rhs of `seed` through both factors' FTRAN and BTRAN, compared
+/// byte for byte.
+void expect_same_answers(const LuFactor& reused, const LuFactor& fresh,
+                         std::size_t m, std::uint64_t seed,
+                         const std::string& where) {
+  for (const std::vector<double>& rhs : rhs_set(seed, m)) {
+    IndexedVector a = load_vector(rhs);
+    IndexedVector b = load_vector(rhs);
+    reused.ftran(a);
+    fresh.ftran(b);
+    EXPECT_TRUE(same_bytes(answer(a), answer(b))) << where << ": ftran";
+    a = load_vector(rhs);
+    b = load_vector(rhs);
+    reused.btran(a);
+    fresh.btran(b);
+    EXPECT_TRUE(same_bytes(answer(a), answer(b))) << where << ": btran";
+  }
+}
+
 TEST(LuFactorTest, RefactorizingMatchesFreshObjectsBitForBit) {
   // Large, small, large with another pattern, a large dependent set, and
   // the first large basis again: every step through one reused object must
@@ -359,24 +412,56 @@ TEST(LuFactorTest, RefactorizingMatchesFreshObjectsBitForBit) {
     const std::size_t m = cols.size();
     LuFactor fresh;
     const std::string where = "step " + std::to_string(step);
-    EXPECT_EQ(reused.factorize(pointers(cols), m),
-              fresh.factorize(pointers(cols), m))
-        << where;
+    EXPECT_EQ(factorize(reused, cols, m), factorize(fresh, cols, m)) << where;
     EXPECT_EQ(reused.unpivoted_rows(), fresh.unpivoted_rows()) << where;
     EXPECT_EQ(reused.fill_nnz(), fresh.fill_nnz()) << where;
     EXPECT_EQ(reused.size(), m) << where;
-    for (const std::vector<double>& rhs : rhs_set(step, m)) {
-      IndexedVector a = load_vector(rhs);
-      IndexedVector b = load_vector(rhs);
-      reused.ftran(a);
-      fresh.ftran(b);
-      EXPECT_TRUE(same_bytes(answer(a), answer(b))) << where << ": ftran";
-      a = load_vector(rhs);
-      b = load_vector(rhs);
-      reused.btran(a);
-      fresh.btran(b);
-      EXPECT_TRUE(same_bytes(answer(a), answer(b))) << where << ": btran";
+    expect_same_answers(reused, fresh, m, step, where);
+  }
+}
+
+TEST(LuFactorTest, SubsetsOfWiderStoresMatchTheirOwnStoresBitForBit) {
+  // The simplex factorizes its basis by column id out of a store of every
+  // column. One reused object takes bases out of stores of different
+  // widths, by ids in shuffled order, and must answer exactly like a fresh
+  // object on a store of only those columns in basis order. The last basis
+  // holds a repeated and an empty column, so the rejected positions are
+  // compared too.
+  struct Shape {
+    std::size_t m, width;
+  };
+  LuFactor reused;
+  std::uint64_t seed = 400;
+  for (const Shape& s : {Shape{30, 90}, Shape{8, 11}, Shape{120, 300},
+                         Shape{45, 60}}) {
+    ++seed;
+    Columns basis = random_basis(seed, s.m, 3);
+    if (s.m == 45) {
+      basis[20] = basis[7];
+      basis[33] = {};
     }
+    Rng rng(seed);
+    std::vector<int> slot(s.width);
+    std::iota(slot.begin(), slot.end(), 0);
+    rng.shuffle(slot);
+    Columns wide(s.width);
+    for (SparseCol& c : wide) {
+      c = random_column(rng, s.m, 1 + rng.uniform_index(4));
+    }
+    std::vector<int> ids(s.m);
+    for (std::size_t k = 0; k < s.m; ++k) {
+      ids[k] = slot[k];
+      wide[static_cast<std::size_t>(slot[k])] = basis[k];
+    }
+    const Flat store = flatten(wide);
+    LuFactor fresh;
+    const std::string where = "seed " + std::to_string(seed);
+    const std::vector<int> rejected = reused.factorize(store.store, ids, s.m);
+    EXPECT_EQ(rejected, factorize(fresh, basis, s.m)) << where;
+    EXPECT_EQ(rejected.size(), s.m == 45 ? 2u : 0u) << where;
+    EXPECT_EQ(reused.unpivoted_rows(), fresh.unpivoted_rows()) << where;
+    EXPECT_EQ(reused.fill_nnz(), fresh.fill_nnz()) << where;
+    expect_same_answers(reused, fresh, s.m, seed, where);
   }
 }
 
@@ -414,7 +499,7 @@ TEST(BasisTest, UpdateChainsMatchFreshLoads) {
     const std::size_t m = 30 + 10 * (seed % 3);
     Columns cols = random_basis(seed, m, 3);
     Basis basis;
-    ASSERT_TRUE(basis.load(pointers(cols), m).clean());
+    ASSERT_TRUE(load(basis, cols, m).clean());
     Rng rng(seed);
     for (std::size_t k = 0; k < chain; ++k) {
       // Enter a random column at the position where its FTRAN image is
@@ -438,11 +523,11 @@ TEST(BasisTest, UpdateChainsMatchFreshLoads) {
       Basis fresh;
       const std::string where =
           "seed " + std::to_string(seed) + " update " + std::to_string(k);
-      ASSERT_TRUE(fresh.load(pointers(cols), m).clean()) << where;
+      ASSERT_TRUE(load(fresh, cols, m).clean()) << where;
       expect_same_solves(basis, fresh, m, seed + k, where);
     }
     // A reload discards the chain.
-    ASSERT_TRUE(basis.load(pointers(cols), m).clean());
+    ASSERT_TRUE(load(basis, cols, m).clean());
     EXPECT_EQ(basis.update_count(), 0u);
   }
 }
@@ -450,7 +535,7 @@ TEST(BasisTest, UpdateChainsMatchFreshLoads) {
 TEST(BasisTest, UpdateRefusesATinyPivot) {
   const Columns cols = random_basis(300, 10, 2);
   Basis basis;
-  ASSERT_TRUE(basis.load(pointers(cols), 10).clean());
+  ASSERT_TRUE(load(basis, cols, 10).clean());
   IndexedVector w;
   w.resize(10);
   w.set(3, 1e-12);
@@ -459,6 +544,74 @@ TEST(BasisTest, UpdateRefusesATinyPivot) {
   EXPECT_EQ(basis.update_count(), 0u);
   EXPECT_TRUE(basis.update(5, w));
   EXPECT_EQ(basis.update_count(), 1u);
+}
+
+TEST(SimplexStoreTest, BuildKeepsEmptyLinesAndEntryOrder) {
+  // Column 1 is in no row, row 2 has no terms, and row 3 lists its terms
+  // out of column order: columns come out ascending by row, each row keeps
+  // its term order, and the unit logicals follow the structurals.
+  StandardForm sf;
+  sf.cost = {1.0, 2.0, 3.0, 4.0};
+  sf.upper.assign(4, kInf);
+  sf.rows = {{{{0, 1.0}, {2, 2.0}}, Sense::kLe, 1.0},
+             {{{3, 3.0}}, Sense::kGe, 2.0},
+             {{}, Sense::kEq, 0.0},
+             {{{3, 4.0}, {0, 5.0}, {2, 6.0}}, Sense::kLe, 3.0}};
+  SparseStore cols;
+  SparseStore rows;
+  build_stores(sf, cols, rows);
+  using V = std::vector<int>;
+  using D = std::vector<double>;
+  EXPECT_EQ(cols.start, (V{0, 2, 2, 4, 6, 7, 8, 9, 10}));
+  EXPECT_EQ(cols.index, (V{0, 3, 0, 3, 1, 3, 0, 1, 2, 3}));
+  EXPECT_EQ(cols.value, (D{1, 5, 2, 6, 3, 4, 1, 1, 1, 1}));
+  EXPECT_EQ(rows.start, (V{0, 2, 3, 3, 6}));
+  EXPECT_EQ(rows.index, (V{0, 2, 3, 3, 0, 2}));
+  EXPECT_EQ(rows.value, (D{1, 2, 3, 4, 5, 6}));
+  for (const auto [r, v] : cols.line(1)) {
+    ADD_FAILURE() << "empty column 1 holds (" << r << ", " << v << ")";
+  }
+  for (const auto [j, v] : rows.line(2)) {
+    ADD_FAILURE() << "empty row 2 holds (" << j << ", " << v << ")";
+  }
+
+  // A rebuild over the same stores leaves nothing of a larger form behind.
+  StandardForm small;
+  small.cost = {1.0};
+  small.upper = {kInf};
+  small.rows = {{{{0, 2.0}}, Sense::kGe, 4.0}};
+  build_stores(small, cols, rows);
+  EXPECT_EQ(cols.start, (V{0, 1, 2}));
+  EXPECT_EQ(cols.index, (V{0, 0}));
+  EXPECT_EQ(rows.start, (V{0, 1}));
+
+  // Both engines solve the form with its empty column and row: x3 = 2/3
+  // meets row 1, every other column rests at zero.
+  for (int dual = 0; dual < 2; ++dual) {
+    SfSolution sol = dual != 0 ? solve_dual(sf, SimplexOptions{})
+                               : solve_sparse(sf, SimplexOptions{});
+    if (dual != 0) finish_on_primal(sf, SimplexOptions{}, sol, nullptr);
+    ASSERT_EQ(sol.status, SolveStatus::kOptimal) << "dual " << dual;
+    ASSERT_EQ(sol.values.size(), 4u);
+    EXPECT_NEAR(sol.values[3], 2.0 / 3.0, 1e-12) << "dual " << dual;
+    EXPECT_EQ(sol.values[0] + sol.values[1] + sol.values[2], 0.0);
+  }
+}
+
+TEST(SimplexStoreTest, EntryCountsPastIntThrow) {
+  // The guard's arithmetic, without allocating 2^31 entries.
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  constexpr auto kMax = static_cast<std::size_t>(kIntMax);
+  EXPECT_EQ(store_nnz(0, 0), 0);
+  EXPECT_EQ(store_nnz(17'672, 1'461), 19'133);
+  EXPECT_EQ(store_nnz(kMax - 7, 7), kIntMax);
+  EXPECT_EQ(store_nnz(0, kMax), kIntMax);
+  EXPECT_THROW(store_nnz(kMax - 7, 8), InvalidArgument);
+  EXPECT_THROW(store_nnz(kMax + 1, 0), InvalidArgument);
+  EXPECT_THROW(store_nnz(0, kMax + 1), InvalidArgument);
+  // A sum that wraps std::size_t to a small count must not pass.
+  EXPECT_THROW(store_nnz(std::numeric_limits<std::size_t>::max(), 2),
+               InvalidArgument);
 }
 
 }  // namespace
