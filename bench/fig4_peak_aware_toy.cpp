@@ -3,9 +3,13 @@
 // 110, and 110 cores. (a) locality-first serving needs (100, 110, 110);
 // (b) the default (additive, Eq 1-2) backup plan inflates every DC to 160
 // cores (480 total); (c) the peak-aware plan re-purposes off-peak serving
-// cores as backup and needs no extra capacity at all (320 total).
+// cores as backup and needs no extra capacity at all (320 total). The bench
+// prints both plans' total cores through bench::emit_json and exits 1
+// (ctest fig4_peak_aware_toy_claim, label paper) unless they are 480 and
+// 320, each within 1e-6.
 //
 // Takes no flags: any argument prints usage to stderr and exits 2.
+#include <cmath>
 #include <iostream>
 
 #include "bench_util.h"
@@ -16,6 +20,9 @@ namespace sb {
 namespace {
 
 constexpr const char* kUsage = "usage: fig4_peak_aware_toy (takes no flags)\n";
+// The paper's total cores for Fig 4(b) and 4(c).
+constexpr double kPaperAdditive = 480.0;
+constexpr double kPaperPeakAware = 320.0;
 
 struct ToyWorld {
   World world;
@@ -106,19 +113,22 @@ int run(int argc, char** argv) {
               << format_double(paper_total, 0) << ")\n";
   };
 
-  print_plan("Fig 4(b): default backup plan (Eq 1-2, additive)", fig_b, 480);
+  print_plan("Fig 4(b): default backup plan (Eq 1-2, additive)", fig_b,
+             kPaperAdditive);
   print_plan("Fig 4(c): peak-aware backup plan (re-purposed serving cores)",
-             fig_c, 320);
-  std::cout << "\npeak-aware saving: "
-            << format_double(fig_b.capacity.total_cores() -
-                                 fig_c.capacity.total_cores(),
-                             0)
+             fig_c, kPaperPeakAware);
+  const double total_b = fig_b.capacity.total_cores();
+  const double total_c = fig_c.capacity.total_cores();
+  std::cout << "\npeak-aware saving: " << format_double(total_b - total_c, 0)
             << " cores ("
-            << format_double(100.0 * (1.0 - fig_c.capacity.total_cores() /
-                                                fig_b.capacity.total_cores()),
-                             0)
-            << "%)\n";
-  return 0;
+            << format_double(100.0 * (1.0 - total_c / total_b), 0) << "%)\n";
+  bench::emit_json("fig4_peak_aware_toy", "additive_total_cores", total_b);
+  bench::emit_json("fig4_peak_aware_toy", "peak_aware_total_cores", total_c);
+  const bool held = std::abs(total_b - kPaperAdditive) <= 1e-6 &&
+                    std::abs(total_c - kPaperPeakAware) <= 1e-6;
+  std::cout << (held ? "claim holds: " : "REGRESSION: claim broken: ")
+            << "additive plan 480 cores, peak-aware plan 320\n";
+  return held ? 0 : 1;
 }
 
 }  // namespace sb

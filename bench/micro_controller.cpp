@@ -7,6 +7,7 @@
 // console table, results are emitted as `{"bench": ...}` JSON lines (see
 // bench_util.h).
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -377,6 +378,11 @@ BENCHMARK_CAPTURE(BM_Plan, retained, Replan::kRetained);
 /// microbenches feed the same BENCH_*.json scraping as the table benches.
 class JsonLineReporter : public benchmark::ConsoleReporter {
  public:
+  // Colour only on a terminal, as google-benchmark's own reporter: off one,
+  // a colour reset would start each JSON line and hide it from the grep.
+  JsonLineReporter()
+      : ConsoleReporter(isatty(STDOUT_FILENO) ? OO_Defaults : OO_Tabular) {}
+
   void ReportRuns(const std::vector<Run>& runs) override {
     benchmark::ConsoleReporter::ReportRuns(runs);
     for (const Run& run : runs) {

@@ -11,13 +11,16 @@
 // registry (lp::solve times itself into sb.lp.solve_s), by diffing registry
 // snapshots around the timed loop. Provisioning benches additionally emit
 // `{"bench": ...}` JSON lines (see bench_util.h) so BENCH_lp.json can track
-// the dense-vs-sparse trajectory over time:
+// the dense-vs-sparse trajectory over time, one line per metric from the
+// run google-benchmark reports (its calibration runs print none):
 //
-//   ./bench/micro_lp --benchmark_min_time=1x | grep '^{"bench"'
+//   ./bench/micro_lp --benchmark_min_time=0.05 | grep '^{"bench"'
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/rng.h"
@@ -26,6 +29,50 @@
 
 namespace sb::lp {
 namespace {
+
+/// The `{"bench"` metrics, in print order. A benchmark sets the ones it
+/// reports as state.counters and names its JSON bench by its label.
+constexpr const char* kJsonMetrics[] = {
+    "mean_ms",
+    "objective",
+    "iters_per_solve",
+    "cold_iters",
+    "factorizations_per_solve",
+    "pricing_passes_per_solve",
+    "bound_flips_per_solve",
+    "devex_resets_per_solve",
+    "detect_ms_per_solve",
+    "subproblems_ms_per_solve",
+    "cleanup_ms_per_solve",
+    "sub_iters_per_solve",
+    "cleanup_iters_per_solve",
+};
+
+/// ConsoleReporter that also prints each labelled run's kJsonMetrics
+/// counters through bench::emit_json, under the label as bench name.
+class JsonLineReporter : public benchmark::ConsoleReporter {
+ public:
+  // Colour only on a terminal, as google-benchmark's own reporter: off one,
+  // a colour reset would start each JSON line and hide it from the grep.
+  JsonLineReporter()
+      : ConsoleReporter(isatty(STDOUT_FILENO) ? OO_Defaults : OO_Tabular) {}
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    benchmark::ConsoleReporter::ReportRuns(runs);
+    for (const Run& run : runs) {
+      if (run.error_occurred || run.run_type != Run::RT_Iteration ||
+          run.report_label.empty()) {
+        continue;
+      }
+      for (const char* metric : kJsonMetrics) {
+        const auto it = run.counters.find(metric);
+        if (it != run.counters.end()) {
+          bench::emit_json(run.report_label, metric, it->second.value);
+        }
+      }
+    }
+  }
+};
 
 /// Attaches registry-sourced percentile counters for the samples recorded
 /// between `before` and now to the benchmark's output row.
@@ -198,24 +245,22 @@ void BM_ProvisioningShapedLp(benchmark::State& state) {
   report_registry_latencies(state, before);
   state.counters["objective"] = objective;
   if (solves > 0) {
-    const std::string name = prov_bench_name(state, variant_name(variant));
+    state.SetLabel(prov_bench_name(state, variant_name(variant)));
     const auto per_solve = [&](std::uint64_t total) {
       return static_cast<double>(total) / static_cast<double>(solves);
     };
-    bench::emit_json(name, "mean_ms", total_s / solves * 1e3);
-    bench::emit_json(name, "objective", objective);
-    bench::emit_json(name, "iters_per_solve",
-                     static_cast<double>(iters) / solves);
+    state.counters["mean_ms"] = total_s / solves * 1e3;
+    state.counters["iters_per_solve"] = static_cast<double>(iters) / solves;
     const obs::MetricsSnapshot delta = obs::snapshot_diff(
         before, obs::MetricsRegistry::global().snapshot());
-    bench::emit_json(name, "factorizations_per_solve",
-                     per_solve(delta.counter_value("sb.lp.factorizations")));
-    bench::emit_json(name, "pricing_passes_per_solve",
-                     per_solve(delta.counter_value("sb.lp.pricing_passes")));
-    bench::emit_json(name, "bound_flips_per_solve",
-                     per_solve(delta.counter_value("sb.lp.bound_flips")));
-    bench::emit_json(name, "devex_resets_per_solve",
-                     per_solve(delta.counter_value("sb.lp.devex_resets")));
+    state.counters["factorizations_per_solve"] =
+        per_solve(delta.counter_value("sb.lp.factorizations"));
+    state.counters["pricing_passes_per_solve"] =
+        per_solve(delta.counter_value("sb.lp.pricing_passes"));
+    state.counters["bound_flips_per_solve"] =
+        per_solve(delta.counter_value("sb.lp.bound_flips"));
+    state.counters["devex_resets_per_solve"] =
+        per_solve(delta.counter_value("sb.lp.devex_resets"));
     if (variant == kVarDecompose) {
       // Per-phase wall time and iteration split for the decomposition.
       const auto phase_ms = [&](const char* histogram) {
@@ -224,19 +269,16 @@ void BM_ProvisioningShapedLp(benchmark::State& state) {
                    ? 0.0
                    : h->data.sum / static_cast<double>(solves) * 1e3;
       };
-      bench::emit_json(name, "detect_ms_per_solve",
-                       phase_ms("sb.lp.decompose_detect_s"));
-      bench::emit_json(name, "subproblems_ms_per_solve",
-                       phase_ms("sb.lp.decompose_sub_s"));
-      bench::emit_json(name, "cleanup_ms_per_solve",
-                       phase_ms("sb.lp.decompose_cleanup_s"));
-      bench::emit_json(
-          name, "sub_iters_per_solve",
-          per_solve(delta.counter_value("sb.lp.decompose_sub_iterations")));
-      bench::emit_json(
-          name, "cleanup_iters_per_solve",
-          per_solve(
-              delta.counter_value("sb.lp.decompose_cleanup_iterations")));
+      state.counters["detect_ms_per_solve"] =
+          phase_ms("sb.lp.decompose_detect_s");
+      state.counters["subproblems_ms_per_solve"] =
+          phase_ms("sb.lp.decompose_sub_s");
+      state.counters["cleanup_ms_per_solve"] =
+          phase_ms("sb.lp.decompose_cleanup_s");
+      state.counters["sub_iters_per_solve"] =
+          per_solve(delta.counter_value("sb.lp.decompose_sub_iterations"));
+      state.counters["cleanup_iters_per_solve"] = per_solve(
+          delta.counter_value("sb.lp.decompose_cleanup_iterations"));
     }
   }
 }
@@ -290,12 +332,9 @@ void BM_ProvisioningWarmStart(benchmark::State& state) {
   report_registry_latencies(state, before);
   state.counters["cold_iters"] = static_cast<double>(cold.iterations);
   if (solves > 0) {
-    const std::string name = prov_bench_name(state, "sparse_warm");
-    bench::emit_json(name, "mean_ms", total_s / solves * 1e3);
-    bench::emit_json(name, "iters_per_solve",
-                     static_cast<double>(iters) / solves);
-    bench::emit_json(name, "cold_iters",
-                     static_cast<double>(cold.iterations));
+    state.SetLabel(prov_bench_name(state, "sparse_warm"));
+    state.counters["mean_ms"] = total_s / solves * 1e3;
+    state.counters["iters_per_solve"] = static_cast<double>(iters) / solves;
   }
 }
 BENCHMARK(BM_ProvisioningWarmStart)
@@ -307,4 +346,11 @@ BENCHMARK(BM_ProvisioningWarmStart)
 }  // namespace
 }  // namespace sb::lp
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  sb::lp::JsonLineReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::Shutdown();
+  return 0;
+}

@@ -419,14 +419,15 @@ std::unique_ptr<Materialized> FuzzCase::materialize() const {
 
 void write_repro(const FuzzCase& c, const std::string& path) {
   std::ofstream out(path);
-  require(out.good(), "write_repro: cannot open " + path);
+  if (!out.good()) throw InvalidArgument("write_repro: cannot open " + path);
   out << c.to_json().dump(2) << "\n";
-  require(out.good(), "write_repro: write failed for " + path);
+  if (!out.good())
+    throw InvalidArgument("write_repro: write failed for " + path);
 }
 
 FuzzCase load_repro(const std::string& path) {
   std::ifstream in(path);
-  require(in.good(), "load_repro: cannot open " + path);
+  if (!in.good()) throw InvalidArgument("load_repro: cannot open " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
   return FuzzCase::from_json(Json::parse(buf.str()));

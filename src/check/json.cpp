@@ -55,7 +55,7 @@ std::int64_t Json::as_i64() const { return static_cast<std::int64_t>(as_number()
 const Json& Json::get(const std::string& key) const {
   const Object& obj = as_object();
   const auto it = obj.find(key);
-  require(it != obj.end(), "Json: missing key '" + key + "'");
+  if (it == obj.end()) throw InvalidArgument("Json: missing key '" + key + "'");
   return it->second;
 }
 
@@ -200,8 +200,10 @@ class Parser {
   Json parse_document() {
     Json v = parse_value();
     skip_ws();
-    require(pos_ == text_.size(),
-            "Json: trailing content at offset " + std::to_string(pos_));
+    if (pos_ != text_.size()) {
+      throw InvalidArgument("Json: trailing content at offset " +
+                            std::to_string(pos_));
+    }
     return v;
   }
 

@@ -35,16 +35,19 @@ class InternalError : public Error {
 };
 
 namespace detail {
-[[noreturn]] inline void throw_invalid(const std::string& msg) {
-  throw InvalidArgument(msg);
-}
+[[noreturn, gnu::cold]] void throw_invalid(const char* msg);
 }  // namespace detail
 
 /// Throws InvalidArgument with `msg` unless `cond` holds. Used to validate
 /// public API preconditions; internal invariants use SB_ASSERT-style checks
-/// in .cpp files instead.
-inline void require(bool cond, const std::string& msg) {
+/// in .cpp files instead. A passing check costs one branch: `msg` is a
+/// literal and the exception is built out of line, in a cold function. A
+/// message that needs runtime values goes in an explicit `if (!cond) throw
+/// InvalidArgument(...)`, built only on failure; the deleted overload
+/// keeps it out of here.
+inline void require(bool cond, const char* msg) {
   if (!cond) detail::throw_invalid(msg);
 }
+void require(bool cond, const std::string& msg) = delete;
 
 }  // namespace sb

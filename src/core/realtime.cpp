@@ -144,39 +144,40 @@ bool RealtimeSelector::within_budget(DcId dc, double cores,
 }
 
 DcId RealtimeSelector::closest_available_dc(LocationId joiner) const {
-  // Candidates: up DCs reachable without traversing a down link (§5.3 keeps
-  // paths fixed, so a placement over a failed link is simply forbidden).
-  std::vector<DcId> candidates;
-  candidates.reserve(all_dcs_.size());
+  // The first lowest-latency up DC reachable without traversing a down link
+  // (§5.3 keeps paths fixed, so a placement over a failed link is simply
+  // forbidden); when every link-clean DC is gone, relax the path constraint.
   const bool check_links =
       ctx_.topology != nullptr && ctx_.topology->link_count() > 0;
+  DcId clean, up;
+  double clean_ms = 0.0, up_ms = 0.0;
   for (DcId dc : all_dcs_) {
     if (!health_->dc_up(dc)) continue;
+    bool path_ok = true;
     if (check_links) {
       const LocationId dc_loc = ctx_.world->datacenter(dc).location;
-      bool path_ok = true;
       for (LinkId l : ctx_.topology->path(dc_loc, joiner)) {
         if (!health_->link_up(l)) {
           path_ok = false;
           break;
         }
       }
-      if (!path_ok) continue;
     }
-    candidates.push_back(dc);
-  }
-  if (candidates.empty()) {
-    // Every link-clean DC is gone: relax the path constraint.
-    for (DcId dc : all_dcs_) {
-      if (health_->dc_up(dc)) candidates.push_back(dc);
+    const double ms = ctx_.latency->latency_ms(dc, joiner);
+    if (!up.valid() || ms < up_ms) {
+      up = dc;
+      up_ms = ms;
+    }
+    if (path_ok && (!clean.valid() || ms < clean_ms)) {
+      clean = dc;
+      clean_ms = ms;
     }
   }
-  if (candidates.empty()) {
-    // Everything is down: fail open to the undegraded heuristic rather
-    // than refuse service.
-    return ctx_.latency->closest_dc(joiner, all_dcs_);
-  }
-  return ctx_.latency->closest_dc(joiner, candidates);
+  if (clean.valid()) return clean;
+  if (up.valid()) return up;
+  // Everything is down: fail open to the undegraded heuristic rather
+  // than refuse service.
+  return ctx_.latency->closest_dc(joiner, all_dcs_);
 }
 
 DcId RealtimeSelector::on_call_start(CallId call, LocationId first_joiner,

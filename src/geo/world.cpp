@@ -7,7 +7,8 @@ namespace sb {
 
 LocationId World::add_location(Location loc) {
   require(!loc.name.empty(), "add_location: name required");
-  require(!find_location(loc.name), "add_location: duplicate name " + loc.name);
+  if (find_location(loc.name))
+    throw InvalidArgument("add_location: duplicate name " + loc.name);
   require(loc.population_weight >= 0.0,
           "add_location: population weight must be non-negative");
   locations_.push_back(std::move(loc));
@@ -16,8 +17,8 @@ LocationId World::add_location(Location loc) {
 
 DcId World::add_datacenter(Datacenter dc) {
   require(!dc.name.empty(), "add_datacenter: name required");
-  require(!find_datacenter(dc.name),
-          "add_datacenter: duplicate name " + dc.name);
+  if (find_datacenter(dc.name))
+    throw InvalidArgument("add_datacenter: duplicate name " + dc.name);
   require(dc.location.valid() && dc.location.value() < locations_.size(),
           "add_datacenter: unknown location");
   require(dc.core_cost > 0.0, "add_datacenter: core cost must be positive");
@@ -27,8 +28,8 @@ DcId World::add_datacenter(Datacenter dc) {
 
 ServerId World::add_server(MediaServer server) {
   require(!server.name.empty(), "add_server: name required");
-  require(!find_server(server.name),
-          "add_server: duplicate name " + server.name);
+  if (find_server(server.name))
+    throw InvalidArgument("add_server: duplicate name " + server.name);
   require(server.dc.valid() && server.dc.value() < dcs_.size(),
           "add_server: unknown datacenter");
   require(server.cores > 0.0, "add_server: cores must be positive");

@@ -20,9 +20,11 @@ constexpr int kMaxRepairRounds = 5;
 int store_nnz(std::size_t terms, std::size_t rows) {
   constexpr auto kMax =
       static_cast<std::size_t>(std::numeric_limits<int>::max());
-  require(terms <= kMax && rows <= kMax - terms,
-          "simplex: " + std::to_string(terms) + " + " + std::to_string(rows) +
-              " column entries overflow the store's int offsets");
+  if (terms > kMax || rows > kMax - terms) {
+    throw InvalidArgument("simplex: " + std::to_string(terms) + " + " +
+                          std::to_string(rows) +
+                          " column entries overflow the store's int offsets");
+  }
   return static_cast<int>(terms + rows);
 }
 

@@ -20,6 +20,7 @@
 #include "check/shrink.h"
 #include "common/error.h"
 #include "core/controller.h"
+#include "invalid_what.h"
 #include "lp/solver.h"
 #include "sim/allocator.h"
 #include "sim/simulator.h"
@@ -52,9 +53,25 @@ TEST(JsonTest, RoundTripsValuesCanonically) {
 TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("{"), InvalidArgument);
   EXPECT_THROW(Json::parse("[1,]"), InvalidArgument);
-  EXPECT_THROW(Json::parse("{\"a\":1} trailing"), InvalidArgument);
+  EXPECT_EQ(test::invalid_what([] { Json::parse("{\"a\":1} trailing"); }),
+            "Json: trailing content at offset 8");
   EXPECT_THROW(Json::parse(""), InvalidArgument);
   EXPECT_THROW((void)Json(1.0).as_string(), InvalidArgument);
+}
+
+TEST(JsonTest, MissingKeyNamesTheKey) {
+  const Json v = Json::parse("{\"a\": 1}");
+  EXPECT_EQ(v.get("a").as_u64(), 1u);
+  EXPECT_EQ(test::invalid_what([&] { (void)v.get("b"); }),
+            "Json: missing key 'b'");
+}
+
+TEST(FuzzCaseTest, ReproFileErrorsNameThePath) {
+  const std::string path = "no-such-dir/repro.json";
+  EXPECT_EQ(test::invalid_what([&] { write_repro(FuzzCase{}, path); }),
+            "write_repro: cannot open " + path);
+  EXPECT_EQ(test::invalid_what([&] { (void)load_repro(path); }),
+            "load_repro: cannot open " + path);
 }
 
 TEST(FuzzerTest, GenerationIsDeterministic) {

@@ -6,6 +6,7 @@
 #include "geo/topology.h"
 #include "geo/world.h"
 #include "geo/world_presets.h"
+#include "invalid_what.h"
 
 namespace sb {
 namespace {
@@ -31,10 +32,16 @@ TEST(WorldTest, RegistersAndLooksUp) {
 }
 
 TEST(WorldTest, RejectsDuplicatesAndBadRefs) {
+  using test::invalid_what;
   World w = make_triangle_world();
-  EXPECT_THROW(w.add_location({"A", 0, 0, 0, 1, "R"}), InvalidArgument);
-  EXPECT_THROW(w.add_datacenter({"DC-A", LocationId(0), 1.0}),
-               InvalidArgument);
+  EXPECT_EQ(invalid_what([&] { w.add_location({"A", 0, 0, 0, 1, "R"}); }),
+            "add_location: duplicate name A");
+  EXPECT_EQ(
+      invalid_what([&] { w.add_datacenter({"DC-A", LocationId(0), 1.0}); }),
+      "add_datacenter: duplicate name DC-A");
+  w.add_server({"DC-A-ms0", DcId(0), 8.0});
+  EXPECT_EQ(invalid_what([&] { w.add_server({"DC-A-ms0", DcId(1), 8.0}); }),
+            "add_server: duplicate name DC-A-ms0");
   EXPECT_THROW(w.add_datacenter({"DC-X", LocationId(99), 1.0}),
                InvalidArgument);
   EXPECT_THROW(w.add_datacenter({"DC-Y", LocationId(0), -1.0}),

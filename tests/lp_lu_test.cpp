@@ -24,6 +24,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "invalid_what.h"
 #include "lp/basis.h"
 #include "lp/dual_simplex.h"
 #include "lp/lu_factor.h"
@@ -606,12 +607,22 @@ TEST(SimplexStoreTest, EntryCountsPastIntThrow) {
   EXPECT_EQ(store_nnz(17'672, 1'461), 19'133);
   EXPECT_EQ(store_nnz(kMax - 7, 7), kIntMax);
   EXPECT_EQ(store_nnz(0, kMax), kIntMax);
-  EXPECT_THROW(store_nnz(kMax - 7, 8), InvalidArgument);
-  EXPECT_THROW(store_nnz(kMax + 1, 0), InvalidArgument);
-  EXPECT_THROW(store_nnz(0, kMax + 1), InvalidArgument);
+  using sb::test::invalid_what;
+  EXPECT_EQ(invalid_what([&] { (void)store_nnz(kMax - 7, 8); }),
+            "simplex: 2147483640 + 8 column entries overflow the store's int "
+            "offsets");
+  EXPECT_EQ(invalid_what([&] { (void)store_nnz(kMax + 1, 0); }),
+            "simplex: 2147483648 + 0 column entries overflow the store's int "
+            "offsets");
+  EXPECT_EQ(invalid_what([&] { (void)store_nnz(0, kMax + 1); }),
+            "simplex: 0 + 2147483648 column entries overflow the store's int "
+            "offsets");
   // A sum that wraps std::size_t to a small count must not pass.
-  EXPECT_THROW(store_nnz(std::numeric_limits<std::size_t>::max(), 2),
-               InvalidArgument);
+  EXPECT_EQ(invalid_what([] {
+              (void)store_nnz(std::numeric_limits<std::size_t>::max(), 2);
+            }),
+            "simplex: 18446744073709551615 + 2 column entries overflow the "
+            "store's int offsets");
 }
 
 }  // namespace
