@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the controller: MP selector
 // assign/freeze/end cycles (single-threaded and contended multi-threaded),
-// the server packer's admit+release over fleets of 16..4096 servers per DC,
+// the server packer's admit+release over fleets of 16..4096 servers per DC
+// (half full, or saturated),
 // KV-store operations (without injected latency, to measure the
 // data-structure cost itself), and the closed loop's re-provision (cold
 // versus warm through the previous provision's hint). Alongside the usual
@@ -157,10 +158,23 @@ PackFleet& pack_fleet(std::size_t servers_per_dc) {
 // One packer admit plus one release of 0.1..1.0 cores, rotating over the
 // DCs, so the best-fit scan over a DC's `servers_per_dc` servers is the
 // whole cost. With the second argument set one server is down, so the scan
-// checks every server's health. Spans are off, as in an untraced replay.
+// checks every server's health. With the third set every server is first
+// topped up to its capacity, so no admit finds bounded room: it skips its
+// best-fit scan on the DC bound and overflows (the top-ups are released
+// after the run). Spans are off, as in an untraced replay.
 void BM_PackAdmitRelease(benchmark::State& state) {
   PackFleet& fleet = pack_fleet(static_cast<std::size_t>(state.range(0)));
   fleet.health->set_server(ServerId(0), state.range(1) == 0);
+  std::vector<std::pair<ServerId, double>> top_ups;
+  if (state.range(2) != 0) {
+    for (ServerId sid : fleet.geo.world.server_ids()) {
+      const double free_cores = fleet.packer->server_capacity(sid) -
+                                fleet.packer->server_cores_used(sid);
+      if (fleet.packer->try_admit_to(sid, free_cores)) {
+        top_ups.emplace_back(sid, free_cores);
+      }
+    }
+  }
   obs::SpanRecorder& spans = obs::SpanRecorder::global();
   const bool spans_were_enabled = spans.enabled();
   spans.set_enabled(false);
@@ -174,12 +188,13 @@ void BM_PackAdmitRelease(benchmark::State& state) {
     ++i;
   }
   spans.set_enabled(spans_were_enabled);
+  for (const auto& [sid, cores] : top_ups) fleet.packer->release(sid, cores);
   fleet.health->set_server(ServerId(0), true);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-// Args: servers per DC, servers down (0 or 1).
+// Args: servers per DC, servers down (0 or 1), saturated (0 or 1).
 BENCHMARK(BM_PackAdmitRelease)
-    ->ArgsProduct({{16, 64, 256, 1024, 4096}, {0, 1}});
+    ->ArgsProduct({{16, 64, 256, 1024, 4096}, {0, 1}, {0, 1}});
 
 void BM_ClosestDcLookup(benchmark::State& state) {
   Fixture f;

@@ -1,5 +1,6 @@
 #include "core/controller.h"
 
+#include <shared_mutex>
 #include <string>
 
 #include "common/error.h"
@@ -47,7 +48,7 @@ class Switchboard::EventScope {
  private:
   std::optional<obs::Span> span_;
   std::optional<obs::ScopedTimer> timer_;
-  std::shared_lock<std::shared_mutex> lock_;
+  std::shared_lock<SlottedSharedMutex> lock_;
 };
 
 Switchboard::Metrics::Metrics()

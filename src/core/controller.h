@@ -10,9 +10,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <vector>
 
+#include "common/slotted_shared_mutex.h"
 #include "core/allocation_plan.h"
 #include "core/provisioner.h"
 #include "core/realtime.h"
@@ -113,12 +113,14 @@ class Switchboard {
   //
   // Outside a batch an event takes swap_mutex_ shared for its selector
   // call only (the KV write follows unlocked), opens a ctl.* span and
-  // records its sb.realtime.*_latency_s histogram. At simulator replay
-  // rates that per-event lock RMW on one contended cache line dominates,
-  // so a batched driver brackets a run of events with lock_events_shared()
-  // and unlock_events_shared(): one shared acquisition per batch, and the
-  // thread is marked as batching on this controller, so its events here
-  // skip the lock, span and histogram (the driver times whole batches).
+  // records its sb.realtime.*_latency_s histogram. Taking and dropping the
+  // lock shared each write only the thread's own reader slot (and read the
+  // writer flag), so readers no longer contend on one cache line; the span
+  // and histogram stay per-event costs. A batched driver brackets a run of
+  // events with lock_events_shared() and unlock_events_shared(): one shared
+  // acquisition per batch, and the thread is marked as batching on this
+  // controller, so its events here skip the lock, span and histogram (the
+  // driver times whole batches).
   // Batches do not nest; close one before parking at any barrier. On a
   // batching thread every other method that takes swap_mutex_ (provision,
   // plan builds and installs, drains, defrag, the read passthroughs)
@@ -252,10 +254,10 @@ class Switchboard {
   /// provision) publish plan_ / provision_result_ and rebuild selector_
   /// only while holding this exclusively, so the swap waits out every
   /// in-flight event still reading the old plan through the old selector.
-  /// Realtime events take it shared (readers never contend with each
-  /// other); the selector's own lock striping provides all per-event
-  /// synchronization.
-  mutable std::shared_mutex swap_mutex_;
+  /// Realtime events take it shared, each thread in its own reader slot, so
+  /// readers never write a line another reader writes; the selector's own
+  /// lock striping provides all per-event synchronization.
+  mutable SlottedSharedMutex swap_mutex_;
   /// Owned by the controller, outlives every selector it hands the pointer
   /// to (selector rebuilds reuse the same table, so health state survives
   /// plan swaps).

@@ -698,10 +698,13 @@ void RealtimeSelector::rebind_plan(const AllocationPlan& old_plan,
   obs::Span span("sel.rebind", obs::Subsystem::kRealtime, now);
   plan_ = new_plan;
   plan_start_s_ = plan_start_s;
-  // Fresh zeroed quota table for the new plan's (config, dc) shape; live
-  // calls re-debit it below, so the table never mixes the two plans' cells.
+  // Zeroed quota table for the new plan's (config, dc) shape; live calls
+  // re-debit it below, so the table never mixes the two plans' cells. A
+  // table of the old shape, as every closed-loop replan keeps, is reused.
   const std::size_t cells = new_plan->config_count() * new_plan->dc_count();
-  usage_ = std::make_unique<std::atomic<std::uint32_t>[]>(cells);
+  if (cells != old_plan.config_count() * old_plan.dc_count()) {
+    usage_ = std::make_unique<std::atomic<std::uint32_t>[]>(cells);
+  }
   for (std::size_t i = 0; i < cells; ++i) {
     usage_[i].store(0, std::memory_order_relaxed);
   }

@@ -8,39 +8,43 @@ namespace sb::fault {
 
 FaultSchedule& FaultSchedule::dc_down(DcId dc, SimTime at) {
   require(dc.valid(), "FaultSchedule: invalid DC");
-  events_.push_back({at, FaultEvent::Kind::kDcDown, dc, LinkId(), ServerId()});
+  events_.push_back({at, FaultEvent::Kind::kDcDown, dc, LinkId(), ServerId(),
+                     WorkerId()});
   return *this;
 }
 
 FaultSchedule& FaultSchedule::dc_up(DcId dc, SimTime at) {
   require(dc.valid(), "FaultSchedule: invalid DC");
-  events_.push_back({at, FaultEvent::Kind::kDcUp, dc, LinkId(), ServerId()});
+  events_.push_back({at, FaultEvent::Kind::kDcUp, dc, LinkId(), ServerId(),
+                     WorkerId()});
   return *this;
 }
 
 FaultSchedule& FaultSchedule::link_down(LinkId link, SimTime at) {
   require(link.valid(), "FaultSchedule: invalid link");
-  events_.push_back({at, FaultEvent::Kind::kLinkDown, DcId(), link, ServerId()});
+  events_.push_back({at, FaultEvent::Kind::kLinkDown, DcId(), link,
+                     ServerId(), WorkerId()});
   return *this;
 }
 
 FaultSchedule& FaultSchedule::link_up(LinkId link, SimTime at) {
   require(link.valid(), "FaultSchedule: invalid link");
-  events_.push_back({at, FaultEvent::Kind::kLinkUp, DcId(), link, ServerId()});
+  events_.push_back({at, FaultEvent::Kind::kLinkUp, DcId(), link, ServerId(),
+                     WorkerId()});
   return *this;
 }
 
 FaultSchedule& FaultSchedule::server_down(ServerId server, SimTime at) {
   require(server.valid(), "FaultSchedule: invalid server");
-  events_.push_back(
-      {at, FaultEvent::Kind::kServerDown, DcId(), LinkId(), server});
+  events_.push_back({at, FaultEvent::Kind::kServerDown, DcId(), LinkId(),
+                     server, WorkerId()});
   return *this;
 }
 
 FaultSchedule& FaultSchedule::server_up(ServerId server, SimTime at) {
   require(server.valid(), "FaultSchedule: invalid server");
-  events_.push_back(
-      {at, FaultEvent::Kind::kServerUp, DcId(), LinkId(), server});
+  events_.push_back({at, FaultEvent::Kind::kServerUp, DcId(), LinkId(),
+                     server, WorkerId()});
   return *this;
 }
 

@@ -67,11 +67,6 @@ bool HealthTable::link_up(LinkId link) const {
   return (links_[link.value()].word.load(std::memory_order_acquire) & 1u) == 0;
 }
 
-bool HealthTable::server_up(ServerId server) const {
-  return (servers_[server.value()].word.load(std::memory_order_acquire) &
-          1u) == 0;
-}
-
 HealthState HealthTable::dc_state(DcId dc) const {
   return unpack(dcs_[dc.value()].word.load(std::memory_order_acquire));
 }

@@ -45,7 +45,12 @@ class HealthTable {
 
   [[nodiscard]] bool dc_up(DcId dc) const;
   [[nodiscard]] bool link_up(LinkId link) const;
-  [[nodiscard]] bool server_up(ServerId server) const;
+  /// Inline: the packer's best-fit scan reads it per server while any
+  /// entry is down.
+  [[nodiscard]] bool server_up(ServerId server) const {
+    return (servers_[server.value()].word.load(std::memory_order_acquire) &
+            1u) == 0;
+  }
   [[nodiscard]] bool worker_up(WorkerId worker) const;
   [[nodiscard]] HealthState dc_state(DcId dc) const;
   [[nodiscard]] HealthState link_state(LinkId link) const;

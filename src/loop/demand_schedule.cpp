@@ -72,8 +72,17 @@ CallRecordDatabase DemandSchedule::scale_trace(const CallRecordDatabase& db,
   for (const CallRecord& r : db.records()) {
     next_id = std::max<std::uint64_t>(next_id, r.id.value() + 1);
   }
+  // Each record yields at most 1 + ceil(m - 1) calls: itself and its
+  // copies. Reserving that bound draws nothing from the RNG.
+  std::size_t bound = 0;
+  for (const CallRecord& r : db.records()) {
+    const LocationId first =
+        r.legs.empty() ? LocationId() : r.legs.front().location;
+    const double m = multiplier_at(r.start_s, first);
+    bound += 1 + static_cast<std::size_t>(std::max(0.0, std::ceil(m - 1.0)));
+  }
   CallRecordDatabase out;
-  out.reserve(db.size());
+  out.reserve(bound);
   for (const CallRecord& r : db.records()) {
     const LocationId first =
         r.legs.empty() ? LocationId() : r.legs.front().location;

@@ -121,8 +121,11 @@ std::vector<int> LuFactor::factorize(const SparseStore& a,
   for (std::size_t p = 0; p < k_cols; ++p) {
     if (col_active_[p]) nucleus_.push_back(static_cast<int>(p));
   }
-  std::stable_sort(nucleus_.begin(), nucleus_.end(),
-                   [&](int a, int b) { return colcount_[a] < colcount_[b]; });
+  // Sparsest column first, ties in position order: the order a stable sort
+  // on the count gives, without its temporary buffer.
+  std::sort(nucleus_.begin(), nucleus_.end(), [&](int a, int b) {
+    return colcount_[a] != colcount_[b] ? colcount_[a] < colcount_[b] : a < b;
+  });
   for (int p : nucleus_) order_.emplace_back(p, -1);
 
   // --- Numeric left-looking pass in the symbolic order.

@@ -11,6 +11,27 @@ namespace sb::pack {
 namespace {
 /// CAS attempts per candidate before rescanning the fleet.
 constexpr std::uint32_t kMaxCasRetries = 8;
+
+// The DC bound word: release count in the high half, and in the low half
+// the free-millicore bound plus kBoundBias, clamped to [0, kBoundLow]. The
+// clamp only ever raises the bound; kBoundLow itself reads as unbounded.
+constexpr std::uint64_t kBoundLow = 0xffffffffu;
+constexpr std::uint64_t kBoundCountOne = std::uint64_t{1} << 32;
+constexpr std::int64_t kBoundBias = std::int64_t{1} << 31;
+
+std::uint64_t encode_free(std::int64_t free_mc) {
+  if (free_mc <= -kBoundBias) return 0;
+  if (free_mc >= static_cast<std::int64_t>(kBoundLow) - kBoundBias) {
+    return kBoundLow;
+  }
+  return static_cast<std::uint64_t>(free_mc + kBoundBias);
+}
+
+std::int64_t bound_free(std::uint64_t word) {
+  const std::uint64_t low = word & kBoundLow;
+  if (low == kBoundLow) return std::numeric_limits<std::int64_t>::max();
+  return static_cast<std::int64_t>(low) - kBoundBias;
+}
 }  // namespace
 
 ServerPacker::ServerPacker(const World& world, PackOptions options,
@@ -25,15 +46,29 @@ ServerPacker::ServerPacker(const World& world, PackOptions options,
       overcommit_metric_(obs::MetricsRegistry::global().counter(
           "sb.pack.overcommit_admits")),
       cas_retries_metric_(
-          obs::MetricsRegistry::global().counter("sb.pack.cas_retries")) {
+          obs::MetricsRegistry::global().counter("sb.pack.cas_retries")),
+      bounded_skips_metric_(
+          obs::MetricsRegistry::global().counter("sb.pack.bounded_skips")) {
   require(server_count_ > 0, "ServerPacker: world has no servers");
   require(health_ == nullptr || health_->server_count() == server_count_,
           "ServerPacker: health table does not cover the fleet");
   used_mc_ = std::make_unique<std::atomic<std::int64_t>[]>(server_count_);
   slots_ = std::make_unique<Slot[]>(server_count_);
   capacity_mc_.reserve(server_count_);
+  server_dc_.reserve(server_count_);
   for (const MediaServer& server : world.servers()) {
     capacity_mc_.push_back(to_millicores(server.cores));
+    server_dc_.push_back(server.dc);
+  }
+  // Every server starts empty, so a DC's bound is its largest capacity.
+  dc_bound_ = std::make_unique<DcBound[]>(world.dc_count());
+  for (DcId dc : world.dc_ids()) {
+    std::int64_t largest = 0;
+    for (ServerId sid : world.servers_in_dc(dc)) {
+      largest = std::max(largest, capacity_mc_[sid.value()]);
+    }
+    dc_bound_[dc.value()].word.store(encode_free(largest),
+                                     std::memory_order_relaxed);
   }
 }
 
@@ -62,6 +97,21 @@ void ServerPacker::record_admit(ServerId server, std::int64_t need_mc) {
   admits_metric_.inc();
 }
 
+void ServerPacker::raise_bound(ServerId server, std::int64_t free_mc) {
+  std::atomic<std::uint64_t>& bound =
+      dc_bound_[server_dc_[server.value()].value()].word;
+  const std::uint64_t low = encode_free(free_mc);
+  // The count moves even when the bound already covers free_mc: a scan that
+  // read the word before this release must then fail to lower it.
+  std::uint64_t cur = bound.load(std::memory_order_relaxed);
+  std::uint64_t next = 0;
+  do {
+    next = ((cur & ~kBoundLow) + kBoundCountOne) |
+           std::max(cur & kBoundLow, low);
+  } while (!bound.compare_exchange_weak(cur, next, std::memory_order_acq_rel,
+                                        std::memory_order_relaxed));
+}
+
 ServerId ServerPacker::admit_bounded(DcId dc, double cores, ServerId exclude,
                                      std::uint32_t* retries) {
   const std::vector<ServerId>& fleet = world_->servers_in_dc(dc);
@@ -69,19 +119,36 @@ ServerId ServerPacker::admit_bounded(DcId dc, double cores, ServerId exclude,
   const std::int64_t need_mc = to_millicores(cores);
   const std::int64_t penalty_mc =
       to_millicores(options_.anti_frag_empty_penalty_cores);
+  // Residuals are never negative and only an empty server adds the penalty,
+  // so no score falls below this: the first server that reaches it wins.
+  const std::int64_t floor_score = std::min<std::int64_t>(0, penalty_mc);
+  std::atomic<std::uint64_t>& bound = dc_bound_[dc.value()].word;
   // Rescan until a claim lands or no candidate fits. Each failed claim means
   // another thread took the residual we saw, so progress is global.
   for (;;) {
+    const std::uint64_t seen = bound.load(std::memory_order_acquire);
+    if (bound_free(seen) < need_mc) {
+      bounded_skips_metric_.inc();
+      return ServerId();
+    }
     // all_up() means no DC, link or server is down, so skipping the
     // per-server health read is exact; otherwise check every candidate.
     const bool check_health = health_ != nullptr && !health_->all_up();
     ServerId best;
     std::int64_t best_score = std::numeric_limits<std::int64_t>::max();
+    // A scan that finds no candidate saw less than need_mc free on every
+    // server it could use, so only the excluded and down ones can raise the
+    // bound it stores.
+    std::int64_t max_free = need_mc - 1;
     for (ServerId sid : fleet) {
-      if (sid == exclude || (check_health && !server_ok(sid))) continue;
       const std::int64_t used =
           used_mc_[sid.value()].load(std::memory_order_relaxed);
-      const std::int64_t residual = capacity_mc_[sid.value()] - used - need_mc;
+      const std::int64_t free_mc = capacity_mc_[sid.value()] - used;
+      if (sid == exclude || (check_health && !server_ok(sid))) {
+        max_free = std::max(max_free, free_mc);
+        continue;
+      }
+      const std::int64_t residual = free_mc - need_mc;
       if (residual < 0) continue;
       // Best fit: minimum residual after placement; waking an empty server
       // costs an extra penalty. Ties break on the lowest ServerId (fleet is
@@ -90,9 +157,18 @@ ServerId ServerPacker::admit_bounded(DcId dc, double cores, ServerId exclude,
       if (score < best_score) {
         best_score = score;
         best = sid;
+        if (score == floor_score) break;
       }
     }
-    if (!best.valid()) return ServerId();
+    if (!best.valid()) {
+      // max_free bounds every server of the DC, excluded and down ones too.
+      // A release since `seen` moved the count, and then the bound stays.
+      std::uint64_t expected = seen;
+      bound.compare_exchange_strong(
+          expected, (seen & ~kBoundLow) | encode_free(max_free),
+          std::memory_order_acq_rel, std::memory_order_relaxed);
+      return ServerId();
+    }
     if (try_claim(best, need_mc, retries)) {
       record_admit(best, need_mc);
       return best;
@@ -103,11 +179,14 @@ ServerId ServerPacker::admit_bounded(DcId dc, double cores, ServerId exclude,
 ServerId ServerPacker::admit_overflow(DcId dc, double cores, ServerId exclude,
                                       bool up_only) {
   const std::vector<ServerId>& fleet = world_->servers_in_dc(dc);
+  // As in admit_bounded: with everything up, no server needs a health read.
+  const bool check_health =
+      up_only && health_ != nullptr && !health_->all_up();
   ServerId chosen;
   double best_ratio = std::numeric_limits<double>::max();
   for (ServerId sid : fleet) {
     if (sid == exclude) continue;
-    if (up_only && !server_ok(sid)) continue;
+    if (check_health && !server_ok(sid)) continue;
     const double used = static_cast<double>(
         used_mc_[sid.value()].load(std::memory_order_relaxed));
     const double cap = static_cast<double>(capacity_mc_[sid.value()]);
@@ -160,7 +239,10 @@ void ServerPacker::release(ServerId server, double cores) {
   require(server.valid() && server.value() < server_count_,
           "release: bad server id");
   const std::int64_t need_mc = to_millicores(cores);
-  used_mc_[server.value()].fetch_sub(need_mc, std::memory_order_acq_rel);
+  const std::int64_t used_before =
+      used_mc_[server.value()].fetch_sub(need_mc, std::memory_order_acq_rel);
+  raise_bound(server,
+              capacity_mc_[server.value()] - (used_before - need_mc));
   Slot& slot = slots_[server.value()];
   slot.releases.fetch_add(1, std::memory_order_relaxed);
   slot.released_mc.fetch_add(need_mc, std::memory_order_relaxed);

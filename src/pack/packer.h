@@ -25,6 +25,16 @@
 // padded slots: they are written once per admit or release and read only
 // by stats(). At quiescence occupancy == admitted - released == 0, which
 // is the invariant the oracle recounts from the HostingLog.
+//
+// Each DC also keeps one padded 64-bit bound word: an upper bound on the
+// free millicores of any of its servers (low 32 bits) and a release count
+// (high 32 bits). A bounded admit whose need exceeds the bound returns "no
+// server" without scanning (counted in sb.pack.bounded_skips); a full scan
+// that finds no room lowers the bound to need - 1, or to the free space of
+// an excluded or down server that has more, unless a release bumped the
+// count meanwhile; release() raises it. Claims only
+// lower free space, so they leave it alone. The bound only ever skips a
+// scan that would have found nothing, so decisions are unchanged.
 #pragma once
 
 #include <atomic>
@@ -149,6 +159,12 @@ class ServerPacker {
     std::atomic<std::int64_t> released_mc{0};
   };
 
+  /// The per-DC bound word (file comment), alone on its cache line: every
+  /// release in the DC bumps it.
+  struct alignas(64) DcBound {
+    std::atomic<std::uint64_t> word{0};
+  };
+
   [[nodiscard]] bool server_ok(ServerId server) const {
     return health_ == nullptr || health_->server_up(server);
   }
@@ -157,6 +173,9 @@ class ServerPacker {
   bool try_claim(ServerId server, std::int64_t need_mc,
                  std::uint32_t* retries);
   void record_admit(ServerId server, std::int64_t need_mc);
+  /// Raises `server`'s DC bound to at least `free_mc` and bumps its release
+  /// count.
+  void raise_bound(ServerId server, std::int64_t free_mc);
 
   const World* world_;
   PackOptions options_;
@@ -165,12 +184,15 @@ class ServerPacker {
   std::unique_ptr<std::atomic<std::int64_t>[]> used_mc_;  ///< per server
   std::unique_ptr<Slot[]> slots_;
   std::vector<std::int64_t> capacity_mc_;  ///< per server, immutable
+  std::vector<DcId> server_dc_;            ///< per server, immutable
+  std::unique_ptr<DcBound[]> dc_bound_;    ///< per DC
   std::atomic<std::uint64_t> overcommit_admits_{0};
 
   obs::Counter& admits_metric_;
   obs::Counter& releases_metric_;
   obs::Counter& overcommit_metric_;
   obs::Counter& cas_retries_metric_;
+  obs::Counter& bounded_skips_metric_;
 };
 
 }  // namespace sb::pack

@@ -1,9 +1,10 @@
 // Allocation guards: paths that must not touch the heap once warm — a
 // passing precondition check, the forecast's arrival histories, the
-// realtime events (planned, and while a DC is down) and the LP's rhs
-// rewrite. This binary replaces the global operator new and delete with
-// versions that count the calling thread's allocations, which is why these
-// tests are a binary of their own.
+// realtime events (planned, and while a DC is down), the LP's rhs rewrite,
+// a repeat LU factorization and a same-shape plan rebind. This binary
+// replaces the global operator new and delete with versions that count the
+// calling thread's allocations, which is why these tests are a binary of
+// their own.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,11 +13,13 @@
 #include <cstdlib>
 #include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "core/controller.h"
 #include "geo/world_presets.h"
+#include "lp/lu_factor.h"
 #include "lp_models.h"
 #include "trace/scenario.h"
 
@@ -134,6 +137,32 @@ TEST(AllocGuard, ModelRhsRewriteAllocatesNothing) {
             0u);
 }
 
+TEST(AllocGuard, RepeatFactorizationAllocatesNothing) {
+  // A 60 x 60 cyclic basis with no row or column singleton, so all of it
+  // is the LU's nucleus: column p holds 4 on the diagonal, 1 in the next
+  // row and, on every third column, 0.5 seven rows on. Columns of two and
+  // three entries give the nucleus order something to sort.
+  constexpr int kM = 60;
+  lp::SparseStore store;
+  std::vector<int> ids;
+  for (int p = 0; p < kM; ++p) {
+    std::vector<std::pair<int, double>> col = {{p, 4.0}, {(p + 1) % kM, 1.0}};
+    if (p % 3 == 0) col.emplace_back((p + 7) % kM, 0.5);
+    std::sort(col.begin(), col.end());
+    for (const auto& [row, value] : col) {
+      store.index.push_back(row);
+      store.value.push_back(value);
+    }
+    store.start.push_back(static_cast<int>(store.index.size()));
+    ids.push_back(p);
+  }
+  lp::LuFactor lu;
+  ASSERT_TRUE(lu.factorize(store, ids, kM).empty());  // sizes its arrays
+  std::vector<int> rejected;
+  EXPECT_EQ(allocations([&] { rejected = lu.factorize(store, ids, kM); }), 0u);
+  EXPECT_TRUE(rejected.empty());
+}
+
 /// The APAC design day (top 30 configs, x1.3 cushion) provisioned and
 /// planned on a uniform fleet of 8 servers per DC, and a busy half hour of
 /// the scenario's calls to replay against it.
@@ -236,6 +265,30 @@ TEST(AllocGuard, RealtimeEventsAllocateNothingWhileADcIsDown) {
   EXPECT_EQ(down.started_total(), 0u);
   EXPECT_EQ(down.frozen, 0u);
   EXPECT_EQ(down.ended, 0u);
+}
+
+TEST(AllocGuard, SameShapePlanRebindAllocatesNothing) {
+  // Every closed-loop replan installs a plan of the old one's (config, DC)
+  // shape; the selector then zeroes its quota table in place.
+  PlannedApac apac;
+  const DemandMatrix demand =
+      design_day_demand(apac.scenario, 3600.0, 30, 1.3);
+  const AllocationPlan first =
+      apac.controller.build_allocation_plan(demand, PlannedApac::kPlanStart);
+  const AllocationPlan second = first;
+  RealtimeSelector selector(
+      EvalContext{&apac.scenario.world(), &apac.scenario.topology(),
+                  &apac.scenario.latency(), apac.scenario.registry.get(),
+                  &apac.loads},
+      &first, RealtimeOptions{}, PlannedApac::kPlanStart);
+  const SimTime now = PlannedApac::kPlanStart + kSecondsPerHour;
+  // The first rebind also sets up the thread's span ring.
+  selector.rebind_plan(first, &second, PlannedApac::kPlanStart, now);
+  EXPECT_EQ(allocations([&] {
+              selector.rebind_plan(second, &first, PlannedApac::kPlanStart,
+                                   now);
+            }),
+            0u);
 }
 
 }  // namespace

@@ -156,7 +156,9 @@ TEST(FaultScheduleTest, RandomScheduleIsDeterministicAndBounded) {
     EXPECT_GE(ea[i].time, ea[i - 1].time);
   }
   for (const fault::FaultEvent& ev : ea) {
-    if (ev.is_down()) EXPECT_GE(ev.time, 0.0);
+    if (ev.is_down()) {
+      EXPECT_GE(ev.time, 0.0);
+    }
   }
 }
 

@@ -2,15 +2,18 @@
 // pack): deterministic best-fit admits with exact millicore accounting,
 // the anti-fragmentation empty-server penalty, fail-open overflow, a
 // differential check of every admit path against a plain reference
-// best-fit over 200+ seeded fleets and health states, the drain_server
-// tier ordering (sibling re-pack -> cross-DC spill -> overflow -> drop),
-// defragmentation, and 8-thread start/freeze/end stresses (one with a
-// thread flipping server and DC health) that must leave every server's
-// occupancy exactly zero.
+// best-fit over 200+ seeded fleets and health states (then again with
+// every server filled, where the per-DC bound skips most scans), a
+// near-full 4-thread admit/release churn that must conserve millicores and
+// leave the DC bounds sound, the drain_server tier ordering (sibling
+// re-pack -> cross-DC spill -> overflow -> drop), defragmentation, and
+// 8-thread start/freeze/end stresses (one with a thread flipping server
+// and DC health) that must leave every server's occupancy exactly zero.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -20,6 +23,7 @@
 #include "common/error.h"
 #include "core/realtime.h"
 #include "fault/health_table.h"
+#include "obs/metrics.h"
 #include "pack/packer.h"
 
 namespace sb {
@@ -157,6 +161,34 @@ TEST(PackerTest, SingleThreadedAdmitSequenceIsDeterministic) {
   }
 }
 
+TEST(PackerTest, FailedScanKeepsTheBoundAtTheFreeSpaceItCouldNotUse) {
+  // DC-A has two 2-core servers with 1.0 core free on each. A bounded admit
+  // that finds no room lowers the DC bound; it must stay at least the free
+  // space the scan saw: need - 1 millicores, or more where the server with
+  // that space was excluded or down.
+  World w = PackedWorld::make_world(2.0, 2.0, 4.0);
+  fault::HealthTable health(2, 1, 3);
+  pack::ServerPacker packer(w, {}, &health);
+  ASSERT_TRUE(packer.try_admit_to(ServerId(0), 1.0));
+  ASSERT_TRUE(packer.try_admit_to(ServerId(1), 1.0));
+
+  // Both servers have 1000 mc free, one short of the need.
+  EXPECT_FALSE(packer.admit_bounded(DcId(0), 1.001).valid());
+  EXPECT_EQ(packer.admit_bounded(DcId(0), 1.0), ServerId(0));
+
+  // Server 0 is full; the excluded server 1 still has 1.0 core free.
+  EXPECT_FALSE(packer.admit_bounded(DcId(0), 1.0, ServerId(1)).valid());
+  EXPECT_EQ(packer.admit_bounded(DcId(0), 1.0), ServerId(1));
+
+  // Free server 1 again, then scan while it is down.
+  packer.release(ServerId(1), 1.0);
+  health.set_server(ServerId(1), false);
+  EXPECT_FALSE(packer.admit_bounded(DcId(0), 1.0).valid());
+  health.set_server(ServerId(1), true);
+  EXPECT_EQ(packer.admit_bounded(DcId(0), 1.0), ServerId(1));
+  EXPECT_EQ(packer.overcommit_admits(), 0u);
+}
+
 /// The packer's placement rules written out plainly over a private copy of
 /// the occupancy: walk the whole fleet in id order, skip `exclude`, other
 /// DCs' servers and down servers, score residual plus the empty-server
@@ -222,6 +254,10 @@ class ReferencePacker {
 
   [[nodiscard]] bool fits(ServerId s, std::int64_t need) const {
     return servers_[s.value()].used + need <= servers_[s.value()].cap;
+  }
+
+  [[nodiscard]] std::int64_t free(ServerId s) const {
+    return servers_[s.value()].cap - servers_[s.value()].used;
   }
 
   void claim(ServerId s, std::int64_t need) {
@@ -358,22 +394,39 @@ void redraw_health(fault::HealthTable& health, const World& world, DcId dc,
 TEST(PackerDifferentialTest, EveryAdmitPathMatchesTheReferenceBestFit) {
   constexpr std::uint64_t kWorlds = 240;
   constexpr int kSteps = 80;
+  obs::Counter& skips =
+      obs::MetricsRegistry::global().counter("sb.pack.bounded_skips");
+  const std::uint64_t skips_before = skips.value();
   for (std::uint64_t seed = 1; seed <= kWorlds; ++seed) {
     std::mt19937_64 rng(seed);
     const World world = random_fleet_world(rng);
     fault::HealthTable health(world.dc_count(), 0, world.server_count());
     pack::PackOptions options;
-    const double penalties[] = {0.0, 0.25, 0.75};
+    // A negative penalty favours waking empty servers; it moves the score
+    // floor at which the packer's scan may stop early below zero.
+    const double penalties[] = {0.0, 0.25, 0.75, -0.5};
     options.anti_frag_empty_penalty_cores =
-        penalties[std::uniform_int_distribution<int>(0, 2)(rng)];
+        penalties[std::uniform_int_distribution<int>(0, 3)(rng)];
     pack::ServerPacker packer(world, options, &health);
     ReferencePacker ref(world, health, options.anti_frag_empty_penalty_cores);
     std::uniform_real_distribution<double> size(0.05, 6.0);
+    std::uniform_real_distribution<double> small(0.05, 1.0);
     const std::vector<DcId> dcs = world.dc_ids();
     const std::vector<ServerId> servers = world.server_ids();
     const auto pick_one = [&rng](const auto& v) {
       return v[std::uniform_int_distribution<std::size_t>(0, v.size() - 1)(
           rng)];
+    };
+    // A quarter of the admits ask for exactly some server's free space
+    // (residual 0, the lowest score a warm server can have); the rest draw
+    // from `sizes`.
+    const auto draw_cores = [&](DcId dc, auto& sizes) {
+      if (std::bernoulli_distribution(0.25)(rng)) {
+        const std::int64_t free_mc =
+            ref.free(pick_one(world.servers_in_dc(dc)));
+        if (free_mc > 0) return static_cast<double>(free_mc) / 1000.0;
+      }
+      return sizes(rng);
     };
 
     // Random preload through the bounded per-server claim.
@@ -387,10 +440,12 @@ TEST(PackerDifferentialTest, EveryAdmitPathMatchesTheReferenceBestFit) {
     }
 
     std::vector<std::pair<ServerId, double>> live;
-    for (int step = 0; step < kSteps; ++step) {
+    // One step: an admit through a random path into a random DC, or the
+    // release of a random live admit.
+    const auto step = [&](int step_no, auto& sizes) {
       const DcId dc = pick_one(dcs);
-      if (step % 8 == 0) redraw_health(health, world, dc, rng);
-      const double cores = size(rng);
+      if (step_no % 8 == 0) redraw_health(health, world, dc, rng);
+      const double cores = draw_cores(dc, sizes);
       const std::int64_t need = pack::to_millicores(cores);
       ServerId exclude;
       const int ex = std::uniform_int_distribution<int>(0, 4)(rng);
@@ -428,16 +483,120 @@ TEST(PackerDifferentialTest, EveryAdmitPathMatchesTheReferenceBestFit) {
           }
           break;
       }
-      ASSERT_EQ(got, want) << "seed " << seed << " step " << step << " dc "
-                           << dc.value() << " cores " << cores
+      ASSERT_EQ(got, want) << "seed " << seed << " step " << step_no
+                           << " dc " << dc.value() << " cores " << cores
                            << " exclude " << exclude.value();
       if (want.valid()) {
         ref.claim(want, need);
         live.emplace_back(want, cores);
       }
-      ASSERT_TRUE(ref.matches(packer)) << "seed " << seed << " step " << step;
+      ASSERT_TRUE(ref.matches(packer)) << "seed " << seed << " step "
+                                       << step_no;
+    };
+
+    for (int i = 0; i < kSteps; ++i) {
+      step(i, size);
+      if (HasFatalFailure()) return;
+    }
+
+    // Saturated phase: fill every server to capacity, then mix small and
+    // exact-fit admits with releases. Most bounded admits now find no room,
+    // so the per-DC bound skips their scans; each release raises it again.
+    for (ServerId s : servers) {
+      const std::int64_t free_mc = ref.free(s);
+      if (free_mc <= 0) continue;
+      const double cores = static_cast<double>(free_mc) / 1000.0;
+      ASSERT_TRUE(packer.try_admit_to(s, cores)) << "seed " << seed;
+      ref.claim(s, free_mc);
+      live.emplace_back(s, cores);
+    }
+    for (int i = 0; i < kSteps; ++i) {
+      step(kSteps + i, small);
+      if (HasFatalFailure()) return;
     }
   }
+#ifdef SB_METRICS_ENABLED
+  EXPECT_GT(skips.value(), skips_before);
+#else
+  (void)skips_before;
+#endif
+}
+
+TEST(PackerConcurrencyTest, NearFullChurnConservesMillicoresAndKeepsBoundsSound) {
+  // One DC of eight 2-core servers. Four threads each hold up to six calls
+  // of 0.25-1.5 cores, more than the fleet fits, so bounded admits often
+  // find no room and lower the DC bound (or skip on it) while releases on
+  // other threads raise it.
+  World w;
+  w.add_location({"A", 0.0, 0.0, 0.0, 1.0, "R"});
+  w.add_datacenter({"DC-A", LocationId(0), 1.0});
+  for (int s = 0; s < 8; ++s) {
+    w.add_server({"ms" + std::to_string(s), DcId(0), 2.0});
+  }
+  pack::ServerPacker packer(w);
+  constexpr int kThreads = 4;
+  constexpr int kOps = 4000;
+  constexpr std::size_t kHeld = 6;
+  std::vector<std::vector<std::pair<ServerId, double>>> held(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&packer, &held, t] {
+      std::mt19937_64 rng(static_cast<std::uint64_t>(t) + 1);
+      std::uniform_real_distribution<double> size(0.25, 1.5);
+      std::vector<std::pair<ServerId, double>>& mine = held[t];
+      for (int i = 0; i < kOps; ++i) {
+        if (mine.size() >= kHeld || (!mine.empty() && rng() % 3 == 0)) {
+          const std::size_t k = rng() % mine.size();
+          packer.release(mine[k].first, mine[k].second);
+          mine[k] = mine.back();
+          mine.pop_back();
+          continue;
+        }
+        const double cores = size(rng);
+        // Every fourth admit may overcommit; the rest are bounded.
+        const ServerId got = i % 4 == 0
+                                 ? packer.admit(DcId(0), cores)
+                                 : packer.admit_bounded(DcId(0), cores);
+        if (got.valid()) mine.emplace_back(got, cores);
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+
+  // Quiescent, calls still held: a bounded admit finds room exactly when
+  // some server has it.
+  std::int64_t max_free = std::numeric_limits<std::int64_t>::min();
+  for (const pack::ServerStats& s : packer.stats()) {
+    const std::int64_t free_mc = pack::to_millicores(s.capacity_cores) -
+                                 pack::to_millicores(s.used_cores);
+    max_free = std::max(max_free, free_mc);
+    if (free_mc <= 0) continue;
+    const double cores = static_cast<double>(free_mc) / 1000.0;
+    const ServerId got = packer.admit_bounded(DcId(0), cores);
+    ASSERT_TRUE(got.valid()) << "server " << s.server.value() << " has "
+                             << free_mc << " mc free";
+    packer.release(got, cores);
+  }
+  EXPECT_FALSE(
+      packer.admit_bounded(DcId(0), static_cast<double>(max_free + 1) / 1000.0)
+          .valid());
+
+  // Conservation: every claim came back exactly.
+  for (std::vector<std::pair<ServerId, double>>& mine : held) {
+    for (const auto& [server, cores] : mine) packer.release(server, cores);
+  }
+  std::int64_t admitted = 0;
+  for (const pack::ServerStats& s : packer.stats()) {
+    EXPECT_EQ(pack::to_millicores(s.used_cores), 0)
+        << "server " << s.server.value();
+    EXPECT_EQ(s.admits, s.releases) << "server " << s.server.value();
+    EXPECT_EQ(s.admitted_mc, s.released_mc) << "server " << s.server.value();
+    admitted += s.admitted_mc;
+  }
+  EXPECT_GT(admitted, 0);
+  // Empty again, so a whole server's worth fits.
+  const ServerId whole = packer.admit_bounded(DcId(0), 2.0);
+  EXPECT_TRUE(whole.valid());
 }
 
 class PackSelectorTest : public ::testing::Test {

@@ -73,7 +73,7 @@ TEST(LogisticTest, ValidatesShapes) {
   EXPECT_THROW(model.fit({{1.0, 2.0}}, {1}), InvalidArgument);
   EXPECT_THROW(model.fit({}, {}), InvalidArgument);
   const std::vector<double> wrong{1.0};
-  EXPECT_THROW(model.predict_prob(wrong), InvalidArgument);
+  EXPECT_THROW((void)model.predict_prob(wrong), InvalidArgument);
 }
 
 TEST(MeetingSeriesTest, GeneratorShapesAreSane) {

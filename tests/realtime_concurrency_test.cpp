@@ -268,10 +268,10 @@ TEST_F(RealtimeConcurrencyTest, BatchOnOneControllerLeavesAnotherLocked) {
 }
 
 TEST_F(RealtimeConcurrencyTest, SwapLockMethodsThrowInsideOwnBatch) {
-  // std::shared_mutex is not recursive: a thread that holds an event batch
-  // and then takes the swap lock again on the same controller could
-  // deadlock. Every such method fails fast instead, and works again once
-  // the batch is closed.
+  // The swap lock is not recursive: a thread that holds an event batch and
+  // then takes the swap lock again on the same controller could deadlock.
+  // Every such method fails fast instead, and works again once the batch
+  // is closed.
   ControllerOptions options;
   options.provision.include_link_failures = false;
   options.provision.with_backup = false;
