@@ -9,6 +9,11 @@
 // at quiescence. Also reports the re-adoption latency histogram (time from
 // kill to takeover, expedited or lease-expiry).
 //
+// The bench prints its claim values through bench::emit_json and exits 1
+// (ctest sec_ha_claim, label paper) unless the worker crashes drop no call
+// beyond what the baseline drops and no lifecycle transition is duplicated
+// or lost.
+//
 // Flags: --plan_configs=30 --cushion=1.3 --workers=4
 //        --window_h=2 --kill_at_h=1 --outage_h=0.5 --lease_ttl=120
 // A bad flag (unknown, not a number, out of range, a fractional count, or a
@@ -165,14 +170,22 @@ int main(int argc, char** argv) {
   bench::emit_json("sec_ha", "baseline_dropped_calls",
                    static_cast<double>(baseline.dropped_calls));
   bench::emit_json("sec_ha", "ha_dropped_calls_total", dropped_total);
+  const double drops_vs_baseline =
+      dropped_total - static_cast<double>(workers) *
+                          static_cast<double>(baseline.dropped_calls);
   bench::emit_json("sec_ha", "drops_during_failover_vs_baseline",
-                   dropped_total -
-                       static_cast<double>(workers) *
-                           static_cast<double>(baseline.dropped_calls));
+                   drops_vs_baseline);
   bench::emit_json("sec_ha", "readoption_latency_mean_s", readopt_mean);
   bench::emit_json("sec_ha", "readoption_latency_max_s", readopt_max);
   bench::emit_json("sec_ha", "wal_records_replayed_total", replayed_total);
   bench::emit_json("sec_ha", "duplicate_or_lost_transitions", divergence);
   bench::emit_json("sec_ha", "stale_events_fenced_total", fenced_total);
-  return divergence == 0.0 ? 0 : 1;
+
+  const bool no_drops = drops_vs_baseline == 0.0;
+  const bool exactly_once = divergence == 0.0;
+  std::cout << (no_drops ? "claim holds: " : "REGRESSION: claim broken: ")
+            << "worker crashes drop no call beyond the baseline's\n";
+  std::cout << (exactly_once ? "claim holds: " : "REGRESSION: claim broken: ")
+            << "no lifecycle transition duplicated or lost\n";
+  return no_drops && exactly_once ? 0 : 1;
 }

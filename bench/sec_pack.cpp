@@ -15,6 +15,12 @@
 // alternating ones to shred the free space, and runs defragment_dc — the
 // pack.repack spans land in --trace-out for Perfetto.
 //
+// The bench prints its claim values through bench::emit_json and exits 1
+// (ctest sec_pack_claim, label paper) unless the packed run drops what the
+// fungible run drops at the same mean ACL, admits nothing over a server's
+// capacity, leaks no millicore and keeps every straggler's peak within its
+// capacity.
+//
 // Flags: --servers=4 --straggler=0.25 --headroom=1.15 --window_h=4
 //        --rate_scale=1.0 --outage_min=30 --trace-out=trace.json
 // A bad flag prints usage to stderr and exits 2.
@@ -208,8 +214,8 @@ int main(int argc, char** argv) {
                    static_cast<double>(packed.dropped_calls));
   bench::emit_json("sec_pack", "packed.failover_moves",
                    static_cast<double>(packed.failover_migrations));
-  bench::emit_json("sec_pack", "acl_delta_ms",
-                   packed.mean_acl_ms - fungible.mean_acl_ms);
+  const double acl_delta_ms = packed.mean_acl_ms - fungible.mean_acl_ms;
+  bench::emit_json("sec_pack", "acl_delta_ms", acl_delta_ms);
   bench::emit_json("sec_pack", "packed.overcommit_admits",
                    static_cast<double>(overcommit));
   bench::emit_json("sec_pack", "packed.leaked_mc",
@@ -230,8 +236,28 @@ int main(int argc, char** argv) {
                    static_cast<double>(defrag_moves));
   bench::emit_json("sec_pack", "defrag.best_frag_gain", frag_gain);
 
+  struct Claim {
+    const char* what;
+    bool held;
+  };
+  const Claim claims[] = {
+      {"packed drops equal fungible drops",
+       packed.dropped_calls == fungible.dropped_calls},
+      {"packed mean ACL equals fungible", acl_delta_ms == 0.0},
+      {"no overcommit admits", overcommit == 0},
+      {"no leaked millicores at quiescence", leaked_mc == 0},
+      {"every straggler peaks within its capacity",
+       worst_straggler_ratio <= 1.0},
+  };
+  bool all_held = true;
+  for (const Claim& claim : claims) {
+    std::cout << (claim.held ? "claim holds: " : "REGRESSION: claim broken: ")
+              << claim.what << "\n";
+    all_held = all_held && claim.held;
+  }
+
   if (!trace_out.empty() && obs::dump_chrome_trace(trace_out)) {
     std::cout << "trace written to " << trace_out << "\n";
   }
-  return 0;
+  return all_held ? 0 : 1;
 }

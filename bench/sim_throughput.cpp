@@ -1,21 +1,17 @@
-// Simulator replay throughput: the batched/SoA engine against the
-// reference heap-driven event loop, sequential and across thread counts,
-// driving the plan-backed controller allocator on a busy design-day window.
-// The claims under test (DESIGN.md "Batched replay engine"): batching
-// amortizes the plan-swap shared-lock acquisition and the per-event
-// registry/footprint lookups without changing any outcome — sequential
-// replay is bit-identical to the reference (checked here on the hosting
-// log; tests/sim_differential_test.cpp enforces it across fuzz seeds) —
-// and the batched engine sustains >=3x the reference's replayed
-// calls-per-second at 8 driver threads.
+// Simulator replay throughput: calls replayed per second, sequential and
+// across thread counts, driving the plan-backed controller allocator on a
+// busy design-day window (DESIGN.md "Batched replay engine"). The
+// `batched_t<threads>_calls_per_s` lines continue BENCH_sim.json, which
+// keeps the historical comparison against the heap-driven reference engine
+// this one replaced (4.4x sequential, 3.8x at 8 threads).
 //
 // Flags: --plan_configs=30 --cushion=1.3 --window_h=2 --amplify=300
 //        --reps=3. A bad flag prints usage to stderr and exits 2.
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
 #include "core/controller.h"
@@ -29,10 +25,6 @@ constexpr const char* kUsage =
     "usage: sim_throughput [--plan_configs=1..100000] [--cushion=1..100]\n"
     "                      [--window_h=0.01..24] [--amplify=1..10000]\n"
     "                      [--reps=1..100]\n";
-
-const char* engine_name(sb::Simulator::Engine e) {
-  return e == sb::Simulator::Engine::kBatched ? "batched" : "reference";
-}
 
 }  // namespace
 
@@ -49,7 +41,7 @@ int main(int argc, char** argv) {
   const auto reps = static_cast<std::size_t>(flags.whole("reps", 3, 1, 100));
   flags.finish();
   // Throughput is the subject here; span recording is per-event overhead
-  // shared by both engines and is benchmarked by the obs suite.
+  // benchmarked by the obs suite.
   obs::SpanRecorder::global().set_enabled(false);
 
   Scenario scenario = make_apac_scenario();
@@ -87,73 +79,29 @@ int main(int argc, char** argv) {
             << " calls over " << window_s / kSecondsPerHour
             << " h, plan-driven allocator, best of " << reps << " reps\n\n";
 
-  // Sequential bit-identity first: the engines must agree event for event
-  // before their speeds are worth comparing.
-  HostingLog ref_log;
-  HostingLog bat_log;
-  sim.set_engine(Simulator::Engine::kReference);
-  controller.build_allocation_plan(demand, kSecondsPerDay);
-  {
-    ControllerAllocator alloc(controller);
-    (void)sim.run(db, alloc, 300.0, nullptr, 60.0, &ref_log);
-  }
-  sim.set_engine(Simulator::Engine::kBatched);
-  controller.build_allocation_plan(demand, kSecondsPerDay);
-  {
-    ControllerAllocator alloc(controller);
-    (void)sim.run(db, alloc, 300.0, nullptr, 60.0, &bat_log);
-  }
-  const bool identical = ref_log == bat_log;
-  std::cout << "sequential hosting log: "
-            << (identical ? "bit-identical" : "DIVERGED") << "\n\n";
-
-  const Simulator::Engine engines[] = {Simulator::Engine::kReference,
-                                       Simulator::Engine::kBatched};
   const std::size_t thread_counts[] = {1, 2, 4, 8};
-
-  TextTable table({"engine", "threads", "calls/s", "run s"});
-  double rate[2][4] = {};
-  for (std::size_t e = 0; e < 2; ++e) {
-    sim.set_engine(engines[e]);
-    for (std::size_t ti = 0; ti < 4; ++ti) {
-      const std::size_t threads = thread_counts[ti];
-      double best = 0.0;
-      for (std::size_t rep = 0; rep < reps; ++rep) {
-        controller.build_allocation_plan(demand, kSecondsPerDay);
-        ControllerAllocator alloc(controller);
-        const auto t0 = Clock::now();
-        if (threads <= 1) {
-          (void)sim.run(db, alloc, 300.0);
-        } else {
-          (void)sim.run_concurrent(db, alloc, 300.0, threads);
-        }
-        const double dt =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-        best = std::max(best, calls / dt);
+  TextTable table({"threads", "calls/s", "run s"});
+  for (const std::size_t threads : thread_counts) {
+    double best = 0.0;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      controller.build_allocation_plan(demand, kSecondsPerDay);
+      ControllerAllocator alloc(controller);
+      const auto t0 = Clock::now();
+      if (threads <= 1) {
+        (void)sim.run(db, alloc, 300.0);
+      } else {
+        (void)sim.run_concurrent(db, alloc, 300.0, threads);
       }
-      rate[e][ti] = best;
-      table.row()
-          .cell(engine_name(engines[e]))
-          .cell(threads)
-          .cell(best, 0)
-          .cell(calls / best, 3);
-      bench::emit_json("sim_throughput",
-                       std::string(engine_name(engines[e])) + "_t" +
-                           std::to_string(threads) + "_calls_per_s",
-                       best);
+      const double dt =
+          std::chrono::duration<double>(Clock::now() - t0).count();
+      best = std::max(best, calls / dt);
     }
+    table.row().cell(threads).cell(best, 0).cell(calls / best, 3);
+    bench::emit_json("sim_throughput",
+                     "batched_t" + std::to_string(threads) + "_calls_per_s",
+                     best);
   }
   std::cout << table;
-
-  const double speedup_seq = rate[0][0] > 0.0 ? rate[1][0] / rate[0][0] : 0.0;
-  const double speedup_t8 = rate[0][3] > 0.0 ? rate[1][3] / rate[0][3] : 0.0;
-  std::cout << "\nbatched vs reference: " << format_double(speedup_seq, 2)
-            << "x sequential, " << format_double(speedup_t8, 2)
-            << "x at 8 threads\n";
   bench::emit_json("sim_throughput", "calls", calls);
-  bench::emit_json("sim_throughput", "speedup_sequential", speedup_seq);
-  bench::emit_json("sim_throughput", "speedup_t8", speedup_t8);
-  bench::emit_json("sim_throughput", "sequential_log_identical",
-                   identical ? 1.0 : 0.0);
-  return identical ? 0 : 1;
+  return 0;
 }

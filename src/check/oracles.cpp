@@ -434,7 +434,8 @@ void server_conservation_oracle(const Exec& exec, const Materialized& m,
   }
 }
 
-/// Compares the report's bucket series against the independent recount.
+}  // namespace
+
 void recount_oracle(const Materialized& m, const FuzzCase& c,
                     const SimReport& rep, const HostingLog& log,
                     const std::string& oracle_name,
@@ -481,6 +482,8 @@ bool buckets_close(const std::vector<std::vector<double>>& a,
   }
   return true;
 }
+
+namespace {
 
 /// The LP oracles run only on small shapes: the dense tableau is O(rows *
 /// (rows + cols)) memory.

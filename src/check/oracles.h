@@ -141,6 +141,20 @@ struct CheckOptions {
     const Materialized& m, const HostingLog& log, double bucket_s,
     std::size_t bucket_count);
 
+/// The recount oracle: appends one failure named `oracle_name` to `out`
+/// when the report's per-DC bucket series differs from recount_dc_buckets
+/// over `log` by more than a relative 1e-6 (the tracker and the recount sum
+/// the same deltas in different orders).
+void recount_oracle(const Materialized& m, const FuzzCase& c,
+                    const SimReport& rep, const HostingLog& log,
+                    const std::string& oracle_name,
+                    std::vector<OracleFailure>& out);
+
+/// Whether two per-DC bucket series agree within the recount oracle's
+/// tolerance, a shorter row reading 0 past its end.
+[[nodiscard]] bool buckets_close(const std::vector<std::vector<double>>& a,
+                                 const std::vector<std::vector<double>>& b);
+
 /// Cumulative admitted/released millicores one server should have seen.
 struct ServerTotals {
   std::int64_t admitted_mc = 0;

@@ -63,13 +63,6 @@ void AdaptiveController::batch_end(SimTime now) {
   maybe_tick(now);
 }
 
-DcId AdaptiveController::on_call_start(CallId call, LocationId first_joiner,
-                                       SimTime now) {
-  const DcId dc = ControllerAllocator::on_call_start(call, first_joiner, now);
-  if (!sb_->in_event_batch()) maybe_tick(now);
-  return dc;
-}
-
 FreezeResult AdaptiveController::on_config_frozen(CallId call,
                                                   const CallConfig& config,
                                                   SimTime now) {
@@ -82,14 +75,12 @@ FreezeResult AdaptiveController::on_config_frozen(CallId call, ConfigId id,
   const FreezeResult result =
       ControllerAllocator::on_config_frozen(call, id, config, now);
   track_freeze(call, id);
-  if (!sb_->in_event_batch()) maybe_tick(now);
   return result;
 }
 
 void AdaptiveController::on_call_end(CallId call, SimTime now) {
   ControllerAllocator::on_call_end(call, now);
   untrack(call);
-  if (!sb_->in_event_batch()) maybe_tick(now);
 }
 
 fault::FailoverOutcome AdaptiveController::on_dc_failed(DcId dc, SimTime now) {

@@ -55,11 +55,9 @@ struct LoopStats {
 
 /// A ControllerAllocator over a Switchboard that also maintains observed
 /// per-config concurrency and runs the control tick at cadence points.
-/// The tick never runs while the ticking thread holds an event batch (it
-/// asks the Switchboard, which owns the batch flag): in batched replay it
-/// fires from batch_end() after the batch is closed, in unbatched replay
-/// directly after the controller event returns — so install_plan's
-/// exclusive acquisition can always drain the readers.
+/// The tick runs only from batch_end(), after the batch and its shared
+/// plan lock are closed, so install_plan's exclusive acquisition can always
+/// drain the readers; the Simulator brackets every call event in a batch.
 /// Thread-safe under the same contract as the Switchboard realtime API.
 class AdaptiveController : public ControllerAllocator {
  public:
@@ -72,8 +70,6 @@ class AdaptiveController : public ControllerAllocator {
                      obs::TimeSeriesRecorder* recorder = nullptr);
 
   void batch_end(SimTime now) override;
-  DcId on_call_start(CallId call, LocationId first_joiner,
-                     SimTime now) override;
   FreezeResult on_config_frozen(CallId call, const CallConfig& config,
                                 SimTime now) override;
   FreezeResult on_config_frozen(CallId call, ConfigId id,

@@ -33,10 +33,10 @@ class CallAllocator {
  public:
   virtual ~CallAllocator() = default;
 
-  /// Batch brackets from the batched simulator engine: a replay thread
-  /// surrounds each run of call events with batch_begin()/batch_end(now),
-  /// where `now` is the time of the batch's last event. Defaults are no-ops
-  /// (baselines). ControllerAllocator maps them onto the controller's
+  /// Batch brackets from the simulator: a replay thread surrounds each run
+  /// of call events with batch_begin()/batch_end(now), where `now` is the
+  /// time of the batch's last event. Defaults are no-ops (baselines).
+  /// ControllerAllocator maps them onto the controller's
   /// event batch, amortizing its plan-swap shared lock over the whole
   /// batch, and the closed-loop AdaptiveController runs its re-plan tick in
   /// batch_end — after the batch is closed, so the install's exclusive

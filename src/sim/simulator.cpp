@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -34,32 +33,10 @@ enum class EventType : std::uint8_t {
   kFault = 5,
 };
 
-struct Event {
-  SimTime time;
-  std::uint64_t seq;  ///< tie-break so ordering is deterministic
-  EventType type;
-  std::size_t record;  ///< record index; fault-event index for kFault
-  std::size_t leg;     ///< for kLegJoin
-
-  friend bool operator>(const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-};
-
-/// Live per-call simulation state.
+/// Live call state: trivially small, the joined legs stored as a run in a
+/// shared LocationId arena (legs_base/legs_count) instead of a per-call
+/// heap vector — no allocation on the replay path.
 struct LiveCall {
-  DcId dc;
-  MediaType media = MediaType::kAudio;
-  std::vector<CallLeg> joined;
-  bool active = false;
-  ServerId server;  ///< packed media server (invalid until freeze / no fleet)
-};
-
-/// Batched-engine live call state: trivially small, the joined legs stored
-/// as a run in a shared LocationId arena (legs_base/legs_count) instead of
-/// a per-call heap vector — no allocation on the replay path.
-struct BatchedLive {
   DcId dc;
   ServerId server;  ///< packed media server (invalid until freeze / no fleet)
   std::uint32_t legs_base = 0;
@@ -68,15 +45,15 @@ struct BatchedLive {
   bool active = false;
 };
 
-/// Batched-engine event: a self-contained 32-byte record. The call id and
+/// One replay event: a self-contained 32-byte record. The call id and
 /// every per-event payload (joiner location, starting media, media-change
 /// target, majority-first flag) are per-record constants, so they are
 /// resolved once at event-construction time; the hot loop then never
 /// dereferences a CallRecord — one sequential array scan instead of a
 /// random cache-missing read per event.
-struct BEvent {
+struct Event {
   SimTime time;
-  std::uint32_t seq;     ///< tie-break matching the reference heap pop order
+  std::uint32_t seq;     ///< unique tie-break at equal times (faults lowest)
   std::uint32_t record;  ///< record index; fault-event index for kFault
   CallId call;           ///< the record's id (unused for kFault)
   LocationId loc;        ///< kStart: first joiner; kLegJoin: the joining leg
@@ -84,29 +61,29 @@ struct BEvent {
   MediaType media = MediaType::kAudio;  ///< kStart: start; kMediaChange: target
   bool majority_first = false;  ///< kStart: first joiner is the majority loc
 
-  friend bool operator>(const BEvent& a, const BEvent& b) {
+  friend bool operator>(const Event& a, const Event& b) {
     if (a.time != b.time) return a.time > b.time;
     return a.seq > b.seq;
   }
 };
 
-/// Sorts the batched engine's event array into ascending (time, seq) order
-/// — the exact sequence the reference heap pops. Events are distributed
-/// into monotonic time buckets (one counting pass + one scatter), then each
-/// small bucket is sorted; equal timestamps always share a bucket, so the
-/// result is identical to a full comparison sort of this strict total
-/// order, at a fraction of the compare/move traffic.
-template <typename E>
-void sort_events(std::vector<E>& events) {
+/// Sorts a partition's events into the replay order: ascending (time, seq),
+/// a strict total order since seqs are unique, with faults first at equal
+/// times (they hold the lowest seqs). From 4,096 events up, events are
+/// distributed into monotonic time buckets (one counting pass + one
+/// scatter), then each small bucket is sorted; equal timestamps always
+/// share a bucket, so the result is identical to a full comparison sort,
+/// at a fraction of the compare/move traffic.
+void sort_events(std::vector<Event>& events) {
   constexpr std::size_t kSmall = 1 << 12;
-  const auto ascending = [](const E& a, const E& b) { return b > a; };
+  const auto ascending = [](const Event& a, const Event& b) { return b > a; };
   if (events.size() < kSmall) {
     std::sort(events.begin(), events.end(), ascending);
     return;
   }
   double lo = events.front().time;
   double hi = lo;
-  for (const E& e : events) {
+  for (const Event& e : events) {
     lo = std::min(lo, e.time);
     hi = std::max(hi, e.time);
   }
@@ -121,12 +98,12 @@ void sort_events(std::vector<E>& events) {
     return std::min(b, buckets - 1);
   };
   std::vector<std::uint32_t> bounds(buckets + 1, 0);
-  for (const E& e : events) ++bounds[bucket_of(e.time) + 1];
+  for (const Event& e : events) ++bounds[bucket_of(e.time) + 1];
   for (std::size_t b = 1; b <= buckets; ++b) bounds[b] += bounds[b - 1];
-  std::vector<E> sorted(events.size());
+  std::vector<Event> sorted(events.size());
   {
     std::vector<std::uint32_t> cursor(bounds.begin(), bounds.end() - 1);
-    for (const E& e : events) sorted[cursor[bucket_of(e.time)]++] = e;
+    for (const Event& e : events) sorted[cursor[bucket_of(e.time)]++] = e;
   }
   for (std::size_t b = 0; b < buckets; ++b) {
     std::sort(sorted.begin() + bounds[b], sorted.begin() + bounds[b + 1],
@@ -143,8 +120,7 @@ void sort_events(std::vector<E>& events) {
 class UsageTracker {
  public:
   UsageTracker(const EvalContext& ctx, double bucket_s)
-      : ctx_(ctx),
-        dc_cores_(ctx.world->dc_count(), 0.0),
+      : dc_cores_(ctx.world->dc_count(), 0.0),
         dc_peaks_(ctx.world->dc_count(), 0.0),
         link_gbps_(ctx.topology->link_count(), 0.0),
         link_peaks_(ctx.topology->link_count(), 0.0),
@@ -210,16 +186,8 @@ class UsageTracker {
     }
   }
 
-  void add_call(const LiveCall& call, double sign) {
-    for (const CallLeg& leg : call.joined) {
-      add_leg(call.dc, call.media, leg.location, sign);
-    }
-  }
-
-  /// Arena form used by the batched engine: the joined legs live as a
-  /// LocationId run in a shared arena instead of a per-call vector. Same
-  /// updates in the same order as add_call, so every accumulator (and its
-  /// floating-point rounding) is bit-identical.
+  /// Every joined leg of one call: a LocationId run in the shared leg
+  /// arena, applied in join order.
   void add_legs(DcId dc, MediaType media, const LocationId* locs,
                 std::size_t count, double sign) {
     for (std::size_t i = 0; i < count; ++i) {
@@ -252,7 +220,6 @@ class UsageTracker {
   }
 
  private:
-  const EvalContext& ctx_;
   std::vector<double> dc_cores_;
   std::vector<double> dc_peaks_;
   std::vector<double> link_gbps_;
@@ -444,217 +411,6 @@ void Simulator::replay_partition(const CallRecordDatabase& db,
   span.attr(obs::AttrKey::kPartition, static_cast<std::int64_t>(partition));
   std::uint64_t event_count = 0;
   const auto& records = db.records();
-  // The packer's per-call unit: the static frozen footprint (config
-  // participants x per-participant cores), NOT the joined-leg load — the
-  // same quantity the selector admits to the packer at freeze time.
-  const auto packed_footprint = [this](const CallRecord& r) {
-    const CallConfig& cfg = ctx_.registry->get(r.config);
-    return cfg.total_participants() *
-           ctx_.loads->cores_per_participant(cfg.media());
-  };
-
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
-  std::uint64_t seq = 0;
-  // Fault events take the lowest sequence numbers so that at an equal
-  // timestamp the fault applies before any call event — every partition
-  // (and the sequential driver) therefore orders them identically.
-  std::unordered_map<CallId, std::size_t> id_to_record;
-  if (faults != nullptr) {
-    for (std::size_t f = 0; f < faults->events.size(); ++f) {
-      queue.push({faults->events[f].time, seq++, EventType::kFault, f, 0});
-    }
-  }
-  for (std::size_t r = 0; r < records.size(); ++r) {
-    if (!mine[r]) continue;
-    const CallRecord& rec = records[r];
-    if (faults != nullptr) id_to_record.emplace(rec.id, r);
-    queue.push({rec.start_s, seq++, EventType::kStart, r, 0});
-    for (std::size_t leg = 1; leg < rec.legs.size(); ++leg) {
-      queue.push({rec.start_s + rec.legs[leg].join_offset_s, seq++,
-                  EventType::kLegJoin, r, leg});
-    }
-    const CallConfig& config = ctx_.registry->get(rec.config);
-    if (config.media() != MediaType::kAudio && rec.media_change_offset_s > 0.0) {
-      queue.push({rec.start_s + rec.media_change_offset_s, seq++,
-                  EventType::kMediaChange, r, 0});
-    }
-    if (rec.duration_s > freeze_delay_s) {
-      queue.push({rec.start_s + freeze_delay_s, seq++, EventType::kFreeze, r,
-                  0});
-    }
-    queue.push({rec.start_s + rec.duration_s, seq++, EventType::kEnd, r, 0});
-  }
-
-  UsageTracker usage(ctx_, bucket_s);
-  std::vector<LiveCall> live(records.size());
-  std::uint64_t concurrent = 0;
-
-  while (!queue.empty()) {
-    const Event ev = queue.top();
-    queue.pop();
-    usage.advance(ev.time);
-    ++event_count;
-
-    if (ev.type == EventType::kFault) {
-      faults->arrive(allocator, ev.record);
-      // Re-point this partition's accounting for every one of ITS calls the
-      // allocator moved or dropped (other partitions handle their own).
-      const fault::FailoverOutcome& outcome = faults->outcomes[ev.record];
-      for (const fault::FailoverMove& m : outcome.moved) {
-        const auto it = id_to_record.find(m.call);
-        if (it == id_to_record.end()) continue;
-        LiveCall& call = live[it->second];
-        if (!call.active) continue;
-        usage.add_call(call, -1.0);
-        call.dc = m.to;
-        usage.add_call(call, +1.0);
-        if (call.server != m.to_server) {
-          const double fp = packed_footprint(records[it->second]);
-          usage.add_server(call.server, -fp);
-          call.server = m.to_server;
-          usage.add_server(call.server, +fp);
-        }
-        ++out.failover_migrations;
-        if (log_hosting) {
-          out.hosting.push_back({it->second, ev.time,
-                                 HostingEvent::Kind::kMove, m.to,
-                                 m.to_server});
-        }
-      }
-      for (CallId dropped : outcome.dropped) {
-        const auto it = id_to_record.find(dropped);
-        if (it == id_to_record.end()) continue;
-        LiveCall& call = live[it->second];
-        if (!call.active) continue;
-        usage.add_call(call, -1.0);
-        if (call.server.valid()) {
-          usage.add_server(call.server,
-                           -packed_footprint(records[it->second]));
-          call.server = ServerId();
-        }
-        call.active = false;
-        --concurrent;
-        ++out.dropped;
-        if (log_hosting) {
-          out.hosting.push_back({it->second, ev.time,
-                                 HostingEvent::Kind::kDrop, DcId(),
-                                 ServerId()});
-        }
-      }
-      continue;
-    }
-
-    const CallRecord& rec = records[ev.record];
-    const CallConfig& config = ctx_.registry->get(rec.config);
-    LiveCall& call = live[ev.record];
-
-    switch (ev.type) {
-      case EventType::kStart: {
-        const LocationId first = rec.legs.front().location;
-        call.dc = allocator.on_call_start(rec.id, first, ev.time);
-        // Media starts as audio when an upgrade event is pending, else at
-        // the config's media type.
-        call.media = rec.media_change_offset_s > 0.0 ? MediaType::kAudio
-                                                     : config.media();
-        call.joined = {rec.legs.front()};
-        call.active = true;
-        usage.add_leg(call.dc, call.media, first, +1.0);
-        ++out.calls;
-        if (log_hosting) {
-          out.hosting.push_back({ev.record, ev.time,
-                                 HostingEvent::Kind::kStart, call.dc,
-                                 ServerId()});
-        }
-        if (first == config.majority_location()) ++out.majority_first;
-        ++concurrent;
-        out.peak_concurrent = std::max(out.peak_concurrent, concurrent);
-        break;
-      }
-      case EventType::kLegJoin: {
-        if (!call.active) break;  // leg joined after the call ended
-        call.joined.push_back(rec.legs[ev.leg]);
-        usage.add_leg(call.dc, call.media, rec.legs[ev.leg].location, +1.0);
-        break;
-      }
-      case EventType::kMediaChange: {
-        if (!call.active) break;
-        usage.add_call(call, -1.0);
-        call.media = config.media();
-        usage.add_call(call, +1.0);
-        break;
-      }
-      case EventType::kFreeze: {
-        if (!call.active) break;
-        ++out.frozen;
-        const FreezeResult result =
-            allocator.on_config_frozen(rec.id, rec.config, config, ev.time);
-        if (result.server.valid()) {
-          // First packing of this call (the selector packs at freeze); a
-          // call freezes once, so there is no old footprint to release.
-          call.server = result.server;
-          usage.add_server(call.server, +packed_footprint(rec));
-        }
-        if (result.migrated) {
-          ++out.migrations;
-          usage.add_call(call, -1.0);
-          call.dc = result.dc;
-          usage.add_call(call, +1.0);
-          if (log_hosting) {
-            out.hosting.push_back({ev.record, ev.time,
-                                   HostingEvent::Kind::kMove, call.dc,
-                                   call.server});
-          }
-        } else if (result.server.valid() && log_hosting) {
-          // Fleet runs log the packing decision even without a DC change;
-          // without a fleet this event never appears, keeping no-fleet
-          // logs byte-identical to the pre-fleet format.
-          out.hosting.push_back({ev.record, ev.time,
-                                 HostingEvent::Kind::kPack, call.dc,
-                                 call.server});
-        }
-        break;
-      }
-      case EventType::kEnd: {
-        if (!call.active) break;  // dropped by a failover before its end
-        usage.add_call(call, -1.0);
-        if (call.server.valid()) {
-          usage.add_server(call.server, -packed_footprint(rec));
-        }
-        call.active = false;
-        if (log_hosting) {
-          out.hosting.push_back({ev.record, ev.time,
-                                 HostingEvent::Kind::kEnd, DcId(),
-                                 ServerId()});
-        }
-        allocator.on_call_end(rec.id, ev.time);
-        const double final_acl_ms = acl_ms(config, call.dc, *ctx_.latency);
-        out.acl_sum += final_acl_ms;
-        metrics_.acl_ms.record(final_acl_ms);
-        --concurrent;
-        break;
-      }
-      case EventType::kFault:
-        break;  // handled above
-    }
-  }
-
-  out.dc_peaks = usage.dc_peaks();
-  out.link_peaks = usage.link_peaks();
-  out.server_peaks = usage.server_peaks();
-  out.dc_buckets = usage.take_dc_buckets();
-  span.attr(obs::AttrKey::kEvents, static_cast<std::int64_t>(event_count));
-}
-
-void Simulator::replay_partition_batched(
-    const CallRecordDatabase& db, CallAllocator& allocator,
-    double freeze_delay_s, const std::vector<std::uint8_t>& mine, Partial& out,
-    FaultRuntime* faults, double bucket_s, bool log_hosting,
-    std::size_t partition, std::uint64_t parent_span) const {
-  obs::Span span("sim.partition", obs::Subsystem::kSim, obs::kNoSimTime,
-                 parent_span);
-  span.attr(obs::AttrKey::kPartition, static_cast<std::int64_t>(partition));
-  std::uint64_t event_count = 0;
-  const auto& records = db.records();
 
   // SoA precompute: one pass resolves every owned record's config and its
   // packer footprint, so the hot loop never touches the registry. Slots for
@@ -662,17 +418,17 @@ void Simulator::replay_partition_batched(
   std::vector<const CallConfig*> configs(records.size(), nullptr);
   std::vector<ConfigId> config_ids(records.size());
   std::vector<double> footprints(records.size(), 0.0);
-  std::vector<BatchedLive> live(records.size());
+  std::vector<LiveCall> live(records.size());
   std::uint32_t arena_size = 0;
 
-  // Event construction mirrors the reference heap build exactly — same
-  // insertion order, same seq assignment (faults first, so at an equal
-  // timestamp a fault orders before any call event). Sorting by (time, seq)
-  // replays the identical total order the heap pops, without per-event heap
-  // churn. Every per-record constant an event needs (the call id, the first
-  // joiner, the starting media, the majority-first flag, the media-change
-  // target) is folded into the event here, where the record is already hot.
-  std::vector<BEvent> events;
+  // Events get seqs in insertion order: faults first, so at an equal
+  // timestamp a fault orders before any call event in every partition, then
+  // each record's start, leg joins, media change, freeze and end. Sorting
+  // by (time, seq) gives the replay order. Every per-record constant an
+  // event needs (the call id, the first joiner, the starting media, the
+  // majority-first flag, the media-change target) is folded into the event
+  // here, where the record is already hot.
+  std::vector<Event> events;
   {
     // Upper bound: start + freeze + end + media change + joins per record.
     std::size_t cap = faults != nullptr ? faults->events.size() : 0;
@@ -732,10 +488,9 @@ void Simulator::replay_partition_batched(
   // run [legs_base, legs_base + legs_count) in insertion order.
   std::vector<LocationId> arena(arena_size);
   std::uint64_t concurrent = 0;
-  // ACL histogram records are deferred and flushed once per partition: the
-  // values (and so the final histogram state) are identical to the
-  // reference engine's inline records, minus one atomic RMW per call end on
-  // the hot path.
+  // ACL histogram records are deferred and flushed once per partition, in
+  // call-end order: the same histogram state as recording at each end,
+  // minus one atomic RMW per call end on the hot path.
   std::vector<double> acl_deferred;
 
   const std::size_t n = events.size();
@@ -745,7 +500,7 @@ void Simulator::replay_partition_batched(
       // Faults run outside any batch: the allocator's batch lock (if any)
       // has been released, so the barrier hook (drain) and the peers parked
       // at the rendezvous never hold the controller's shared lock.
-      const BEvent ev = events[i];
+      const Event ev = events[i];
       usage.advance(ev.time);
       ++event_count;
       faults->arrive(allocator, ev.record);
@@ -753,7 +508,7 @@ void Simulator::replay_partition_batched(
       for (const fault::FailoverMove& m : outcome.moved) {
         const auto it = id_to_record.find(m.call);
         if (it == id_to_record.end()) continue;
-        BatchedLive& call = live[it->second];
+        LiveCall& call = live[it->second];
         if (!call.active) continue;
         const LocationId* legs = arena.data() + call.legs_base;
         usage.add_legs(call.dc, call.media, legs, call.legs_count, -1.0);
@@ -775,7 +530,7 @@ void Simulator::replay_partition_batched(
       for (CallId dropped : outcome.dropped) {
         const auto it = id_to_record.find(dropped);
         if (it == id_to_record.end()) continue;
-        BatchedLive& call = live[it->second];
+        LiveCall& call = live[it->second];
         if (!call.active) continue;
         usage.add_legs(call.dc, call.media, arena.data() + call.legs_base,
                        call.legs_count, -1.0);
@@ -807,13 +562,11 @@ void Simulator::replay_partition_batched(
     allocator.batch_begin();
     const SimTime batch_last = events[end - 1].time;
     for (; i < end; ++i) {
-      const BEvent& ev = events[i];
+      const Event& ev = events[i];
       usage.advance(ev.time);
       ++event_count;
-      BatchedLive& call = live[ev.record];
+      LiveCall& call = live[ev.record];
 
-      // The switch below must stay in lockstep with replay_partition's: the
-      // sim differential test compares the two engines event for event.
       switch (ev.type) {
         case EventType::kStart: {
           call.dc = allocator.on_call_start(ev.call, ev.loc, ev.time);
@@ -910,8 +663,7 @@ void Simulator::replay_partition_batched(
   span.attr(obs::AttrKey::kEvents, static_cast<std::int64_t>(event_count));
 }
 
-SimReport Simulator::finalize(const CallRecordDatabase& /*db*/,
-                              CallAllocator& allocator, const Partial& total,
+SimReport Simulator::finalize(CallAllocator& allocator, const Partial& total,
                               double bucket_s, bool bucket_peaks) const {
   SimReport report;
   report.allocator = allocator.name();
@@ -979,16 +731,10 @@ SimReport Simulator::run(const CallRecordDatabase& db, CallAllocator& allocator,
   if (faults != nullptr && !faults->empty()) {
     runtime = std::make_unique<FaultRuntime>(*faults, 1);
   }
-  if (engine_ == Engine::kReference) {
-    replay_partition(db, allocator, freeze_delay_s, all, total, runtime.get(),
-                     bucket_s, log_hosting, 0, span.id());
-  } else {
-    replay_partition_batched(db, allocator, freeze_delay_s, all, total,
-                             runtime.get(), bucket_s, log_hosting, 0,
-                             span.id());
-  }
+  replay_partition(db, allocator, freeze_delay_s, all, total, runtime.get(),
+                   bucket_s, log_hosting, 0, span.id());
   if (hosting_log != nullptr) hosting_log->events = std::move(total.hosting);
-  return finalize(db, allocator, total, bucket_s, /*bucket_peaks=*/false);
+  return finalize(allocator, total, bucket_s, /*bucket_peaks=*/false);
 }
 
 SimReport Simulator::run_concurrent(const CallRecordDatabase& db,
@@ -1033,13 +779,8 @@ SimReport Simulator::run_concurrent(const CallRecordDatabase& db,
                                    part = &mine[p], rt = runtime.get(),
                                    bucket_s, log_hosting, p, root_span] {
       Partial out;
-      if (engine_ == Engine::kReference) {
-        replay_partition(db, allocator, freeze_delay_s, *part, out, rt,
-                         bucket_s, log_hosting, p, root_span);
-      } else {
-        replay_partition_batched(db, allocator, freeze_delay_s, *part, out, rt,
-                                 bucket_s, log_hosting, p, root_span);
-      }
+      replay_partition(db, allocator, freeze_delay_s, *part, out, rt, bucket_s,
+                       log_hosting, p, root_span);
       return out;
     }));
   }
@@ -1049,7 +790,7 @@ SimReport Simulator::run_concurrent(const CallRecordDatabase& db,
     total.merge(part);
   }
   if (hosting_log != nullptr) hosting_log->events = std::move(total.hosting);
-  return finalize(db, allocator, total, bucket_s, /*bucket_peaks=*/true);
+  return finalize(allocator, total, bucket_s, /*bucket_peaks=*/true);
 }
 
 }  // namespace sb

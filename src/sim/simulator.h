@@ -19,11 +19,17 @@
 // outcome — so a drain observes precisely the events before the fault,
 // matching the sequential semantics.
 //
+// Replay: each partition materializes its events once, sorts them into
+// (time, seq) order (seqs unique, faults lowest, so a fault applies before
+// any call event at its instant) and replays them in allocator-bracketed
+// batches, with per-record payloads folded into the events and the joined
+// legs kept in a flat arena (DESIGN.md "Batched replay engine").
+//
 // Two driver modes: run() replays the whole event stream on the calling
-// thread in strict time order (the bit-exact reference), run_concurrent()
-// partitions calls by shard (CallId % threads) across a thread pool to
-// drive a thread-safe allocator at scale — see the method comment for which
-// report fields stay exact.
+// thread in strict (time, seq) order, run_concurrent() partitions calls by
+// shard (CallId % threads) across a thread pool to drive a thread-safe
+// allocator at scale — see the method comment for which report fields stay
+// exact.
 #pragma once
 
 #include "calls/call_record.h"
@@ -106,26 +112,11 @@ class Simulator {
  public:
   explicit Simulator(EvalContext ctx);
 
-  /// Replay engine selection. Both engines replay the same total event
-  /// order — (time, seq) with unique seqs — and make identical per-event
-  /// decisions; the sim differential test (ctest -L sim) enforces
-  /// bit-identical hosting logs, bucket series, reports, and metric deltas
-  /// between them.
-  ///  - kBatched (default): events pre-sorted into a flat vector (no
-  ///    per-event heap churn), per-record derived values precomputed SoA,
-  ///    ACL histogram records flushed once per partition, and the allocator
-  ///    bracketed with batch_begin()/batch_end() so the Switchboard adapter
-  ///    amortizes its plan-swap shared lock over a whole batch of events.
-  ///  - kReference: the pre-rework heap-driven loop, kept verbatim as the
-  ///    bit-exact baseline the differential test and the throughput bench
-  ///    compare against.
-  enum class Engine { kBatched, kReference };
-  void set_engine(Engine engine) { engine_ = engine; }
-  [[nodiscard]] Engine engine() const { return engine_; }
-
-  /// Max call events per allocator batch in the batched engine (bounds how
-  /// long one partition holds the controller's shared plan lock, and so the
-  /// latency of a closed-loop plan install racing the replay).
+  /// Max call events per allocator batch_begin()/batch_end() bracket
+  /// (bounds how long one partition holds the controller's shared plan
+  /// lock, and so the latency of a closed-loop plan install racing the
+  /// replay). 1 sends every event in a bracket of its own, so a closed loop
+  /// ticks after every event.
   void set_batch_events(std::size_t n) { batch_events_ = n == 0 ? 1 : n; }
 
   /// Replays `db` against `allocator` on the calling thread, every event in
@@ -156,7 +147,7 @@ class Simulator {
   /// can sit below run()'s continuous peak by whatever spike fits inside
   /// one bucket. link_peak_gbps and peak_concurrent_calls remain summed
   /// per-partition peaks (upper bounds). Use run() when exact continuous
-  /// peaks matter; it remains the bit-exact reference.
+  /// peaks matter.
   ///
   /// `threads` == 0 picks hardware_concurrency; 1 degenerates to a single
   /// pool-driven partition (same event order as run()).
@@ -187,8 +178,10 @@ class Simulator {
   };
 
   /// Replays the records selected by `mine` (record index -> bool) and
-  /// accumulates into `out`. Identical event ordering to the pre-sharding
-  /// implementation when `mine` selects everything.
+  /// accumulates into `out`, driven off one sorted event vector in
+  /// allocator-bracketed batches of up to batch_events_ call events.
+  /// Batches never span a fault event: the batch (and its shared lock) ends
+  /// before the partition arrives at the fault barrier.
   /// `partition`/`parent_span` label the per-partition trace span (parented
   /// under the driver's root span across the pool fan-out).
   void replay_partition(const CallRecordDatabase& db, CallAllocator& allocator,
@@ -197,27 +190,11 @@ class Simulator {
                         FaultRuntime* faults, double bucket_s,
                         bool log_hosting, std::size_t partition,
                         std::uint64_t parent_span) const;
-  /// The batched twin of replay_partition: same events, same decisions, same
-  /// accumulator contents (the per-event switch bodies must stay in
-  /// lockstep — the sim differential test enforces it), but driven off one
-  /// pre-sorted event vector in allocator-bracketed batches. Batches never
-  /// span a fault event: the batch (and its shared lock) ends before the
-  /// partition arrives at the fault barrier.
-  void replay_partition_batched(const CallRecordDatabase& db,
-                                CallAllocator& allocator,
-                                double freeze_delay_s,
-                                const std::vector<std::uint8_t>& mine,
-                                Partial& out, FaultRuntime* faults,
-                                double bucket_s, bool log_hosting,
-                                std::size_t partition,
-                                std::uint64_t parent_span) const;
-  SimReport finalize(const CallRecordDatabase& db, CallAllocator& allocator,
-                     const Partial& total, double bucket_s,
-                     bool bucket_peaks) const;
+  SimReport finalize(CallAllocator& allocator, const Partial& total,
+                     double bucket_s, bool bucket_peaks) const;
 
   EvalContext ctx_;
   Metrics metrics_;
-  Engine engine_ = Engine::kBatched;
   std::size_t batch_events_ = 256;
 };
 

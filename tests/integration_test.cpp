@@ -17,6 +17,15 @@
 namespace sb {
 namespace {
 
+/// Sends every event on its own: with no batch brackets, each controller
+/// event takes its own lock and records its span and latency histogram.
+class UnbatchedAllocator : public ControllerAllocator {
+ public:
+  using ControllerAllocator::ControllerAllocator;
+  void batch_begin() override {}
+  void batch_end(SimTime /*now*/) override {}
+};
+
 class PipelineFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -145,11 +154,10 @@ TEST_F(PipelineFixture, ControllerEndToEndWithSimulator) {
       scenario_->trace->generate(start, start + 4.0 * kSecondsPerHour);
 
   const obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
-  // The reference engine sends every event unbatched, so each one records
-  // its latency histogram sample.
-  ControllerAllocator allocator(controller);
+  // Every event is sent unbatched, so each one records its latency
+  // histogram sample.
+  UnbatchedAllocator allocator(controller);
   Simulator sim(*ctx_);
-  sim.set_engine(Simulator::Engine::kReference);
   const SimReport report = sim.run(db, allocator);
   EXPECT_EQ(report.calls, db.size());
 
@@ -181,12 +189,12 @@ TEST_F(PipelineFixture, ControllerEndToEndWithSimulator) {
 }
 
 TEST_F(PipelineFixture, BatchedAndUnbatchedEventsShareOneBody) {
-  // One controller, adapter and KV store replay the same window twice: the
-  // reference engine sends every event on its own, the batched engine
-  // brackets runs of events in controller event batches. Both go through
-  // the same event bodies, so hosting decisions, sb.realtime.* counters
-  // and store writes match; only the per-event latency histograms, which a
-  // batched event skips, tell the runs apart.
+  // One controller and KV store replay the same window twice: through an
+  // allocator that sends every event on its own, then through
+  // ControllerAllocator, which brackets runs of events in controller event
+  // batches. Both go through the same event bodies, so hosting decisions,
+  // sb.realtime.* counters and store writes match; only the per-event
+  // latency histograms, which a batched event skips, tell the runs apart.
   ControllerOptions options;
   options.provision.include_link_failures = false;
   options.slot_s = 3600.0;
@@ -197,7 +205,6 @@ TEST_F(PipelineFixture, BatchedAndUnbatchedEventsShareOneBody) {
   store_options.inject_latency = false;
   KvStore store(store_options);
   controller.attach_store(&store);
-  ControllerAllocator allocator(controller);
 
   const double start = kSecondsPerDay + 3.0 * kSecondsPerHour;
   const CallRecordDatabase db =
@@ -206,10 +213,9 @@ TEST_F(PipelineFixture, BatchedAndUnbatchedEventsShareOneBody) {
     HostingLog log;
     obs::MetricsSnapshot delta;
   };
-  const auto replay = [&](Simulator::Engine engine) {
+  const auto replay = [&](CallAllocator& allocator) {
     Run run;
     Simulator sim(*ctx_);
-    sim.set_engine(engine);
     const obs::MetricsSnapshot before =
         obs::MetricsRegistry::global().snapshot();
     const SimReport report =
@@ -222,8 +228,10 @@ TEST_F(PipelineFixture, BatchedAndUnbatchedEventsShareOneBody) {
     EXPECT_EQ(controller.held_slots(), 0u);
     return run;
   };
-  const Run unbatched = replay(Simulator::Engine::kReference);
-  const Run batched = replay(Simulator::Engine::kBatched);
+  UnbatchedAllocator unbatched_allocator(controller);
+  ControllerAllocator batched_allocator(controller);
+  const Run unbatched = replay(unbatched_allocator);
+  const Run batched = replay(batched_allocator);
 
   EXPECT_TRUE(unbatched.log == batched.log);
 
@@ -274,9 +282,8 @@ TEST_F(PipelineFixture, MetricsSnapshotExportsAllSubsystems) {
   const double start = kSecondsPerDay + 3.0 * kSecondsPerHour;
   const CallRecordDatabase db =
       scenario_->trace->generate(start, start + 1.0 * kSecondsPerHour);
-  ControllerAllocator allocator(controller);
+  UnbatchedAllocator allocator(controller);
   Simulator sim(*ctx_);
-  sim.set_engine(Simulator::Engine::kReference);
   sim.run(db, allocator);
 
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();

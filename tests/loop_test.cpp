@@ -127,14 +127,14 @@ struct LoopHarness {
         recorder);
   }
 
-  /// The timing-sensitive properties run on the reference engine: per-event
-  /// ticks land at the exact cadence crossings. The batched engine only
-  /// ticks at batch boundaries (~batch_events/event_rate apart), which is
-  /// exercised by the install/chaos tests where tick placement is free.
-  void run(const FuzzCase& c,
-           Simulator::Engine engine = Simulator::Engine::kBatched) {
+  /// The timing-sensitive properties replay one event per batch, so the
+  /// loop ticks after every event and lands at the exact cadence crossings.
+  /// At the default batch size it ticks only at batch boundaries
+  /// (~batch_events/event_rate apart), which the install/chaos tests
+  /// exercise where tick placement is free.
+  void run(const FuzzCase& c, bool per_event = false) {
     Simulator sim(m->ctx());
-    sim.set_engine(engine);
+    if (per_event) sim.set_batch_events(1);
     rep = sim.run(m->db, *loop, c.options.freeze_delay_s, nullptr,
                   c.options.bucket_s, &log);
   }
@@ -143,7 +143,7 @@ struct LoopHarness {
 TEST(AdaptiveLoop, SilentWhenObservationMatchesForecast) {
   const FuzzCase c = steady_case();
   LoopHarness h(c, 1.0);
-  h.run(c, Simulator::Engine::kReference);
+  h.run(c, /*per_event=*/true);
 
   const loop::LoopStats s = h.loop->stats();
   EXPECT_GE(s.ticks, 4u);  // cadence points at 700, 1400, 2100, 2800, 3500
@@ -160,7 +160,7 @@ TEST(AdaptiveLoop, CorrectsUnderForecastAndConverges) {
   obs::TimeSeriesRecorder recorder(&obs::MetricsRegistry::global(),
                                    {.period_s = 60.0});
   LoopHarness h(c, 0.3, false, &recorder);
-  h.run(c, Simulator::Engine::kReference);
+  h.run(c, /*per_event=*/true);
 
   const loop::LoopStats s = h.loop->stats();
   EXPECT_GE(s.replans, 1u) << "a 0.3x forecast must trigger a correction";
